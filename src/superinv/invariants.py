@@ -9,6 +9,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alphabet import IndexRange
+from .errors import CapExceeded
 from .liealgebras import AlgebraFamily, MatrixElement, act_on_polynomial
 from .linalg import SpanTracker, nullspace
 from .polynomials import (
@@ -21,16 +22,6 @@ from .polynomials import (
 
 DEFAULT_MONOMIAL_CAP = 20_000
 DEFAULT_ENTRY_CAP = 2_000_000
-
-
-class CapExceeded(RuntimeError):
-    """Raised when a run would exceed the configured resource caps."""
-
-    def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what} would need {size}, above the cap {cap}")
-        self.what = what
-        self.size = size
-        self.cap = cap
 
 
 def algebra_for(

@@ -403,14 +403,6 @@ def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     return out
 
 
-def act_iterated(xs: Sequence[MatrixElement], f: Polynomial) -> Polynomial:
-    """Apply a product of algebra elements, leftmost factor acting last."""
-    out = f
-    for x in reversed(xs):
-        out = act_on_polynomial(x, out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the lower-triangular product of the periplectic family
 

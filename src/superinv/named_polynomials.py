@@ -3,11 +3,10 @@ symmetrizations P_t / P~_t, even Pfaffians, and periplectic Pfaffians."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .alphabet import SuperIndex, cross_parity_count
-from .permutations import cocycle, act_on_word, column_group, row_group
+from .alphabet import SuperIndex, Word, cross_parity_count
+from .permutations import cocycle_sign, young_symmetrizer
 from .polynomials import AlgebraDescriptor, Polynomial, sym_square_index
 from .tableaux import Partition, YoungTableau
 
@@ -57,27 +56,32 @@ def P_t(
     the plain variant and g = tau sigma for the tilde variant."""
     if not (len(I) == len(J) == t.size):
         raise ValueError("sequence lengths must equal the tableau size")
-    if variant not in ("plain", "tilde"):
-        raise ValueError("variant must be 'plain' or 'tilde'")
-    I = tuple(I)
     J = tuple(J)
     fam = family or _pair_family(algebra)
     out = algebra.zero()
-    for tau in column_group(t):
-        eps = tau.sign()
-        for sigma in row_group(t):
-            g = sigma * tau if variant == "plain" else tau * sigma
-            sign = eps * cocycle(I, g.inverse())
-            moved = act_on_word(g, I)
-            mono = []
-            for i, j in zip(moved, J):
-                idx = algebra.maybe_index(fam, i, j)
-                if idx is None:
-                    raise KeyError(f"no generator {fam}[{i},{j}]")
-                mono.append(idx)
-            zsign = (-1) ** cross_parity_count(moved, J)
-            out.add_term(mono, Fraction(sign * zsign))
+    for sign, moved in _symmetrized_words(t, I, variant):
+        mono = []
+        for i, j in zip(moved, J):
+            idx = algebra.maybe_index(fam, i, j)
+            if idx is None:
+                raise KeyError(f"no generator {fam}[{i},{j}]")
+            mono.append(idx)
+        out.add_term(mono, sign * (-1) ** cross_parity_count(moved, J))
     return out
+
+
+def _symmetrized_words(
+    t: YoungTableau, I: Sequence[SuperIndex], variant: str = "plain"
+) -> Iterator[tuple[int, Word]]:
+    """(eps(tau) c(I, g^{-1}), g I) for every term g of the expanded
+    symmetrizer of t.  The row and column stabilizers meet only in the
+    identity, so every (sigma, tau) pair is one term with coefficient
+    eps(tau), and this is the double sum over the two stabilizers."""
+    I = tuple(I)
+    parities = [i.parity for i in I]
+    at = I.__getitem__
+    for inv, eps in young_symmetrizer(t, variant).inverse_terms():
+        yield eps * cocycle_sign(parities, inv), tuple(map(at, inv))
 
 
 def X_of(algebra: AlgebraDescriptor, I: Sequence[SuperIndex]) -> Polynomial:
@@ -128,16 +132,11 @@ def _square_symmetrized(
     I: Sequence[SuperIndex],
     product,
 ) -> Polynomial:
-    I = tuple(I)
-    out = algebra.zero()
-    for tau in column_group(t):
-        eps = tau.sign()
-        for sigma in row_group(t):
-            g = sigma * tau
-            sign = eps * cocycle(I, g.inverse())
-            term = product(algebra, act_on_word(g, I))
-            out = out + term.scale(sign)
-    return out
+    acc: dict = {}
+    for sign, moved in _symmetrized_words(t, I):
+        for mono, c in product(algebra, moved).terms.items():
+            acc[mono] = acc.get(mono, 0) + c * sign
+    return Polynomial(algebra, acc)
 
 
 def Pf_t(

@@ -8,17 +8,20 @@ c(I, sigma tau) = c(sigma^{-1} I, tau) c(I, sigma).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from numbers import Rational
+from typing import Iterable, Iterator, Sequence
 
 from .alphabet import SuperIndex, SuperSequence, Word
+from .errors import CapExceeded
 from .tableaux import YoungTableau
 
 SYMMETRIZER_TERM_CAP = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """Permutation of {0..k-1}, stored as the image tuple."""
 
@@ -48,13 +51,10 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[other.images[x]] for x in range(self.degree)))
+        return Permutation(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
+        return Permutation(inverse_images(self.images))
 
     def sign(self) -> int:
         inv = 0
@@ -72,13 +72,32 @@ class Permutation:
         return f"Perm{self.images}"
 
 
+def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for x, y in enumerate(images):
+        inv[y] = x
+    return tuple(inv)
+
+
+def cocycle_sign(parities: Sequence[int], images: Sequence[int]) -> int:
+    """cocycle() on raw data: `parities[x]` is the parity of the word's
+    letter at position x and `images` is the image tuple of sigma."""
+    odd = [y for y in images if parities[y]]
+    count = 0
+    for a, y in enumerate(odd):
+        for z in odd[a + 1 :]:
+            if y > z:
+                count += 1
+    return -1 if count % 2 else 1
+
+
 def act_on_word(sigma: Permutation, word: Word) -> Word:
     """(sigma I)_a = I_{sigma^{-1}(a)}: the letter at position a moves to
     position sigma(a)."""
     if sigma.degree != len(word):
         raise ValueError("length mismatch")
-    inv = sigma.inverse()
-    return tuple(word[inv(a)] for a in range(len(word)))
+    return tuple(map(word.__getitem__, inverse_images(sigma.images)))
 
 
 def act_on_sequence(sigma: Permutation, seq: SuperSequence) -> SuperSequence:
@@ -92,36 +111,52 @@ def cocycle(word: Sequence[SuperIndex], sigma: Permutation) -> int:
     the word's parities."""
     if sigma.degree != len(word):
         raise ValueError("length mismatch")
-    im = sigma.images
-    pal = [word[im[a]].parity for a in range(len(word))]
-    count = 0
-    for a in range(len(im)):
-        if not pal[a]:
-            continue
-        for b in range(a + 1, len(im)):
-            if pal[b] and im[a] > im[b]:
-                count += 1
-    return -1 if count % 2 else 1
+    return cocycle_sign([x.parity for x in word], sigma.images)
+
+
+def _exact(c):
+    """An exact coefficient: int when integral, Fraction otherwise.  Floats
+    and other inexact numbers are refused."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
+    return int(c) if c.denominator == 1 else Fraction(c)
 
 
 class GroupAlgebraElement:
-    """Sparse rational combination of permutations of a fixed degree."""
+    """Sparse rational combination of permutations of a fixed degree.
+
+    Coefficients are exact: `int` while they are integral, `Fraction` only
+    after a real division (such as `scale(Fraction(1, c))`), never `float`.
+    """
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: dict[Permutation, Fraction] | None = None):
+    def __init__(self, degree: int, terms: dict[Permutation, int | Fraction] | None = None):
         self.degree = degree
-        self.terms: dict[Permutation, Fraction] = {}
+        self.terms: dict[Permutation, int | Fraction] = {}
         if terms:
             for perm, coeff in terms.items():
                 if perm.degree != degree:
                     raise ValueError("degree mismatch")
+                coeff = _exact(coeff)
                 if coeff:
-                    self.terms[perm] = Fraction(coeff)
+                    self.terms[perm] = coeff
+
+    @classmethod
+    def _adopt(
+        cls, degree: int, terms: dict[Permutation, int | Fraction]
+    ) -> "GroupAlgebraElement":
+        """Wrap a dict of nonzero exact coefficients without copying it."""
+        out = cls.__new__(cls)
+        out.degree = degree
+        out.terms = terms
+        return out
 
     @staticmethod
     def unit(degree: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(degree, {Permutation.identity(degree): Fraction(1)})
+        return GroupAlgebraElement(degree, {Permutation.identity(degree): 1})
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -129,35 +164,29 @@ class GroupAlgebraElement:
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         out = dict(self.terms)
         for perm, coeff in other.terms.items():
-            s = out.get(perm, Fraction(0)) + coeff
-            if s:
-                out[perm] = s
-            else:
-                out.pop(perm, None)
+            out[perm] = out.get(perm, 0) + coeff
         return GroupAlgebraElement(self.degree, out)
 
     def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
+        c = _exact(c)
         return GroupAlgebraElement(
             self.degree, {perm: coeff * c for perm, coeff in self.terms.items()}
         )
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         # convolve on raw image tuples; Permutation objects are rebuilt once
-        out: dict[tuple[int, ...], Fraction] = {}
-        rng = range(self.degree)
-        left = [(p.images, c) for p, c in self.terms.items()]
+        if other.degree != self.degree:
+            raise ValueError("degree mismatch")
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        get = out.get
         right = [(p.images, c) for p, c in other.terms.items()]
-        for im1, c1 in left:
+        for p1, c1 in self.terms.items():
+            at = p1.images.__getitem__
             for im2, c2 in right:
-                prod = tuple(im1[im2[x]] for x in rng)
-                s = out.get(prod, Fraction(0)) + c1 * c2
-                if s:
-                    out[prod] = s
-                else:
-                    out.pop(prod, None)
-        return GroupAlgebraElement(
-            self.degree, {Permutation(im): c for im, c in out.items()}
+                prod = tuple(map(at, im2))
+                out[prod] = get(prod, 0) + c1 * c2
+        return GroupAlgebraElement._adopt(
+            self.degree, {Permutation(im): _exact(c) for im, c in out.items() if c}
         )
 
     def __eq__(self, other) -> bool:
@@ -167,21 +196,23 @@ class GroupAlgebraElement:
             and self.terms == other.terms
         )
 
-    def apply_to_word(self, word: Word) -> dict[Word, Fraction]:
+    def inverse_terms(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+        """(image tuple of sigma^{-1}, coefficient) for every term sigma: the
+        one inverse that both the cocycle and the moved word need."""
+        return ((inverse_images(p.images), c) for p, c in self.terms.items())
+
+    def apply_to_word(self, word: Word) -> dict[Word, int | Fraction]:
         """Action on tensor words: sigma . v_I = c(I, sigma^{-1}) v_{sigma I},
         extended linearly with like-term collection."""
         if len(word) != self.degree:
             raise ValueError("length mismatch")
-        out: dict[Word, Fraction] = {}
-        for perm, coeff in self.terms.items():
-            sign = cocycle(word, perm.inverse())
-            target = act_on_word(perm, word)
-            s = out.get(target, Fraction(0)) + coeff * sign
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
-        return out
+        parities = [x.parity for x in word]
+        at = word.__getitem__
+        out: dict[Word, int | Fraction] = {}
+        for inv, coeff in self.inverse_terms():
+            target = tuple(map(at, inv))
+            out[target] = out.get(target, 0) + coeff * cocycle_sign(parities, inv)
+        return {w: c for w, c in out.items() if c}
 
 
 def _block_group(blocks: Iterable[Sequence[int]], degree: int) -> list[Permutation]:
@@ -229,30 +260,39 @@ def stabilizers(t: YoungTableau) -> tuple[list[Permutation], list[Permutation]]:
     return gens(row_blocks(t)), gens(column_blocks(t))
 
 
+def symmetrizer_term_count(t: YoungTableau) -> int:
+    """Terms of the expanded symmetrizer: the orders of the row and column
+    stabilizers, multiplied, since the two groups meet only in the identity."""
+    return math.prod(
+        math.factorial(len(b)) for b in row_blocks(t) + column_blocks(t)
+    )
+
+
 def young_symmetrizer(
     t: YoungTableau, variant: str = "plain", cap: int = SYMMETRIZER_TERM_CAP
 ) -> GroupAlgebraElement:
     """Fully expanded symmetrizer: sum of eps(tau) sigma tau over the row and
-    column stabilizers ("plain"), or with the factors reversed ("tilde")."""
+    column stabilizers ("plain"), or with the factors reversed ("tilde").
+    The term count is checked against `cap` before any group is built."""
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
-    rows = row_group(t)
-    cols = column_group(t)
-    if len(rows) * len(cols) > cap:
-        raise ValueError(
-            f"symmetrizer would have {len(rows) * len(cols)} terms, above the cap {cap}"
-        )
-    terms: dict[Permutation, Fraction] = {}
-    for tau in cols:
-        eps = Fraction(tau.sign())
-        for sigma in rows:
-            prod = sigma * tau if variant == "plain" else tau * sigma
-            s = terms.get(prod, Fraction(0)) + eps
-            if s:
-                terms[prod] = s
+    size = symmetrizer_term_count(t)
+    if size > cap:
+        raise CapExceeded("symmetrizer terms", size, cap)
+    rows = [sigma.images for sigma in row_group(t)]
+    terms: dict[tuple[int, ...], int] = {}
+    for tau in column_group(t):
+        eps = tau.sign()
+        col = tau.images
+        for row in rows:
+            if variant == "plain":
+                prod = tuple(map(row.__getitem__, col))
             else:
-                terms.pop(prod, None)
-    return GroupAlgebraElement(t.size, terms)
+                prod = tuple(map(col.__getitem__, row))
+            terms[prod] = terms.get(prod, 0) + eps
+    return GroupAlgebraElement._adopt(
+        t.size, {Permutation(im): c for im, c in terms.items() if c}
+    )
 
 
 def coset_representatives(

@@ -24,7 +24,7 @@ from .alphabet import (
     parity_of_word,
 )
 from .liealgebras import MatrixElement
-from .permutations import GroupAlgebraElement, Permutation, act_on_word, cocycle
+from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
 from .permutations import column_group, coset_representatives, young_symmetrizer
 
@@ -187,12 +187,14 @@ def theta_power(dims: IndexRange, k: int, hat: bool = False) -> TensorElement:
 def slot_permute(element: TensorElement, perm: Permutation) -> TensorElement:
     """Move slot at old position a to new position perm(a), with the Koszul
     sign of the reordering (per word)."""
+    if perm.degree != len(element.signature):
+        raise ValueError("length mismatch")
     out: dict[TWord, Fraction] = {}
     sig = None
+    inv = inverse_images(perm.images)
     for w, c in element.terms.items():
-        letters = letters_of(w)
-        sign = cocycle(letters, perm.inverse())
-        moved = act_on_word(perm, w)
+        sign = cocycle_sign([i.parity for i, _ in w], inv)
+        moved = tuple(map(w.__getitem__, inv))
         sig = signature_of(moved)
         out[moved] = out.get(moved, Fraction(0)) + c * sign
     if sig is None:
@@ -243,18 +245,16 @@ def apply_group_algebra(
     the cocycle-weighted word action."""
     out: dict[TWord, Fraction] = {}
     k = g.degree
+    if len(element.signature[start : start + k]) != k:
+        raise ValueError("length mismatch")
+    moves = list(g.inverse_terms())
     for w, coeff in element.terms.items():
-        block = w[start : start + k]
-        letters = letters_of(block)
-        for perm, gc in g.terms.items():
-            sign = cocycle(letters, perm.inverse())
-            moved = act_on_word(perm, block)
-            nw = w[:start] + moved + w[start + k :]
-            s = out.get(nw, Fraction(0)) + coeff * gc * sign
-            if s:
-                out[nw] = s
-            else:
-                out.pop(nw, None)
+        head, block, tail = w[:start], w[start : start + k], w[start + k :]
+        parities = [i.parity for i, _ in block]
+        at = block.__getitem__
+        for inv, gc in moves:
+            nw = head + tuple(map(at, inv)) + tail
+            out[nw] = out.get(nw, 0) + coeff * gc * cocycle_sign(parities, inv)
     return TensorElement(element.dims, element.signature, out)
 
 
