@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .alphabet import IndexRange, ev
+from .errors import InvalidOptions
 from .liealgebras import (
     MatrixElement,
     act_on_polynomial,
@@ -300,11 +301,11 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
                 continue
             wd = next(iter(direct.terms))
             c = marked.terms.get(wd)
-            if c is None or marked.scale(direct.terms[wd] / c) != direct:
+            if c is None or marked.scale(Fraction(direct.terms[wd], c)) != direct:
                 ratios[key] = "shape-mismatch"
                 uniform = False
                 continue
-            r = direct.terms[wd] / c
+            r = Fraction(direct.terms[wd], c)
             ratios[key] = str(r)
             if reference is None:
                 reference = r
@@ -631,7 +632,7 @@ def run_t72(opts: ClaimOptions) -> list[CheckRecord]:
                 return a.is_zero() == b.is_zero()
             wd = next(iter(a.terms))
             c = b.terms.get(wd)
-            return c is not None and b.scale(a.terms[wd] / c) == a
+            return c is not None and b.scale(Fraction(a.terms[wd], c)) == a
 
         corr_ok = proportional(w, corrected)
         printed_ok = proportional(w, printed)
@@ -763,6 +764,25 @@ CLAIM_DEFAULTS: dict[str, ClaimOptions] = {
 }
 
 
+# smallest --n and --k each claim is defined on (None: k is not used)
+_MIN_N_K: dict[str, tuple[int, Optional[int]]] = {
+    "L7.1": (2, None),
+    "T7.2": (2, 0),
+    "T7.3": (2, 1),
+}
+
+
+def validate_options(key: str, opts: ClaimOptions) -> None:
+    """Raise InvalidOptions when the options lie outside the claim's range."""
+    if key not in _MIN_N_K:
+        return
+    n_min, k_min = _MIN_N_K[key]
+    if opts.n < n_min:
+        raise InvalidOptions(f"{key} needs --n >= {n_min}, got {opts.n}")
+    if k_min is not None and opts.k < k_min:
+        raise InvalidOptions(f"{key} needs --k >= {k_min}, got {opts.k}")
+
+
 def run_claim(theorem_id: str, opts: Optional[ClaimOptions] = None) -> list[CheckRecord]:
     key = theorem_id.strip()
     if key.endswith("(constructive)"):
@@ -771,4 +791,5 @@ def run_claim(theorem_id: str, opts: Optional[ClaimOptions] = None) -> list[Chec
         raise KeyError(f"unknown claim id {theorem_id!r}")
     if opts is None:
         opts = CLAIM_DEFAULTS[key]
+    validate_options(key, opts)
     return CLAIM_RUNNERS[key](opts)

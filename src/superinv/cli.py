@@ -17,6 +17,7 @@ import time
 
 from .alphabet import IndexRange
 from .claims import CLAIM_DEFAULTS, ClaimOptions, KNOWN_CLAIMS, run_claim
+from .errors import InvalidOptions
 from .invariants import CapExceeded, algebra_for, invariant_space_bruteforce
 from .liealgebras import build_family
 from .tableaux import Partition, count_semistandard, enumerate_standard_tableaux
@@ -188,7 +189,11 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
     }
     try:
+        # options are validated before any work starts
         records = run_claim(key, opts)
+    except InvalidOptions as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -11,3 +11,8 @@ class CapExceeded(RuntimeError):
         self.what = what
         self.size = size
         self.cap = cap
+
+
+class InvalidOptions(ValueError):
+    """Raised before any work when a claim's options lie outside the range
+    the claim is defined on."""

@@ -5,10 +5,10 @@ generators, and the special-periplectic tensor and polynomial families."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional
 
 from .alphabet import (
     EVEN,
@@ -21,8 +21,9 @@ from .alphabet import (
     od,
     parity_of_word,
 )
+from .coefficients import Coeff, add_scaled, exact
 from .liealgebras import AlgebraFamily, MatrixElement, abs_exponent
-from .named_polynomials import P_t, Z_of
+from .named_polynomials import P_t, Z_combination, Z_of
 from .polynomials import AlgebraDescriptor, Polynomial
 from .tableaux import YoungTableau, enumerate_semistandard
 from .tensors import (
@@ -31,6 +32,7 @@ from .tensors import (
     apply_group_algebra,
     dual_word,
     form_sign,
+    letters_of,
     repeated_evens,
     blocked_odds,
     split_cols_tableau,
@@ -42,9 +44,9 @@ from .permutations import young_symmetrizer
 
 def gl_scalar_products(algebra: AlgebraDescriptor) -> list[Polynomial]:
     """(v_r*, v_s) = sum over i of x[r,i] x*[i,s], one per (r, s)."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    u_range: IndexRange = algebra.u_range  # type: ignore[attr-defined]
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
+    u_range = algebra.u_range
+    w_range = algebra.w_range
     out = []
     for r in u_range:
         for s in w_range:
@@ -60,7 +62,7 @@ def osp_scalar_product(
 ) -> Polynomial:
     """Anti-diagonal symmetric pairing on the even block, symplectic pairing
     on the odd block, with the sign (-1)^{p(s)} on the odd part."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
     n, m = v_range.even_count, v_range.odd_count
     r = m // 2
     f = algebra.zero()
@@ -78,7 +80,7 @@ def pe_scalar_product(
 ) -> Polynomial:
     """Odd-form pairing: the sign (-1)^{p(s)} rides only the summand whose
     first factor is even-indexed (the placement forced by invariance)."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
     n = v_range.even_count
     f = algebra.zero()
     ps = (-1) ** s.parity
@@ -93,7 +95,7 @@ def scalar_products(tag: str, algebra: AlgebraDescriptor) -> list[Polynomial]:
     parent's products)."""
     if tag in ("gl", "sl"):
         return gl_scalar_products(algebra)
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    w_range = algebra.w_range
     letters = w_range.indices()
     if tag in ("osp",):
         pairs = [(s, t) for a, s in enumerate(letters) for t in letters[a:]]
@@ -112,7 +114,7 @@ def gl_substitution_map(source: AlgebraDescriptor, target: AlgebraDescriptor):
     """z[r,s] goes to the gl scalar product (v_r*, v_s)."""
     from .invariants import SubstitutionMap
 
-    v_range: IndexRange = target.v_range  # type: ignore[attr-defined]
+    v_range = target.v_range
     images = {}
     for idx, g in enumerate(source.generators):
         f = target.zero()
@@ -159,7 +161,7 @@ def mixed_shadow(
     projection, paired against a u-word on the covariant block and a w-word
     on the dual block.  Each tensor word contributes
     Z_uv(I, plain letters) * Z_vw(dual letters, J)."""
-    out = algebra.zero()
+    acc: dict = {}
     for w, coeff in element.terms.items():
         plain = tuple(i for i, d in w if not d)
         dual = tuple(i for i, d in w if d)
@@ -167,8 +169,8 @@ def mixed_shadow(
             raise ValueError("pairing lengths do not match the word blocks")
         left = Z_of(algebra, I, plain, family="uv")
         right = Z_of(algebra, dual, J, family="vw")
-        out = out + (left * right).scale(coeff)
-    return out
+        add_scaled(acc, (left * right).terms, coeff)
+    return Polynomial(algebra, acc)
 
 
 def mixed_shadow_hat(
@@ -180,7 +182,7 @@ def mixed_shadow_hat(
     """Same projection for words with the dual block first: moving the
     covariant block across the dual block costs the Koszul sign of the two
     block parities."""
-    out = algebra.zero()
+    acc: dict = {}
     for w, coeff in element.terms.items():
         plain = tuple(i for i, d in w if not d)
         dual = tuple(i for i, d in w if d)
@@ -189,19 +191,19 @@ def mixed_shadow_hat(
         sign = (-1) ** (parity_of_word(plain) * parity_of_word(dual))
         left = Z_of(algebra, I, plain, family="uv")
         right = Z_of(algebra, dual, J, family="vw")
-        out = out + (left * right).scale(coeff * sign)
-    return out
+        add_scaled(acc, (left * right).terms, coeff * sign)
+    return Polynomial(algebra, acc)
 
 
 def dual_shadow(algebra: AlgebraDescriptor, element: TensorElement, J: Word) -> Polynomial:
-    """Projection of a purely dual tensor against a w-word."""
-    out = algebra.zero()
-    for w, coeff in element.terms.items():
-        letters = tuple(i for i, d in w)
-        if any(not d for _, d in w):
-            raise ValueError("element must be purely dual")
-        out = out + Z_of(algebra, letters, J, family="vw").scale(coeff)
-    return out
+    """Projection of a purely dual tensor against a w-word: the sum of
+    c * Z(letters, J) over its words."""
+    if not all(element.signature):
+        raise ValueError("element must be purely dual")
+    if len(element.signature) != len(J):
+        raise ValueError("sequences must have equal length")
+    weighted = ((c, letters_of(w)) for w, c in element.terms.items())
+    return Z_combination(algebra, weighted, J, "vw")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +233,9 @@ def sl_extra_generators(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators
     """
     from .tensors import sl_invariant_element
 
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    u_range: IndexRange = algebra.u_range  # type: ignore[attr-defined]
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
+    u_range = algebra.u_range
+    w_range = algebra.w_range
     n, m = v_range.even_count, v_range.odd_count
     s = split_cols_tableau(n, m, k)  # n rows, k+m columns
     t = split_rows_tableau(n, m, k)  # m columns, n+k rows
@@ -260,9 +262,9 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
     """Literal transcription of the quoted F sums (tilde-symmetrized factor
     pairs against the auxiliary middle words); kept for the errata diff
     against the canonical construction."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    u_range: IndexRange = algebra.u_range  # type: ignore[attr-defined]
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
+    u_range = algebra.u_range
+    w_range = algebra.w_range
     n, m = v_range.even_count, v_range.odd_count
     s = split_cols_tableau(n, m, k)
     t = split_rows_tableau(n, m, k)
@@ -273,12 +275,13 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
     plus: list[Polynomial] = []
     for I in enumerate_semistandard(s, u_range):
         for J in enumerate_semistandard(t, w_range):
-            f = algebra.zero()
+            acc: dict = {}
             for L in words_L:
                 sign = (-1) ** mutual_parity_count(L)
                 left = P_t(algebra, s, I, Ik + L, variant="tilde", family="uv")
                 right = P_t(algebra, t, L + Jk, J, variant="tilde", family="vw")
-                f = f + (left * right).scale(sign)
+                add_scaled(acc, (left * right).terms, sign)
+            f = Polynomial(algebra, acc)
             if f:
                 plus.append(f)
 
@@ -287,12 +290,13 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
         p_ihat = parity_of_word(Ihat)
         for Jhat in enumerate_semistandard(s, w_range):
             p_jhat = parity_of_word(Jhat)
-            f = algebra.zero()
+            acc = {}
             for L in words_L:
                 expo = mutual_parity_count(L) + parity_of_word(L) * (p_ihat + p_jhat)
                 left = P_t(algebra, s, Ik + L, Jhat, variant="plain", family="vw")
                 right = P_t(algebra, t, Ihat, L + Jk, variant="plain", family="uv")
-                f = f + (left * right).scale((-1) ** expo)
+                add_scaled(acc, (left * right).terms, (-1) ** expo)
+            f = Polynomial(algebra, acc)
             if f:
                 minus.append(f)
     return SlExtraGenerators(k, s, t, plus, minus)
@@ -308,19 +312,20 @@ def polynomial_shadow_dual(
     """Image of a covariant tensor under the form isomorphism followed by
     the canonical projection against the word J of w-letters: each word
     v_M contributes its coefficient times Z(M~, J) with the form signs."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    out = algebra.zero()
+    v_range = algebra.v_range
+    if any(element.signature):
+        raise ValueError("element must be covariant")
+    if len(element.signature) != len(J):
+        raise ValueError("sequences must have equal length")
+    weighted = []
     for w, coeff in element.terms.items():
-        if any(d for _, d in w):
-            raise ValueError("element must be covariant")
-        letters = tuple(i for i, _ in w)
         sign = 1
         dual_letters = []
-        for i in letters:
+        for i, _ in w:
             sign *= form_sign(v_range, i)
             dual_letters.append(tilde_index(v_range, i))
-        out = out + Z_of(algebra, tuple(dual_letters), J, family="vw").scale(coeff * sign)
-    return out
+        weighted.append((coeff * sign, tuple(dual_letters)))
+    return Z_combination(algebra, weighted, J, "vw")
 
 
 def osp_relative_generators(
@@ -328,8 +333,8 @@ def osp_relative_generators(
 ) -> list[Polynomial]:
     """R(J): the polynomial shadows of the constructive invariant, one per
     semistandard sequence J of w-letters over the column-split tableau."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
+    w_range = algebra.w_range
     n, m = v_range.even_count, v_range.odd_count
     s = split_cols_tableau(n, m, 1)
     out = []
@@ -410,7 +415,7 @@ def t2_filter_oracle(n: int) -> int:
     return count
 
 
-def _t2_weights(datum: T2Datum, n: int, k: int) -> tuple[int, int, Fraction]:
+def _t2_weights(datum: T2Datum, n: int, k: int) -> tuple[int, int, Coeff]:
     """(m(L), eps exponent, multiplicity m_k(L)) for one tableau."""
     a = {
         (i, j): datum.matrix[i - 1][j - 1]
@@ -427,10 +432,10 @@ def _t2_weights(datum: T2Datum, n: int, k: int) -> tuple[int, int, Fraction]:
     abs_a = abs_exponent(a, n, "corrected")
     eps_exp = abs_a + n_L
     row_sums = [sum(datum.matrix[i - 1]) for i in range(1, n + 1)]
-    mult = Fraction(factorial(n + k) ** n)
-    for li in row_sums:
-        mult /= factorial(n + k - li)
-    return m_L, eps_exp, mult
+    mult = Fraction(
+        factorial(n + k) ** n, math.prod(factorial(n + k - li) for li in row_sums)
+    )
+    return m_L, eps_exp, exact(mult)
 
 
 def xplus_factors(dims: IndexRange) -> list[MatrixElement]:
@@ -467,20 +472,17 @@ def spe_closed_form_element(
         words = [repeated_evens(n, k) + datum.word for datum in t2_tableaux(n)]
     else:
         raise ValueError("kind must be 'lower' or 'raise'")
-    acc: Optional[TensorElement] = None
+    terms: dict = {}
     for datum, w_letters in zip(t2_tableaux(n), words):
         m_L, eps_exp, mult = _t2_weights(datum, n, k if kind == "lower" else 0)
         if kind == "lower":
             m_factor = k * m_L if convention == "printed" else m_L
-            coeff = Fraction((-1) ** (m_factor + eps_exp)) * mult
         else:
             m_factor = 0 if convention == "printed" else m_L
-            coeff = Fraction((-1) ** (m_factor + eps_exp)) * mult
-        term = TensorElement.from_word(dims, dual_word(w_letters), coeff)
-        acc = term if acc is None else acc + term
-    assert acc is not None
+        w = dual_word(w_letters)
+        terms[w] = terms.get(w, 0) + (-1) ** (m_factor + eps_exp) * mult
     e_t = young_symmetrizer(t, "plain")
-    return apply_group_algebra(e_t, acc)
+    return apply_group_algebra(e_t, TensorElement(dims, (True,) * t.size, terms))
 
 
 def spe_constructive_element(
@@ -520,8 +522,8 @@ def spe_ppf_polynomials(
     list starts at level one and misses it, but the oracle requires it (the
     first relative invariants appear at degree n^2).
     """
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    v_range = algebra.v_range
+    w_range = algebra.w_range
     n = v_range.even_count
     if sign_k > 0:
         t = split_rows_tableau(n, n, k)
@@ -565,35 +567,31 @@ def spe_ppf_literal(
     algebra: AlgebraDescriptor, k: int, sign_k: int
 ) -> list[Polynomial]:
     """Literal transcription of the quoted level-k sums (printed signs and
-    the level shift to k-1 weights); kept for the errata diff."""
-    v_range: IndexRange = algebra.v_range  # type: ignore[attr-defined]
-    w_range: IndexRange = algebra.w_range  # type: ignore[attr-defined]
+    the level shift to k-1 weights); kept for the errata diff.
+
+    Each quoted sum is c(L) P_t(L + tail, J) summed over the square tableaux
+    L.  P_t(I, J) is the pairing of e_t v*_I against J, so the sum is the
+    pairing of e_t T with T the sum of c(L) v*_{L + tail}: the symmetrizer
+    is applied once per level and the result is paired against every J.
+    """
+    v_range = algebra.v_range
+    w_range = algebra.w_range
     n = v_range.even_count
-    out: list[Polynomial] = []
     if sign_k > 0:
-        t = split_rows_tableau(n, n, k)
-        tail = blocked_odds(n, k)
-        for J in enumerate_semistandard(t, w_range):
-            f = algebra.zero()
-            for datum in t2_tableaux(n):
-                m_L, eps_exp, mult = _t2_weights(datum, n, k - 1)
-                coeff = Fraction((-1) ** ((k - 1) * m_L + eps_exp)) * mult
-                f = f + P_t(
-                    algebra, t, datum.word + tail, J, variant="plain", family="vw"
-                ).scale(coeff)
-            if f:
-                out.append(f)
+        t, tail, level = split_rows_tableau(n, n, k), blocked_odds(n, k), k - 1
     else:
-        t = split_rows_tableau(n, n, k + 1)
-        tail = repeated_evens(n, k + 1)
-        for J in enumerate_semistandard(t, w_range):
-            f = algebra.zero()
-            for datum in t2_tableaux(n):
-                _, eps_exp, mult = _t2_weights(datum, n, 0)
-                coeff = Fraction((-1) ** eps_exp) * mult
-                f = f + P_t(
-                    algebra, t, datum.word + tail, J, variant="plain", family="vw"
-                ).scale(coeff)
-            if f:
-                out.append(f)
+        t, tail, level = split_rows_tableau(n, n, k + 1), repeated_evens(n, k + 1), 0
+    terms: dict = {}
+    for datum in t2_tableaux(n):
+        m_L, eps_exp, mult = _t2_weights(datum, n, level)
+        w = dual_word(datum.word + tail)
+        terms[w] = terms.get(w, 0) + (-1) ** (level * m_L + eps_exp) * mult
+    symmetrized = apply_group_algebra(
+        young_symmetrizer(t, "plain"), TensorElement(v_range, (True,) * t.size, terms)
+    )
+    out: list[Polynomial] = []
+    for J in enumerate_semistandard(t, w_range):
+        f = dual_shadow(algebra, symmetrized, J)
+        if f:
+            out.append(f)
     return out

@@ -5,10 +5,10 @@ witnesses, and relation-ideal kernel checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alphabet import IndexRange
+from .coefficients import Coeff, add_scaled
 from .errors import CapExceeded
 from .liealgebras import AlgebraFamily, MatrixElement, act_on_polynomial
 from .linalg import SpanTracker, nullspace
@@ -69,15 +69,15 @@ def blocked_monomials(
     return blocks
 
 
-def _weight(algebra: AlgebraDescriptor, mono: Monomial, x: MatrixElement) -> Fraction:
+def _weight(algebra: AlgebraDescriptor, mono: Monomial, x: MatrixElement) -> Coeff:
     """Eigenvalue of a diagonal matrix on a monomial."""
-    total = Fraction(0)
+    total = 0
     for g in mono:
         gen = algebra.generator(g)
         if gen.family == "uv":
-            total += x.entries.get((gen.col, gen.col), Fraction(0))
+            total += x.entries.get((gen.col, gen.col), 0)
         elif gen.family == "vw":
-            total -= x.entries.get((gen.row, gen.row), Fraction(0))
+            total -= x.entries.get((gen.row, gen.row), 0)
     return total
 
 
@@ -119,23 +119,22 @@ def invariant_space_bruteforce(
         if not monos:
             continue
         pos = {m: i for i, m in enumerate(monos)}
-        rows: list[list[Fraction]] = []
+        rows: list[list[Coeff]] = []
         for x in rest:
-            images: dict[Monomial, dict[Monomial, Fraction]] = {}
+            images: dict[Monomial, dict[Monomial, Coeff]] = {}
             for m in monos:
-                img = act_on_polynomial(x, Polynomial(algebra, {m: Fraction(1)}))
+                img = act_on_polynomial(x, Polynomial(algebra, {m: 1}))
                 for u, c in img.terms.items():
                     images.setdefault(u, {})[m] = c
             for u, col in images.items():
-                rows.append([col.get(m, Fraction(0)) for m in monos])
+                rows.append([col.get(m, 0) for m in monos])
         if len(rows) * len(monos) > entry_cap:
             raise CapExceeded("action matrix", len(rows) * len(monos), entry_cap)
         if rows:
             vectors = nullspace(rows, ncols=len(monos))
         else:
             vectors = [
-                [Fraction(1 if i == j else 0) for j in range(len(monos))]
-                for i in range(len(monos))
+                [1 if i == j else 0 for j in range(len(monos))] for i in range(len(monos))
             ]
         for vec in vectors:
             poly = Polynomial(algebra, {monos[i]: v for i, v in enumerate(vec) if v})
@@ -150,12 +149,12 @@ def invariant_space_bruteforce(
 
 def polynomials_to_matrix(
     polys: Sequence[Polynomial],
-) -> tuple[list[Monomial], list[list[Fraction]]]:
+) -> tuple[list[Monomial], list[list[Coeff]]]:
     monos = sorted({m for f in polys for m in f.terms})
     pos = {m: i for i, m in enumerate(monos)}
     rows = []
     for f in polys:
-        vec = [Fraction(0)] * len(monos)
+        vec: list[Coeff] = [0] * len(monos)
         for m, c in f.terms.items():
             vec[pos[m]] = c
         rows.append(vec)
@@ -246,8 +245,8 @@ def check_generation(
             monos = sorted({m for f in all_polys for m in f.terms})
             pos = {m: i for i, m in enumerate(monos)}
 
-            def vec(f: Polynomial) -> list[Fraction]:
-                v = [Fraction(0)] * len(monos)
+            def vec(f: Polynomial) -> list[Coeff]:
+                v: list[Coeff] = [0] * len(monos)
                 for m, c in f.terms.items():
                     v[pos[m]] = c
                 return v
@@ -299,15 +298,16 @@ class SubstitutionMap:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.algebra is not self.source:
             raise ValueError("polynomial not over the source algebra")
-        out = self.target.zero()
+        out: dict[Monomial, Coeff] = {}
+        one = self.target.one()
         for mono, coeff in f.terms.items():
-            term = self.target.one().scale(coeff)
+            term = one
             for g in mono:
                 term = term * self.images[g]
                 if not term:
                     break
-            out = out + term
-        return out
+            add_scaled(out, term.terms, coeff)
+        return Polynomial(self.target, out)
 
 
 @dataclass
@@ -333,14 +333,14 @@ def kernel_dimension_at_degree(
     for key in sorted(blocks):
         monos = blocks[key]
         image_polys = [
-            subs.apply(Polynomial(subs.source, {m: Fraction(1)})) for m in monos
+            subs.apply(Polynomial(subs.source, {m: 1})) for m in monos
         ]
         target_monos = sorted({m for f in image_polys for m in f.terms})
         pos = {m: i for i, m in enumerate(target_monos)}
         tracker = SpanTracker(len(target_monos) or 1)
         rank = 0
         for f in image_polys:
-            vec = [Fraction(0)] * (len(target_monos) or 1)
+            vec: list[Coeff] = [0] * (len(target_monos) or 1)
             for m, c in f.terms.items():
                 vec[pos[m]] = c
             if tracker.add(vec):

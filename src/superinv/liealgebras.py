@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
+from .coefficients import Coeff, add_scaled, exact
 from .linalg import SpanTracker, nullspace
 from .polynomials import AlgebraDescriptor, Polynomial
 
@@ -22,16 +22,18 @@ from .polynomials import AlgebraDescriptor, Polynomial
 @dataclass
 class MatrixElement:
     """Homogeneous matrix over the super vector space with basis indexed by
-    `dims`.  Entry (r, c) sends basis vector c to basis vector r."""
+    `dims`.  Entry (r, c) sends basis vector c to basis vector r.  Entries
+    are `int` while they are integral, `Fraction` only after a real
+    division, never `float` (see `superinv.coefficients`)."""
 
     dims: IndexRange
-    entries: dict[tuple[SuperIndex, SuperIndex], Fraction]
+    entries: dict[tuple[SuperIndex, SuperIndex], Coeff]
     parity: int
 
     def __post_init__(self):
         clean = {}
         for (r, c), v in self.entries.items():
-            v = Fraction(v)
+            v = exact(v)
             if not v:
                 continue
             if (r.parity + c.parity) % 2 != self.parity:
@@ -41,7 +43,7 @@ class MatrixElement:
 
     @staticmethod
     def unit(dims: IndexRange, r: SuperIndex, c: SuperIndex) -> "MatrixElement":
-        return MatrixElement(dims, {(r, c): Fraction(1)}, (r.parity + c.parity) % 2)
+        return MatrixElement(dims, {(r, c): 1}, (r.parity + c.parity) % 2)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -50,32 +52,23 @@ class MatrixElement:
         if other.parity != self.parity:
             raise ValueError("cannot add different parities")
         out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        add_scaled(out, other.entries)
         return MatrixElement(self.dims, out, self.parity)
 
     def scale(self, c) -> "MatrixElement":
-        c = Fraction(c)
+        c = exact(c)
         return MatrixElement(
             self.dims, {k: v * c for k, v in self.entries.items()}, self.parity
         )
 
     def matmul(self, other: "MatrixElement") -> "MatrixElement":
-        out: dict[tuple[SuperIndex, SuperIndex], Fraction] = {}
+        out: dict[tuple[SuperIndex, SuperIndex], Coeff] = {}
         for (r1, c1), v1 in self.entries.items():
             for (r2, c2), v2 in other.entries.items():
                 if c1 != r2:
                     continue
                 k = (r1, c2)
-                s = out.get(k, Fraction(0)) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + v1 * v2
         return MatrixElement(self.dims, out, (self.parity + other.parity) % 2)
 
     def bracket(self, other: "MatrixElement") -> "MatrixElement":
@@ -83,8 +76,8 @@ class MatrixElement:
         sign = (-1) ** (self.parity * other.parity)
         return self.matmul(other) + other.matmul(self).scale(-sign)
 
-    def supertrace(self) -> Fraction:
-        out = Fraction(0)
+    def supertrace(self) -> Coeff:
+        out = 0
         for (r, c), v in self.entries.items():
             if r == c:
                 out += v if r.parity == EVEN else -v
@@ -93,18 +86,18 @@ class MatrixElement:
     def is_diagonal(self) -> bool:
         return all(r == c for (r, c) in self.entries)
 
-    def column(self, c: SuperIndex) -> dict[SuperIndex, Fraction]:
+    def column(self, c: SuperIndex) -> dict[SuperIndex, Coeff]:
         """Action on the basis vector e_c."""
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
-    def dual_row(self, r: SuperIndex) -> dict[SuperIndex, Fraction]:
+    def dual_row(self, r: SuperIndex) -> dict[SuperIndex, Coeff]:
         """Coefficients of the dual action: e_r^* goes to
         -(-1)^{p(X)p(r)} sum of X[r,c] e_c^*."""
         sign = -((-1) ** (self.parity * r.parity))
         return {c: v * sign for (rr, c), v in self.entries.items() if rr == r}
 
-    def coeff_vector(self, coords: Sequence[tuple[SuperIndex, SuperIndex]]) -> list[Fraction]:
-        return [self.entries.get(k, Fraction(0)) for k in coords]
+    def coeff_vector(self, coords: Sequence[tuple[SuperIndex, SuperIndex]]) -> list[Coeff]:
+        return [self.entries.get(k, 0) for k in coords]
 
     def __str__(self) -> str:
         if not self.entries:
@@ -122,10 +115,10 @@ class MatrixElement:
 def matrix_from_vector(
     dims: IndexRange,
     coords: Sequence[tuple[SuperIndex, SuperIndex]],
-    vec: Sequence[Fraction],
+    vec: Sequence[Coeff],
     parity: int,
 ) -> MatrixElement:
-    entries = {coords[i]: Fraction(v) for i, v in enumerate(vec) if v}
+    entries = {coords[i]: v for i, v in enumerate(vec) if v}
     return MatrixElement(dims, entries, parity)
 
 
@@ -170,8 +163,8 @@ def _solve_family(
 ) -> list[MatrixElement]:
     """Solve linear conditions on a single parity block of gl.
 
-    `conditions(X)` maps a MatrixElement to a list of Fractions that must
-    all vanish.
+    `conditions(X)` maps a MatrixElement to a list of exact numbers that
+    must all vanish.
     """
     coords = _parity_block(dims, parity)
     rows = []
@@ -206,12 +199,12 @@ def osp_form_tensor(dims: IndexRange):
     if m % 2:
         raise ValueError("odd dimension must be even")
     r = m // 2
-    terms: list[tuple[tuple[SuperIndex, SuperIndex], Fraction]] = []
+    terms: list[tuple[tuple[SuperIndex, SuperIndex], int]] = []
     for i in range(1, n + 1):
-        terms.append(((ev(i), ev(n - i + 1)), Fraction(1)))
+        terms.append(((ev(i), ev(n - i + 1)), 1))
     for j in range(1, r + 1):
-        terms.append(((od(m - j + 1), od(j)), Fraction(1)))
-        terms.append(((od(j), od(m - j + 1)), Fraction(-1)))
+        terms.append(((od(m - j + 1), od(j)), 1))
+        terms.append(((od(j), od(m - j + 1)), -1))
     return terms
 
 
@@ -220,36 +213,28 @@ def pe_form_tensor(dims: IndexRange):
     n, m = dims.even_count, dims.odd_count
     if n != m:
         raise ValueError("periplectic dimensions must be (n|n)")
-    terms: list[tuple[tuple[SuperIndex, SuperIndex], Fraction]] = []
+    terms: list[tuple[tuple[SuperIndex, SuperIndex], int]] = []
     for i in range(1, n + 1):
-        terms.append(((ev(i), od(i)), Fraction(1)))
-        terms.append(((od(i), ev(i)), Fraction(1)))
+        terms.append(((ev(i), od(i)), 1))
+        terms.append(((od(i), ev(i)), 1))
     return terms
 
 
-def _dual_pair_action(x: MatrixElement, form) -> list[Fraction]:
+def _dual_pair_action(x: MatrixElement, form) -> list[Coeff]:
     """Coefficients of x acting on a dual-dual tensor sum c_{ab} e_a* x e_b*.
 
     The action on e_a* is -(-1)^{p(x)p(a)} sum_c x[a,c] e_c*; crossing into the
     second slot costs (-1)^{p(x)p(first slot)}.
     """
-    out: dict[tuple[SuperIndex, SuperIndex], Fraction] = {}
-
-    def accumulate(key, val):
-        s = out.get(key, Fraction(0)) + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
+    out: dict[tuple[SuperIndex, SuperIndex], Coeff] = {}
     for (a, b), coeff in form:
         for c, v in x.dual_row(a).items():
-            accumulate((c, b), coeff * v)
+            out[(c, b)] = out.get((c, b), 0) + coeff * v
         sign = (-1) ** (x.parity * a.parity)
         for c, v in x.dual_row(b).items():
-            accumulate((a, c), coeff * v * sign)
+            out[(a, c)] = out.get((a, c), 0) + coeff * v * sign
     letters = x.dims.indices()
-    return [out.get((a, b), Fraction(0)) for a in letters for b in letters]
+    return [out.get((a, b), 0) for a in letters for b in letters]
 
 
 def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
@@ -269,7 +254,7 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
         for a in letters[:-1]:
             s_a = -1 if a.parity else 1
             x = MatrixElement.unit(dims, a, a) + MatrixElement.unit(dims, last, last).scale(
-                Fraction(-s_a * s_last)
+                -s_a * s_last
             )
             basis.append(x)
         fam = AlgebraFamily("sl", dims, basis)
@@ -387,7 +372,7 @@ def act_on_generator(x: MatrixElement, algebra: AlgebraDescriptor, gen_index: in
 def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     """Super-derivation extension of the generator action."""
     algebra = f.algebra
-    v_range = getattr(algebra, "v_range", None)
+    v_range = algebra.v_range
     if v_range is not None and v_range != x.dims:
         raise ValueError("matrix dimensions do not match the algebra's inner space")
     parities = algebra.parities
@@ -467,8 +452,11 @@ def _abs_recursive(a: dict[tuple[int, int], int], n: int, corrected: bool) -> in
 
 
 def abs_exponent(a: dict[tuple[int, int], int], n: int, convention: str = "corrected") -> int:
+    """Sign exponent |A| of an admissible matrix on n >= 2 letters."""
     if convention not in ("corrected", "literal"):
         raise ValueError("convention must be 'corrected' or 'literal'")
+    if n < 2:
+        raise ValueError("need n >= 2")
     return _abs_recursive(a, n, convention == "corrected")
 
 
@@ -515,10 +503,11 @@ def yminus_expansion(n: int) -> dict:
     sums = {}
     diffs = {}
     for convention in ("literal", "corrected"):
-        total = algebra.zero()
+        acc: dict = {}
         for a in t1_matrices(n):
             sign = (-1) ** abs_exponent(a, n, convention)
-            total = total + matrix_monomial(a).scale(sign)
+            add_scaled(acc, matrix_monomial(a).terms, sign)
+        total = Polynomial(algebra, acc)
         sums[convention] = total
         diffs[convention] = product - total
     return {

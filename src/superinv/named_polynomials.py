@@ -3,12 +3,22 @@ symmetrizations P_t / P~_t, even Pfaffians, and periplectic Pfaffians."""
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import SuperIndex, Word, cross_parity_count
+from .coefficients import Coeff
 from .permutations import cocycle_sign, young_symmetrizer
-from .polynomials import AlgebraDescriptor, Polynomial, sym_square_index
+from .polynomials import (
+    AlgebraDescriptor,
+    Monomial,
+    Polynomial,
+    normalize_product,
+    sym_square_index,
+)
 from .tableaux import Partition, YoungTableau
+
+# a signed normal-form monomial, or None for a product that vanishes
+Term = Optional[tuple[int, Monomial]]
 
 
 def _pair_family(algebra: AlgebraDescriptor) -> str:
@@ -18,6 +28,25 @@ def _pair_family(algebra: AlgebraDescriptor) -> str:
         if fam in families:
             return fam
     raise ValueError("algebra has no bilinear generator family")
+
+
+def _term_polynomial(algebra: AlgebraDescriptor, term: Term) -> Polynomial:
+    return Polynomial(algebra, {} if term is None else {term[1]: term[0]})
+
+
+def _z_term(algebra: AlgebraDescriptor, I: Word, J: Word, fam: str) -> Term:
+    """Z(I, J) on raw data: the sign (-1)^{sum of p(i_a)p(j_b) over a > b}
+    times the Koszul sign of sorting, and the sorted monomial."""
+    mono = []
+    for i, j in zip(I, J):
+        idx = algebra.maybe_index(fam, i, j)
+        if idx is None:
+            raise KeyError(f"no generator {fam}[{i},{j}]")
+        mono.append(idx)
+    norm = normalize_product(mono, algebra.parities)
+    if norm is None:
+        return None
+    return norm[0] * (-1) ** cross_parity_count(I, J), norm[1]
 
 
 def Z_of(
@@ -31,16 +60,26 @@ def Z_of(
     if len(I) != len(J):
         raise ValueError("sequences must have equal length")
     fam = family or _pair_family(algebra)
-    sign = (-1) ** cross_parity_count(tuple(I), tuple(J))
-    out = algebra.zero()
-    mono = []
-    for i, j in zip(I, J):
-        idx = algebra.maybe_index(fam, i, j)
-        if idx is None:
-            raise KeyError(f"no generator {fam}[{i},{j}]")
-        mono.append(idx)
-    out.add_term(mono, sign)
-    return out
+    return _term_polynomial(algebra, _z_term(algebra, tuple(I), tuple(J), fam))
+
+
+def Z_combination(
+    algebra: AlgebraDescriptor,
+    weighted: Iterable[tuple[Coeff, Word]],
+    J: Sequence[SuperIndex],
+    family: str,
+) -> Polynomial:
+    """The sum of c * Z(I, J) over the (c, I) pairs, accumulated in one
+    dict and wrapped once.  Every I must have the length of J."""
+    J = tuple(J)
+    acc: dict[Monomial, Coeff] = {}
+    get = acc.get
+    for c, I in weighted:
+        term = _z_term(algebra, I, J, family)
+        if term is not None:
+            sign, mono = term
+            acc[mono] = get(mono, 0) + c * sign
+    return Polynomial(algebra, acc)
 
 
 def P_t(
@@ -56,18 +95,8 @@ def P_t(
     the plain variant and g = tau sigma for the tilde variant."""
     if not (len(I) == len(J) == t.size):
         raise ValueError("sequence lengths must equal the tableau size")
-    J = tuple(J)
     fam = family or _pair_family(algebra)
-    out = algebra.zero()
-    for sign, moved in _symmetrized_words(t, I, variant):
-        mono = []
-        for i, j in zip(moved, J):
-            idx = algebra.maybe_index(fam, i, j)
-            if idx is None:
-                raise KeyError(f"no generator {fam}[{i},{j}]")
-            mono.append(idx)
-        out.add_term(mono, sign * (-1) ** cross_parity_count(moved, J))
-    return out
+    return Z_combination(algebra, _symmetrized_words(t, I, variant), J, fam)
 
 
 def _symmetrized_words(
@@ -84,58 +113,58 @@ def _symmetrized_words(
         yield eps * cocycle_sign(parities, inv), tuple(map(at, inv))
 
 
-def X_of(algebra: AlgebraDescriptor, I: Sequence[SuperIndex]) -> Polynomial:
-    """Product of symmetric-square symbols over consecutive pairs of the
-    sequence; zero when a vanishing diagonal symbol appears."""
+def _square_term(algebra: AlgebraDescriptor, I: Sequence[SuperIndex], shifted: bool) -> Term:
+    """X (or, `shifted`, Y) on raw data: the product of symmetric-square
+    symbols over consecutive pairs of the sequence as a signed monomial;
+    None when a vanishing diagonal symbol appears or an odd symbol
+    repeats."""
     if len(I) % 2:
         raise ValueError("sequence must have even length")
-    out = algebra.zero()
-    mono = []
     sign = 1
+    if shifted:
+        k = len(I) // 2
+        beta = 0
+        for a in range(1, k + 1):
+            beta += (k - a) * (I[2 * a - 2].parity + I[2 * a - 1].parity)
+        sign = (-1) ** beta
+    mono = []
     for a in range(0, len(I), 2):
         res = sym_square_index(algebra, I[a], I[a + 1])
         if res is None:
-            return out
+            return None
         s, idx = res
         sign *= s
         mono.append(idx)
-    out.add_term(mono, sign)
-    return out
+    norm = normalize_product(mono, algebra.parities)
+    if norm is None:
+        return None
+    return sign * norm[0], norm[1]
+
+
+def X_of(algebra: AlgebraDescriptor, I: Sequence[SuperIndex]) -> Polynomial:
+    """Product of symmetric-square symbols over consecutive pairs of the
+    sequence; zero when a vanishing diagonal symbol appears."""
+    return _term_polynomial(algebra, _square_term(algebra, I, shifted=False))
 
 
 def Y_of(algebra: AlgebraDescriptor, I: Sequence[SuperIndex]) -> Polynomial:
     """Parity-shifted analog of X with the decalage sign
     (-1)^{sum (k - a) (p(i_{2a-1}) + p(i_{2a}))}."""
-    if len(I) % 2:
-        raise ValueError("sequence must have even length")
-    k = len(I) // 2
-    beta = 0
-    for a in range(1, k + 1):
-        beta += (k - a) * (I[2 * a - 2].parity + I[2 * a - 1].parity)
-    out = algebra.zero()
-    mono = []
-    sign = (-1) ** beta
-    for a in range(0, len(I), 2):
-        res = sym_square_index(algebra, I[a], I[a + 1])
-        if res is None:
-            return out
-        s, idx = res
-        sign *= s
-        mono.append(idx)
-    out.add_term(mono, sign)
-    return out
+    return _term_polynomial(algebra, _square_term(algebra, I, shifted=True))
 
 
 def _square_symmetrized(
     algebra: AlgebraDescriptor,
     t: YoungTableau,
     I: Sequence[SuperIndex],
-    product,
+    shifted: bool,
 ) -> Polynomial:
-    acc: dict = {}
+    acc: dict[Monomial, Coeff] = {}
+    get = acc.get
     for sign, moved in _symmetrized_words(t, I):
-        for mono, c in product(algebra, moved).terms.items():
-            acc[mono] = acc.get(mono, 0) + c * sign
+        term = _square_term(algebra, moved, shifted)
+        if term is not None:
+            acc[term[1]] = get(term[1], 0) + sign * term[0]
     return Polynomial(algebra, acc)
 
 
@@ -148,7 +177,7 @@ def Pf_t(
         raise ValueError("all row lengths must be even")
     if len(I) != t.size:
         raise ValueError("sequence length must equal tableau size")
-    return _square_symmetrized(algebra, t, I, X_of)
+    return _square_symmetrized(algebra, t, I, shifted=False)
 
 
 def frobenius_hook_shape(alphas: Sequence[int]) -> Partition:
@@ -220,4 +249,4 @@ def PPf_t(
     hook_arm_lengths(t.shape)
     if len(I) != t.size:
         raise ValueError("sequence length must equal tableau size")
-    return _square_symmetrized(algebra, t, I, Y_of)
+    return _square_symmetrized(algebra, t, I, shifted=True)

@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Iterator, Sequence
 
 from .alphabet import SuperIndex, SuperSequence, Word
+from .coefficients import Coeff, add_scaled, exact
 from .errors import CapExceeded
 from .tableaux import YoungTableau
 
@@ -114,16 +113,6 @@ def cocycle(word: Sequence[SuperIndex], sigma: Permutation) -> int:
     return cocycle_sign([x.parity for x in word], sigma.images)
 
 
-def _exact(c):
-    """An exact coefficient: int when integral, Fraction otherwise.  Floats
-    and other inexact numbers are refused."""
-    if type(c) is int:
-        return c
-    if not isinstance(c, Rational):
-        raise TypeError(f"coefficient must be int or Fraction, not {type(c).__name__}")
-    return int(c) if c.denominator == 1 else Fraction(c)
-
-
 class GroupAlgebraElement:
     """Sparse rational combination of permutations of a fixed degree.
 
@@ -133,20 +122,20 @@ class GroupAlgebraElement:
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: dict[Permutation, int | Fraction] | None = None):
+    def __init__(self, degree: int, terms: dict[Permutation, Coeff] | None = None):
         self.degree = degree
-        self.terms: dict[Permutation, int | Fraction] = {}
+        self.terms: dict[Permutation, Coeff] = {}
         if terms:
             for perm, coeff in terms.items():
                 if perm.degree != degree:
                     raise ValueError("degree mismatch")
-                coeff = _exact(coeff)
+                coeff = exact(coeff)
                 if coeff:
                     self.terms[perm] = coeff
 
     @classmethod
     def _adopt(
-        cls, degree: int, terms: dict[Permutation, int | Fraction]
+        cls, degree: int, terms: dict[Permutation, Coeff]
     ) -> "GroupAlgebraElement":
         """Wrap a dict of nonzero exact coefficients without copying it."""
         out = cls.__new__(cls)
@@ -163,12 +152,11 @@ class GroupAlgebraElement:
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         out = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            out[perm] = out.get(perm, 0) + coeff
+        add_scaled(out, other.terms)
         return GroupAlgebraElement(self.degree, out)
 
     def scale(self, c) -> "GroupAlgebraElement":
-        c = _exact(c)
+        c = exact(c)
         return GroupAlgebraElement(
             self.degree, {perm: coeff * c for perm, coeff in self.terms.items()}
         )
@@ -177,7 +165,7 @@ class GroupAlgebraElement:
         # convolve on raw image tuples; Permutation objects are rebuilt once
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        out: dict[tuple[int, ...], int | Fraction] = {}
+        out: dict[tuple[int, ...], Coeff] = {}
         get = out.get
         right = [(p.images, c) for p, c in other.terms.items()]
         for p1, c1 in self.terms.items():
@@ -186,7 +174,7 @@ class GroupAlgebraElement:
                 prod = tuple(map(at, im2))
                 out[prod] = get(prod, 0) + c1 * c2
         return GroupAlgebraElement._adopt(
-            self.degree, {Permutation(im): _exact(c) for im, c in out.items() if c}
+            self.degree, {Permutation(im): exact(c) for im, c in out.items() if c}
         )
 
     def __eq__(self, other) -> bool:
@@ -196,19 +184,19 @@ class GroupAlgebraElement:
             and self.terms == other.terms
         )
 
-    def inverse_terms(self) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+    def inverse_terms(self) -> Iterator[tuple[tuple[int, ...], Coeff]]:
         """(image tuple of sigma^{-1}, coefficient) for every term sigma: the
         one inverse that both the cocycle and the moved word need."""
         return ((inverse_images(p.images), c) for p, c in self.terms.items())
 
-    def apply_to_word(self, word: Word) -> dict[Word, int | Fraction]:
+    def apply_to_word(self, word: Word) -> dict[Word, Coeff]:
         """Action on tensor words: sigma . v_I = c(I, sigma^{-1}) v_{sigma I},
         extended linearly with like-term collection."""
         if len(word) != self.degree:
             raise ValueError("length mismatch")
         parities = [x.parity for x in word]
         at = word.__getitem__
-        out: dict[Word, int | Fraction] = {}
+        out: dict[Word, Coeff] = {}
         for inv, coeff in self.inverse_terms():
             target = tuple(map(at, inv))
             out[target] = out.get(target, 0) + coeff * cocycle_sign(parities, inv)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .alphabet import IndexRange, SuperIndex
+from .coefficients import Coeff, add_scaled, exact, normalized
 
 Monomial = tuple[int, ...]
 
@@ -36,12 +36,28 @@ class AlgebraDescriptor:
     """Ordered list of generators plus lookup tables.
 
     The generator order (by family tag, then row, then column) fixes the
-    monomial normal form.
+    monomial normal form.  The letter ranges the generators were built from
+    (inner `v_range`, outer `u_range` and `w_range`) and the symmetric-square
+    generator `family` are recorded where the construction has them, and are
+    None otherwise.
     """
 
-    def __init__(self, name: str, generators: Sequence[Generator]):
+    def __init__(
+        self,
+        name: str,
+        generators: Sequence[Generator],
+        *,
+        v_range: Optional[IndexRange] = None,
+        u_range: Optional[IndexRange] = None,
+        w_range: Optional[IndexRange] = None,
+        family: Optional[str] = None,
+    ):
         self.name = name
         self.generators = tuple(generators)
+        self.v_range = v_range
+        self.u_range = u_range
+        self.w_range = w_range
+        self.family = family
         self.parities = tuple(g.parity for g in self.generators)
         self._lookup: dict[tuple[str, SuperIndex, SuperIndex], int] = {
             (g.family, g.row, g.col): i for i, g in enumerate(self.generators)
@@ -63,10 +79,10 @@ class AlgebraDescriptor:
         return Polynomial(self)
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(): Fraction(1)})
+        return Polynomial(self, {(): 1})
 
     def gen(self, i: int) -> "Polynomial":
-        return Polynomial(self, {(i,): Fraction(1)})
+        return Polynomial(self, {(i,): 1})
 
     def monomial_str(self, mono: Monomial) -> str:
         if not mono:
@@ -129,17 +145,19 @@ def merge_monomials(
 
 
 class Polynomial:
-    """Sparse exact-rational element of a free supercommutative algebra."""
+    """Sparse exact element of a free supercommutative algebra.
+
+    Coefficients are `int` while they are integral, `Fraction` only after a
+    real division, never `float` (see `superinv.coefficients`).  The
+    constructor normalises the given coefficients and drops zeros, so a raw
+    accumulation dict may be wrapped as it is.
+    """
 
     __slots__ = ("algebra", "terms")
 
-    def __init__(self, algebra: AlgebraDescriptor, terms: dict[Monomial, Fraction] | None = None):
+    def __init__(self, algebra: AlgebraDescriptor, terms: dict[Monomial, Coeff] | None = None):
         self.algebra = algebra
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    self.terms[mono] = Fraction(coeff)
+        self.terms: dict[Monomial, Coeff] = normalized(terms) if terms else {}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,19 +179,14 @@ class Polynomial:
         if other.algebra is not self.algebra:
             raise ValueError("mixed algebras")
         out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        add_scaled(out, other.terms)
         return Polynomial(self.algebra, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return Polynomial(self.algebra)
         return Polynomial(self.algebra, {m: v * c for m, v in self.terms.items()})
@@ -184,7 +197,7 @@ class Polynomial:
         if norm is None:
             return
         sign, key = norm
-        s = self.terms.get(key, Fraction(0)) + Fraction(coeff) * sign
+        s = exact(self.terms.get(key, 0) + coeff * sign)
         if s:
             self.terms[key] = s
         else:
@@ -194,18 +207,15 @@ class Polynomial:
         if other.algebra is not self.algebra:
             raise ValueError("mixed algebras")
         parities = self.algebra.parities
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 merged = merge_monomials(m1, m2, parities)
                 if merged is None:
                     continue
                 sign, key = merged
-                s = out.get(key, Fraction(0)) + c1 * c2 * sign
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = get(key, 0) + c1 * c2 * sign
         return Polynomial(self.algebra, out)
 
     def parity(self) -> Optional[int]:
@@ -270,11 +280,13 @@ def make_mixed_algebra(
             gens.append(
                 Generator("vw", i, s, (i.parity + s.parity) % 2, _pair_label("x*", i, s))
             )
-    d = AlgebraDescriptor(f"A[{u_range}|{v_range}|{w_range}]", gens)
-    d.v_range = v_range  # type: ignore[attr-defined]
-    d.u_range = u_range  # type: ignore[attr-defined]
-    d.w_range = w_range  # type: ignore[attr-defined]
-    return d
+    return AlgebraDescriptor(
+        f"A[{u_range}|{v_range}|{w_range}]",
+        gens,
+        v_range=v_range,
+        u_range=u_range,
+        w_range=w_range,
+    )
 
 
 def make_uw_algebra(u_range: IndexRange, w_range: IndexRange) -> AlgebraDescriptor:
@@ -284,10 +296,9 @@ def make_uw_algebra(u_range: IndexRange, w_range: IndexRange) -> AlgebraDescript
         for r in u_range
         for s in w_range
     ]
-    d = AlgebraDescriptor(f"S(U@W)[{u_range}|{w_range}]", gens)
-    d.u_range = u_range  # type: ignore[attr-defined]
-    d.w_range = w_range  # type: ignore[attr-defined]
-    return d
+    return AlgebraDescriptor(
+        f"S(U@W)[{u_range}|{w_range}]", gens, u_range=u_range, w_range=w_range
+    )
 
 
 def make_sym_square_algebra(w_range: IndexRange, twisted: bool = False) -> AlgebraDescriptor:
@@ -311,10 +322,9 @@ def make_sym_square_algebra(w_range: IndexRange, twisted: bool = False) -> Algeb
             gens.append(
                 Generator(fam, s, t, (s.parity + t.parity + shift) % 2, _pair_label(symbol, s, t))
             )
-    d = AlgebraDescriptor(f"{'E' if twisted else 'S'}(S2W)[{w_range}]", gens)
-    d.w_range = w_range  # type: ignore[attr-defined]
-    d.family = fam  # type: ignore[attr-defined]
-    return d
+    return AlgebraDescriptor(
+        f"{'E' if twisted else 'S'}(S2W)[{w_range}]", gens, w_range=w_range, family=fam
+    )
 
 
 def sym_square_index(
@@ -326,7 +336,7 @@ def sym_square_index(
     The sign implements q[s,t] = (-1)^{p(s)p(t)} q[t,s]; it is insensitive to
     the parity twist, which only changes the symbol's algebra parity.
     """
-    fam = algebra.family  # type: ignore[attr-defined]
+    fam = algebra.family
     if s <= t:
         idx = algebra.maybe_index(fam, s, t)
         return None if idx is None else (1, idx)

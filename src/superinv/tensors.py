@@ -2,15 +2,14 @@
 actions, contraction operators, and the constructive invariant operator.
 
 A tensor word is a tuple of slots (index, dual flag); elements are sparse
-rational combinations of words sharing one slot signature.
+exact combinations of words sharing one slot signature.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .alphabet import (
     EVEN,
@@ -23,6 +22,7 @@ from .alphabet import (
     od,
     parity_of_word,
 )
+from .coefficients import Coeff, add_scaled, exact, normalized
 from .liealgebras import MatrixElement
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
@@ -53,7 +53,12 @@ def letters_of(w: TWord) -> Word:
 
 
 class TensorElement:
-    """Sparse exact-rational element of a fixed mixed tensor space."""
+    """Sparse exact element of a fixed mixed tensor space.
+
+    Coefficients are `int` while they are integral, `Fraction` only after a
+    real division, never `float` (see `superinv.coefficients`); the
+    constructor normalises them and drops zeros.
+    """
 
     __slots__ = ("dims", "signature", "terms")
 
@@ -61,21 +66,32 @@ class TensorElement:
         self,
         dims: IndexRange,
         signature: tuple[bool, ...],
-        terms: dict[TWord, Fraction] | None = None,
+        terms: dict[TWord, Coeff] | None = None,
     ):
         self.dims = dims
         self.signature = signature
-        self.terms: dict[TWord, Fraction] = {}
+        self.terms: dict[TWord, Coeff] = {}
         if terms:
-            for w, c in terms.items():
+            for w in terms:
                 if signature_of(w) != signature:
                     raise ValueError("word signature mismatch")
-                if c:
-                    self.terms[w] = Fraction(c)
+            self.terms = normalized(terms)
+
+    @classmethod
+    def _from_raw(
+        cls, dims: IndexRange, signature: tuple[bool, ...], terms: dict[TWord, Coeff]
+    ) -> "TensorElement":
+        """Wrap a raw accumulation dict whose words are known to carry
+        `signature`: coefficients are normalised, no word is re-checked."""
+        out = cls.__new__(cls)
+        out.dims = dims
+        out.signature = signature
+        out.terms = normalized(terms)
+        return out
 
     @staticmethod
     def from_word(dims: IndexRange, w: TWord, coeff=1) -> "TensorElement":
-        return TensorElement(dims, signature_of(w), {w: Fraction(coeff)})
+        return TensorElement(dims, signature_of(w), {w: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -95,34 +111,31 @@ class TensorElement:
         if other.signature != self.signature or other.dims != self.dims:
             raise ValueError("space mismatch")
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return TensorElement(self.dims, self.signature, out)
+        add_scaled(out, other.terms)
+        return TensorElement._from_raw(self.dims, self.signature, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "TensorElement":
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return TensorElement(self.dims, self.signature)
-        return TensorElement(self.dims, self.signature, {w: v * c for w, v in self.terms.items()})
+        return TensorElement._from_raw(
+            self.dims, self.signature, {w: v * c for w, v in self.terms.items()}
+        )
 
     def tensor(self, other: "TensorElement") -> "TensorElement":
         if other.dims != self.dims:
             raise ValueError("space mismatch")
-        out: dict[TWord, Fraction] = {}
+        out: dict[TWord, Coeff] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                out[w1 + w2] = out.get(w1 + w2, Fraction(0)) + c1 * c2
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
         return TensorElement(self.dims, self.signature + other.signature, out)
 
-    def coefficient(self, w: TWord) -> Fraction:
-        return self.terms.get(w, Fraction(0))
+    def coefficient(self, w: TWord) -> Coeff:
+        return self.terms.get(w, 0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -153,14 +166,14 @@ def word_parity(w: TWord) -> int:
 def theta(dims: IndexRange, hat: bool = False) -> TensorElement:
     """The canonical pairing element: sum of e_i x e_i* (plain), or the
     signed transpose sum of (-1)^{p(i)} e_i* x e_i (hat)."""
-    terms: dict[TWord, Fraction] = {}
+    terms: dict[TWord, Coeff] = {}
     for i in dims:
         if hat:
             w = ((i, True), (i, False))
-            terms[w] = Fraction((-1) ** i.parity)
+            terms[w] = (-1) ** i.parity
         else:
             w = ((i, False), (i, True))
-            terms[w] = Fraction(1)
+            terms[w] = 1
     return TensorElement(dims, (True, False) if hat else (False, True), terms)
 
 
@@ -173,14 +186,14 @@ def theta_power(dims: IndexRange, k: int, hat: bool = False) -> TensorElement:
     the plain block first, hat puts the dual block first).
     """
     sig = (True,) * k + (False,) * k if hat else (False,) * k + (True,) * k
-    terms: dict[TWord, Fraction] = {}
+    terms: dict[TWord, Coeff] = {}
     for L in all_words(dims, k):
         expo = mutual_parity_count(L) + (parity_of_word(L) if hat else 0)
         if hat:
             w = dual_word(L) + plain_word(L)
         else:
             w = plain_word(L) + dual_word(L)
-        terms[w] = Fraction((-1) ** expo)
+        terms[w] = (-1) ** expo
     return TensorElement(dims, sig, terms)
 
 
@@ -189,17 +202,17 @@ def slot_permute(element: TensorElement, perm: Permutation) -> TensorElement:
     sign of the reordering (per word)."""
     if perm.degree != len(element.signature):
         raise ValueError("length mismatch")
-    out: dict[TWord, Fraction] = {}
+    out: dict[TWord, Coeff] = {}
     sig = None
     inv = inverse_images(perm.images)
     for w, c in element.terms.items():
         sign = cocycle_sign([i.parity for i, _ in w], inv)
         moved = tuple(map(w.__getitem__, inv))
         sig = signature_of(moved)
-        out[moved] = out.get(moved, Fraction(0)) + c * sign
+        out[moved] = out.get(moved, 0) + c * sign
     if sig is None:
         sig = element.signature
-    return TensorElement(element.dims, sig, {w: c for w, c in out.items() if c})
+    return TensorElement(element.dims, sig, out)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +224,8 @@ def act_on_tensor(x: MatrixElement, element: TensorElement) -> TensorElement:
     sign-twisted transpose action."""
     if x.dims != element.dims:
         raise ValueError("dimension mismatch")
-    out = TensorElement(element.dims, element.signature)
-    acc: dict[TWord, Fraction] = {}
+    acc: dict[TWord, Coeff] = {}
+    get = acc.get
     for w, coeff in element.terms.items():
         left = 0
         for pos, (idx, dual) in enumerate(w):
@@ -220,14 +233,9 @@ def act_on_tensor(x: MatrixElement, element: TensorElement) -> TensorElement:
             images = x.dual_row(idx) if dual else x.column(idx)
             for target, v in images.items():
                 nw = w[:pos] + ((target, dual),) + w[pos + 1 :]
-                s = acc.get(nw, Fraction(0)) + coeff * v * sign
-                if s:
-                    acc[nw] = s
-                else:
-                    acc.pop(nw, None)
+                acc[nw] = get(nw, 0) + coeff * v * sign
             left = (left + idx.parity) % 2
-    out.terms = acc
-    return out
+    return TensorElement._from_raw(element.dims, element.signature, acc)
 
 
 def act_universal_product(xs: Sequence[MatrixElement], element: TensorElement) -> TensorElement:
@@ -243,16 +251,18 @@ def apply_group_algebra(
 ) -> TensorElement:
     """Let a group-algebra element permute a contiguous block of slots via
     the cocycle-weighted word action."""
-    out: dict[TWord, Fraction] = {}
+    out: dict[TWord, Coeff] = {}
     k = g.degree
     if len(element.signature[start : start + k]) != k:
         raise ValueError("length mismatch")
-    moves = list(g.inverse_terms())
+    words = []
     for w, coeff in element.terms.items():
-        head, block, tail = w[:start], w[start : start + k], w[start + k :]
+        block = w[start : start + k]
         parities = [i.parity for i, _ in block]
-        at = block.__getitem__
-        for inv, gc in moves:
+        words.append((w[:start], block.__getitem__, w[start + k :], parities, coeff))
+    # one pass over the group element: its inverses are never all held at once
+    for inv, gc in g.inverse_terms():
+        for head, at, tail, parities, coeff in words:
             nw = head + tuple(map(at, inv)) + tail
             out[nw] = out.get(nw, 0) + coeff * gc * cocycle_sign(parities, inv)
     return TensorElement(element.dims, element.signature, out)
@@ -271,14 +281,14 @@ def apply_symmetrizer_pair(
 # evaluation pairing and contraction
 
 
-def pair_dual_against(dual: Word, target: Word) -> Fraction:
+def pair_dual_against(dual: Word, target: Word) -> int:
     """Evaluation of v*_L on v_M with the Koszul interleaving sign; the
     letters pair slotwise."""
     if len(dual) != len(target):
         raise ValueError("length mismatch")
     if tuple(dual) != tuple(target):
-        return Fraction(0)
-    return Fraction((-1) ** mutual_parity_count(dual))
+        return 0
+    return (-1) ** mutual_parity_count(dual)
 
 
 def contraction_D(Jk: Word, element: TensorElement) -> TensorElement:
@@ -290,18 +300,14 @@ def contraction_D(Jk: Word, element: TensorElement) -> TensorElement:
     if len(element.signature) < k:
         raise ValueError("word too short for the contraction")
     pj = parity_of_word(Jk)
-    out: dict[TWord, Fraction] = {}
+    out: dict[TWord, Coeff] = {}
     for w, coeff in element.terms.items():
         head, tail = w[:-k] if k else w, w[len(w) - k :] if k else ()
         val = pair_dual_against(Jk, letters_of(tail))
         if not val:
             continue
         sign = (-1) ** (pj * word_parity(head))
-        s = out.get(head, Fraction(0)) + coeff * val * sign
-        if s:
-            out[head] = s
-        else:
-            out.pop(head, None)
+        out[head] = out.get(head, 0) + coeff * val * sign
     return TensorElement(element.dims, (False,) * (len(element.signature) - k), out)
 
 
@@ -316,18 +322,14 @@ def operator_from_element(
     def op(arg: TensorElement) -> TensorElement:
         if arg.signature != (False,) * contra:
             raise ValueError("argument signature mismatch")
-        out: dict[TWord, Fraction] = {}
+        out: dict[TWord, Coeff] = {}
         for w, c in element.terms.items():
             head, tail = w[:cov], letters_of(w[cov:])
             for u, cu in arg.terms.items():
                 val = pair_dual_against(tail, letters_of(u))
                 if not val:
                     continue
-                s = out.get(head, Fraction(0)) + c * cu * val
-                if s:
-                    out[head] = s
-                else:
-                    out.pop(head, None)
+                out[head] = out.get(head, 0) + c * cu * val
         return TensorElement(element.dims, (False,) * cov, out)
 
     return op
@@ -392,18 +394,16 @@ def sl_invariant_element(dims: IndexRange, k: int, hat: bool) -> TensorElement:
     e_t = young_symmetrizer(t, "tilde")
     Ik = repeated_evens(n, k)
     Jk = blocked_odds(m, k)
-    out: Optional[TensorElement] = None
+    terms: dict[TWord, Coeff] = {}
     for L in all_words(dims, n * m):
         expo = mutual_parity_count(L) + (parity_of_word(L) if hat else 0)
-        coeff = Fraction((-1) ** expo)
         if hat:
             w = dual_word(Ik + L) + plain_word(L + Jk)
         else:
             w = plain_word(Ik + L) + dual_word(L + Jk)
-        term = TensorElement.from_word(dims, w, coeff)
-        out = term if out is None else out + term
-    assert out is not None
-    return apply_symmetrizer_pair(e_s, e_t, out)
+        terms[w] = terms.get(w, 0) + (-1) ** expo
+    sig = (hat,) * (n * (m + k)) + (not hat,) * (m * (n + k))
+    return apply_symmetrizer_pair(e_s, e_t, TensorElement(dims, sig, terms))
 
 
 @dataclass
@@ -463,11 +463,9 @@ def invariant_operator(setup: OperatorSetup, w: TensorElement, route: str = "dir
         whole_cols = column_group(setup.t)
         split_cols = _product_subgroup(setup.t, n, m, k)
         reps = coset_representatives(whole_cols, split_cols, side="right")
-        acc = TensorElement(setup.dims, w.signature)
-        for pi in reps:
-            acc = acc + apply_group_algebra(
-                GroupAlgebraElement(setup.t.size, {pi: Fraction(pi.sign())}), w
-            )
+        acc = apply_group_algebra(
+            GroupAlgebraElement(setup.t.size, {pi: pi.sign() for pi in reps}), w
+        )
         e_t2 = young_symmetrizer(bottom, "plain")
         inner = apply_group_algebra(e_t2, acc, start=n * m)
     else:
@@ -524,7 +522,7 @@ def marked_tableau_operator(
     eps_L = (-1) ** eps_exp
     pJ = parity_of_word(setup.Jk)
 
-    out = TensorElement(setup.dims, (False,) * (n * (m + 1)))
+    terms: dict[TWord, Coeff] = {}
     odd_positions = [
         [r for r in range(n + 1) if columns[c][r].parity] for c in range(m)
     ]
@@ -550,11 +548,12 @@ def marked_tableau_operator(
         reduced: list[SuperIndex] = []
         for c in range(m):
             reduced.extend(columns[c][r] for r in range(n + 1) if r != marks[c])
-        coeff = Fraction(eps_l * (-1) ** q)
+        coeff = eps_l * (-1) ** q
         if convention == "corrected":
             coeff *= (-1) ** (pJ * parity_of_word(tuple(reduced)))
         w = plain_word(setup.Ik + tuple(reduced))
-        out = out + TensorElement.from_word(setup.dims, w, coeff)
+        terms[w] = terms.get(w, 0) + coeff
+    out = TensorElement(setup.dims, (False,) * (n * (m + 1)), terms)
     e_s = young_symmetrizer(setup.s, "plain")
     return apply_group_algebra(e_s, out).scale(eps_L)
 
@@ -591,10 +590,10 @@ def printed_form_sign(dims: IndexRange, i: SuperIndex) -> int:
 
 def theta_tilde_2(dims: IndexRange, sign=form_sign) -> TensorElement:
     """The inverse-form element: sum of c(i, i~) e_i x e_{i~}."""
-    terms: dict[TWord, Fraction] = {}
+    terms: dict[TWord, Coeff] = {}
     for i in dims:
         w = plain_word((i, tilde_index(dims, i)))
-        terms[w] = terms.get(w, Fraction(0)) + sign(dims, i)
+        terms[w] = terms.get(w, 0) + sign(dims, i)
     return TensorElement(dims, (False, False), terms)
 
 
@@ -668,7 +667,7 @@ def nabla_support_words(dims: IndexRange) -> list[Word]:
     return out
 
 
-def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> Fraction:
+def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> int:
     """Predicted coefficient d(I) K(I), reading the undefined lower summation
     bound as zero and the undefined exclusion set as empty."""
     from math import factorial
@@ -703,7 +702,7 @@ def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> Fraction:
     K = 0
     for q in range(0, nu + 1):
         K += (N + 1) ** r * 2 ** (r - q) * factorial(r - q) * N**q * elementary_symmetric(q)
-    return Fraction(d * K)
+    return d * K
 
 
 def nabla_closed_form_report(dims: IndexRange) -> dict:
@@ -725,14 +724,14 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
     rows = []
     for w in words:
         rows.append(
-            [img.terms.get(w, Fraction(0)) for img in images] + [-nabla.terms.get(w, Fraction(0))]
+            [img.terms.get(w, 0) for img in images] + [-nabla.terms.get(w, 0)]
         )
     kernel = _nullspace(rows, ncols=len(support) + 1)
     solutions = [v for v in kernel if v[-1] != 0]
     from .linalg import rank_rows
 
     image_rank = rank_rows(
-        [[img.terms.get(w, Fraction(0)) for w in words] for img in images]
+        [[img.terms.get(w, 0) for w in words] for img in images]
     )
     report: dict = {
         "support_size": len(support),
@@ -777,10 +776,10 @@ def tensor_invariant_space(
     diagonal = [b for b in basis_elements if b.is_diagonal()]
     rest = [b for b in basis_elements if not b.is_diagonal()]
 
-    def weight(w: TWord, x: MatrixElement) -> Fraction:
-        total = Fraction(0)
+    def weight(w: TWord, x: MatrixElement) -> Coeff:
+        total = 0
         for idx, dual in w:
-            v = x.entries.get((idx, idx), Fraction(0))
+            v = x.entries.get((idx, idx), 0)
             total += -v if dual else v
         return total
 
@@ -790,15 +789,15 @@ def tensor_invariant_space(
     pos = {w: i for i, w in enumerate(kept)}
     rows = []
     for x in rest:
-        images: dict[TWord, dict[TWord, Fraction]] = {}
+        images: dict[TWord, dict[TWord, Coeff]] = {}
         for w in kept:
             img = act_on_tensor(x, TensorElement.from_word(dims, w))
             for u, c in img.terms.items():
                 images.setdefault(u, {})[w] = c
         for u, col in images.items():
-            rows.append([col.get(w, Fraction(0)) for w in kept])
+            rows.append([col.get(w, 0) for w in kept])
     vectors = _nullspace(rows, ncols=len(kept)) if rows else [
-        [Fraction(1 if i == j else 0) for j in range(len(kept))] for i in range(len(kept))
+        [1 if i == j else 0 for j in range(len(kept))] for i in range(len(kept))
     ]
     out = []
     for vec in vectors:

@@ -249,13 +249,13 @@ def test_ac10_spe_tensors():
         assert w and all(act_on_tensor(x, w).is_zero() for x in spe.basis), k
         corrected = spe_closed_form_element(V, k, "lower", "corrected")
         wd = next(iter(w.terms))
-        ratio = w.terms[wd] / corrected.terms[wd]
+        ratio = Fraction(w.terms[wd], corrected.terms[wd])
         assert corrected.scale(ratio) == w
     printed2 = spe_closed_form_element(V, 2, "lower", "printed")
     w2 = spe_constructive_element(spe, 2, "lower")
     wd = next(iter(w2.terms))
     diverges = printed2.terms.get(wd) is None or printed2.scale(
-        w2.terms[wd] / printed2.terms[wd]
+        Fraction(w2.terms[wd], printed2.terms[wd])
     ) != w2
     assert diverges
     # enumeration of the square tableaux matches the constraint filter

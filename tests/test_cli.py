@@ -184,3 +184,24 @@ def test_verify_cap_exit(capsys):
     )
     assert code == EXIT_CAP
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--theorem", "T7.3", "--n", "1"),
+        ("--theorem", "T7.2", "--n", "1"),
+        ("--theorem", "L7.1", "--n", "1"),
+        ("--theorem", "T7.3", "--k", "0"),
+        ("--theorem", "T7.3", "--n", "0"),
+        ("--theorem", "T7.2", "--k", "-1"),
+    ],
+)
+def test_verify_out_of_range_options(capsys, argv):
+    """Options outside a claim's range are a usage error: exit 2, one line
+    on stderr, no traceback and no report."""
+    code, out, err = run_cli(capsys, "verify", *argv, "--no-timing")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[1] in err and argv[2] in err

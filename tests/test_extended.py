@@ -2,6 +2,8 @@
 the operator machinery, bigger families for the generation oracle, and the
 split-rectangle coset counting."""
 
+from fractions import Fraction
+
 import pytest
 
 from superinv.alphabet import IndexRange, all_words, ev
@@ -51,7 +53,7 @@ def test_operator_routes_proportional_elsewhere(dims, k):
             continue
         assert a.is_zero() == b.is_zero()
         wd = next(iter(a.terms))
-        r = a.terms[wd] / b.terms[wd]
+        r = Fraction(a.terms[wd], b.terms[wd])
         assert b.scale(r) == a
         ratios.add(r)
     assert len(ratios) == 1
@@ -70,7 +72,7 @@ def test_operator_constant_uniform_at_2_1():
             assert lhs.is_zero()
             continue
         wd = next(iter(rhs.terms))
-        c = lhs.terms.get(wd, 0) / rhs.terms[wd]
+        c = Fraction(lhs.terms.get(wd, 0), rhs.terms[wd])
         assert rhs.scale(c) == lhs
         constants.add(c)
     assert len(constants) == 1

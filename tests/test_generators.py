@@ -1,9 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
+from superinv import generators, named_polynomials, permutations, tensors
 from superinv.alphabet import IndexRange, ev, od
 from superinv.invariants import algebra_for, span_dimension
 from superinv.liealgebras import act_on_polynomial, build_family
+from superinv.named_polynomials import P_t
+from superinv.tableaux import enumerate_semistandard
 from superinv.generators import (
+    _t2_weights,
     dual_shadow,
     gl_scalar_products,
     mixed_shadow,
@@ -21,7 +27,16 @@ from superinv.generators import (
     t2_tableaux,
     xplus_factors,
 )
-from superinv.tensors import act_on_tensor, nabla_construct
+from superinv.tensors import (
+    TensorElement,
+    act_on_tensor,
+    blocked_odds,
+    dual_word,
+    nabla_construct,
+    plain_word,
+    repeated_evens,
+    split_rows_tableau,
+)
 
 
 def assert_all_annihilated(family, polys):
@@ -147,14 +162,14 @@ def test_spe_closed_form_conventions():
             w = spe_constructive_element(spe, k, kind)
             corrected = spe_closed_form_element(V, k, kind, "corrected")
             wd = next(iter(w.terms))
-            ratio = w.terms[wd] / corrected.terms[wd]
+            ratio = Fraction(w.terms[wd], corrected.terms[wd])
             assert corrected.scale(ratio) == w
     # the printed tail sign diverges beyond the first level
     printed = spe_closed_form_element(V, 2, "lower", "printed")
     w2 = spe_constructive_element(spe, 2, "lower")
     wd = next(iter(w2.terms))
     assert printed.terms.get(wd) is None or printed.scale(
-        w2.terms[wd] / printed.terms[wd]
+        Fraction(w2.terms[wd], printed.terms[wd])
     ) != w2
 
 
@@ -175,3 +190,104 @@ def test_mixed_shadow_lengths_guard():
     el = sl_invariant_element(IndexRange(1, 1), 1, hat=False)
     with pytest.raises(ValueError):
         mixed_shadow(alg, el, (ev(1),), (ev(1), ev(1)))
+
+
+# -- the literal spe family: one symmetrizer application per level ---------
+
+
+def _catalog_spe_algebra():
+    """The T7.3 catalog defaults: spe(2|2) with w-letters (2|2)."""
+    return algebra_for(build_family("spe", IndexRange(2, 2)), 2, 2, 0, 0)
+
+
+def _reference_literal(algebra, k, sign_k):
+    """The quoted sum term by term: one P_t call per (square tableau, J),
+    yielded for every semistandard J in enumeration order."""
+    n = algebra.v_range.even_count
+    if sign_k > 0:
+        t, tail, level = split_rows_tableau(n, n, k), blocked_odds(n, k), k - 1
+    else:
+        t, tail, level = split_rows_tableau(n, n, k + 1), repeated_evens(n, k + 1), 0
+    for J in enumerate_semistandard(t, algebra.w_range):
+        f = algebra.zero()
+        for datum in t2_tableaux(n):
+            m_L, eps_exp, mult = _t2_weights(datum, n, level)
+            expo = eps_exp + ((k - 1) * m_L if sign_k > 0 else 0)
+            term = P_t(algebra, t, datum.word + tail, J, variant="plain", family="vw")
+            f = f + term.scale((-1) ** expo * mult)
+        yield f
+
+
+def test_spe_ppf_literal_matches_per_tableau_sum_every_J():
+    alg = _catalog_spe_algebra()
+    expected = [f for f in _reference_literal(alg, 1, 1) if f]
+    got = spe_ppf_literal(alg, 1, 1)
+    assert expected and got == expected
+    assert all(type(c) is int for f in got for c in f.terms.values())
+
+
+def test_spe_ppf_literal_matches_per_tableau_sum_at_minus():
+    # at n = 2 the level -1 tensor is killed by its (2,2,2,2) symmetrizer:
+    # the literal family is empty, and so is the reference on the first J
+    alg = _catalog_spe_algebra()
+    assert spe_ppf_literal(alg, 1, -1) == []
+    reference = _reference_literal(alg, 1, -1)
+    assert [next(reference).is_zero() for _ in range(2)] == [True, True]
+
+
+def test_symmetrized_combination_pairs_like_p_t():
+    """The identity behind the one-application form: a combination of P_t
+    values is the shadow of the symmetrized combination of dual words."""
+    alg = _catalog_spe_algebra()
+    V = alg.v_range
+    t = split_rows_tableau(2, 2, 2)  # (2,2,2,2), 9,216 symmetrizer terms
+    words = [
+        (od(1), ev(2), od(2), ev(1), ev(1), od(2), ev(2), od(1)),
+        (ev(1), od(1), od(2), ev(2), od(1), ev(2), ev(1), od(2)),
+    ]
+    coeffs = [3, -2]
+    combined = TensorElement(V, (True,) * 8, {dual_word(I): c for I, c in zip(words, coeffs)})
+    symmetrized = tensors.apply_group_algebra(permutations.young_symmetrizer(t), combined)
+    Js = [
+        (ev(1), ev(1), ev(2), ev(2), od(1), od(1), od(2), od(2)),
+        (ev(1), ev(2), od(1), od(1), od(1), od(2), od(2), od(2)),
+    ]
+    nonzero = 0
+    for J in Js:
+        expected = alg.zero()
+        for I, c in zip(words, coeffs):
+            expected = expected + P_t(alg, t, I, J, variant="plain", family="vw").scale(c)
+        assert dual_shadow(alg, symmetrized, J) == expected
+        nonzero += bool(expected)
+    assert nonzero
+
+
+def test_spe_ppf_literal_expands_one_symmetrizer_per_level(monkeypatch):
+    calls = []
+    original = permutations.young_symmetrizer
+
+    def counting(t, *args, **kwargs):
+        calls.append(t.shape)
+        return original(t, *args, **kwargs)
+
+    for module in (permutations, named_polynomials, tensors, generators):
+        monkeypatch.setattr(module, "young_symmetrizer", counting)
+    alg = _catalog_spe_algebra()
+    for sign_k in (1, -1):
+        calls.clear()
+        spe_ppf_literal(alg, 1, sign_k)
+        assert len(calls) == 1
+
+
+def test_dual_shadow_guards():
+    alg = _catalog_spe_algebra()
+    V = IndexRange(2, 2)
+    covariant = TensorElement.from_word(V, plain_word((ev(1), od(1))))
+    with pytest.raises(ValueError):
+        dual_shadow(alg, covariant, (ev(1), ev(1)))
+    dual = TensorElement.from_word(V, dual_word((ev(1), od(1))))
+    with pytest.raises(ValueError):
+        dual_shadow(alg, dual, (ev(1),))
+    assert dual_shadow(alg, dual, (ev(1), ev(2))) == named_polynomials.Z_of(
+        alg, (ev(1), od(1)), (ev(1), ev(2)), family="vw"
+    )

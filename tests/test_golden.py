@@ -1,0 +1,30 @@
+"""Byte-identical reports: `superinv verify --theorem <id> --no-timing` for
+every catalog claim must print exactly the report stored under
+`tests/golden/<id>.json`.
+
+Regenerate a golden file only when a report change is intended:
+`superinv verify --theorem <id> --no-timing > tests/golden/<id>.json`
+(with `SUPERINV_MONOMIAL_CAP` unset).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from superinv.claims import KNOWN_CLAIMS
+from superinv.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_set_covers_the_catalog():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(KNOWN_CLAIMS)
+
+
+@pytest.mark.parametrize("theorem", KNOWN_CLAIMS)
+def test_verify_report_matches_golden(theorem, capsys, monkeypatch):
+    monkeypatch.delenv("SUPERINV_MONOMIAL_CAP", raising=False)
+    code = main(["verify", "--theorem", theorem, "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / f"{theorem}.json").read_bytes()

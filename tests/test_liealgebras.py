@@ -209,6 +209,13 @@ def test_yminus_base_case_sign():
     assert abs_exponent(a_lower, 2, "corrected") == 1
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_abs_exponent_needs_two_letters(n):
+    # the recursion's base case is n = 2; below it there is no matrix
+    with pytest.raises(ValueError):
+        abs_exponent({}, n, "corrected")
+
+
 def test_action_dims_guard():
     fam = build_family("gl", IndexRange(1, 0))
     alg = algebra_for(fam, 1, 0, 1, 0)

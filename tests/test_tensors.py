@@ -184,7 +184,7 @@ def test_operator_eigen_constant():
             assert lhs.is_zero()
             continue
         wd = next(iter(rhs.terms))
-        c = lhs.terms.get(wd, Fraction(0)) / rhs.terms[wd]
+        c = Fraction(lhs.terms.get(wd, 0), rhs.terms[wd])
         assert rhs.scale(c) == lhs
         constants.add(c)
     assert len(constants) == 1 and constants.pop() != 0
@@ -214,8 +214,8 @@ def test_marked_tableau_vs_operator():
         assert direct.is_zero() == marked.is_zero()
         wd = next(iter(direct.terms))
         c = marked.terms.get(wd)
-        assert c is not None and marked.scale(direct.terms[wd] / c) == direct
-        ratios[L] = direct.terms[wd] / c
+        assert c is not None and marked.scale(Fraction(direct.terms[wd], c)) == direct
+        ratios[L] = Fraction(direct.terms[wd], c)
     assert ratios  # the closed form does realize the operator family
     magnitudes = {abs(r) for r in ratios.values()}
     assert len(magnitudes) == 1  # up to sign it is one constant
@@ -363,6 +363,6 @@ def test_marked_tableau_corrected_convention():
             assert direct.is_zero() == marked.is_zero()
             wd = next(iter(direct.terms))
             c = marked.terms[wd]
-            assert marked.scale(direct.terms[wd] / c) == direct
-            ratios.add(direct.terms[wd] / c)
+            assert marked.scale(Fraction(direct.terms[wd], c)) == direct
+            ratios.add(Fraction(direct.terms[wd], c))
         assert len(ratios) == 1
