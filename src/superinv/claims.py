@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .alphabet import IndexRange, ev
-from .errors import InvalidOptions
+from .errors import CapExceeded, InvalidOptions
 from .liealgebras import (
     MatrixElement,
     act_on_polynomial,
@@ -563,12 +563,18 @@ def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     ]
 
 
+# L7.1 expands 2^(n(n-1)/2) terms: 32,768 at n = 6, about 2M at n = 7
+YMINUS_TERM_CAP = 2**15
+
+
 def run_l71(opts: ClaimOptions) -> list[CheckRecord]:
     """Expansion of the lower-block product: term count, and the signed sum
     over admissible matrices under the literal and corrected conventions."""
     n = opts.n
-    rep = yminus_expansion(n)
     expected_terms = 2 ** (n * (n - 1) // 2)
+    if expected_terms > YMINUS_TERM_CAP:
+        raise CapExceeded("lower-block product", expected_terms, YMINUS_TERM_CAP)
+    rep = yminus_expansion(n)
     base = f"L7.1:n{n}"
     records = [
         CheckRecord(
@@ -771,16 +777,21 @@ _MIN_N_K: dict[str, tuple[int, Optional[int]]] = {
     "T7.3": (2, 1),
 }
 
+# claims whose constructions index the letters of --dims
+_NEED_LETTERS = {"T3.3", "T3.4", "T3.6", "T3.8", "T5.1", "T5.2"}
+
 
 def validate_options(key: str, opts: ClaimOptions) -> None:
     """Raise InvalidOptions when the options lie outside the claim's range."""
+    if key in _NEED_LETTERS and not any(opts.dims):
+        raise InvalidOptions(f"needs at least one letter, got --dims {opts.dims[0]},{opts.dims[1]}")
     if key not in _MIN_N_K:
         return
     n_min, k_min = _MIN_N_K[key]
     if opts.n < n_min:
-        raise InvalidOptions(f"{key} needs --n >= {n_min}, got {opts.n}")
+        raise InvalidOptions(f"needs --n >= {n_min}, got {opts.n}")
     if k_min is not None and opts.k < k_min:
-        raise InvalidOptions(f"{key} needs --k >= {k_min}, got {opts.k}")
+        raise InvalidOptions(f"needs --k >= {k_min}, got {opts.k}")
 
 
 def run_claim(theorem_id: str, opts: Optional[ClaimOptions] = None) -> list[CheckRecord]:

@@ -189,10 +189,10 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
     }
     try:
-        # options are validated before any work starts
+        # options outside the claim's range raise before any check runs
         records = run_claim(key, opts)
     except InvalidOptions as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {key}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

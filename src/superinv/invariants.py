@@ -10,12 +10,13 @@ from typing import Optional, Sequence
 from .alphabet import IndexRange
 from .coefficients import Coeff, add_scaled
 from .errors import CapExceeded
-from .liealgebras import AlgebraFamily, MatrixElement, act_on_polynomial
-from .linalg import SpanTracker, nullspace
+from .liealgebras import AlgebraFamily, act_on_polynomial
+from .linalg import SpanTracker, joint_kernel
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
     Polynomial,
+    count_monomials_of_degree,
     make_mixed_algebra,
     monomials_of_degree,
 )
@@ -60,25 +61,13 @@ def block_key(algebra: AlgebraDescriptor, mono: Monomial):
 def blocked_monomials(
     algebra: AlgebraDescriptor, degree: int, cap: int = DEFAULT_MONOMIAL_CAP
 ) -> dict:
-    monos = monomials_of_degree(algebra, degree)
-    if len(monos) > cap:
-        raise CapExceeded("monomial basis", len(monos), cap)
+    size = count_monomials_of_degree(algebra, degree)
+    if size > cap:
+        raise CapExceeded("monomial basis", size, cap)
     blocks: dict = {}
-    for m in monos:
+    for m in monomials_of_degree(algebra, degree):
         blocks.setdefault(block_key(algebra, m), []).append(m)
     return blocks
-
-
-def _weight(algebra: AlgebraDescriptor, mono: Monomial, x: MatrixElement) -> Coeff:
-    """Eigenvalue of a diagonal matrix on a monomial."""
-    total = 0
-    for g in mono:
-        gen = algebra.generator(g)
-        if gen.family == "uv":
-            total += x.entries.get((gen.col, gen.col), 0)
-        elif gen.family == "vw":
-            total -= x.entries.get((gen.row, gen.row), 0)
-    return total
 
 
 @dataclass
@@ -104,41 +93,29 @@ def invariant_space_bruteforce(
     """Exact joint kernel of the family action on the degree-d monomials.
 
     Works block by block in the outer multidegree (the action only touches
-    the inner letters), with a diagonal weight pre-filter inside each block.
+    the inner letters), with a diagonal weight pre-filter inside each block:
+    a diagonal x weighs x[c, c] on a uv generator of column c and -x[r, r]
+    on a vw generator of row r.
     """
     blocks = blocked_monomials(algebra, degree, monomial_cap)
-    diagonal = [b for b in family.basis if b.is_diagonal()]
-    rest = [b for b in family.basis if not b.is_diagonal()]
-    basis: list[Polynomial] = []
-    for key in sorted(blocks):
-        monos = [
-            m
-            for m in blocks[key]
-            if all(_weight(algebra, m, x) == 0 for x in diagonal)
-        ]
-        if not monos:
-            continue
-        pos = {m: i for i, m in enumerate(monos)}
-        rows: list[list[Coeff]] = []
-        for x in rest:
-            images: dict[Monomial, dict[Monomial, Coeff]] = {}
-            for m in monos:
-                img = act_on_polynomial(x, Polynomial(algebra, {m: 1}))
-                for u, c in img.terms.items():
-                    images.setdefault(u, {})[m] = c
-            for u, col in images.items():
-                rows.append([col.get(m, 0) for m in monos])
-        if len(rows) * len(monos) > entry_cap:
-            raise CapExceeded("action matrix", len(rows) * len(monos), entry_cap)
-        if rows:
-            vectors = nullspace(rows, ncols=len(monos))
-        else:
-            vectors = [
-                [1 if i == j else 0 for j in range(len(monos))] for i in range(len(monos))
-            ]
-        for vec in vectors:
-            poly = Polynomial(algebra, {monos[i]: v for i, v in enumerate(vec) if v})
-            basis.append(poly)
+    weights = []
+    for x in family.diagonal_basis():
+        weight = {}
+        for i, g in enumerate(algebra.generators):
+            if g.family == "uv":
+                weight[i] = x.entries.get((g.col, g.col), 0)
+            elif g.family == "vw":
+                weight[i] = -x.entries.get((g.row, g.row), 0)
+        weights.append(weight)
+    maps = [
+        lambda m, x=x: act_on_polynomial(x, Polynomial(algebra, {m: 1})).terms
+        for x in family.off_diagonal_basis()
+    ]
+    basis = [
+        Polynomial(algebra, terms)
+        for key in sorted(blocks)
+        for terms in joint_kernel(blocks[key], weights, maps, entry_cap)
+    ]
     if verify:
         for f in basis:
             for x in family.basis:
@@ -147,27 +124,10 @@ def invariant_space_bruteforce(
     return InvariantSpace(family.tag, degree, algebra, basis)
 
 
-def polynomials_to_matrix(
-    polys: Sequence[Polynomial],
-) -> tuple[list[Monomial], list[list[Coeff]]]:
-    monos = sorted({m for f in polys for m in f.terms})
-    pos = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for f in polys:
-        vec: list[Coeff] = [0] * len(monos)
-        for m, c in f.terms.items():
-            vec[pos[m]] = c
-        rows.append(vec)
-    return monos, rows
-
-
 def span_dimension(polys: Sequence[Polynomial]) -> int:
-    if not polys:
-        return 0
-    _, rows = polynomials_to_matrix(polys)
-    tracker = SpanTracker(len(rows[0]))
-    for r in rows:
-        tracker.add(r)
+    tracker = SpanTracker()
+    for f in polys:
+        tracker.add(f.terms)
     return tracker.rank
 
 
@@ -202,15 +162,8 @@ def generated_subspace(
                 rec(i, total + degrees[i], nxt)
 
     rec(0, 0, algebra.one())
-    if not products:
-        return []
-    monos, rows = polynomials_to_matrix(products)
-    tracker = SpanTracker(len(monos))
-    basis = []
-    for f, row in zip(products, rows):
-        if tracker.add(row):
-            basis.append(f)
-    return basis
+    tracker = SpanTracker()
+    return [f for f in products if tracker.add(f.terms)]
 
 
 @dataclass
@@ -239,37 +192,19 @@ def check_generation(
     out = []
     for d in degrees:
         oracle = invariant_space_bruteforce(family, algebra, d, monomial_cap=monomial_cap)
-        gen_basis = generated_subspace(generators, d)
-        all_polys = list(gen_basis) + list(oracle.basis)
-        if all_polys:
-            monos = sorted({m for f in all_polys for m in f.terms})
-            pos = {m: i for i, m in enumerate(monos)}
-
-            def vec(f: Polynomial) -> list[Coeff]:
-                v: list[Coeff] = [0] * len(monos)
-                for m, c in f.terms.items():
-                    v[pos[m]] = c
-                return v
-
-            tracker = SpanTracker(len(monos))
-            for f in gen_basis:
-                tracker.add(vec(f))
-            gen_dim = tracker.rank
-            witness = None
-            for f in oracle.basis:
-                if not tracker.contains(vec(f)):
-                    witness = f
-                    break
-            # soundness: the generated space must sit inside the oracle space
-            oracle_tracker = SpanTracker(len(monos))
-            for f in oracle.basis:
-                oracle_tracker.add(vec(f))
-            for f in gen_basis:
-                if not oracle_tracker.contains(vec(f)):
-                    raise AssertionError("generated subspace escapes the oracle")
-        else:
-            gen_dim = 0
-            witness = None
+        tracker = SpanTracker()
+        for f in generated_subspace(generators, d):
+            tracker.add(f.terms)
+        gen_dim = tracker.rank
+        # the first oracle vector outside the generated span is the witness
+        witness = None
+        for f in oracle.basis:
+            if tracker.add(f.terms) and witness is None:
+                witness = f
+        # soundness: the oracle basis is independent, so the joint span has
+        # its dimension only when the generated space sits inside it
+        if tracker.rank != oracle.dimension:
+            raise AssertionError("generated subspace escapes the oracle")
         verdict = "equal" if (gen_dim == oracle.dimension and witness is None) else "strict-subspace"
         out.append(
             GenerationVerdict(family.tag, d, oracle.dimension, gen_dim, verdict, witness)
@@ -330,22 +265,11 @@ def kernel_dimension_at_degree(
     source monomials, block by block in the outer multidegree."""
     blocks = blocked_monomials(subs.source, degree, monomial_cap)
     total = 0
-    for key in sorted(blocks):
-        monos = blocks[key]
-        image_polys = [
-            subs.apply(Polynomial(subs.source, {m: 1})) for m in monos
-        ]
-        target_monos = sorted({m for f in image_polys for m in f.terms})
-        pos = {m: i for i, m in enumerate(target_monos)}
-        tracker = SpanTracker(len(target_monos) or 1)
-        rank = 0
-        for f in image_polys:
-            vec: list[Coeff] = [0] * (len(target_monos) or 1)
-            for m, c in f.terms.items():
-                vec[pos[m]] = c
-            if tracker.add(vec):
-                rank += 1
-        total += len(monos) - rank
+    for monos in blocks.values():
+        tracker = SpanTracker()
+        for m in monos:
+            tracker.add(subs.apply(Polynomial(subs.source, {m: 1})).terms)
+        total += len(monos) - tracker.rank
     return total
 
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, add_scaled, exact
+from .errors import InvalidOptions
 from .linalg import SpanTracker, nullspace
 from .polynomials import AlgebraDescriptor, Polynomial
 
@@ -95,9 +96,6 @@ class MatrixElement:
         -(-1)^{p(X)p(r)} sum of X[r,c] e_c^*."""
         sign = -((-1) ** (self.parity * r.parity))
         return {c: v * sign for (rr, c), v in self.entries.items() if rr == r}
-
-    def coeff_vector(self, coords: Sequence[tuple[SuperIndex, SuperIndex]]) -> list[Coeff]:
-        return [self.entries.get(k, 0) for k in coords]
 
     def __str__(self) -> str:
         if not self.entries:
@@ -197,7 +195,7 @@ def osp_form_tensor(dims: IndexRange):
     tensor."""
     n, m = dims.even_count, dims.odd_count
     if m % 2:
-        raise ValueError("odd dimension must be even")
+        raise InvalidOptions(f"osp needs an even odd dimension, got --dims {n},{m}")
     r = m // 2
     terms: list[tuple[tuple[SuperIndex, SuperIndex], int]] = []
     for i in range(1, n + 1):
@@ -212,7 +210,7 @@ def pe_form_tensor(dims: IndexRange):
     """The preserved odd covector pairing for the periplectic family."""
     n, m = dims.even_count, dims.odd_count
     if n != m:
-        raise ValueError("periplectic dimensions must be (n|n)")
+        raise InvalidOptions(f"periplectic dimensions must be n,n, got --dims {n},{m}")
     terms: list[tuple[tuple[SuperIndex, SuperIndex], int]] = []
     for i in range(1, n + 1):
         terms.append(((ev(i), od(i)), 1))
@@ -277,7 +275,8 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
         fam.grading = _pe_grading(fam)
     else:
         raise ValueError(f"unknown family tag {tag!r}")
-    _check_linear_independence(fam)
+    if _span_tracker(fam).rank != fam.dimension:
+        raise AssertionError("family basis is linearly dependent")
     return fam
 
 
@@ -303,43 +302,24 @@ def _pe_grading(fam: AlgebraFamily) -> dict[str, list[MatrixElement]]:
 
 
 def _dedupe(elements: list[MatrixElement]) -> list[MatrixElement]:
-    if not elements:
-        return []
-    dims = elements[0].dims
-    letters = dims.indices()
-    coords = [(r, c) for r in letters for c in letters]
-    tracker = SpanTracker(len(coords))
-    out = []
-    for e in elements:
-        if tracker.add(e.coeff_vector(coords)):
-            out.append(e)
-    return out
+    tracker = SpanTracker()
+    return [e for e in elements if tracker.add(e.entries)]
 
 
-def _check_linear_independence(fam: AlgebraFamily) -> None:
-    letters = fam.dims.indices()
-    coords = [(r, c) for r in letters for c in letters]
-    tracker = SpanTracker(len(coords))
+def _span_tracker(fam: AlgebraFamily) -> SpanTracker:
+    tracker = SpanTracker()
     for b in fam.basis:
-        if not tracker.add(b.coeff_vector(coords)):
-            raise AssertionError("family basis is linearly dependent")
+        tracker.add(b.entries)
+    return tracker
 
 
 def in_span(fam: AlgebraFamily, x: MatrixElement) -> bool:
-    letters = fam.dims.indices()
-    coords = [(r, c) for r in letters for c in letters]
-    tracker = SpanTracker(len(coords))
-    for b in fam.basis:
-        tracker.add(b.coeff_vector(coords))
-    return tracker.contains(x.coeff_vector(coords))
+    return _span_tracker(fam).contains(x.entries)
 
 
 def bracket_closed(fam: AlgebraFamily) -> bool:
-    for x in fam.basis:
-        for y in fam.basis:
-            if not in_span(fam, x.bracket(y)):
-                return False
-    return True
+    tracker = _span_tracker(fam)
+    return all(tracker.contains(x.bracket(y).entries) for x in fam.basis for y in fam.basis)
 
 
 # ---------------------------------------------------------------------------

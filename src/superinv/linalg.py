@@ -1,33 +1,33 @@
 """Exact rational linear algebra: fraction-free elimination, ranks,
-nullspaces and span membership.
+nullspaces, joint kernels and span membership.
 
-Everything works on small dense matrices given as lists of rows; entries are
-ints or Fractions.  No floating point.
+Dense matrices are lists of rows.  `SpanTracker` and `joint_kernel` work on
+sparse vectors: dicts from any hashable coordinate to an entry.  Entries are
+ints or Fractions; elimination runs on primitive integer rows (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968).  No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
+
+from .errors import CapExceeded
 
 
-def _to_int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Clear denominators row by row and divide out content."""
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = [int(f * den) for f in fracs]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g > 1:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
+def _primitive(values: Sequence) -> list[int]:
+    """The values times the one positive rational that makes them coprime
+    integers: denominators cleared, content divided out."""
+    den = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _primitive_terms(v: dict) -> dict:
+    return dict(zip(v, _primitive(list(v.values()))))
 
 
 def bareiss_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -37,7 +37,7 @@ def bareiss_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int
     pivot columns.  Pivoting is deterministic: first nonzero entry scanning
     rows in order.
     """
-    m = _to_int_rows(rows)
+    m = [_primitive(row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
@@ -103,42 +103,94 @@ def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[F
     return basis
 
 
+def joint_kernel(
+    keys: Iterable[tuple],
+    weights: Sequence[Mapping[Hashable, object]],
+    maps: Sequence[Callable[[tuple], Mapping]],
+    entry_cap: int | None = None,
+) -> list[dict]:
+    """Basis of the vectors on `keys` that every map sends to zero.
+
+    A key is a tuple of factors.  Each of `weights` is a diagonal map given
+    by its weight on each factor, a key's weight being the sum over its
+    factors; only keys of weight zero under all of them can appear in the
+    kernel, so the rest are dropped first.  Each of `maps` sends a key to its
+    sparse image.  The basis is `nullspace` of the stacked images on the kept
+    keys, as one dict per free key.  CapExceeded is raised, before any dense
+    row is built, when the stacked matrix would exceed `entry_cap` entries.
+    """
+    kept = [k for k in keys if all(sum(w.get(f, 0) for f in k) == 0 for w in weights)]
+    if not kept:
+        return []
+    rows: list[dict] = []
+    for f in maps:
+        images: dict = {}
+        for i, k in enumerate(kept):
+            for u, c in f(k).items():
+                images.setdefault(u, {})[i] = c
+        rows.extend(images.values())
+    ncols = len(kept)
+    if entry_cap is not None and len(rows) * ncols > entry_cap:
+        raise CapExceeded("action matrix", len(rows) * ncols, entry_cap)
+    dense = [[row.get(i, 0) for i in range(ncols)] for row in rows]
+    return [{kept[i]: x for i, x in enumerate(vec) if x} for vec in nullspace(dense, ncols)]
+
+
+def _cancel(v: dict, row: dict, p) -> None:
+    """v becomes a*v - b*row, in place, with the least a > 0 that makes the
+    integer combination clear coordinate p."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for k in v:
+            v[k] *= a
+    for k, x in row.items():
+        y = v.get(k, 0) - b * x
+        if y:
+            v[k] = y
+        else:
+            del v[k]
+
+
 class SpanTracker:
     """Incremental row space: add vectors, query membership and rank.
 
-    Keeps a reduced echelon set of Fraction rows; deterministic.
+    A vector is a dict from hashable coordinates to exact numbers; a
+    sequence is read as a dict keyed by position.  Stored rows are primitive
+    integer rows keyed by their pivot coordinate, reduced fraction-free, and
+    a row's pivot appears in no other stored row.  Rank, membership and
+    which added vectors grow the span do not depend on the pivots chosen.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
+    def __init__(self) -> None:
+        self.rows: dict[Hashable, dict[Hashable, int]] = {}
 
-    def _reduce(self, vec: Sequence) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                coeff = v[p] / row[p]
-                for j in range(p, self.ncols):
-                    if row[j]:
-                        v[j] -= coeff * row[j]
+    def _reduce(self, vec: Mapping | Sequence) -> dict:
+        items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+        v = _primitive_terms({k: x for k, x in items if x})
+        for p in [k for k in v if k in self.rows]:
+            _cancel(v, self.rows[p], p)
         return v
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._reduce(vec))
+    def contains(self, vec: Mapping | Sequence) -> bool:
+        return not self._reduce(vec)
 
-    def add(self, vec: Sequence) -> bool:
+    def add(self, vec: Mapping | Sequence) -> bool:
         """Insert the vector; returns True when it enlarges the span."""
         v = self._reduce(vec)
-        for p in range(self.ncols):
-            if v[p]:
-                self.rows.append(v)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
+        if not v:
+            return False
+        v = _primitive_terms(v)
+        p = next(iter(v))
+        for q, row in self.rows.items():
+            if p in row:
+                _cancel(row, v, p)
+                self.rows[q] = _primitive_terms(row)
+        self.rows[p] = v
+        return True
 
     @property
     def rank(self) -> int:

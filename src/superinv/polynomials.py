@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from .alphabet import IndexRange, SuperIndex
@@ -344,6 +345,17 @@ def sym_square_index(
     if idx is None:
         return None
     return ((-1) ** (s.parity * t.parity), idx)
+
+
+def count_monomials_of_degree(algebra: AlgebraDescriptor, degree: int) -> int:
+    """len(monomials_of_degree(algebra, degree)) in closed form: j distinct
+    odd generators times a multiset of degree - j even ones."""
+    odd = sum(algebra.parities)
+    even = len(algebra.parities) - odd
+    return sum(
+        comb(odd, j) * (comb(even + degree - j - 1, degree - j) if degree > j else 1)
+        for j in range(min(degree, odd) + 1)
+    )
 
 
 def monomials_of_degree(

@@ -24,6 +24,7 @@ from .alphabet import (
 )
 from .coefficients import Coeff, add_scaled, exact, normalized
 from .liealgebras import MatrixElement
+from .linalg import joint_kernel
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
 from .permutations import column_group, coset_representatives, young_symmetrizer
@@ -768,40 +769,22 @@ def tensor_invariant_space(
     signature: tuple[bool, ...],
 ) -> list[TensorElement]:
     """Exact basis of the joint kernel of the action of the given elements
-    on the full word space: weight-filter by the diagonal elements, then a
-    stacked nullspace over the off-diagonal ones."""
-    from .linalg import nullspace as _nullspace
-
+    on the full word space: weight-filter by the diagonal elements (a
+    diagonal x weighs x[i, i] on a slot of letter i, negated on a dual
+    slot), then a stacked nullspace over the off-diagonal ones."""
     words = [word(L, signature) for L in all_words(dims, len(signature))]
-    diagonal = [b for b in basis_elements if b.is_diagonal()]
-    rest = [b for b in basis_elements if not b.is_diagonal()]
-
-    def weight(w: TWord, x: MatrixElement) -> Coeff:
-        total = 0
-        for idx, dual in w:
-            v = x.entries.get((idx, idx), 0)
-            total += -v if dual else v
-        return total
-
-    kept = [w for w in words if all(weight(w, x) == 0 for x in diagonal)]
-    if not kept:
-        return []
-    pos = {w: i for i, w in enumerate(kept)}
-    rows = []
-    for x in rest:
-        images: dict[TWord, dict[TWord, Coeff]] = {}
-        for w in kept:
-            img = act_on_tensor(x, TensorElement.from_word(dims, w))
-            for u, c in img.terms.items():
-                images.setdefault(u, {})[w] = c
-        for u, col in images.items():
-            rows.append([col.get(w, 0) for w in kept])
-    vectors = _nullspace(rows, ncols=len(kept)) if rows else [
-        [1 if i == j else 0 for j in range(len(kept))] for i in range(len(kept))
+    weights = [
+        {(i, dual): -v if dual else v for (i, _), v in x.entries.items() for dual in (False, True)}
+        for x in basis_elements
+        if x.is_diagonal()
+    ]
+    maps = [
+        lambda w, x=x: act_on_tensor(x, TensorElement.from_word(dims, w)).terms
+        for x in basis_elements
+        if not x.is_diagonal()
     ]
     out = []
-    for vec in vectors:
-        terms = {kept[i]: v for i, v in enumerate(vec) if v}
+    for terms in joint_kernel(words, weights, maps):
         elt = TensorElement(dims, signature, terms)
         for x in basis_elements:
             assert act_on_tensor(x, elt).is_zero()

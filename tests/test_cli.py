@@ -195,6 +195,9 @@ def test_verify_cap_exit(capsys):
         ("--theorem", "T7.3", "--k", "0"),
         ("--theorem", "T7.3", "--n", "0"),
         ("--theorem", "T7.2", "--k", "-1"),
+        ("--theorem", "T4.3", "--dims", "1,1"),
+        ("--theorem", "T6.2", "--dims", "2,1"),
+        ("--theorem", "T3.3", "--dims", "0,0"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -205,3 +208,17 @@ def test_verify_out_of_range_options(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert argv[1] in err and argv[2] in err
+
+
+def test_l71_size_guard_before_expansion(capsys, monkeypatch):
+    """L7.1 at n = 7 would expand 2^21 terms: exit 3 before any expansion."""
+    import superinv.claims as claims_module
+
+    def fail(n):
+        raise AssertionError("yminus_expansion must not run")
+
+    monkeypatch.setattr(claims_module, "yminus_expansion", fail)
+    code, out, err = run_cli(capsys, "verify", "--theorem", "L7.1", "--n", "7", "--no-timing")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1

@@ -23,7 +23,12 @@ from superinv.generators import (
     scalar_products,
 )
 from superinv.named_polynomials import P_t
-from superinv.polynomials import Polynomial, make_uw_algebra, monomials_of_degree
+from superinv.polynomials import (
+    Polynomial,
+    count_monomials_of_degree,
+    make_uw_algebra,
+    monomials_of_degree,
+)
 from superinv.tableaux import Partition, fill_rows, enumerate_semistandard
 
 
@@ -86,6 +91,33 @@ def test_blocked_monomials_partition():
     blocks = blocked_monomials(alg, 3)
     total = sum(len(v) for v in blocks.values())
     assert total == len(monomials_of_degree(alg, 3))
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        make_uw_algebra(IndexRange(1, 1), IndexRange(1, 1)),
+        make_uw_algebra(IndexRange(0, 2), IndexRange(2, 0)),
+        make_uw_algebra(IndexRange(2, 0), IndexRange(1, 0)),
+        algebra_for(build_family("gl", IndexRange(1, 1)), 2, 1, 1, 1),
+    ],
+)
+def test_monomial_count_closed_form(alg):
+    for degree in range(5):
+        assert count_monomials_of_degree(alg, degree) == len(monomials_of_degree(alg, degree))
+
+
+def test_monomial_cap_before_enumeration(monkeypatch):
+    import superinv.invariants as invariants_module
+
+    def fail(algebra, degree):
+        raise AssertionError("monomials_of_degree must not run")
+
+    monkeypatch.setattr(invariants_module, "monomials_of_degree", fail)
+    fam = build_family("gl", IndexRange(2, 1))
+    alg = algebra_for(fam, 2, 2, 2, 2)
+    with pytest.raises(CapExceeded):
+        blocked_monomials(alg, 4, cap=10)
 
 
 def test_substitution_parity_guard():

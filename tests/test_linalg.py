@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superinv.errors import CapExceeded
 from superinv.linalg import (
     SpanTracker,
     bareiss_echelon,
     intersect_dims,
+    joint_kernel,
     nullspace,
     rank_rows,
 )
@@ -58,7 +65,7 @@ def test_bareiss_integer_entries():
 
 
 def test_span_tracker():
-    t = SpanTracker(3)
+    t = SpanTracker()
     assert t.add([1, 0, 0])
     assert not t.add([2, 0, 0])
     assert t.add([0, Fraction(1, 2), 1])
@@ -72,3 +79,58 @@ def test_intersect_dims():
     b = [[0, 1, 0], [0, 0, 1]]
     assert intersect_dims(a, b, 3) == 1
     assert intersect_dims(a, [], 3) == 0
+
+
+# small rationals, zero a third of the time so zero rows and sparse rows occur
+_entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def _matrices(draw):
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(_entries, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=1, max_size=6)), draw(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_span_tracker_matches_bareiss_and_sympy(data):
+    rows, probe = data
+    tracker = SpanTracker()
+    grew = [tracker.add(r) for r in rows]
+    # the greedy in-order basis: row i grows the span exactly when it raises the rank
+    assert grew == [rank_rows(rows[: i + 1]) > rank_rows(rows[:i]) for i in range(len(rows))]
+    assert tracker.rank == rank_rows(rows) == sympy.Matrix(rows).rank()
+    assert tracker.contains(probe) == (rank_rows(rows + [probe]) == rank_rows(rows))
+    # sparse keys other than positions give the same answers
+    keyed = SpanTracker()
+    for r in rows:
+        keyed.add({("c", j): x for j, x in enumerate(r)})
+    assert keyed.rank == tracker.rank
+    assert keyed.contains({("c", j): x for j, x in enumerate(probe)}) == tracker.contains(probe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_joint_kernel_without_weights_matches_nullspace(data):
+    rows, _ = data
+    ncols = len(rows[0])
+    keys = [(j,) for j in range(ncols)]
+    half = len(rows) // 2
+    maps = [
+        lambda k, part=part: {i: r[k[0]] for i, r in enumerate(part) if r[k[0]]}
+        for part in (rows[:half], rows[half:])
+    ]
+    expected = [{keys[j]: x for j, x in enumerate(v) if x} for v in nullspace(rows, ncols)]
+    assert joint_kernel(keys, [], maps) == expected
+
+
+def test_joint_kernel_entry_cap():
+    # two kept keys, one image row: 2 entries
+    with pytest.raises(CapExceeded):
+        joint_kernel([(0,), (1,)], [], [lambda k: {"u": 1}], entry_cap=1)
+    assert len(joint_kernel([(0,), (1,)], [], [lambda k: {"u": 1}], entry_cap=2)) == 1
