@@ -777,14 +777,25 @@ _MIN_N_K: dict[str, tuple[int, Optional[int]]] = {
     "T7.3": (2, 1),
 }
 
-# claims whose constructions index the letters of --dims
-_NEED_LETTERS = {"T3.3", "T3.4", "T3.6", "T3.8", "T5.1", "T5.2"}
+# smallest even and odd --dims of the claims whose constructions index its
+# letters: the split tableaux have one column per odd letter, and the
+# T5 constructions fill their rows with even letters
+_MIN_DIMS: dict[str, tuple[int, int]] = {
+    "T3.3": (0, 1),
+    "T3.4": (0, 1),
+    "T3.6": (0, 1),
+    "T3.8": (0, 1),
+    "T5.1": (1, 1),
+    "T5.2": (1, 1),
+}
 
 
 def validate_options(key: str, opts: ClaimOptions) -> None:
     """Raise InvalidOptions when the options lie outside the claim's range."""
-    if key in _NEED_LETTERS and not any(opts.dims):
-        raise InvalidOptions(f"needs at least one letter, got --dims {opts.dims[0]},{opts.dims[1]}")
+    even, odd = opts.dims
+    even_min, odd_min = _MIN_DIMS.get(key, (0, 0))
+    if even < even_min or odd < odd_min:
+        raise InvalidOptions(f"needs --dims of at least {even_min},{odd_min}, got --dims {even},{odd}")
     if key not in _MIN_N_K:
         return
     n_min, k_min = _MIN_N_K[key]

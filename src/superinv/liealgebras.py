@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Sequence
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, add_scaled, exact
 from .errors import InvalidOptions
-from .linalg import SpanTracker, nullspace
+from .linalg import SpanTracker, _primitive_terms, nullspace
 from .polynomials import AlgebraDescriptor, Polynomial
 
 
@@ -110,16 +108,6 @@ class MatrixElement:
     __repr__ = __str__
 
 
-def matrix_from_vector(
-    dims: IndexRange,
-    coords: Sequence[tuple[SuperIndex, SuperIndex]],
-    vec: Sequence[Coeff],
-    parity: int,
-) -> MatrixElement:
-    entries = {coords[i]: v for i, v in enumerate(vec) if v}
-    return MatrixElement(dims, entries, parity)
-
-
 @dataclass
 class AlgebraFamily:
     tag: str
@@ -165,27 +153,16 @@ def _solve_family(
     must all vanish.
     """
     coords = _parity_block(dims, parity)
-    rows = []
-    cond_len = None
+    # each condition gives one linear equation over the coords
+    rows: dict[int, dict[int, Coeff]] = {}
     for i, coord in enumerate(coords):
-        x = MatrixElement.unit(dims, *coord)
-        vals = conditions(x)
-        cond_len = len(vals)
-        rows.append(vals)
-    if cond_len is None:
-        return []
-    # transpose: each condition gives one linear equation over the coords
-    mat = [[rows[i][j] for i in range(len(coords))] for j in range(cond_len)]
-    mat = [row for row in mat if any(row)]
-    kernel = nullspace(mat, ncols=len(coords))
-    out = []
-    for vec in kernel:
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        ints = [v * den for v in vec]
-        out.append(matrix_from_vector(dims, coords, ints, parity))
-    return out
+        for j, v in enumerate(conditions(MatrixElement.unit(dims, *coord))):
+            if v:
+                rows.setdefault(j, {})[i] = v
+    return [
+        MatrixElement(dims, {coords[i]: v for i, v in _primitive_terms(vec).items()}, parity)
+        for vec in nullspace(list(rows.values()), len(coords))
+    ]
 
 
 def osp_form_tensor(dims: IndexRange):

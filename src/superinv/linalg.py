@@ -1,11 +1,12 @@
-"""Exact rational linear algebra: fraction-free elimination, ranks,
-nullspaces, joint kernels and span membership.
+"""Exact rational linear algebra: one fraction-free elimination behind
+ranks, nullspaces, joint kernels and span membership.
 
-Dense matrices are lists of rows.  `SpanTracker` and `joint_kernel` work on
-sparse vectors: dicts from any hashable coordinate to an entry.  Entries are
-ints or Fractions; elimination runs on primitive integer rows (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968).  No floating point.
+Vectors are sparse, as dicts from coordinates to ints or Fractions.
+`SpanTracker` keeps their span as a reduced row echelon form of primitive
+integer rows, eliminated fraction-free (Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968);
+ranks and nullspaces are read off that form.  No dense matrix is built and
+no floating point is used.
 """
 
 from __future__ import annotations
@@ -30,77 +31,33 @@ def _primitive_terms(v: dict) -> dict:
     return dict(zip(v, _primitive(list(v.values()))))
 
 
-def bareiss_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gaussian elimination (Bareiss).
-
-    Returns the echelon matrix over the integers together with the list of
-    pivot columns.  Pivoting is deterministic: first nonzero entry scanning
-    rows in order.
-    """
-    m = [_primitive(row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+def bareiss_echelon(rows: Sequence[Mapping | Sequence]) -> dict[Hashable, dict[Hashable, int]]:
+    """The reduced row echelon form of the rows' span, fraction-free: one
+    primitive integer row per pivot, in increasing pivot order."""
+    tracker = SpanTracker()
+    for row in rows:
+        tracker.add(row)
+    return dict(sorted(tracker.rows.items()))
 
 
-def rank_rows(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    return len(bareiss_echelon(rows)[1])
+def rank_rows(rows: Iterable[Mapping | Sequence]) -> int:
+    return len(bareiss_echelon(list(rows)))
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : M x = 0}, one vector per free column.
-
-    Vectors are normalised so the free coordinate equals 1; deterministic
-    (free columns in increasing order).
-    """
-    if not rows:
-        if ncols is None:
-            raise ValueError("ncols required for an empty matrix")
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    ncols = len(rows[0]) if ncols is None else ncols
-    ech, pivots = bareiss_echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[list[Fraction]] = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        # back substitution over the pivot rows
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            s = Fraction(0)
-            for j in range(pc + 1, ncols):
-                if vec[j]:
-                    s += Fraction(ech[i][j]) * vec[j]
-            vec[pc] = -s / ech[i][pc]
-        basis.append(vec)
-    return basis
+def nullspace(rows: Sequence[Mapping | Sequence], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel {x : M x = 0} on columns 0..ncols-1, one
+    sparse vector per free column f: x_f = 1, the other free coordinates 0,
+    and x_p = -row[f] / row[p] for each pivot row.  Free columns come in
+    increasing order, and each vector's keys too."""
+    ech = bareiss_echelon(rows)
+    basis: dict[int, dict[int, Fraction]] = {f: {} for f in range(ncols) if f not in ech}
+    for p, row in ech.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = Fraction(-x, row[p])
+    for f, vec in basis.items():
+        vec[f] = Fraction(1)
+    return list(basis.values())
 
 
 def joint_kernel(
@@ -116,8 +73,8 @@ def joint_kernel(
     factors; only keys of weight zero under all of them can appear in the
     kernel, so the rest are dropped first.  Each of `maps` sends a key to its
     sparse image.  The basis is `nullspace` of the stacked images on the kept
-    keys, as one dict per free key.  CapExceeded is raised, before any dense
-    row is built, when the stacked matrix would exceed `entry_cap` entries.
+    keys, as one dict per free key.  CapExceeded is raised, before any
+    elimination, when the stacked matrix would exceed `entry_cap` entries.
     """
     kept = [k for k in keys if all(sum(w.get(f, 0) for f in k) == 0 for w in weights)]
     if not kept:
@@ -132,8 +89,7 @@ def joint_kernel(
     ncols = len(kept)
     if entry_cap is not None and len(rows) * ncols > entry_cap:
         raise CapExceeded("action matrix", len(rows) * ncols, entry_cap)
-    dense = [[row.get(i, 0) for i in range(ncols)] for row in rows]
-    return [{kept[i]: x for i, x in enumerate(vec) if x} for vec in nullspace(dense, ncols)]
+    return [{kept[i]: x for i, x in vec.items()} for vec in nullspace(rows, ncols)]
 
 
 def _cancel(v: dict, row: dict, p) -> None:
@@ -158,11 +114,11 @@ def _cancel(v: dict, row: dict, p) -> None:
 class SpanTracker:
     """Incremental row space: add vectors, query membership and rank.
 
-    A vector is a dict from hashable coordinates to exact numbers; a
-    sequence is read as a dict keyed by position.  Stored rows are primitive
-    integer rows keyed by their pivot coordinate, reduced fraction-free, and
-    a row's pivot appears in no other stored row.  Rank, membership and
-    which added vectors grow the span do not depend on the pivots chosen.
+    A vector is a dict from hashable, mutually comparable coordinates to
+    exact numbers; a sequence is read as a dict keyed by position.  Stored
+    rows are primitive integer rows keyed by their pivot, which is the row's
+    least coordinate and appears in no other stored row: the rows are the
+    reduced row echelon form of the span, each up to a nonzero scale.
     """
 
     def __init__(self) -> None:
@@ -184,7 +140,7 @@ class SpanTracker:
         if not v:
             return False
         v = _primitive_terms(v)
-        p = next(iter(v))
+        p = min(v)
         for q, row in self.rows.items():
             if p in row:
                 _cancel(row, v, p)
@@ -197,11 +153,8 @@ class SpanTracker:
         return len(self.rows)
 
 
-def intersect_dims(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence], ncols: int) -> int:
+def intersect_dims(
+    basis_a: Sequence[Mapping | Sequence], basis_b: Sequence[Mapping | Sequence]
+) -> int:
     """Dimension of the intersection of two spans."""
-    ra = rank_rows(list(basis_a)) if basis_a else 0
-    rb = rank_rows(list(basis_b)) if basis_b else 0
-    if ra == 0 or rb == 0:
-        return 0
-    rab = rank_rows(list(basis_a) + list(basis_b))
-    return ra + rb - rab
+    return rank_rows(basis_a) + rank_rows(basis_b) - rank_rows([*basis_a, *basis_b])

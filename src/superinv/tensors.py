@@ -24,7 +24,7 @@ from .alphabet import (
 )
 from .coefficients import Coeff, add_scaled, exact, normalized
 from .liealgebras import MatrixElement
-from .linalg import joint_kernel
+from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
 from .permutations import column_group, coset_representatives, young_symmetrizer
@@ -709,8 +709,6 @@ def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> int:
 def nabla_closed_form_report(dims: IndexRange) -> dict:
     """Fit the constructive invariant over the closed-form support family
     and compare the fitted coefficients with the predicted ones."""
-    from .linalg import nullspace as _nullspace
-
     n, m = dims.even_count, dims.odd_count
     nabla = nabla_construct(dims)
     support = nabla_support_words(dims)
@@ -721,27 +719,23 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
         apply_group_algebra(e_s, TensorElement.from_word(dims, plain_word(I1 + I)))
         for I in support
     ]
-    words = sorted({w for img in images for w in img.terms} | set(nabla.terms))
-    rows = []
-    for w in words:
-        rows.append(
-            [img.terms.get(w, 0) for img in images] + [-nabla.terms.get(w, 0)]
-        )
-    kernel = _nullspace(rows, ncols=len(support) + 1)
-    solutions = [v for v in kernel if v[-1] != 0]
-    from .linalg import rank_rows
-
-    image_rank = rank_rows(
-        [[img.terms.get(w, 0) for w in words] for img in images]
-    )
+    # one equation per word: sum_j x_j images[j] - x_last nabla = 0
+    last = len(support)
+    rows: dict = {}
+    for j, img in enumerate(images):
+        for w, c in img.terms.items():
+            rows.setdefault(w, {})[j] = c
+    for w, c in nabla.terms.items():
+        rows.setdefault(w, {})[last] = -c
+    solutions = [v for v in nullspace(list(rows.values()), last + 1) if last in v]
     report: dict = {
         "support_size": len(support),
-        "support_rank": image_rank,
+        "support_rank": rank_rows(img.terms for img in images),
         "in_span": bool(solutions),
     }
     if solutions:
         v = solutions[0]
-        fitted = [x / v[-1] for x in v[:-1]]
+        fitted = [v.get(j, 0) / v[last] for j in range(last)]
         predictions = [nabla_closed_form_coeff(dims, I) for I in support]
         ratios = []
         for f, p in zip(fitted, predictions):

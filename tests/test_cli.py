@@ -198,6 +198,13 @@ def test_verify_cap_exit(capsys):
         ("--theorem", "T4.3", "--dims", "1,1"),
         ("--theorem", "T6.2", "--dims", "2,1"),
         ("--theorem", "T3.3", "--dims", "0,0"),
+        *(
+            ("--theorem", claim, "--dims", dims)
+            for claim in ("T3.3", "T3.4", "T3.6", "T3.8", "T5.1", "T5.2")
+            for dims in ("1,0", "2,0")
+        ),
+        ("--theorem", "T5.1", "--dims", "0,2"),
+        ("--theorem", "T5.2", "--dims", "0,2"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -208,6 +215,23 @@ def test_verify_out_of_range_options(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert argv[1] in err and argv[2] in err
+
+
+@pytest.mark.parametrize("dims", ["0,1", "1,0", "0,2", "2,0"])
+@pytest.mark.parametrize(
+    "claim",
+    ["T2.1", "T2.2", "T3.3", "T3.4", "T3.6", "T3.8", "T4.3", "T4.5", "T5.1", "T5.2", "T6.2", "T6.3.2"],
+)
+def test_verify_edge_dims_keep_exit_contract(capsys, claim, dims):
+    """Every claim that reads --dims, at each edge dimension: no exception
+    escapes, and the run reports (exit 0/1/3) or is refused in one line
+    (exit 2)."""
+    code, out, err = run_cli(capsys, "verify", "--theorem", claim, "--dims", dims, "--no-timing")
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP)
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    elif code != EXIT_CAP:
+        assert json.loads(out)["checks"]
 
 
 def test_l71_size_guard_before_expansion(capsys, monkeypatch):
