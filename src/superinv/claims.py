@@ -779,10 +779,12 @@ _MIN_N_K: dict[str, tuple[int, Optional[int]]] = {
 
 # smallest even and odd --dims of the claims whose constructions index its
 # letters: the split tableaux have one column per odd letter, and the
-# T5 constructions fill their rows with even letters
+# T5 constructions fill their rows with even letters.  T3.3 and T3.4 also
+# need an even letter: their not-gl-invariant check acts with the diagonal
+# unit on the first even letter, and without one the premise fails
 _MIN_DIMS: dict[str, tuple[int, int]] = {
-    "T3.3": (0, 1),
-    "T3.4": (0, 1),
+    "T3.3": (1, 1),
+    "T3.4": (1, 1),
     "T3.6": (0, 1),
     "T3.8": (0, 1),
     "T5.1": (1, 1),

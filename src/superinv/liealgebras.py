@@ -3,7 +3,8 @@ derivation action on polynomial algebras.
 
 Form-preserving families are not hand-coded; their bases are exact
 nullspaces of the annihilation condition on the gl basis, echelonized for
-determinism, then checked for bracket closure.
+determinism.  `build_family` checks that a basis is linearly independent;
+bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def _dual_pair_action(x: MatrixElement, form) -> list[Coeff]:
 
 
 def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
-    """Construct a bracket-closed basis for the requested family."""
+    """Construct a basis for the requested family, checked for linear
+    independence (bracket closure is left to the test suite)."""
     if tag == "gl":
         fam = AlgebraFamily("gl", dims, gl_basis(dims))
     elif tag == "sl":

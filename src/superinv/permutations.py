@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -18,6 +19,8 @@ from .errors import CapExceeded
 from .tableaux import YoungTableau
 
 SYMMETRIZER_TERM_CAP = 5_000_000
+# group-algebra products compose images through bytes.translate's 256-entry table
+GROUP_ALGEBRA_MAX_DEGREE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,19 +165,32 @@ class GroupAlgebraElement:
         )
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        # convolve on raw image tuples; Permutation objects are rebuilt once
+        # Images are byte strings: p1 * p2 is p2's string translated through a
+        # table of p1's images, and Counter tallies the products in C, so
+        # Python steps run per (left term, right coefficient), never per pair.
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        out: dict[tuple[int, ...], Coeff] = {}
-        get = out.get
-        right = [(p.images, c) for p, c in other.terms.items()]
+        k = self.degree
+        if k > GROUP_ALGEBRA_MAX_DEGREE:
+            raise ValueError(
+                f"group-algebra products need degree <= {GROUP_ALGEBRA_MAX_DEGREE}, got {k}"
+            )
+        right: dict[Coeff, list[bytes]] = {}
+        for p2, c2 in other.terms.items():
+            right.setdefault(c2, []).append(bytes(p2.images))
+        pad = bytes(GROUP_ALGEBRA_MAX_DEGREE - k)
+        tallies: defaultdict[Coeff, Counter] = defaultdict(Counter)
         for p1, c1 in self.terms.items():
-            at = p1.images.__getitem__
-            for im2, c2 in right:
-                prod = tuple(map(at, im2))
-                out[prod] = get(prod, 0) + c1 * c2
+            table = bytes(p1.images) + pad
+            for c2, ims in right.items():
+                tallies[c1 * c2].update(map(bytes.translate, ims, itertools.repeat(table)))
+        out: dict[bytes, Coeff] = {}
+        get = out.get
+        for c, tally in tallies.items():
+            for im, n in tally.items():
+                out[im] = get(im, 0) + c * n
         return GroupAlgebraElement._adopt(
-            self.degree, {Permutation(im): exact(c) for im, c in out.items() if c}
+            k, {Permutation(tuple(im)): exact(c) for im, c in out.items() if c}
         )
 
     def __eq__(self, other) -> bool:

@@ -256,16 +256,21 @@ def apply_group_algebra(
     k = g.degree
     if len(element.signature[start : start + k]) != k:
         raise ValueError("length mismatch")
+    # the cocycle depends on the block only through its parity pattern, so
+    # each term's signed coefficient is computed once per distinct pattern
+    patterns: dict[tuple[int, ...], int] = {}
     words = []
     for w, coeff in element.terms.items():
         block = w[start : start + k]
-        parities = [i.parity for i, _ in block]
-        words.append((w[:start], block.__getitem__, w[start + k :], parities, coeff))
+        parities = tuple(i.parity for i, _ in block)
+        slot = patterns.setdefault(parities, len(patterns))
+        words.append((w[:start], block.__getitem__, w[start + k :], slot, coeff))
     # one pass over the group element: its inverses are never all held at once
     for inv, gc in g.inverse_terms():
-        for head, at, tail, parities, coeff in words:
+        signed = [gc * cocycle_sign(parities, inv) for parities in patterns]
+        for head, at, tail, slot, coeff in words:
             nw = head + tuple(map(at, inv)) + tail
-            out[nw] = out.get(nw, 0) + coeff * gc * cocycle_sign(parities, inv)
+            out[nw] = out.get(nw, 0) + coeff * signed[slot]
     return TensorElement(element.dims, element.signature, out)
 
 

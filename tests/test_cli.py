@@ -205,6 +205,11 @@ def test_verify_cap_exit(capsys):
         ),
         ("--theorem", "T5.1", "--dims", "0,2"),
         ("--theorem", "T5.2", "--dims", "0,2"),
+        *(
+            ("--theorem", claim, "--dims", dims)
+            for claim in ("T3.3", "T3.4")
+            for dims in ("0,1", "0,2")
+        ),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):

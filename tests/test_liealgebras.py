@@ -50,7 +50,15 @@ def test_invalid_dims():
 
 @pytest.mark.parametrize(
     "tag,dims",
-    [("gl", (1, 1)), ("sl", (1, 1)), ("osp", (1, 2)), ("pe", (2, 2)), ("spe", (2, 2))],
+    [
+        ("gl", (1, 1)),
+        ("gl", (2, 1)),
+        ("sl", (1, 1)),
+        ("osp", (1, 2)),
+        ("pe", (1, 1)),
+        ("pe", (2, 2)),
+        ("spe", (2, 2)),
+    ],
 )
 def test_bracket_closure(tag, dims):
     assert bracket_closed(build_family(tag, IndexRange(*dims)))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, all_words, ev, od
 from superinv.errors import CapExceeded
@@ -153,6 +155,80 @@ def test_quasi_idempotence_small(variant):
         c = Fraction(square.terms.get(ident, 0), e.terms[ident])
         assert c != 0
         assert square == e.scale(c)
+
+
+def reference_product(a, b):
+    """The pairwise convolution: one composition per (term, term) pair."""
+    out = {}
+    for p1, c1 in a.terms.items():
+        at = p1.images.__getitem__
+        for p2, c2 in b.terms.items():
+            prod = tuple(map(at, p2.images))
+            out[prod] = out.get(prod, 0) + c1 * c2
+    return GroupAlgebraElement(a.degree, {Permutation(im): c for im, c in out.items()})
+
+
+_COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@st.composite
+def _elements(draw, degree, count=3):
+    out = []
+    for _ in range(count):
+        perms = draw(st.lists(st.permutations(range(degree)), max_size=10))
+        out.append(
+            GroupAlgebraElement(degree, {Permutation(tuple(p)): draw(_COEFFS) for p in perms})
+        )
+    return out
+
+
+def _exact_types(e):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in e.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(_elements))
+def test_product_matches_pairwise_reference(elements):
+    a, b, c = elements
+    ab = a * b
+    assert ab == reference_product(a, b)
+    assert _exact_types(ab)
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(_elements(k, 2), st.permutations(range(k)))))
+def test_product_cancels_to_zero(data):
+    """x (1 + s) times (1 - s) y is zero for an involution s: every raw sum cancels."""
+    (x, y), order = data
+    k = x.degree
+    one, s = Permutation.identity(k), Permutation.transposition(k, order[0], order[1])
+    left = reference_product(x, GroupAlgebraElement(k, {one: 1, s: 1}))
+    right = reference_product(GroupAlgebraElement(k, {one: 1, s: -1}), y)
+    assert (left * right).terms == {}
+    assert reference_product(left, right).terms == {}
+
+
+def test_product_integral_coefficients_are_int():
+    p, q = Permutation((1, 2, 0)), Permutation.transposition(3, 0, 1)
+    half = GroupAlgebraElement(3, {p: Fraction(1, 2), q: Fraction(-3, 2)})
+    two = GroupAlgebraElement(3, {q: 2})
+    prod = half * two
+    assert prod.terms == {p * q: 1, q * q: -3}
+    assert all(type(c) is int for c in prod.terms.values())
+    e = young_symmetrizer(fill_rows(Partition((2, 1))))
+    assert all(type(c) is int for c in (e * e).terms.values())
+
+
+def test_product_degree_checks():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        GroupAlgebraElement.unit(3) * GroupAlgebraElement.unit(4)
+    assert GroupAlgebraElement.unit(256) * GroupAlgebraElement.unit(256) == GroupAlgebraElement.unit(256)
+    with pytest.raises(ValueError, match="256"):
+        GroupAlgebraElement.unit(257) * GroupAlgebraElement.unit(257)
 
 
 def test_symmetrizer_cap():

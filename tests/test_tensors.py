@@ -6,8 +6,8 @@ import pytest
 
 from superinv.alphabet import IndexRange, all_words, ev, od
 from superinv.liealgebras import MatrixElement, build_family
-from superinv.permutations import Permutation, young_symmetrizer
-from superinv.tableaux import Partition
+from superinv.permutations import GroupAlgebraElement, Permutation, cocycle_sign, young_symmetrizer
+from superinv.tableaux import Partition, enumerate_standard_tableaux
 from superinv.tensors import (
     TensorElement,
     act_on_tensor,
@@ -159,6 +159,43 @@ def test_symmetrizer_pair_identity():
     one2 = GroupAlgebraElement.unit(2)
     one1 = GroupAlgebraElement.unit(1)
     assert apply_symmetrizer_pair(one2, one1, w) == w
+
+
+def reference_apply(g, element, start=0):
+    """The word action one word at a time, with a cocycle per (term, word)."""
+    k = g.degree
+    out = {}
+    for inv, gc in g.inverse_terms():
+        for w, coeff in element.terms.items():
+            block = w[start : start + k]
+            parities = [i.parity for i, _ in block]
+            nw = w[:start] + tuple(block[x] for x in inv) + w[start + k :]
+            out[nw] = out.get(nw, 0) + coeff * gc * cocycle_sign(parities, inv)
+    return TensorElement(element.dims, element.signature, out)
+
+
+@pytest.mark.parametrize("head,k", [(0, 3), (1, 3), (2, 2), (1, 4)])
+def test_apply_group_algebra_matches_per_word_reference(head, k):
+    """Mixed-parity words, blocks at start 0 and start > 0 (after `head`
+    dual slots): same terms in the same order as the per-word loop."""
+    rng = random.Random(head * 10 + k)
+    V = IndexRange(1, 2)
+    letters = V.indices()
+    terms = {}
+    for _ in range(12):
+        w = dual_word(rng.choices(letters, k=head)) + plain_word(rng.choices(letters, k=k + 1))
+        terms[w] = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
+    element = TensorElement(V, (True,) * head + (False,) * (k + 1), terms)
+    extra = GroupAlgebraElement(
+        k, {Permutation(tuple(rng.sample(range(k), k))): Fraction(rng.randint(-3, 3), 2) for _ in range(5)}
+    )
+    for shape in [(k,), (1,) * k, (k - 1, 1)]:
+        e = young_symmetrizer(enumerate_standard_tableaux(Partition(shape))[-1])
+        for g in (e, e + extra):
+            got = apply_group_algebra(g, element, head)
+            want = reference_apply(g, element, head)
+            assert got.terms and list(got.terms.items()) == list(want.terms.items())
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
 
 
 def test_operator_routes_agree():
