@@ -52,12 +52,12 @@ def test_invalid_dims():
     "tag,dims",
     [
         ("gl", (1, 1)),
-        ("gl", (2, 1)),
         ("sl", (1, 1)),
         ("osp", (1, 2)),
-        ("pe", (1, 1)),
         ("pe", (2, 2)),
         ("spe", (2, 2)),
+        ("gl", (2, 1)),
+        ("pe", (1, 1)),
     ],
 )
 def test_bracket_closure(tag, dims):
