@@ -798,6 +798,13 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
     even_min, odd_min = _MIN_DIMS.get(key, (0, 0))
     if even < even_min or odd < odd_min:
         raise InvalidOptions(f"needs --dims of at least {even_min},{odd_min}, got --dims {even},{odd}")
+    # osp(2r|0) = so(2r) contains -1, so its determinant-type invariants
+    # have even degree 2r and are not polynomials in the scalar products
+    if key == "T4.3" and odd == 0 and even >= 2 and even % 2 == 0:
+        raise InvalidOptions(
+            f"needs --dims n,m with m > 0 or n odd: osp({even}|0) = so({even}) has"
+            f" determinant-type invariants beyond the scalar products, got --dims {even},{odd}"
+        )
     if key not in _MIN_N_K:
         return
     n_min, k_min = _MIN_N_K[key]

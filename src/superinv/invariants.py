@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 from .alphabet import IndexRange
 from .coefficients import Coeff, add_scaled
 from .errors import CapExceeded
-from .liealgebras import AlgebraFamily, act_on_polynomial
-from .linalg import SpanTracker, joint_kernel
+from .liealgebras import AlgebraFamily, act_through_images, generator_images
+from .linalg import SpanTracker, _primitive_terms, joint_kernel
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -33,41 +33,55 @@ def algebra_for(
     return make_mixed_algebra(family.dims, IndexRange(k, l), IndexRange(p, q))
 
 
-def _gen_block_key(algebra: AlgebraDescriptor, gen_index: int):
+def _factor_keys(algebra: AlgebraDescriptor, gen_index: int) -> tuple:
+    """The block keys one generator contributes to the outer multidegree."""
     g = algebra.generator(gen_index)
     if g.family == "uv":
-        return ("u", g.row)
+        return (("u", g.row),)
     if g.family == "vw":
-        return ("w", g.col)
+        return (("w", g.col),)
     if g.family == "zuw":
         return (("u", g.row), ("w", g.col))
     # symmetric-square style generators grade by both w-letters
     return (("w", g.row), ("w", g.col))
 
 
-def block_key(algebra: AlgebraDescriptor, mono: Monomial):
-    """Outer multidegree of a monomial: the multiset of block keys of its
-    factors.  The inner action and the substitution maps both preserve it."""
-    keys = []
-    for g in mono:
-        k = _gen_block_key(algebra, g)
-        if isinstance(k[0], tuple):
-            keys.extend(k)
-        else:
-            keys.append(k)
-    return tuple(sorted(keys))
-
-
 def blocked_monomials(
-    algebra: AlgebraDescriptor, degree: int, cap: int = DEFAULT_MONOMIAL_CAP
+    algebra: AlgebraDescriptor,
+    degree: int,
+    cap: int = DEFAULT_MONOMIAL_CAP,
+    weights: Sequence[Sequence] = (),
 ) -> dict:
+    """The degree-d monomials of weight zero under `weights` (all of them
+    when there are none), grouped by outer multidegree: the sorted multiset
+    of the block keys of their factors, which the inner action and the
+    substitution maps both preserve.  Each block lists its monomials in
+    increasing order.  CapExceeded is raised, before any monomial is built,
+    when the full degree-d basis exceeds `cap`."""
     size = count_monomials_of_degree(algebra, degree)
     if size > cap:
         raise CapExceeded("monomial basis", size, cap)
+    keys = [_factor_keys(algebra, i) for i in range(len(algebra))]
     blocks: dict = {}
-    for m in monomials_of_degree(algebra, degree):
-        blocks.setdefault(block_key(algebra, m), []).append(m)
+    for m in monomials_of_degree(algebra, degree, weights):
+        blocks.setdefault(tuple(sorted(k for g in m for k in keys[g])), []).append(m)
     return blocks
+
+
+def _diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
+    """One weight per generator for each diagonal basis element x: x[c, c]
+    on a uv generator of column c, -x[r, r] on a vw generator of row r, and
+    0 on generators without an inner action."""
+    out = []
+    for x in family.diagonal_basis():
+        e = x.entries
+        out.append(tuple(
+            e.get((g.col, g.col), 0) if g.family == "uv"
+            else -e.get((g.row, g.row), 0) if g.family == "vw"
+            else 0
+            for g in algebra.generators
+        ))
+    return out
 
 
 @dataclass
@@ -93,33 +107,41 @@ def invariant_space_bruteforce(
     """Exact joint kernel of the family action on the degree-d monomials.
 
     Works block by block in the outer multidegree (the action only touches
-    the inner letters), with a diagonal weight pre-filter inside each block:
-    a diagonal x weighs x[c, c] on a uv generator of column c and -x[r, r]
-    on a vw generator of row r.
+    the inner letters).  The diagonal elements act on a monomial by a
+    scalar, its weight (see `_diagonal_weights`), so only the monomials of
+    weight zero under all of them can occur: the walk of
+    `blocked_monomials` enumerates just those, pruning as it goes.  The
+    monomial cap still counts the full degree-d basis.  The other elements
+    act through their generator-image tables (`generator_images`), built
+    once per call; the kernel of their stacked images is read off the
+    reduced echelon form.  With `verify`, every basis polynomial is checked
+    against every element of the family, in integers: the action is linear,
+    so acting on the primitive integer multiple of the polynomial decides
+    whether it is annihilated.
     """
-    blocks = blocked_monomials(algebra, degree, monomial_cap)
-    weights = []
-    for x in family.diagonal_basis():
-        weight = {}
-        for i, g in enumerate(algebra.generators):
-            if g.family == "uv":
-                weight[i] = x.entries.get((g.col, g.col), 0)
-            elif g.family == "vw":
-                weight[i] = -x.entries.get((g.row, g.row), 0)
-        weights.append(weight)
+    tables = [generator_images(x, algebra) for x in family.basis]
+    blocks = blocked_monomials(
+        algebra, degree, monomial_cap, _diagonal_weights(family, algebra)
+    )
+    # cancelled terms are dropped, so that the entry cap counts only the
+    # image monomials that occur
     maps = [
-        lambda m, x=x: act_on_polynomial(x, Polynomial(algebra, {m: 1})).terms
-        for x in family.off_diagonal_basis()
+        lambda m, t=table, p=x.parity: {
+            u: c for u, c in act_through_images(t, p, algebra, {m: 1}).items() if c
+        }
+        for x, table in zip(family.basis, tables)
+        if not x.is_diagonal()
     ]
     basis = [
         Polynomial(algebra, terms)
         for key in sorted(blocks)
-        for terms in joint_kernel(blocks[key], weights, maps, entry_cap)
+        for terms in joint_kernel(blocks[key], [], maps, entry_cap)
     ]
     if verify:
         for f in basis:
-            for x in family.basis:
-                if not act_on_polynomial(x, f).is_zero():
+            terms = _primitive_terms(f.terms)
+            for x, table in zip(family.basis, tables):
+                if any(act_through_images(table, x.parity, algebra, terms).values()):
                     raise AssertionError("oracle produced a non-invariant")
     return InvariantSpace(family.tag, degree, algebra, basis)
 

@@ -10,6 +10,7 @@ bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
@@ -296,35 +297,83 @@ def in_span(fam: AlgebraFamily, x: MatrixElement) -> bool:
     return _span_tracker(fam).contains(x.entries)
 
 
-def bracket_closed(fam: AlgebraFamily) -> bool:
-    tracker = _span_tracker(fam)
-    return all(tracker.contains(x.bracket(y).entries) for x in fam.basis for y in fam.basis)
-
-
 # ---------------------------------------------------------------------------
 # derivation action on the polynomial algebras
 
 
-def act_on_generator(x: MatrixElement, algebra: AlgebraDescriptor, gen_index: int):
-    """Image of a single generator, as a list of (gen_index, coeff)."""
-    g = algebra.generator(gen_index)
-    out = []
-    if g.family == "uv":
-        # x[r,i]: the matrix acts through the second (vector) slot, crossing
-        # the u-factor first
-        sign = (-1) ** (x.parity * g.row.parity)
-        for a, v in x.column(g.col).items():
-            idx = algebra.maybe_index("uv", g.row, a)
-            if idx is not None:
-                out.append((idx, v * sign))
-    elif g.family == "vw":
-        # x*[i,s]: dual action through the first slot
-        for b, v in x.dual_row(g.row).items():
-            idx = algebra.maybe_index("vw", b, g.col)
-            if idx is not None:
-                out.append((idx, v))
-    else:
-        raise ValueError(f"family {g.family!r} carries no inner action")
+def generator_images(x: MatrixElement, algebra: AlgebraDescriptor) -> list:
+    """The image of each generator under x, as a tuple of (generator index,
+    coefficient) pairs, or None for a generator without an inner action.
+
+    x[r,i] goes to (-1)^{p(x)p(r)} sum over a of x[a,i] x[r,a]: the matrix
+    acts through the vector slot, crossing the u-factor first.  x*[i,s]
+    goes to the dual action, -(-1)^{p(x)p(i)} sum over b of x[i,b] x*[b,s].
+    """
+    columns: dict[SuperIndex, list] = {}
+    rows: dict[SuperIndex, list] = {}
+    for (r, c), v in x.entries.items():
+        columns.setdefault(c, []).append((r, v))
+        rows.setdefault(r, []).append((c, v))
+    index = algebra.maybe_index
+    out: list = []
+    for g in algebra.generators:
+        odd_crossing = x.parity and g.row.parity
+        if g.family == "uv":
+            sign = -1 if odd_crossing else 1
+            pairs = [(index("uv", g.row, a), v * sign) for a, v in columns.get(g.col, ())]
+        elif g.family == "vw":
+            sign = 1 if odd_crossing else -1
+            pairs = [(index("vw", b, g.col), v * sign) for b, v in rows.get(g.row, ())]
+        else:
+            out.append(None)
+            continue
+        out.append(tuple((i, v) for i, v in pairs if i is not None))
+    return out
+
+
+def act_through_images(
+    images: list, parity: int, algebra: AlgebraDescriptor, terms: dict
+) -> dict:
+    """An element of the given parity, with generator images `images`,
+    applied as a super-derivation to a term dict.
+
+    Each factor of a monomial is replaced in turn by its image, with the
+    sign (-1)^{parity * p(factors before it)}; the new factor goes back into
+    the sorted rest of the monomial by bisection, with the Koszul sign of
+    the odd factors it crosses, and the term is zero when an odd factor
+    repeats.  Returns raw sums: zeros are left in, and coefficients are not
+    made exact (wrap the result in `Polynomial` for that).
+    """
+    parities = algebra.parities
+    out: dict = {}
+    get = out.get
+    for mono, coeff in terms.items():
+        odd_before = [0]
+        for g in mono:
+            odd_before.append(odd_before[-1] + parities[g])
+        for pos, gen in enumerate(mono):
+            image = images[gen]
+            if image is None:
+                family = algebra.generators[gen].family
+                raise ValueError(f"family {family!r} carries no inner action")
+            if not image:
+                continue
+            rest = mono[:pos] + mono[pos + 1 :]
+            c = -coeff if parity and odd_before[pos] % 2 else coeff
+            for idx, v in image:
+                k = bisect_left(rest, idx)
+                if parities[idx]:
+                    if k < len(rest) and rest[k] == idx:
+                        continue
+                    # odd factors between slot pos and slot k of the rest
+                    if k <= pos:
+                        crossed = odd_before[pos] - odd_before[k]
+                    else:
+                        crossed = odd_before[k + 1] - odd_before[pos + 1]
+                    if crossed % 2:
+                        v = -v
+                key = rest[:k] + (idx,) + rest[k:]
+                out[key] = get(key, 0) + c * v
     return out
 
 
@@ -334,17 +383,8 @@ def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     v_range = algebra.v_range
     if v_range is not None and v_range != x.dims:
         raise ValueError("matrix dimensions do not match the algebra's inner space")
-    parities = algebra.parities
-    out = algebra.zero()
-    for mono, coeff in f.terms.items():
-        left_parity = 0
-        for pos, gen in enumerate(mono):
-            sign = (-1) ** (x.parity * left_parity)
-            for idx, v in act_on_generator(x, algebra, gen):
-                new = mono[:pos] + (idx,) + mono[pos + 1 :]
-                out.add_term(new, coeff * v * sign)
-            left_parity = (left_parity + parities[gen]) % 2
-    return out
+    images = generator_images(x, algebra)
+    return Polynomial(algebra, act_through_images(images, x.parity, algebra, f.terms))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ generators square to zero.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Callable, Optional, Sequence
 
 from .alphabet import IndexRange, SuperIndex
@@ -348,8 +350,9 @@ def sym_square_index(
 
 
 def count_monomials_of_degree(algebra: AlgebraDescriptor, degree: int) -> int:
-    """len(monomials_of_degree(algebra, degree)) in closed form: j distinct
-    odd generators times a multiset of degree - j even ones."""
+    """len(monomials_of_degree(algebra, degree)), with no weights, in closed
+    form: j distinct odd generators times a multiset of degree - j even
+    ones."""
     odd = sum(algebra.parities)
     even = len(algebra.parities) - odd
     return sum(
@@ -359,20 +362,56 @@ def count_monomials_of_degree(algebra: AlgebraDescriptor, degree: int) -> int:
 
 
 def monomials_of_degree(
-    algebra: AlgebraDescriptor, degree: int
+    algebra: AlgebraDescriptor, degree: int, weights: Sequence[Sequence] = ()
 ) -> list[Monomial]:
-    """All normal-form monomials of the given total degree."""
-    even = [i for i, p in enumerate(algebra.parities) if p == 0]
-    odd = [i for i, p in enumerate(algebra.parities) if p == 1]
+    """The normal-form monomials of the given total degree, in increasing
+    (lexicographic) order.
+
+    Each of `weights` gives one weight per generator, a monomial's weight
+    being the sum over its factors; with weights, only the monomials of
+    weight zero under all of them are returned.  The walk appends generator
+    indices in nondecreasing order, odd ones at most once, and carries the
+    running weight.  It cuts a branch only when the r letters still to come,
+    taken from the current index on, cannot bring some coordinate back to
+    zero: r times the suffix minimum and maximum of that coordinate bound
+    what they can add.
+    """
+    if degree <= 0:
+        return [()] if degree == 0 else []
+    parities = algebra.parities
+    n = len(parities)
+    vecs = list(zip(*weights)) if weights else [()] * n
+    # per coordinate, the least and greatest weight from each index on
+    lo, hi = vecs[:], vecs[:]
+    for i in reversed(range(n - 1)):
+        lo[i] = tuple(map(min, vecs[i], lo[i + 1]))
+        hi[i] = tuple(map(max, vecs[i], hi[i + 1]))
+    # the last letter must cancel the running weight exactly
+    ends: dict[tuple, list[int]] = {}
+    for i, vec in enumerate(vecs):
+        ends.setdefault(vec, []).append(i)
+
+    def feasible(start: int, r: int, acc: tuple) -> bool:
+        return start < n and all(
+            r * a <= -w <= r * b for w, a, b in zip(acc, lo[start], hi[start])
+        )
+
     out: list[Monomial] = []
-    for odd_part_size in range(min(degree, len(odd)) + 1):
-        even_part_size = degree - odd_part_size
-        for odd_part in itertools.combinations(odd, odd_part_size):
-            for even_part in itertools.combinations_with_replacement(even, even_part_size):
-                norm = normalize_product(even_part + odd_part, algebra.parities)
-                assert norm is not None and norm[0] == 1
-                out.append(norm[1])
-    out.sort()
+
+    def walk(start: int, r: int, prefix: Monomial, acc: tuple) -> None:
+        if r == 1:
+            last = ends.get(tuple(-w for w in acc), ())
+            out.extend(prefix + (j,) for j in last[bisect_left(last, start):])
+            return
+        for j in range(start, n):
+            nxt = j + parities[j]
+            step = tuple(map(add, acc, vecs[j]))
+            if feasible(nxt, r - 1, step):
+                walk(nxt, r - 1, prefix + (j,), step)
+
+    zero = (0,) * len(weights)
+    if feasible(0, degree, zero):
+        walk(0, degree, (), zero)
     return out
 
 

@@ -210,6 +210,8 @@ def test_verify_cap_exit(capsys):
             for claim in ("T3.3", "T3.4")
             for dims in ("0,1", "0,2")
         ),
+        ("--theorem", "T4.3", "--dims", "2,0"),
+        ("--theorem", "T4.3", "--dims", "4,0"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -237,6 +239,15 @@ def test_verify_edge_dims_keep_exit_contract(capsys, claim, dims):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     elif code != EXIT_CAP:
         assert json.loads(out)["checks"]
+
+
+@pytest.mark.parametrize("dims", ["1,0", "3,0", "0,2"])
+def test_t43_edge_dims_inside_the_premise_pass(capsys, dims):
+    """so(1), so(3) and sp(2) have no even-degree determinant-type
+    invariants, so T4.3 runs and passes there."""
+    code, out, err = run_cli(capsys, "verify", "--theorem", "T4.3", "--dims", dims, "--no-timing")
+    assert code == EXIT_OK
+    assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 
 
 def test_l71_size_guard_before_expansion(capsys, monkeypatch):

@@ -1,11 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, ev, od
+import superinv.invariants as invariants_module
 from superinv.invariants import (
     CapExceeded,
+    DEFAULT_MONOMIAL_CAP,
+    _diagonal_weights,
     SubstitutionMap,
     algebra_for,
     blocked_monomials,
@@ -173,3 +179,96 @@ def test_soundness_assertion_catches_non_invariants():
     x = alg.gen(alg.index("uv", ev(1), ev(1)))
     with pytest.raises(AssertionError):
         check_generation(fam, alg, [x * x], [2])
+
+
+def _reference_monomials(alg, degree):
+    """Nondecreasing index tuples with no odd index repeated, in the
+    lexicographic order combinations_with_replacement yields them."""
+    return [
+        m
+        for m in itertools.combinations_with_replacement(range(len(alg)), degree)
+        if not any(a == b and alg.parities[a] for a, b in zip(m, m[1:]))
+    ]
+
+
+_WALK_FAMILIES = [
+    ("gl", (1, 1)),
+    ("gl", (2, 1)),
+    ("sl", (1, 1)),
+    ("sl", (2, 1)),
+    ("osp", (1, 2)),
+    ("osp", (2, 0)),
+    ("pe", (1, 1)),
+    ("spe", (1, 1)),
+    ("spe", (2, 2)),
+]
+_FAMILY_CACHE: dict = {}
+
+
+def _family(tag, dims):
+    if (tag, dims) not in _FAMILY_CACHE:
+        _FAMILY_CACHE[tag, dims] = build_family(tag, IndexRange(*dims))
+    return _FAMILY_CACHE[tag, dims]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_WALK_FAMILIES),
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.integers(0, 5),
+)
+def test_weighted_walk_is_the_filtered_unweighted_walk(family_dims, pqkl, degree):
+    """Pruning by weight drops exactly the monomials of nonzero weight: the
+    blocks, their keys and the order of every block's monomials match the
+    unweighted blocks filtered by weight."""
+    fam = _family(*family_dims)
+    alg = algebra_for(fam, *pqkl)
+    # keep the unweighted reference small: lower the degree until it is
+    while degree and count_monomials_of_degree(alg, degree) > 3000:
+        degree -= 1
+    weights = _diagonal_weights(fam, alg)
+
+    def weight_zero(m):
+        return all(sum(w[g] for g in m) == 0 for w in weights)
+
+    every = monomials_of_degree(alg, degree)
+    assert every == _reference_monomials(alg, degree)
+    assert monomials_of_degree(alg, degree, weights) == [m for m in every if weight_zero(m)]
+    expected = {}
+    for key, monos in blocked_monomials(alg, degree).items():
+        kept = [m for m in monos if weight_zero(m)]
+        if kept:
+            expected[key] = kept
+    got = blocked_monomials(alg, degree, weights=weights)
+    assert sorted(got) == sorted(expected)
+    assert all(got[key] == expected[key] for key in expected)
+
+
+def test_verification_catches_a_non_invariant(monkeypatch):
+    """verify=True acts with every element on every basis polynomial: a
+    kernel vector that is not invariant raises AssertionError."""
+    real = invariants_module.joint_kernel
+
+    def with_a_lone_monomial(keys, weights, maps, entry_cap=None):
+        keys = list(keys)
+        return real(keys, weights, maps, entry_cap) + [{keys[0]: 1}]
+
+    monkeypatch.setattr(invariants_module, "joint_kernel", with_a_lone_monomial)
+    fam = build_family("gl", IndexRange(2, 0))
+    alg = algebra_for(fam, 1, 0, 1, 0)
+    with pytest.raises(AssertionError, match="non-invariant"):
+        invariant_space_bruteforce(fam, alg, 2)
+    assert invariant_space_bruteforce(fam, alg, 2, verify=False).dimension == 2
+
+
+def test_cap_counts_the_full_basis():
+    """The cap is checked against all degree-d monomials, not the walked
+    weight-zero ones: gl(2|1) at U = W = (2|1) and degree 6 has 57,799
+    monomials, 2,031 of weight zero."""
+    fam = build_family("gl", IndexRange(2, 1))
+    alg = algebra_for(fam, 2, 1, 2, 1)
+    assert count_monomials_of_degree(alg, 6) == 57_799 > DEFAULT_MONOMIAL_CAP
+    with pytest.raises(CapExceeded):
+        invariant_space_bruteforce(fam, alg, 6)
+    weights = _diagonal_weights(fam, alg)
+    assert len(monomials_of_degree(alg, 6, weights)) == 2_031

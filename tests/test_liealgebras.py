@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, ev, od
 from superinv.liealgebras import (
     MatrixElement,
     abs_exponent,
+    _span_tracker,
     act_on_polynomial,
-    bracket_closed,
     build_family,
     gl_basis,
     in_span,
@@ -18,7 +20,12 @@ from superinv.liealgebras import (
 )
 from superinv.invariants import algebra_for
 from superinv.generators import xplus_factors
-from superinv.polynomials import monomials_of_degree, Polynomial
+from superinv.polynomials import (
+    Polynomial,
+    make_uw_algebra,
+    monomials_of_degree,
+    normalize_product,
+)
 
 
 def test_family_dimensions():
@@ -46,6 +53,13 @@ def test_invalid_dims():
         build_family("pe", IndexRange(2, 1))
     with pytest.raises(ValueError):
         build_family("nope", IndexRange(1, 1))
+
+
+def bracket_closed(fam) -> bool:
+    """Closure reference: every bracket of two basis elements lies in the
+    span of the basis."""
+    tracker = _span_tracker(fam)
+    return all(tracker.contains(x.bracket(y).entries) for x in fam.basis for y in fam.basis)
 
 
 @pytest.mark.parametrize(
@@ -256,3 +270,84 @@ def test_form_annihilation_explicit():
         form = TensorElement(dims, (True, True), acc)
         for x in fam.basis:
             assert act_on_tensor(x, form).is_zero(), (tag, dims, x)
+
+
+def reference_act(x, f):
+    """The per-term derivation action: each factor is replaced by its image,
+    read off the matrix column by column, and every new word is sorted into
+    normal form by insertion sort."""
+    algebra = f.algebra
+    parities = algebra.parities
+    out = algebra.zero()
+    for mono, coeff in f.terms.items():
+        left_parity = 0
+        for pos, gen in enumerate(mono):
+            sign = (-1) ** (x.parity * left_parity)
+            g = algebra.generator(gen)
+            if g.family == "uv":
+                u_sign = (-1) ** (x.parity * g.row.parity)
+                images = [
+                    (algebra.maybe_index("uv", g.row, a), v * u_sign)
+                    for a, v in x.column(g.col).items()
+                ]
+            else:
+                images = [
+                    (algebra.maybe_index("vw", b, g.col), v)
+                    for b, v in x.dual_row(g.row).items()
+                ]
+            for idx, v in images:
+                if idx is None:
+                    continue
+                new = mono[:pos] + (idx,) + mono[pos + 1 :]
+                norm = normalize_product(new, parities)
+                if norm is not None:
+                    out.terms[norm[1]] = out.terms.get(norm[1], 0) + coeff * v * sign * norm[0]
+            left_parity = (left_parity + parities[gen]) % 2
+    return Polynomial(algebra, out.terms)
+
+
+_ACTION_FAMILIES = [
+    ("gl", (1, 1)),
+    ("gl", (2, 1)),
+    ("sl", (2, 1)),
+    ("osp", (1, 2)),
+    ("pe", (2, 2)),
+    ("spe", (2, 2)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ACTION_FAMILIES), st.tuples(*[st.integers(0, 2)] * 4), st.data())
+def test_action_matches_the_per_term_reference(family_dims, pqkl, data):
+    """act_on_polynomial equals the per-term reference on random
+    polynomials with int and Fraction coefficients, for even and odd
+    elements, and keeps every integral coefficient an int."""
+    tag, dims = family_dims
+    fam = build_family(tag, IndexRange(*dims))
+    alg = algebra_for(fam, *pqkl)
+    parity = data.draw(st.sampled_from(sorted({b.parity for b in fam.basis})))
+    same = [b for b in fam.basis if b.parity == parity]
+    x = same[0]
+    for b in same[1:]:
+        x = x + b.scale(data.draw(st.integers(-2, 2)))
+    # an algebra without generators has only the constant monomial
+    monos = monomials_of_degree(alg, data.draw(st.integers(0, 3))) or [()]
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    )
+    terms = data.draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=6))
+    f = Polynomial(alg, terms)
+    got = act_on_polynomial(x, f)
+    assert got == reference_act(x, f)
+    assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+
+
+def test_action_needs_an_inner_action():
+    """Generators without an inner action are refused when a term uses
+    them; the zero polynomial acts to zero."""
+    alg = make_uw_algebra(IndexRange(1, 0), IndexRange(1, 0))
+    x = MatrixElement.unit(IndexRange(1, 0), ev(1), ev(1))
+    assert act_on_polynomial(x, alg.zero()).is_zero()
+    with pytest.raises(ValueError, match="inner action"):
+        act_on_polynomial(x, alg.gen(0))
