@@ -770,8 +770,13 @@ CLAIM_DEFAULTS: dict[str, ClaimOptions] = {
 }
 
 
-# smallest --n and --k each claim is defined on (None: k is not used)
-_MIN_N_K: dict[str, tuple[int, Optional[int]]] = {
+# smallest --n and --k each claim is defined on (None: not used).  At k = 0
+# the T3.3/T3.4 element is a general-linear invariant and the T3.6 extra
+# generators have no extra rows (at --dims 0,m their degree is 0)
+_MIN_N_K: dict[str, tuple[Optional[int], Optional[int]]] = {
+    "T3.3": (None, 1),
+    "T3.4": (None, 1),
+    "T3.6": (None, 1),
     "L7.1": (2, None),
     "T7.2": (2, 0),
     "T7.3": (2, 1),
@@ -808,7 +813,7 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
     if key not in _MIN_N_K:
         return
     n_min, k_min = _MIN_N_K[key]
-    if opts.n < n_min:
+    if n_min is not None and opts.n < n_min:
         raise InvalidOptions(f"needs --n >= {n_min}, got {opts.n}")
     if k_min is not None and opts.k < k_min:
         raise InvalidOptions(f"needs --k >= {k_min}, got {opts.k}")

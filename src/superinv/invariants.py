@@ -4,7 +4,7 @@ witnesses, and relation-ideal kernel checks."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .alphabet import IndexRange
@@ -240,11 +240,18 @@ def check_generation(
 
 @dataclass
 class SubstitutionMap:
-    """Algebra homomorphism given by generator images; parities must match."""
+    """Algebra homomorphism given by generator images; parities must match.
+
+    Monomial images are built through `image`, which keeps the images of the
+    proper prefixes it builds, so monomials that share a prefix share its
+    products."""
 
     source: AlgebraDescriptor
     target: AlgebraDescriptor
     images: dict[int, Polynomial]
+    _prefixes: dict[Monomial, Polynomial] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         for i, img in self.images.items():
@@ -252,18 +259,36 @@ class SubstitutionMap:
             if img and p != self.source.parities[i]:
                 raise ValueError("image parity differs from generator parity")
 
+    def image(self, mono: Monomial) -> Polynomial:
+        """The image of a normal-form source monomial, which callers must not
+        modify: the image of its longest proper prefix already built, times
+        the images of the remaining factors.  Every proper prefix built on the
+        way is stored; the monomial itself is not, so after a degree-d pass
+        the table holds only keys shorter than d."""
+        if not mono:
+            return self.target.one()
+        table, images = self._prefixes, self.images
+        k = len(mono) - 1
+        while k > 1 and mono[:k] not in table:
+            k -= 1
+        if k > 1:
+            term = table[mono[:k]]
+        else:
+            term, k = images[mono[0]], 1
+        for j in range(k, len(mono)):
+            if j > k:
+                table[mono[:j]] = term
+            if not term:
+                break
+            term = term * images[mono[j]]
+        return term
+
     def apply(self, f: Polynomial) -> Polynomial:
         if f.algebra is not self.source:
             raise ValueError("polynomial not over the source algebra")
         out: dict[Monomial, Coeff] = {}
-        one = self.target.one()
         for mono, coeff in f.terms.items():
-            term = one
-            for g in mono:
-                term = term * self.images[g]
-                if not term:
-                    break
-            add_scaled(out, term.terms, coeff)
+            add_scaled(out, self.image(mono).terms, coeff)
         return Polynomial(self.target, out)
 
 
@@ -290,7 +315,7 @@ def kernel_dimension_at_degree(
     for monos in blocks.values():
         tracker = SpanTracker()
         for m in monos:
-            tracker.add(subs.apply(Polynomial(subs.source, {m: 1})).terms)
+            tracker.add(subs.image(m).terms)
         total += len(monos) - tracker.rank
     return total
 

@@ -13,7 +13,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import SuperIndex, SuperSequence, Word
+from .alphabet import SuperIndex, Word
 from .coefficients import Coeff, add_scaled, exact
 from .errors import CapExceeded
 from .tableaux import YoungTableau
@@ -100,11 +100,6 @@ def act_on_word(sigma: Permutation, word: Word) -> Word:
     if sigma.degree != len(word):
         raise ValueError("length mismatch")
     return tuple(map(word.__getitem__, inverse_images(sigma.images)))
-
-
-def act_on_sequence(sigma: Permutation, seq: SuperSequence) -> SuperSequence:
-    """Range-aware form of the word action."""
-    return SuperSequence(act_on_word(sigma, seq.items), seq.range)
 
 
 def cocycle(word: Sequence[SuperIndex], sigma: Permutation) -> int:

@@ -8,7 +8,7 @@ generators square to zero.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 from operator import add
@@ -101,50 +101,27 @@ class AlgebraDescriptor:
 def normalize_product(mono: Sequence[int], parities: Sequence[int]) -> Optional[tuple[int, Monomial]]:
     """Sort a generator-index word into normal form.
 
-    Returns (sign, sorted tuple) where the sign counts odd/odd swaps, or
-    None when an odd generator repeats.
+    Returns (sign, sorted tuple), the sign being the parity of the
+    inversions among the odd letters, or None when an odd generator
+    repeats.
     """
-    items = list(mono)
-    sign = 1
-    # insertion sort, counting crossings of odd pairs
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            if parities[items[j - 1]] and parities[items[j]]:
-                sign = -sign
-            items[j - 1], items[j] = items[j], items[j - 1]
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b and parities[a]:
-            return None
-    return sign, tuple(items)
+    odd = [g for g in mono if parities[g]]
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :])
+    return -1 if inversions & 1 else 1, tuple(sorted(mono))
 
 
-def merge_monomials(
-    left: Monomial, right: Monomial, parities: Sequence[int]
-) -> Optional[tuple[int, Monomial]]:
-    """Merge two normal-form monomials, tracking the Koszul sign."""
-    merged: list[int] = []
-    sign = 1
-    i = j = 0
-    odd_left_remaining = sum(1 for g in left if parities[g])
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            if parities[left[i]]:
-                odd_left_remaining -= 1
-            merged.append(left[i])
-            i += 1
-        else:
-            if parities[right[j]] and odd_left_remaining % 2:
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    for a, b in zip(merged, merged[1:]):
-        if a == b and parities[a]:
-            return None
-    return sign, tuple(merged)
+def _odd_crossings(left: list[int], right: list[int]) -> int:
+    """The number of pairs (a in left, b in right) with a > b, for sorted
+    lists of distinct odd letters; -1 when the lists share a letter."""
+    n = 0
+    for b in right:
+        k = bisect_right(left, b)
+        if k and left[k - 1] == b:
+            return -1
+        n += len(left) - k
+    return n
 
 
 class Polynomial:
@@ -207,18 +184,28 @@ class Polynomial:
             self.terms.pop(key, None)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """The product on normal-form monomials: each key is the sorted
+        concatenation, and the Koszul sign counts the odd pairs (a from the
+        left, b from the right, a > b), found by bisection in the left
+        factor's odd letters.  A repeated odd letter gives zero."""
         if other.algebra is not self.algebra:
             raise ValueError("mixed algebras")
         parities = self.algebra.parities
+        right = [(m, c, [g for g in m if parities[g]]) for m, c in other.terms.items()]
         out: dict[Monomial, Coeff] = {}
         get = out.get
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged = merge_monomials(m1, m2, parities)
-                if merged is None:
-                    continue
-                sign, key = merged
-                out[key] = get(key, 0) + c1 * c2 * sign
+            odd1 = [g for g in m1 if parities[g]]
+            for m2, c2, odd2 in right:
+                c = c1 * c2
+                if odd1 and odd2:
+                    crossings = _odd_crossings(odd1, odd2)
+                    if crossings < 0:
+                        continue
+                    if crossings & 1:
+                        c = -c
+                key = tuple(sorted(m1 + m2))
+                out[key] = get(key, 0) + c
         return Polynomial(self.algebra, out)
 
     def parity(self) -> Optional[int]:

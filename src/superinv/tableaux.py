@@ -140,18 +140,6 @@ def fill_rows(shape: Partition) -> YoungTableau:
     return YoungTableau(shape, tuple(rows))
 
 
-def fill_columns(shape: Partition) -> YoungTableau:
-    """Number the cells consecutively down columns, left to right."""
-    grid = [[0] * length for length in shape.parts]
-    conj = shape.conjugate().parts
-    n = 1
-    for c, height in enumerate(conj):
-        for r in range(height):
-            grid[r][c] = n
-            n += 1
-    return YoungTableau(shape, tuple(tuple(row) for row in grid))
-
-
 def enumerate_standard_tableaux(shape: Partition) -> list[YoungTableau]:
     """All standard numberings, in the order produced by growing the tableau
     cell by cell (deterministic)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .alphabet import (
     EVEN,
@@ -317,30 +317,6 @@ def contraction_D(Jk: Word, element: TensorElement) -> TensorElement:
     return TensorElement(element.dims, (False,) * (len(element.signature) - k), out)
 
 
-def operator_from_element(
-    element: TensorElement, cov: int, contra: int
-) -> Callable[[TensorElement], TensorElement]:
-    """Turn an element of V^{x cov} x V*^{x contra} into the operator
-    V^{x contra} -> V^{x cov} by full evaluation of the dual block."""
-    if element.signature != (False,) * cov + (True,) * contra:
-        raise ValueError("element must have a plain block then a dual block")
-
-    def op(arg: TensorElement) -> TensorElement:
-        if arg.signature != (False,) * contra:
-            raise ValueError("argument signature mismatch")
-        out: dict[TWord, Coeff] = {}
-        for w, c in element.terms.items():
-            head, tail = w[:cov], letters_of(w[cov:])
-            for u, cu in arg.terms.items():
-                val = pair_dual_against(tail, letters_of(u))
-                if not val:
-                    continue
-                out[head] = out.get(head, 0) + c * cu * val
-        return TensorElement(element.dims, (False,) * cov, out)
-
-    return op
-
-
 # ---------------------------------------------------------------------------
 # the standard split tableaux and repeated sequences
 
@@ -585,13 +561,6 @@ def form_sign(dims: IndexRange, i: SuperIndex) -> int:
     if i.parity == EVEN:
         return 1
     return -1 if i < tilde_index(dims, i) else 1
-
-
-def printed_form_sign(dims: IndexRange, i: SuperIndex) -> int:
-    """The case split as printed; kept only for the errata diff."""
-    if i.parity == EVEN:
-        return 1
-    return 1 if i < tilde_index(dims, i) else -1
 
 
 def theta_tilde_2(dims: IndexRange, sign=form_sign) -> TensorElement:

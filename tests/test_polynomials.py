@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, ev, od
 from superinv.polynomials import (
+    AlgebraDescriptor,
+    Generator,
     Polynomial,
     make_mixed_algebra,
     make_sym_square_algebra,
     make_uw_algebra,
-    merge_monomials,
     monomials_of_degree,
     normalize_product,
     power,
@@ -47,29 +50,106 @@ def test_normalize_odd_square_vanishes():
     assert normalize_product((0, 0), (1,)) is None
 
 
-def test_normalize_matches_bubble_oracle():
-    rng = random.Random(3)
-    parities = (0, 1, 1, 0, 1)
-    for _ in range(300):
-        mono = tuple(rng.randrange(5) for _ in range(rng.randint(0, 6)))
-        assert normalize_product(mono, parities) == bubble_sign_oracle(mono, parities)
+def reference_merge(left, right, parities):
+    """Merge two normal-form monomials pair by pair, flipping the sign each
+    time an odd right letter passes an odd number of odd left letters."""
+    merged = []
+    sign = 1
+    i = j = 0
+    odd_left_remaining = sum(1 for g in left if parities[g])
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            if parities[left[i]]:
+                odd_left_remaining -= 1
+            merged.append(left[i])
+            i += 1
+        else:
+            if parities[right[j]] and odd_left_remaining % 2:
+                sign = -sign
+            merged.append(right[j])
+            j += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    for a, b in zip(merged, merged[1:]):
+        if a == b and parities[a]:
+            return None
+    return sign, tuple(merged)
 
 
-def test_merge_matches_normalize():
-    rng = random.Random(5)
-    parities = (0, 1, 1, 0)
-    for _ in range(300):
-        a = normalize_product(
-            tuple(rng.randrange(4) for _ in range(rng.randint(0, 4))), parities
+def reference_mul(f, g):
+    """The product by the pairwise merge, visiting the term pairs in the
+    same order as `Polynomial.__mul__`."""
+    parities = f.algebra.parities
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            merged = reference_merge(m1, m2, parities)
+            if merged is None:
+                continue
+            sign, key = merged
+            out[key] = out.get(key, 0) + c1 * c2 * sign
+    return Polynomial(f.algebra, out)
+
+
+def _algebra(parities):
+    gens = [
+        Generator("t", ev(i + 1), ev(1), p, f"t{i}") for i, p in enumerate(parities)
+    ]
+    return AlgebraDescriptor("T", gens)
+
+
+PARITIES = st.lists(st.integers(0, 1), min_size=1, max_size=6)
+COEFFS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARITIES, st.data())
+def test_normalize_matches_bubble_oracle(parities, data):
+    mono = data.draw(st.lists(st.integers(0, len(parities) - 1), max_size=7))
+    assert normalize_product(mono, parities) == bubble_sign_oracle(mono, parities)
+
+
+@st.composite
+def _polynomial(draw, algebra):
+    n = len(algebra)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        norm = normalize_product(
+            draw(st.lists(st.integers(0, n - 1), max_size=4)), algebra.parities
         )
-        b = normalize_product(
-            tuple(rng.randrange(4) for _ in range(rng.randint(0, 4))), parities
-        )
-        if a is None or b is None:
-            continue
-        merged = merge_monomials(a[1], b[1], parities)
-        direct = normalize_product(a[1] + b[1], parities)
-        assert merged == direct
+        if norm is not None:
+            terms[norm[1]] = draw(COEFFS) * norm[0]
+    return Polynomial(algebra, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARITIES, st.data())
+def test_mul_matches_reference_mul(parities, data):
+    """The sorted-key product equals the pairwise merge: same terms, same
+    term order and same coefficient types (int kept while integral).  One
+    draw in two repeats a generator on both sides, odd ones included."""
+    algebra = _algebra(parities)
+    f = data.draw(_polynomial(algebra))
+    g = data.draw(_polynomial(algebra))
+    if data.draw(st.booleans()) and f.terms:
+        shared = next(iter(f.terms))
+        g = g + Polynomial(algebra, {shared: data.draw(COEFFS)})
+    got, want = f * g, reference_mul(f, g)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def test_mul_repeated_odd_generator_vanishes():
+    algebra = _algebra((1, 0, 1))
+    f = Polynomial(algebra, {(0, 1): 2, (1, 2): Fraction(1, 3)})
+    g = Polynomial(algebra, {(0,): -1, (2,): 1})
+    # x0 x1 * x0 and x1 x2 * x2 vanish (x0, x2 odd); x0 x1 * x2 = x0 x1 x2,
+    # and x1 x2 * x0 = -x0 x1 x2 (x0 passes the odd x2)
+    assert (f * g).terms == {(0, 1, 2): 2 * 1 + Fraction(1, 3) * -1 * -1}
+    assert (f * g) == reference_mul(f, g)
 
 
 def make_test_algebra():

@@ -10,7 +10,6 @@ from superinv.tableaux import (
     enumerate_partitions,
     enumerate_semistandard,
     enumerate_standard_tableaux,
-    fill_columns,
     fill_rows,
     is_semistandard,
 )
@@ -90,6 +89,18 @@ def test_standard_against_bruteforce_all_shapes_up_to_six():
             assert len(mine) == len(oracle), shape
             assert {t.rows for t in mine} == {t.rows for t in oracle}
             assert all(t.is_standard() for t in mine)
+
+
+def fill_columns(shape):
+    """Number the cells consecutively down columns, left to right (no caller
+    in the package)."""
+    grid = [[0] * length for length in shape.parts]
+    n = 1
+    for c, height in enumerate(shape.conjugate().parts):
+        for r in range(height):
+            grid[r][c] = n
+            n += 1
+    return YoungTableau(shape, tuple(tuple(row) for row in grid))
 
 
 def test_fillings():

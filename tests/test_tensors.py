@@ -17,10 +17,10 @@ from superinv.tensors import (
     contraction_D,
     dual_word,
     invariant_operator,
+    letters_of,
     marked_tableau_operator,
     nabla_closed_form_report,
     nabla_construct,
-    operator_from_element,
     operator_setup,
     pair_dual_against,
     plain_word,
@@ -106,6 +106,26 @@ def test_pair_dual_against():
     assert pair_dual_against((od(1), od(2)), (od(1), od(2))) == -1
     assert pair_dual_against((ev(1), od(1)), (ev(1), od(1))) == 1
     assert pair_dual_against((od(1),), (ev(1),)) == 0
+
+
+def operator_from_element(element, cov, contra):
+    """Turn an element of V^{x cov} x V*^{x contra} into the operator
+    V^{x contra} -> V^{x cov} by full evaluation of the dual block (no
+    caller in the package)."""
+    assert element.signature == (False,) * cov + (True,) * contra
+
+    def op(arg):
+        assert arg.signature == (False,) * contra
+        out = {}
+        for w, c in element.terms.items():
+            head, tail = w[:cov], letters_of(w[cov:])
+            for u, cu in arg.terms.items():
+                val = pair_dual_against(tail, letters_of(u))
+                if val:
+                    out[head] = out.get(head, 0) + c * cu * val
+        return TensorElement(element.dims, (False,) * cov, out)
+
+    return op
 
 
 def test_identity_resolution():
@@ -268,9 +288,15 @@ def test_tilde_index_and_form():
     assert all(act_on_tensor(x, tt).is_zero() for x in osp.basis)
 
 
-def test_form_sign_printed_convention_fails():
-    from superinv.tensors import printed_form_sign
+def printed_form_sign(dims, i):
+    """The form's case split as printed, the opposite odd signs of
+    `tensors.form_sign` (no caller in the package)."""
+    if not i.parity:
+        return 1
+    return 1 if i < tilde_index(dims, i) else -1
 
+
+def test_form_sign_printed_convention_fails():
     V = IndexRange(1, 2)
     osp = build_family("osp", V)
     tt = theta_tilde_2(V, sign=printed_form_sign)
