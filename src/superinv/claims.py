@@ -23,6 +23,7 @@ from .liealgebras import (
 from .invariants import (
     algebra_for,
     check_generation,
+    check_monomial_cap,
     relation_kernel_check,
     span_dimension,
 )
@@ -52,9 +53,11 @@ from .tensors import (
     operator_setup,
     plain_word,
     sl_invariant_element,
+    split_cols_tableau,
+    split_rows_tableau,
     TensorElement,
 )
-from .permutations import young_symmetrizer
+from .permutations import check_symmetrizer_cap, young_symmetrizer
 from .alphabet import all_words
 
 KNOWN_CLAIMS = [
@@ -159,6 +162,7 @@ def run_t22(opts: ClaimOptions) -> list[CheckRecord]:
     subs = gl_substitution_map(source, target)
     shape = Partition(((m + 1),) * (n + 1))
     t = fill_rows(shape)
+    check_monomial_cap(source, shape.size, opts.monomial_cap)
     rels = []
     for I in enumerate_semistandard(t, U):
         for J in enumerate_semistandard(t, W):
@@ -404,8 +408,9 @@ def run_t45(opts: ClaimOptions) -> list[CheckRecord]:
     subs = osp_substitution_map(source, target)
     shape = Partition(((2 * r + 2),) * (n + 1))
     t = fill_rows(shape)
-    rels = [f for I in enumerate_semistandard(t, W) if (f := Pf_t(source, t, I))]
     # each quadratic symbol absorbs two word letters
+    check_monomial_cap(source, shape.size // 2, opts.monomial_cap)
+    rels = [f for I in enumerate_semistandard(t, W) if (f := Pf_t(source, t, I))]
     rep = relation_kernel_check(subs, rels, shape.size // 2, monomial_cap=opts.monomial_cap)
     rid = f"T4.5:osp{opts.dims}:W{opts.wdims}"
     return [
@@ -544,6 +549,7 @@ def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     subs = pe_substitution_map(source, target)
     alphas = tuple(n + 2 - i for i in range(1, n + 2))
     t = ppf_tableau(alphas)
+    check_monomial_cap(source, t.size // 2, opts.monomial_cap)
     rels = [f for I in enumerate_semistandard(t, W) if (f := PPf_t(source, t, I))]
     rep = relation_kernel_check(subs, rels, t.size // 2, monomial_cap=opts.monomial_cap)
     rid = f"T6.3.2:pe({n}|{n}):W{opts.wdims}"
@@ -675,9 +681,17 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     family = build_family("spe", dims)
     p, q = opts.wdims
     algebra = algebra_for(family, p, q, 0, 0)
+    # every symmetrizer the run expands, before the first one and in the
+    # run's order: level +k, level -k (the element, then the literal
+    # family), then the tower's levels below k
+    expanded = [split_rows_tableau(n, n, k), split_cols_tableau(n, n, k + 1)]
+    expanded += [split_rows_tableau(n, n, level) for level in [k + 1, *range(k)]]
+    for t in expanded:
+        check_symmetrizer_cap(t)
+    elements: dict = {}  # the run's constructive elements by (k, kind)
     records = []
     for sign_k in (1, -1):
-        fam = spe_ppf_polynomials(algebra, family, k, sign_k)
+        fam = spe_ppf_polynomials(algebra, family, k, sign_k, elements)
         sound = all(
             act_on_polynomial(x, f).is_zero() for f in fam for x in family.basis
         )
@@ -714,7 +728,7 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     tower_alg = algebra_for(family, *tower_w, 0, 0)
     gens = [g for g in scalar_products("spe", tower_alg) if g]
     for level in range(0, k + 1):
-        gens.extend(spe_ppf_polynomials(tower_alg, family, level, 1))
+        gens.extend(spe_ppf_polynomials(tower_alg, family, level, 1, elements))
     degrees = list(range(2, n * (n + k) + 1, 2))
     verdicts = check_generation(family, tower_alg, gens, degrees)
     for v in verdicts:

@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Optional
 
 from .alphabet import (
     EVEN,
@@ -156,54 +157,55 @@ def mixed_shadow(
     element: TensorElement,
     I: Word,
     J: Word,
+    hat: bool = False,
 ) -> Polynomial:
     """Image of an element of V-block x V*-block under the canonical algebra
     projection, paired against a u-word on the covariant block and a w-word
     on the dual block.  Each tensor word contributes
-    Z_uv(I, plain letters) * Z_vw(dual letters, J)."""
+    Z_uv(I, plain letters) * Z_vw(dual letters, J).  With `hat` the words
+    have the dual block first, and moving the covariant block across it
+    costs the Koszul sign of the two block parities."""
     acc: dict = {}
     for w, coeff in element.terms.items():
         plain = tuple(i for i, d in w if not d)
         dual = tuple(i for i, d in w if d)
         if len(plain) != len(I) or len(dual) != len(J):
             raise ValueError("pairing lengths do not match the word blocks")
+        if hat and parity_of_word(plain) and parity_of_word(dual):
+            coeff = -coeff
         left = Z_of(algebra, I, plain, family="uv")
         right = Z_of(algebra, dual, J, family="vw")
         add_scaled(acc, (left * right).terms, coeff)
     return Polynomial(algebra, acc)
 
 
-def mixed_shadow_hat(
-    algebra: AlgebraDescriptor,
-    element: TensorElement,
-    I: Word,
-    J: Word,
-) -> Polynomial:
-    """Same projection for words with the dual block first: moving the
-    covariant block across the dual block costs the Koszul sign of the two
-    block parities."""
-    acc: dict = {}
-    for w, coeff in element.terms.items():
-        plain = tuple(i for i, d in w if not d)
-        dual = tuple(i for i, d in w if d)
-        if len(plain) != len(I) or len(dual) != len(J):
-            raise ValueError("pairing lengths do not match the word blocks")
-        sign = (-1) ** (parity_of_word(plain) * parity_of_word(dual))
-        left = Z_of(algebra, I, plain, family="uv")
-        right = Z_of(algebra, dual, J, family="vw")
-        add_scaled(acc, (left * right).terms, coeff * sign)
-    return Polynomial(algebra, acc)
+def _dual_letters(element: TensorElement, length: int) -> list[tuple[Word, Coeff]]:
+    """(letters, coefficient) for the words of a purely dual tensor of the
+    given degree."""
+    if not all(element.signature):
+        raise ValueError("element must be purely dual")
+    if len(element.signature) != length:
+        raise ValueError("sequences must have equal length")
+    return [(letters_of(w), c) for w, c in element.terms.items()]
 
 
 def dual_shadow(algebra: AlgebraDescriptor, element: TensorElement, J: Word) -> Polynomial:
     """Projection of a purely dual tensor against a w-word: the sum of
     c * Z(letters, J) over its words."""
-    if not all(element.signature):
-        raise ValueError("element must be purely dual")
-    if len(element.signature) != len(J):
-        raise ValueError("sequences must have equal length")
-    weighted = ((c, letters_of(w)) for w, c in element.terms.items())
-    return Z_combination(algebra, weighted, J, "vw")
+    return Z_combination(algebra, _dual_letters(element, len(J)), J, "vw")
+
+
+def nonzero_shadows(
+    algebra: AlgebraDescriptor, weighted: list[tuple[Word, Coeff]], t: YoungTableau
+) -> list[Polynomial]:
+    """The nonzero shadows over the semistandard J: the sum of c * Z(I, J)
+    over the (I, c) pairs, for every semistandard w-word J of t where it is
+    not zero.  The words are read once for all J."""
+    shadows = (
+        Z_combination(algebra, weighted, J, "vw")
+        for J in enumerate_semistandard(t, algebra.w_range)
+    )
+    return [f for f in shadows if f]
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +242,14 @@ def sl_extra_generators(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators
     s = split_cols_tableau(n, m, k)  # n rows, k+m columns
     t = split_rows_tableau(n, m, k)  # m columns, n+k rows
 
-    plus: list[Polynomial] = []
-    el_plus = sl_invariant_element(v_range, k, hat=False)
-    for I in enumerate_semistandard(s, u_range):
-        for J in enumerate_semistandard(t, w_range):
-            f = mixed_shadow(algebra, el_plus, I, J)
-            if f:
-                plus.append(f)
+    def shadows(u_tableau: YoungTableau, w_tableau: YoungTableau, hat: bool) -> list[Polynomial]:
+        element = sl_invariant_element(v_range, k, hat=hat)
+        pairs = itertools.product(
+            enumerate_semistandard(u_tableau, u_range), enumerate_semistandard(w_tableau, w_range)
+        )
+        return [f for I, J in pairs if (f := mixed_shadow(algebra, element, I, J, hat))]
 
-    minus: list[Polynomial] = []
-    el_minus = sl_invariant_element(v_range, k, hat=True)
-    for Ihat in enumerate_semistandard(t, u_range):
-        for Jhat in enumerate_semistandard(s, w_range):
-            f = mixed_shadow_hat(algebra, el_minus, Ihat, Jhat)
-            if f:
-                minus.append(f)
-    return SlExtraGenerators(k, s, t, plus, minus)
+    return SlExtraGenerators(k, s, t, shadows(s, t, False), shadows(t, s, True))
 
 
 def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
@@ -306,16 +300,16 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
 # orthosymplectic: the relative invariants R(J)
 
 
-def polynomial_shadow_dual(
-    algebra: AlgebraDescriptor, element: TensorElement, J: Word
-) -> Polynomial:
-    """Image of a covariant tensor under the form isomorphism followed by
-    the canonical projection against the word J of w-letters: each word
-    v_M contributes its coefficient times Z(M~, J) with the form signs."""
+def _form_letters(
+    algebra: AlgebraDescriptor, element: TensorElement, length: int
+) -> list[tuple[Word, Coeff]]:
+    """A covariant tensor under the form isomorphism: each word v_M becomes
+    the dual letters M~ with its coefficient times the form signs, so that
+    its canonical projection against J is the sum of c * Z(M~, J)."""
     v_range = algebra.v_range
     if any(element.signature):
         raise ValueError("element must be covariant")
-    if len(element.signature) != len(J):
+    if len(element.signature) != length:
         raise ValueError("sequences must have equal length")
     weighted = []
     for w, coeff in element.terms.items():
@@ -324,8 +318,8 @@ def polynomial_shadow_dual(
         for i, _ in w:
             sign *= form_sign(v_range, i)
             dual_letters.append(tilde_index(v_range, i))
-        weighted.append((coeff * sign, tuple(dual_letters)))
-    return Z_combination(algebra, weighted, J, "vw")
+        weighted.append((tuple(dual_letters), coeff * sign))
+    return weighted
 
 
 def osp_relative_generators(
@@ -333,16 +327,9 @@ def osp_relative_generators(
 ) -> list[Polynomial]:
     """R(J): the polynomial shadows of the constructive invariant, one per
     semistandard sequence J of w-letters over the column-split tableau."""
-    v_range = algebra.v_range
-    w_range = algebra.w_range
-    n, m = v_range.even_count, v_range.odd_count
+    n, m = algebra.v_range.even_count, algebra.v_range.odd_count
     s = split_cols_tableau(n, m, 1)
-    out = []
-    for J in enumerate_semistandard(s, w_range):
-        f = polynomial_shadow_dual(algebra, nabla, J)
-        if f:
-            out.append(f)
-    return out
+    return nonzero_shadows(algebra, _form_letters(algebra, nabla, s.size), s)
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +371,6 @@ def t2_tableaux(n: int) -> list[T2Datum]:
         )
         out.append(T2Datum(word, matrix))
     return out
-
-
-def t2_filter_oracle(n: int) -> int:
-    """Constraint-filter count over all words of the square length; used to
-    validate the pairwise enumeration."""
-    v_range = IndexRange(n, n)
-    count = 0
-    for w in all_words(v_range, n * n):
-        grid = {}
-        ok = True
-        pos = 0
-        for j in range(1, n + 1):
-            for i in range(1, n + 1):
-                grid[(i, j)] = w[pos]
-                pos += 1
-        for i in range(1, n + 1):
-            if grid[(i, i)] != od(i):
-                ok = False
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                if grid[(i, j)] not in (ev(i), od(j)):
-                    ok = False
-                if grid[(j, i)] != grid[(i, j)].conjugate():
-                    ok = False
-        if ok:
-            count += 1
-    return count
 
 
 def _t2_weights(datum: T2Datum, n: int, k: int) -> tuple[int, int, Coeff]:
@@ -511,7 +469,11 @@ def spe_constructive_element(
 
 
 def spe_ppf_polynomials(
-    algebra: AlgebraDescriptor, family: AlgebraFamily, k: int, sign_k: int
+    algebra: AlgebraDescriptor,
+    family: AlgebraFamily,
+    k: int,
+    sign_k: int,
+    elements: Optional[dict] = None,
 ) -> list[Polynomial]:
     """Polynomial shadows of the constructive invariant tensors, one per
     semistandard w-word: level +k (k >= 0) pairs the lower-route tensor of
@@ -521,24 +483,22 @@ def spe_ppf_polynomials(
     Level +0 is the shadow of the bare lower element; the quoted generator
     list starts at level one and misses it, but the oracle requires it (the
     first relative invariants appear at degree n^2).
+
+    `elements`, when given, holds the constructive elements by (k, kind)
+    from call to call, so a run that pairs one element against several
+    algebras builds it once.
     """
-    v_range = algebra.v_range
-    w_range = algebra.w_range
-    n = v_range.even_count
+    n = algebra.v_range.even_count
     if sign_k > 0:
-        t = split_rows_tableau(n, n, k)
-        element = spe_constructive_element(family, k, "lower")
+        t, key = split_rows_tableau(n, n, k), (k, "lower")
     else:
         if k < 1:
             raise ValueError("negative levels start at one")
-        t = split_cols_tableau(n, n, k + 1)
-        element = spe_constructive_element(family, k + 1, "raise")
-    out: list[Polynomial] = []
-    for J in enumerate_semistandard(t, w_range):
-        f = dual_shadow(algebra, element, J)
-        if f:
-            out.append(f)
-    return out
+        t, key = split_cols_tableau(n, n, k + 1), (k + 1, "raise")
+    held = {} if elements is None else elements
+    if key not in held:
+        held[key] = spe_constructive_element(family, *key)
+    return nonzero_shadows(algebra, _dual_letters(held[key], t.size), t)
 
 
 def spe_tensor_invariants(n: int, k: int) -> list[TensorElement]:
@@ -575,7 +535,6 @@ def spe_ppf_literal(
     is applied once per level and the result is paired against every J.
     """
     v_range = algebra.v_range
-    w_range = algebra.w_range
     n = v_range.even_count
     if sign_k > 0:
         t, tail, level = split_rows_tableau(n, n, k), blocked_odds(n, k), k - 1
@@ -589,9 +548,4 @@ def spe_ppf_literal(
     symmetrized = apply_group_algebra(
         young_symmetrizer(t, "plain"), TensorElement(v_range, (True,) * t.size, terms)
     )
-    out: list[Polynomial] = []
-    for J in enumerate_semistandard(t, w_range):
-        f = dual_shadow(algebra, symmetrized, J)
-        if f:
-            out.append(f)
-    return out
+    return nonzero_shadows(algebra, _dual_letters(symmetrized, t.size), t)

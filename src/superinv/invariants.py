@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .alphabet import IndexRange
-from .coefficients import Coeff, add_scaled
+from .coefficients import Coeff
 from .errors import CapExceeded
 from .liealgebras import AlgebraFamily, act_through_images, generator_images
 from .linalg import SpanTracker, _primitive_terms, joint_kernel
@@ -46,6 +46,14 @@ def _factor_keys(algebra: AlgebraDescriptor, gen_index: int) -> tuple:
     return (("w", g.row), ("w", g.col))
 
 
+def check_monomial_cap(algebra: AlgebraDescriptor, degree: int, cap: int) -> None:
+    """Raise CapExceeded when the full degree-d monomial basis exceeds `cap`,
+    counted in closed form."""
+    size = count_monomials_of_degree(algebra, degree)
+    if size > cap:
+        raise CapExceeded("monomial basis", size, cap)
+
+
 def blocked_monomials(
     algebra: AlgebraDescriptor,
     degree: int,
@@ -58,9 +66,7 @@ def blocked_monomials(
     substitution maps both preserve.  Each block lists its monomials in
     increasing order.  CapExceeded is raised, before any monomial is built,
     when the full degree-d basis exceeds `cap`."""
-    size = count_monomials_of_degree(algebra, degree)
-    if size > cap:
-        raise CapExceeded("monomial basis", size, cap)
+    check_monomial_cap(algebra, degree, cap)
     keys = [_factor_keys(algebra, i) for i in range(len(algebra))]
     blocks: dict = {}
     for m in monomials_of_degree(algebra, degree, weights):
@@ -286,9 +292,17 @@ class SubstitutionMap:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.algebra is not self.source:
             raise ValueError("polynomial not over the source algebra")
+        # a sum that cancels is dropped at once, as a chain of Polynomial
+        # additions drops it, so a term that comes back is placed last
         out: dict[Monomial, Coeff] = {}
+        get = out.get
         for mono, coeff in f.terms.items():
-            add_scaled(out, self.image(mono).terms, coeff)
+            for key, v in self.image(mono).terms.items():
+                c = get(key, 0) + v * coeff
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
         return Polynomial(self.target, out)
 
 

@@ -3,9 +3,10 @@ symmetrizations P_t / P~_t, even Pfaffians, and periplectic Pfaffians."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+import functools
+from typing import Iterable, Optional, Sequence
 
-from .alphabet import SuperIndex, Word, cross_parity_count
+from .alphabet import SuperIndex, Word
 from .coefficients import Coeff
 from .permutations import cocycle_sign, young_symmetrizer
 from .polynomials import (
@@ -30,25 +31,6 @@ def _pair_family(algebra: AlgebraDescriptor) -> str:
     raise ValueError("algebra has no bilinear generator family")
 
 
-def _term_polynomial(algebra: AlgebraDescriptor, term: Term) -> Polynomial:
-    return Polynomial(algebra, {} if term is None else {term[1]: term[0]})
-
-
-def _z_term(algebra: AlgebraDescriptor, I: Word, J: Word, fam: str) -> Term:
-    """Z(I, J) on raw data: the sign (-1)^{sum of p(i_a)p(j_b) over a > b}
-    times the Koszul sign of sorting, and the sorted monomial."""
-    mono = []
-    for i, j in zip(I, J):
-        idx = algebra.maybe_index(fam, i, j)
-        if idx is None:
-            raise KeyError(f"no generator {fam}[{i},{j}]")
-        mono.append(idx)
-    norm = normalize_product(mono, algebra.parities)
-    if norm is None:
-        return None
-    return norm[0] * (-1) ** cross_parity_count(I, J), norm[1]
-
-
 def Z_of(
     algebra: AlgebraDescriptor,
     I: Sequence[SuperIndex],
@@ -59,26 +41,49 @@ def Z_of(
     (-1)^{sum of p(i_a)p(j_b) over a > b} times the product of z[i_a, j_a]."""
     if len(I) != len(J):
         raise ValueError("sequences must have equal length")
-    fam = family or _pair_family(algebra)
-    return _term_polynomial(algebra, _z_term(algebra, tuple(I), tuple(J), fam))
+    return Z_combination(algebra, [(tuple(I), 1)], J, family or _pair_family(algebra))
 
 
 def Z_combination(
     algebra: AlgebraDescriptor,
-    weighted: Iterable[tuple[Coeff, Word]],
+    weighted: Iterable[tuple[Word, Coeff]],
     J: Sequence[SuperIndex],
     family: str,
 ) -> Polynomial:
-    """The sum of c * Z(I, J) over the (c, I) pairs, accumulated in one
-    dict and wrapped once.  Every I must have the length of J."""
-    J = tuple(J)
+    """The sum of c * Z(I, J) over the (I, c) pairs, accumulated in one
+    dict and wrapped once.  Every I must have the length of J.
+
+    Position a of J gets one table, letter i -> the index of the generator
+    family[i, J[a]], and one set, the odd letters that pass an odd number
+    of odd J letters before a: the sign (-1)^{sum of p(i_a)p(j_b) over
+    a > b} is -1 exactly when an odd number of I's letters fall in their
+    position's set.  A letter with no generator raises KeyError."""
+    columns: dict[SuperIndex, dict[SuperIndex, int]] = {}
+    for idx, g in enumerate(algebra.generators):
+        if g.family == family:
+            columns.setdefault(g.col, {})[g.row] = idx
+    tables, crossing = [], []
+    odd_before = 0
+    for j in J:
+        table = columns.get(j, {})
+        tables.append(table)
+        crossing.append(frozenset(i for i in table if i.parity & odd_before))
+        odd_before ^= j.parity
+    parities = algebra.parities
     acc: dict[Monomial, Coeff] = {}
     get = acc.get
-    for c, I in weighted:
-        term = _z_term(algebra, I, J, family)
-        if term is not None:
-            sign, mono = term
-            acc[mono] = get(mono, 0) + c * sign
+    for I, c in weighted:
+        try:
+            mono = list(map(dict.__getitem__, tables, I))
+        except KeyError:
+            i, j = next((i, j) for i, j, table in zip(I, J, tables) if i not in table)
+            raise KeyError(f"no generator {family}[{i},{j}]") from None
+        norm = normalize_product(mono, parities)
+        if norm is not None:
+            sign, key = norm
+            if sum(map(frozenset.__contains__, crossing, I)) & 1:
+                sign = -sign
+            acc[key] = get(key, 0) + c * sign
     return Polynomial(algebra, acc)
 
 
@@ -96,28 +101,44 @@ def P_t(
     if not (len(I) == len(J) == t.size):
         raise ValueError("sequence lengths must equal the tableau size")
     fam = family or _pair_family(algebra)
-    return Z_combination(algebra, _symmetrized_words(t, I, variant), J, fam)
+    return Z_combination(algebra, _symmetrized_words(t, I, variant).items(), J, fam)
+
+
+@functools.lru_cache(maxsize=4)
+def _inverse_terms(t: YoungTableau, variant: str) -> tuple[tuple[tuple[int, ...], Coeff], ...]:
+    """(image tuple of g^{-1}, coefficient) for every term g of the expanded
+    symmetrizer of t.  The last few (tableau, variant) pairs are kept, so a
+    claim that pairs one tableau against many sequences expands it once."""
+    return tuple(young_symmetrizer(t, variant).inverse_terms())
 
 
 def _symmetrized_words(
     t: YoungTableau, I: Sequence[SuperIndex], variant: str = "plain"
-) -> Iterator[tuple[int, Word]]:
-    """(eps(tau) c(I, g^{-1}), g I) for every term g of the expanded
-    symmetrizer of t.  The row and column stabilizers meet only in the
-    identity, so every (sigma, tau) pair is one term with coefficient
-    eps(tau), and this is the double sum over the two stabilizers."""
+) -> dict[Word, Coeff]:
+    """{g I: the sum of eps(tau) c(I, g^{-1})} over the terms g of the
+    expanded symmetrizer of t, zero sums dropped.  The row and column
+    stabilizers meet only in the identity, so every (sigma, tau) pair is one
+    term with coefficient eps(tau), and this is the double sum over the two
+    stabilizers with like moved words collected."""
     I = tuple(I)
     parities = [i.parity for i in I]
     at = I.__getitem__
-    for inv, eps in young_symmetrizer(t, variant).inverse_terms():
-        yield eps * cocycle_sign(parities, inv), tuple(map(at, inv))
+    out: dict[Word, Coeff] = {}
+    get = out.get
+    # with fewer than two odd letters there is no odd/odd inversion to count
+    signed = sum(parities) > 1
+    for inv, eps in _inverse_terms(t, variant):
+        moved = tuple(map(at, inv))
+        out[moved] = get(moved, 0) + (eps * cocycle_sign(parities, inv) if signed else eps)
+    return {w: c for w, c in out.items() if c}
 
 
 def _square_term(algebra: AlgebraDescriptor, I: Sequence[SuperIndex], shifted: bool) -> Term:
-    """X (or, `shifted`, Y) on raw data: the product of symmetric-square
-    symbols over consecutive pairs of the sequence as a signed monomial;
-    None when a vanishing diagonal symbol appears or an odd symbol
-    repeats."""
+    """X (or, `shifted`, the parity-shifted Y with the decalage sign
+    (-1)^{sum (k - a) (p(i_{2a-1}) + p(i_{2a}))}) on raw data: the product
+    of symmetric-square symbols over consecutive pairs of the sequence as a
+    signed monomial; None when a vanishing diagonal symbol appears or an
+    odd symbol repeats."""
     if len(I) % 2:
         raise ValueError("sequence must have even length")
     sign = 1
@@ -141,18 +162,6 @@ def _square_term(algebra: AlgebraDescriptor, I: Sequence[SuperIndex], shifted: b
     return sign * norm[0], norm[1]
 
 
-def X_of(algebra: AlgebraDescriptor, I: Sequence[SuperIndex]) -> Polynomial:
-    """Product of symmetric-square symbols over consecutive pairs of the
-    sequence; zero when a vanishing diagonal symbol appears."""
-    return _term_polynomial(algebra, _square_term(algebra, I, shifted=False))
-
-
-def Y_of(algebra: AlgebraDescriptor, I: Sequence[SuperIndex]) -> Polynomial:
-    """Parity-shifted analog of X with the decalage sign
-    (-1)^{sum (k - a) (p(i_{2a-1}) + p(i_{2a}))}."""
-    return _term_polynomial(algebra, _square_term(algebra, I, shifted=True))
-
-
 def _square_symmetrized(
     algebra: AlgebraDescriptor,
     t: YoungTableau,
@@ -161,10 +170,10 @@ def _square_symmetrized(
 ) -> Polynomial:
     acc: dict[Monomial, Coeff] = {}
     get = acc.get
-    for sign, moved in _symmetrized_words(t, I):
+    for moved, c in _symmetrized_words(t, I).items():
         term = _square_term(algebra, moved, shifted)
         if term is not None:
-            acc[term[1]] = get(term[1], 0) + sign * term[0]
+            acc[term[1]] = get(term[1], 0) + c * term[0]
     return Polynomial(algebra, acc)
 
 

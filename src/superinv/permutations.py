@@ -267,6 +267,13 @@ def symmetrizer_term_count(t: YoungTableau) -> int:
     )
 
 
+def check_symmetrizer_cap(t: YoungTableau, cap: int = SYMMETRIZER_TERM_CAP) -> None:
+    """Raise CapExceeded when the expanded symmetrizer of t exceeds `cap`."""
+    size = symmetrizer_term_count(t)
+    if size > cap:
+        raise CapExceeded("symmetrizer terms", size, cap)
+
+
 def young_symmetrizer(
     t: YoungTableau, variant: str = "plain", cap: int = SYMMETRIZER_TERM_CAP
 ) -> GroupAlgebraElement:
@@ -275,9 +282,7 @@ def young_symmetrizer(
     The term count is checked against `cap` before any group is built."""
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
-    size = symmetrizer_term_count(t)
-    if size > cap:
-        raise CapExceeded("symmetrizer terms", size, cap)
+    check_symmetrizer_cap(t, cap)
     rows = [sigma.images for sigma in row_group(t)]
     terms: dict[tuple[int, ...], int] = {}
     for tau in column_group(t):

@@ -20,7 +20,6 @@ from superinv.generators import (
     sl_extra_generators,
     spe_closed_form_element,
     spe_constructive_element,
-    t2_filter_oracle,
     t2_tableaux,
 )
 from superinv.invariants import (
@@ -57,6 +56,7 @@ from superinv.tableaux import (
     fill_rows,
 )
 from superinv.tensors import act_on_tensor, nabla_closed_form_report, nabla_construct
+from test_generators import t2_filter_oracle
 
 
 def report(name: str, ok: bool, extra: str = "") -> None:

@@ -50,3 +50,41 @@ def test_t21_custom_options():
     assert all(r.status == "pass" for r in records)
     dims = {r.id: r.dims for r in records}
     assert dims["T2.1:gl(1, 0):deg2"] == {"oracle": 1, "generated": 1}
+
+
+def test_t45_expands_its_symmetrizer_once(monkeypatch):
+    """T4.5 at its defaults pairs the one (4,4) tableau against every
+    semistandard sequence: one expansion for all of them."""
+    from superinv import named_polynomials, permutations
+
+    calls = []
+    original = permutations.young_symmetrizer
+
+    def counting(t, *args, **kwargs):
+        calls.append(t.shape.parts)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(named_polynomials, "young_symmetrizer", counting)
+    named_polynomials._inverse_terms.cache_clear()
+    records = run_claim("T4.5")
+    assert all(r.status == "pass" for r in records)
+    assert calls == [(4, 4)]
+
+
+def test_t73_builds_each_constructive_element_once(monkeypatch):
+    """The level +k element serves both the W = (2|2) family and the
+    tower's top level; every (k, kind) is built once per run."""
+    from collections import Counter
+
+    from superinv import generators
+
+    built = Counter()
+    original = generators.spe_constructive_element
+
+    def counting(family, k, kind="lower"):
+        built[k, kind] += 1
+        return original(family, k, kind)
+
+    monkeypatch.setattr(generators, "spe_constructive_element", counting)
+    run_claim("T7.3")
+    assert built == {(0, "lower"): 1, (1, "lower"): 1, (2, "raise"): 1}

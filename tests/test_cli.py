@@ -272,22 +272,75 @@ def test_l71_size_guard_before_expansion(capsys, monkeypatch):
     assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1
 
 
+def _forbid(monkeypatch, modules, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the cap check")
+
+    for module in modules:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize(
+    "claim, options, forbidden, message",
+    [
+        (
+            "T2.2",
+            ["--dims", "2,1", "--udims", "2,2", "--wdims", "2,2"],
+            "P_t",
+            "monomial basis would need 27008, above the cap 20000",
+        ),
+        ("T4.5", ["--cap", "40"], "Pf_t", "monomial basis would need 41, above the cap 40"),
+        ("T6.3.2", ["--cap", "19"], "PPf_t", "monomial basis would need 20, above the cap 19"),
+        (
+            "T7.3",
+            ["--n", "2", "--k", "3"],
+            "young_symmetrizer",
+            "symmetrizer terms would need 33177600, above the cap 5000000",
+        ),
+    ],
+)
+def test_caps_checked_before_the_work(capsys, monkeypatch, claim, options, forbidden, message):
+    """Exit 3 with the cap's one-line message before any relation is built
+    (T2.2, T4.5, T6.3.2) or any symmetrizer is expanded (T7.3): at level -3
+    T7.3 would need 33,177,600 terms, after the 460,800 of level +3."""
+    from superinv import claims, generators, named_polynomials, permutations, tensors
+
+    modules = [claims, generators, named_polynomials, permutations, tensors]
+    _forbid(monkeypatch, [m for m in modules if hasattr(m, forbidden)], forbidden)
+    code, out, err = run_cli(capsys, "verify", "--theorem", claim, *options, "--no-timing")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 _PAIR = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _t22_monomials(dims, udims, wdims):
+    """The size of the T2.2 relation-degree monomial basis, in closed form."""
+    from superinv.alphabet import IndexRange
+    from superinv.polynomials import count_monomials_of_degree, make_uw_algebra
+
+    n, m = dims
+    source = make_uw_algebra(IndexRange(*udims), IndexRange(*wdims))
+    return count_monomials_of_degree(source, (n + 1) * (m + 1))
 
 
 def _slow(claim, n, k, dims, udims, wdims):
     """Option vectors in these ranges that run for seconds to minutes below
     every cap (measured on a 2-core machine, 6 s limit): T2.2 with more
-    than 8 letters in all, the split-tableau claims at --dims 2,2 or at
-    --k 3, T7.2 at --n 2 --k 3 and --n 3 --k 0, and T7.3 at --n 2 with
-    --k 2 or 3.  Every other vector finishes within about 2 s."""
+    than 8 letters in all and a monomial basis within the default cap
+    (above it, the run exits 3 before building a relation), the
+    split-tableau claims at --dims 2,2 or at --k 3, T7.2 at --n 2 --k 3 and
+    --n 3 --k 0, and T7.3 at --n 2 --k 2 (at --k 3 it exits 3 before any
+    expansion).  Every other vector finishes within about 2 s."""
     if claim == "T2.2":
-        return sum(dims + udims + wdims) > 8
+        return sum(dims + udims + wdims) > 8 and _t22_monomials(dims, udims, wdims) <= 20_000
     if claim in ("T3.3", "T3.4", "T3.6", "T3.8"):
         return dims == (2, 2) or k == 3
     if claim == "T7.2":
         return (n, k) in ((2, 3), (3, 0))
-    return claim == "T7.3" and n == 2 and k >= 2
+    return claim == "T7.3" and n == 2 and k == 2
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superinv import generators, named_polynomials, permutations, tensors
-from superinv.alphabet import IndexRange, ev, od
+from superinv.alphabet import IndexRange, all_words, ev, od
 from superinv.invariants import algebra_for, span_dimension
 from superinv.liealgebras import act_on_polynomial, build_family
 from superinv.named_polynomials import P_t
@@ -23,7 +23,6 @@ from superinv.generators import (
     spe_constructive_element,
     spe_ppf_literal,
     spe_ppf_polynomials,
-    t2_filter_oracle,
     t2_tableaux,
     xplus_factors,
 )
@@ -37,6 +36,35 @@ from superinv.tensors import (
     repeated_evens,
     split_rows_tableau,
 )
+
+
+def t2_filter_oracle(n):
+    """Constraint-filter count over all words of the square length; used to
+    validate the pairwise enumeration."""
+    v_range = IndexRange(n, n)
+    count = 0
+    for w in all_words(v_range, n * n):
+        grid = {}
+        ok = True
+        pos = 0
+        for j in range(1, n + 1):
+            for i in range(1, n + 1):
+                grid[(i, j)] = w[pos]
+                pos += 1
+        for i in range(1, n + 1):
+            if grid[(i, i)] != od(i):
+                ok = False
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                if grid[(i, j)] not in (ev(i), od(j)):
+                    ok = False
+                if grid[(j, i)] != grid[(i, j)].conjugate():
+                    ok = False
+        if ok:
+            count += 1
+    return count
 
 
 def assert_all_annihilated(family, polys):
