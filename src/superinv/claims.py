@@ -40,12 +40,11 @@ from .generators import (
     spe_ppf_literal,
     spe_ppf_polynomials,
 )
-from .named_polynomials import P_t, Pf_t, PPf_t, ppf_tableau
+from .named_polynomials import Pf_t, PPf_t, Z_combination, ppf_tableau
 from .polynomials import make_sym_square_algebra, make_uw_algebra
 from .tableaux import Partition, enumerate_partitions, enumerate_semistandard, fill_rows
 from .tensors import (
     act_on_tensor,
-    apply_group_algebra,
     invariant_operator,
     marked_tableau_operator,
     nabla_closed_form_report,
@@ -55,9 +54,10 @@ from .tensors import (
     sl_invariant_element,
     split_cols_tableau,
     split_rows_tableau,
+    symmetrize_element,
     TensorElement,
 )
-from .permutations import check_symmetrizer_cap, young_symmetrizer
+from .permutations import check_symmetrizer_cap, symmetrize
 from .alphabet import all_words
 
 KNOWN_CLAIMS = [
@@ -164,11 +164,11 @@ def run_t22(opts: ClaimOptions) -> list[CheckRecord]:
     t = fill_rows(shape)
     check_monomial_cap(source, shape.size, opts.monomial_cap)
     rels = []
+    Js = list(enumerate_semistandard(t, W))
+    # P_t(I, J) for every pair, each I symmetrized once
     for I in enumerate_semistandard(t, U):
-        for J in enumerate_semistandard(t, W):
-            f = P_t(source, t, I, J)
-            if f:
-                rels.append(f)
+        moved = symmetrize(t, "plain", {tuple(I): 1}).items()
+        rels += [f for J in Js if (f := Z_combination(source, moved, J, "zuw"))]
     rep = relation_kernel_check(subs, rels, shape.size, monomial_cap=opts.monomial_cap)
     rid = f"T2.2:gl{opts.dims}:U{opts.udims}:W{opts.wdims}"
     return [
@@ -286,7 +286,6 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     the contraction's head-parity sign."""
     dims = IndexRange(*opts.dims)
     setup = operator_setup(dims, 1)
-    et = young_symmetrizer(setup.t, "plain")
 
     def compare(convention: str) -> tuple[bool, dict[str, str]]:
         ratios: dict[str, str] = {}
@@ -294,7 +293,7 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
         reference: Optional[Fraction] = None
         for L in all_words(dims, setup.m * (setup.n + 1)):
             w = TensorElement.from_word(dims, plain_word(L))
-            direct = invariant_operator(setup, apply_group_algebra(et, w), "direct")
+            direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w), "direct")
             marked = marked_tableau_operator(setup, L, convention)
             key = "".join(str(x) for x in L)
             if direct.is_zero() and marked.is_zero():

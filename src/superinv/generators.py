@@ -24,13 +24,13 @@ from .alphabet import (
 )
 from .coefficients import Coeff, add_scaled, exact
 from .liealgebras import AlgebraFamily, MatrixElement, abs_exponent
-from .named_polynomials import P_t, Z_combination, Z_of
+from .named_polynomials import Z_combination, Z_of
+from .permutations import symmetrize
 from .polynomials import AlgebraDescriptor, Polynomial
 from .tableaux import YoungTableau, enumerate_semistandard
 from .tensors import (
     TensorElement,
     act_universal_product,
-    apply_group_algebra,
     dual_word,
     form_sign,
     letters_of,
@@ -38,9 +38,9 @@ from .tensors import (
     blocked_odds,
     split_cols_tableau,
     split_rows_tableau,
+    symmetrize_element,
     tilde_index,
 )
-from .permutations import young_symmetrizer
 
 
 def gl_scalar_products(algebra: AlgebraDescriptor) -> list[Polynomial]:
@@ -265,33 +265,37 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
     Ik = repeated_evens(n, k)
     Jk = blocked_odds(m, k)
     words_L = list(all_words(v_range, n * m))
+    heads, tails = [Ik + L for L in words_L], [L + Jk for L in words_L]
+
+    def pairings(tableau, variant, sources, targets, family) -> list[list[Polynomial]]:
+        """P_t(source, target) for every pair, each source symmetrized once."""
+        moved = [symmetrize(tableau, variant, {tuple(src): 1}).items() for src in sources]
+        return [[Z_combination(algebra, w, tgt, family) for tgt in targets] for w in moved]
 
     plus: list[Polynomial] = []
-    for I in enumerate_semistandard(s, u_range):
-        for J in enumerate_semistandard(t, w_range):
+    Js = list(enumerate_semistandard(t, w_range))
+    rights = pairings(t, "tilde", tails, Js, "vw")
+    for left_I in pairings(s, "tilde", enumerate_semistandard(s, u_range), heads, "uv"):
+        for j in range(len(Js)):
             acc: dict = {}
-            for L in words_L:
-                sign = (-1) ** mutual_parity_count(L)
-                left = P_t(algebra, s, I, Ik + L, variant="tilde", family="uv")
-                right = P_t(algebra, t, L + Jk, J, variant="tilde", family="vw")
-                add_scaled(acc, (left * right).terms, sign)
-            f = Polynomial(algebra, acc)
-            if f:
+            for L, left, right_L in zip(words_L, left_I, rights):
+                add_scaled(acc, (left * right_L[j]).terms, (-1) ** mutual_parity_count(L))
+            if f := Polynomial(algebra, acc):
                 plus.append(f)
 
     minus: list[Polynomial] = []
-    for Ihat in enumerate_semistandard(t, u_range):
+    Ihats = list(enumerate_semistandard(t, u_range))
+    Jhats = list(enumerate_semistandard(s, w_range))
+    lefts = pairings(s, "plain", heads, Jhats, "vw")
+    for Ihat, right_I in zip(Ihats, pairings(t, "plain", Ihats, tails, "uv")):
         p_ihat = parity_of_word(Ihat)
-        for Jhat in enumerate_semistandard(s, w_range):
+        for j, Jhat in enumerate(Jhats):
             p_jhat = parity_of_word(Jhat)
             acc = {}
-            for L in words_L:
+            for L, left_L, right in zip(words_L, lefts, right_I):
                 expo = mutual_parity_count(L) + parity_of_word(L) * (p_ihat + p_jhat)
-                left = P_t(algebra, s, Ik + L, Jhat, variant="plain", family="vw")
-                right = P_t(algebra, t, Ihat, L + Jk, variant="plain", family="uv")
-                add_scaled(acc, (left * right).terms, (-1) ** expo)
-            f = Polynomial(algebra, acc)
-            if f:
+                add_scaled(acc, (left_L[j] * right).terms, (-1) ** expo)
+            if f := Polynomial(algebra, acc):
                 minus.append(f)
     return SlExtraGenerators(k, s, t, plus, minus)
 
@@ -439,8 +443,7 @@ def spe_closed_form_element(
             m_factor = 0 if convention == "printed" else m_L
         w = dual_word(w_letters)
         terms[w] = terms.get(w, 0) + (-1) ** (m_factor + eps_exp) * mult
-    e_t = young_symmetrizer(t, "plain")
-    return apply_group_algebra(e_t, TensorElement(dims, (True,) * t.size, terms))
+    return symmetrize_element(t, "plain", TensorElement(dims, (True,) * t.size, terms))
 
 
 def spe_constructive_element(
@@ -464,8 +467,7 @@ def spe_constructive_element(
         factors = xplus_factors(dims)
     else:
         raise ValueError("kind must be 'lower' or 'raise'")
-    e_t = young_symmetrizer(t, "plain")
-    return act_universal_product(factors, apply_group_algebra(e_t, w))
+    return act_universal_product(factors, symmetrize_element(t, "plain", w))
 
 
 def spe_ppf_polynomials(
@@ -545,7 +547,6 @@ def spe_ppf_literal(
         m_L, eps_exp, mult = _t2_weights(datum, n, level)
         w = dual_word(datum.word + tail)
         terms[w] = terms.get(w, 0) + (-1) ** (level * m_L + eps_exp) * mult
-    symmetrized = apply_group_algebra(
-        young_symmetrizer(t, "plain"), TensorElement(v_range, (True,) * t.size, terms)
-    )
+    combined = TensorElement(v_range, (True,) * t.size, terms)
+    symmetrized = symmetrize_element(t, "plain", combined)
     return nonzero_shadows(algebra, _dual_letters(symmetrized, t.size), t)

@@ -1,14 +1,15 @@
 """The named polynomial families: signed products Z(I,J), their tableau
-symmetrizations P_t / P~_t, even Pfaffians, and periplectic Pfaffians."""
+symmetrizations P_t / P~_t, even Pfaffians, and periplectic Pfaffians; each
+symmetrization moves its sequence one tableau block at a time
+(`permutations.symmetrize`) and pairs each distinct moved word once."""
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Optional, Sequence
 
 from .alphabet import SuperIndex, Word
 from .coefficients import Coeff
-from .permutations import cocycle_sign, young_symmetrizer
+from .permutations import symmetrize
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -101,36 +102,7 @@ def P_t(
     if not (len(I) == len(J) == t.size):
         raise ValueError("sequence lengths must equal the tableau size")
     fam = family or _pair_family(algebra)
-    return Z_combination(algebra, _symmetrized_words(t, I, variant).items(), J, fam)
-
-
-@functools.lru_cache(maxsize=4)
-def _inverse_terms(t: YoungTableau, variant: str) -> tuple[tuple[tuple[int, ...], Coeff], ...]:
-    """(image tuple of g^{-1}, coefficient) for every term g of the expanded
-    symmetrizer of t.  The last few (tableau, variant) pairs are kept, so a
-    claim that pairs one tableau against many sequences expands it once."""
-    return tuple(young_symmetrizer(t, variant).inverse_terms())
-
-
-def _symmetrized_words(
-    t: YoungTableau, I: Sequence[SuperIndex], variant: str = "plain"
-) -> dict[Word, Coeff]:
-    """{g I: the sum of eps(tau) c(I, g^{-1})} over the terms g of the
-    expanded symmetrizer of t, zero sums dropped.  The row and column
-    stabilizers meet only in the identity, so every (sigma, tau) pair is one
-    term with coefficient eps(tau), and this is the double sum over the two
-    stabilizers with like moved words collected."""
-    I = tuple(I)
-    parities = [i.parity for i in I]
-    at = I.__getitem__
-    out: dict[Word, Coeff] = {}
-    get = out.get
-    # with fewer than two odd letters there is no odd/odd inversion to count
-    signed = sum(parities) > 1
-    for inv, eps in _inverse_terms(t, variant):
-        moved = tuple(map(at, inv))
-        out[moved] = get(moved, 0) + (eps * cocycle_sign(parities, inv) if signed else eps)
-    return {w: c for w, c in out.items() if c}
+    return Z_combination(algebra, symmetrize(t, variant, {tuple(I): 1}).items(), J, fam)
 
 
 def _square_term(algebra: AlgebraDescriptor, I: Sequence[SuperIndex], shifted: bool) -> Term:
@@ -170,7 +142,7 @@ def _square_symmetrized(
 ) -> Polynomial:
     acc: dict[Monomial, Coeff] = {}
     get = acc.get
-    for moved, c in _symmetrized_words(t, I).items():
+    for moved, c in symmetrize(t, "plain", {tuple(I): 1}).items():
         term = _square_term(algebra, moved, shifted)
         if term is not None:
             acc[term[1]] = get(term[1], 0) + c * term[0]

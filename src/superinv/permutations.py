@@ -1,4 +1,5 @@
-"""Permutations, the sign cocycle on super-words, and Young symmetrizers.
+"""Permutations, the sign cocycle on super-words, and Young symmetrizers,
+expanded (`young_symmetrizer`) or applied to words block by block (`symmetrize`).
 
 Composition convention: (sigma * tau)(x) = sigma(tau(x)).  All formulas
 that permute words are validated against the cocycle identity
@@ -7,14 +8,16 @@ c(I, sigma tau) = c(sigma^{-1} I, tau) c(I, sigma).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .alphabet import SuperIndex, Word
-from .coefficients import Coeff, add_scaled, exact
+from .coefficients import Coeff, add_scaled, exact, normalized
 from .errors import CapExceeded
 from .tableaux import YoungTableau
 
@@ -297,6 +300,58 @@ def young_symmetrizer(
     return GroupAlgebraElement._adopt(
         t.size, {Permutation(im): c for im, c in terms.items() if c}
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _block_plan(t: YoungTableau, variant: str) -> tuple:
+    """The symmetrizer of t as commuting block sums in the order they act:
+    columns then rows ("plain"), or rows then columns ("tilde").  Each is
+    its (image tuple of pi^{-1}, eps(pi)) list and a dict of that list with
+    the cocycle folded in, per parity pattern of all of t's positions (a
+    column block interleaves with positions it fixes).  A dict entry is a
+    pure function of its key, so concurrent callers may both fill it."""
+    cols = [(_block_group([b], t.size), True) for b in column_blocks(t) if len(b) > 1]
+    rows = [(_block_group([b], t.size), False) for b in row_blocks(t) if len(b) > 1]
+    return tuple(
+        ([(inverse_images(p.images), p.sign() if signed else 1) for p in group], {})
+        for group, signed in (cols + rows if variant == "plain" else rows + cols)
+    )
+
+
+def symmetrize(
+    t: YoungTableau, variant: str, terms: dict, start: int = 0, *, slots: bool = False
+) -> dict:
+    """apply_group_algebra(young_symmetrizer(t, variant), x) on a raw
+    {word: coeff} dict of letter words, or of (letter, dual) slot words with
+    `slots`, t acting on the positions from `start`.  The word action is a
+    representation, so the block sums act one at a time, merging like words
+    and dropping zeros after each; the expanded size is checked first."""
+    if variant not in ("plain", "tilde"):
+        raise ValueError("variant must be 'plain' or 'tilde'")
+    check_symmetrizer_cap(t)
+    end, first = start + t.size, operator.itemgetter(0)
+    if any(len(w) < end for w in terms):
+        raise ValueError("length mismatch")
+    for perms, by_pattern in _block_plan(t, variant):
+        if not terms:
+            break
+        out: dict = {}
+        get = out.get
+        for w, c in terms.items():
+            block = w[start:end]
+            # a letter is (parity, value); a slot is (letter, dual)
+            pattern = tuple(map(first, map(first, block) if slots else block))
+            signed = by_pattern.get(pattern)
+            if signed is None:
+                signed = by_pattern[pattern] = [
+                    (inv, eps * cocycle_sign(pattern, inv)) for inv, eps in perms
+                ]
+            head, tail, at = w[:start], w[end:], block.__getitem__
+            for inv, sign in signed:
+                nw = head + tuple(map(at, inv)) + tail
+                out[nw] = get(nw, 0) + c * sign
+        terms = {w: c for w, c in out.items() if c}
+    return normalized(terms)
 
 
 def coset_representatives(

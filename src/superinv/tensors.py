@@ -27,7 +27,7 @@ from .liealgebras import MatrixElement
 from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
-from .permutations import column_group, coset_representatives, young_symmetrizer
+from .permutations import column_group, coset_representatives, symmetrize
 
 Slot = tuple[SuperIndex, bool]
 TWord = tuple[Slot, ...]
@@ -274,13 +274,12 @@ def apply_group_algebra(
     return TensorElement(element.dims, element.signature, out)
 
 
-def apply_symmetrizer_pair(
-    left: GroupAlgebraElement, right: GroupAlgebraElement, element: TensorElement
+def symmetrize_element(
+    t: YoungTableau, variant: str, element: TensorElement, start: int = 0
 ) -> TensorElement:
-    """Product action on the two contiguous blocks (left block first)."""
-    if left.degree + right.degree != len(element.signature):
-        raise ValueError("block sizes must fill the word")
-    return apply_group_algebra(right, apply_group_algebra(left, element, 0), left.degree)
+    """The Young symmetrizer of t on the slots from `start`, block by block."""
+    terms = symmetrize(t, variant, element.terms, start, slots=True)
+    return TensorElement._from_raw(element.dims, element.signature, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +371,13 @@ def sl_invariant_element(dims: IndexRange, k: int, hat: bool) -> TensorElement:
     n, m = dims.even_count, dims.odd_count
     t = split_rows_tableau(n, m, k)
     s = split_cols_tableau(n, m, k)
-    e_s = young_symmetrizer(s, "plain")
-    e_t = young_symmetrizer(t, "tilde")
-    Ik = repeated_evens(n, k)
-    Jk = blocked_odds(m, k)
-    terms: dict[TWord, Coeff] = {}
-    for L in all_words(dims, n * m):
-        expo = mutual_parity_count(L) + (parity_of_word(L) if hat else 0)
-        if hat:
-            w = dual_word(Ik + L) + plain_word(L + Jk)
-        else:
-            w = plain_word(Ik + L) + dual_word(L + Jk)
-        terms[w] = terms.get(w, 0) + (-1) ** expo
-    sig = (hat,) * (n * (m + k)) + (not hat,) * (m * (n + k))
-    return apply_symmetrizer_pair(e_s, e_t, TensorElement(dims, sig, terms))
+    head = (dual_word if hat else plain_word)(repeated_evens(n, k))
+    tail = (plain_word if hat else dual_word)(blocked_odds(m, k))
+    theta_k = theta_power(dims, n * m, hat)
+    terms = {head + w + tail: c for w, c in theta_k.terms.items()}
+    sig = signature_of(head) + theta_k.signature + signature_of(tail)
+    left = symmetrize_element(s, "plain", TensorElement(dims, sig, terms))
+    return symmetrize_element(t, "tilde", left, start=s.size)
 
 
 @dataclass
@@ -432,39 +424,22 @@ def invariant_operator(setup: OperatorSetup, w: TensorElement, route: str = "dir
     if len(w.signature) != m * (n + k) or any(w.signature):
         raise ValueError("argument must be covariant of degree m(n+k)")
     if route == "direct":
-        e_t = young_symmetrizer(setup.t, "plain")
-        inner = apply_group_algebra(e_t, w)
+        inner = symmetrize_element(setup.t, "plain", w)
     elif route == "coset":
-        top = YoungTableau(
-            Partition((m,) * n), tuple(setup.t.rows[:n])
-        )
-        bottom_rows = tuple(
-            tuple(v - n * m for v in row) for row in setup.t.rows[n:]
-        )
+        bottom_rows = tuple(tuple(v - n * m for v in row) for row in setup.t.rows[n:])
         bottom = YoungTableau(Partition((m,) * k), bottom_rows)
         whole_cols = column_group(setup.t)
-        split_cols = _product_subgroup(setup.t, n, m, k)
+        # the column stabilizer elements that preserve the top/bottom split
+        split_cols = [p for p in whole_cols if all(p(x) < n * m for x in range(n * m))]
         reps = coset_representatives(whole_cols, split_cols, side="right")
-        acc = apply_group_algebra(
-            GroupAlgebraElement(setup.t.size, {pi: pi.sign() for pi in reps}), w
-        )
-        e_t2 = young_symmetrizer(bottom, "plain")
-        inner = apply_group_algebra(e_t2, acc, start=n * m)
+        signed_reps = GroupAlgebraElement(setup.t.size, {pi: pi.sign() for pi in reps})
+        acc = apply_group_algebra(signed_reps, w)
+        inner = symmetrize_element(bottom, "plain", acc, start=n * m)
     else:
         raise ValueError("route must be 'direct' or 'coset'")
     contracted = contraction_D(setup.Jk, inner)
     prefixed = TensorElement.from_word(setup.dims, plain_word(setup.Ik)).tensor(contracted)
-    e_s = young_symmetrizer(setup.s, "plain")
-    return apply_group_algebra(e_s, prefixed)
-
-
-def _product_subgroup(t: YoungTableau, n: int, m: int, k: int) -> list[Permutation]:
-    """Column stabilizer elements preserving the top/bottom split."""
-    out = []
-    for p in column_group(t):
-        if all(p(x) < n * m for x in range(n * m)):
-            out.append(p)
-    return out
+    return symmetrize_element(setup.s, "plain", prefixed)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +511,7 @@ def marked_tableau_operator(
         w = plain_word(setup.Ik + tuple(reduced))
         terms[w] = terms.get(w, 0) + coeff
     out = TensorElement(setup.dims, (False,) * (n * (m + 1)), terms)
-    e_s = young_symmetrizer(setup.s, "plain")
-    return apply_group_algebra(e_s, out).scale(eps_L)
+    return symmetrize_element(setup.s, "plain", out).scale(eps_L)
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +661,9 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
     nabla = nabla_construct(dims)
     support = nabla_support_words(dims)
     s = split_cols_tableau(n, m, 1)
-    e_s = young_symmetrizer(s, "plain")
     I1 = repeated_evens(n, 1)
     images = [
-        apply_group_algebra(e_s, TensorElement.from_word(dims, plain_word(I1 + I)))
+        symmetrize_element(s, "plain", TensorElement.from_word(dims, plain_word(I1 + I)))
         for I in support
     ]
     # one equation per word: sum_j x_j images[j] - x_last nabla = 0

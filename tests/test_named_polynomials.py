@@ -13,7 +13,6 @@ from superinv.named_polynomials import (
     Z_of,
     _pair_family,
     _square_term,
-    _symmetrized_words,
     frobenius_hook_shape,
     ppf_tableau,
 )
@@ -22,6 +21,7 @@ from superinv.permutations import (
     act_on_word,
     cocycle,
     cocycle_sign,
+    symmetrize,
     young_symmetrizer,
 )
 from superinv.polynomials import (
@@ -373,9 +373,9 @@ def test_equal_letters_collect_and_cancel():
     assert P_t(alg, row, (od(1), od(1)), (ev(1), ev(2))).is_zero()
     assert reference_P_t(alg, row, (od(1), od(1)), (ev(1), ev(2))).is_zero()
     # one pairing per distinct moved word; a word whose terms cancel is dropped
-    assert _symmetrized_words(row, (ev(1), ev(1))) == {(ev(1), ev(1)): 2}
-    assert _symmetrized_words(row, (od(1), od(1))) == {}
-    assert _symmetrized_words(row, (ev(1), od(1))) == {(ev(1), od(1)): 1, (od(1), ev(1)): 1}
+    assert symmetrize(row, "plain", {(ev(1), ev(1)): 1}) == {(ev(1), ev(1)): 2}
+    assert symmetrize(row, "plain", {(od(1), od(1)): 1}) == {}
+    assert symmetrize(row, "plain", {(ev(1), od(1)): 1}) == {(ev(1), od(1)): 1, (od(1), ev(1)): 1}
 
 
 _SHADOW_ALGEBRA = make_mixed_algebra(IndexRange(2, 2), IndexRange(0, 0), IndexRange(2, 1))

@@ -1,13 +1,15 @@
 """The integer-coefficient permutation kernel: exact coefficient types, the
-symmetrizer cap, and the tableau symmetrizations that run through the one
-expanded Young symmetrizer, checked against the plain double sum over the
-column and row stabilizers."""
+symmetrizer cap, and the tableau symmetrizations that apply the Young
+symmetrizer one block at a time, checked against the plain double sum over
+the column and row stabilizers and against the expanded symmetrizer."""
 
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superinv
 from superinv import invariants, named_polynomials, permutations
@@ -21,11 +23,12 @@ from superinv.permutations import (
     cocycle,
     column_group,
     row_group,
+    symmetrize,
     young_symmetrizer,
 )
 from superinv.polynomials import make_sym_square_algebra, make_uw_algebra
 from superinv.tableaux import Partition, enumerate_partitions, enumerate_standard_tableaux
-from superinv.tensors import TensorElement, apply_group_algebra, plain_word
+from superinv.tensors import TensorElement, apply_group_algebra, dual_word, plain_word
 from test_named_polynomials import X_of, Y_of
 
 VARIANTS = ("plain", "tilde")
@@ -204,28 +207,27 @@ def test_apply_group_algebra_matches_apply_to_word():
 
 
 def test_stabilizers_built_once_per_symmetrization(monkeypatch):
-    calls = {"row_group": 0, "column_group": 0}
+    """Each row or column block's group is built once per (tableau,
+    variant), by the first symmetrization; later ones reuse it."""
+    built = []
+    original = permutations._block_group
 
-    def counting(name):
-        original = getattr(permutations, name)
+    def counting(blocks, degree):
+        blocks = [list(b) for b in blocks]
+        built.extend(blocks)
+        return original(blocks, degree)
 
-        def wrapper(t):
-            calls[name] += 1
-            return original(t)
+    monkeypatch.setattr(permutations, "_block_group", counting)
 
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(permutations, name, counting(name))
-
-    def built_once(run):
-        # exactly once here: the count must also show the wrappers are live.
-        # The symmetrizations keep recent expansions, so each run starts
-        # with none kept
-        named_polynomials._inverse_terms.cache_clear()
-        calls.update(row_group=0, column_group=0)
+    def built_once(t, run):
+        blocks = permutations.row_blocks(t) + permutations.column_blocks(t)
+        permutations._block_plan.cache_clear()
+        built.clear()
         run()
-        assert calls == {"row_group": 1, "column_group": 1}
+        assert sorted(built) == sorted(b for b in blocks if len(b) > 1)
+        built.clear()
+        run()
+        assert built == []
 
     uw = make_uw_algebra(MIXED, MIXED)
     square = make_sym_square_algebra(IndexRange(2, 1))
@@ -233,8 +235,74 @@ def test_stabilizers_built_once_per_symmetrization(monkeypatch):
     for t in SMALL_TABLEAUX:
         I = _words(t.size)[-1]
         for variant in VARIANTS:
-            built_once(lambda: P_t(uw, t, I, I, variant))
+            built_once(t, lambda: P_t(uw, t, I, I, variant))
         if t.shape.parts in ((2,), (2, 2), (4,)):
-            built_once(lambda: Pf_t(square, t, (ev(1),) * t.size))
+            built_once(t, lambda: Pf_t(square, t, (ev(1),) * t.size))
         if t.shape.parts in ((2,), (3, 1)):
-            built_once(lambda: PPf_t(twisted, t, (ev(1), od(1)) * (t.size // 2)))
+            built_once(t, lambda: PPf_t(twisted, t, (ev(1), od(1)) * (t.size // 2)))
+
+
+# -- the block path against the expanded symmetrizer ------------------------
+
+TABLEAUX_TO_7 = [
+    t
+    for size in range(1, 8)
+    for shape in enumerate_partitions(size)
+    for t in enumerate_standard_tableaux(shape)
+]
+_COEFFS = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4).filter(bool),
+)
+
+
+@st.composite
+def _symmetrize_case(draw):
+    """A standard tableau of up to 7 cells, a variant, a head and a tail
+    of dual slots around the tableau's block, and 1-3 mixed-parity words
+    over (1|2) or (2|1), so letters repeat."""
+    t = draw(st.sampled_from(TABLEAUX_TO_7))
+    dims = draw(st.sampled_from([IndexRange(1, 2), IndexRange(2, 1)]))
+    letters = st.sampled_from(dims.indices())
+    head, tail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        w = [draw(st.lists(letters, min_size=n, max_size=n)) for n in (head, t.size, tail)]
+        terms[dual_word(w[0]) + plain_word(w[1]) + dual_word(w[2])] = draw(_COEFFS)
+    sig = (True,) * head + (False,) * t.size + (True,) * tail
+    return t, draw(st.sampled_from(VARIANTS)), TensorElement(dims, sig, terms), head
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetrize_case())
+def test_symmetrize_matches_expanded_symmetrizer(case):
+    """Same words, coefficients and coefficient types as the expanded
+    symmetrizer's action, on tensor words and on bare letter words."""
+    t, variant, x, start = case
+    want = apply_group_algebra(young_symmetrizer(t, variant), x, start).terms
+    got = symmetrize(t, variant, x.terms, start, slots=True)
+    assert got == want
+    assert [type(c) for c in got.values()] == [type(want[w]) for w in got]
+    letters = {tuple(i for i, _ in w): c for w, c in x.terms.items()}
+    bare = symmetrize(t, variant, letters, start)
+    assert bare == {tuple(i for i, _ in w): c for w, c in want.items()}
+
+
+def test_symmetrize_edge_cases():
+    col2 = enumerate_standard_tableaux(Partition((1, 1)))[0]
+    row2 = enumerate_standard_tableaux(Partition((2,)))[0]
+    # a repeated even letter in a column, a repeated odd one in a row
+    assert symmetrize(col2, "plain", {(ev(1), ev(1)): 3}) == {}
+    assert symmetrize(row2, "tilde", {(ev(2), od(1), od(1)): Fraction(1, 2)}, 1) == {}
+    assert symmetrize(row2, "plain", {}) == {}
+    # Fractions that sum to an integer come back as int
+    got = symmetrize(row2, "plain", {(ev(1), ev(2)): Fraction(1, 2), (ev(2), ev(1)): Fraction(1, 2)})
+    assert got == {(ev(1), ev(2)): 1, (ev(2), ev(1)): 1}
+    assert {type(c) for c in got.values()} == {int}
+    with pytest.raises(ValueError):
+        symmetrize(row2, "plain", {(ev(1),): 1})
+    with pytest.raises(ValueError):
+        symmetrize(row2, "other", {(ev(1), ev(2)): 1})
+    # the expanded size is checked before any block: 11! terms
+    with pytest.raises(CapExceeded):
+        symmetrize(enumerate_standard_tableaux(Partition((1,) * 11))[0], "plain", {})

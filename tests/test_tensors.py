@@ -6,13 +6,18 @@ import pytest
 
 from superinv.alphabet import IndexRange, all_words, ev, od
 from superinv.liealgebras import MatrixElement, build_family
-from superinv.permutations import GroupAlgebraElement, Permutation, cocycle_sign, young_symmetrizer
-from superinv.tableaux import Partition, enumerate_standard_tableaux
+from superinv.permutations import (
+    GroupAlgebraElement,
+    Permutation,
+    cocycle_sign,
+    symmetrize,
+    young_symmetrizer,
+)
+from superinv.tableaux import Partition, enumerate_standard_tableaux, fill_rows
 from superinv.tensors import (
     TensorElement,
     act_on_tensor,
     apply_group_algebra,
-    apply_symmetrizer_pair,
     blocked_odds,
     contraction_D,
     dual_word,
@@ -173,12 +178,20 @@ def test_sl_elements_at_1_1():
 
 
 def test_symmetrizer_pair_identity():
-    from superinv.permutations import GroupAlgebraElement
-
-    w = TensorElement.from_word(V11, plain_word((ev(1), od(1))) + dual_word((ev(1),)))
-    one2 = GroupAlgebraElement.unit(2)
-    one1 = GroupAlgebraElement.unit(1)
-    assert apply_symmetrizer_pair(one2, one1, w) == w
+    """Two symmetrizers on adjacent blocks of slots, as the sl elements use
+    them: a one-cell tableau acts as the identity, and the block path
+    equals the expanded symmetrizers applied in turn."""
+    sig = (False, False, True)
+    w = TensorElement(V11, sig, {
+        plain_word((ev(1), od(1))) + dual_word((ev(1),)): 2,
+        plain_word((od(1), od(1))) + dual_word((od(1),)): Fraction(-1, 3),
+    })
+    one, row2 = fill_rows(Partition((1,))), fill_rows(Partition((2,)))
+    assert symmetrize(one, "tilde", w.terms, 2, slots=True) == w.terms
+    got = symmetrize(one, "tilde", symmetrize(row2, "plain", w.terms, slots=True), 2, slots=True)
+    left = apply_group_algebra(young_symmetrizer(row2), w, 0)
+    want = apply_group_algebra(young_symmetrizer(one, "tilde"), left, 2)
+    assert got == want.terms and got
 
 
 def reference_apply(g, element, start=0):
