@@ -3,7 +3,7 @@ superalgebras: tableau combinatorics over a two-parity alphabet,
 supercommutative polynomial algebras, tensor invariants and their operators,
 and brute-force verification oracles with a claim catalog."""
 
-from .alphabet import EVEN, ODD, IndexRange, SuperIndex, SuperSequence, ev, od
+from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
 from .claims import CLAIM_DEFAULTS, ClaimOptions, KNOWN_CLAIMS, run_claim
 from .generators import (
     scalar_products,
@@ -11,7 +11,6 @@ from .generators import (
     osp_relative_generators,
     spe_constructive_element,
     spe_ppf_polynomials,
-    spe_tensor_invariants,
 )
 from .invariants import (
     CapExceeded,

@@ -101,60 +101,6 @@ def cross_parity_count(left: Word, right: Word) -> int:
     return total
 
 
-class SuperSequence:
-    """A word over a fixed index range.
-
-    Immutable; equality and hashing go through the letter tuple and range.
-    """
-
-    __slots__ = ("items", "range")
-
-    def __init__(self, items: Iterable[SuperIndex], index_range: IndexRange):
-        items = tuple(items)
-        for idx in items:
-            if idx not in index_range:
-                raise ValueError(f"index {idx} outside range {index_range}")
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "range", index_range)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("SuperSequence is immutable")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[SuperIndex]:
-        return iter(self.items)
-
-    def __getitem__(self, i):
-        return self.items[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SuperSequence)
-            and self.items == other.items
-            and self.range == other.range
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.items, self.range))
-
-    def __repr__(self) -> str:
-        return "(" + ",".join(str(i) for i in self.items) + ")"
-
-    @property
-    def parity(self) -> int:
-        return parity_of_word(self.items)
-
-    def parity_vector(self) -> tuple[int, ...]:
-        return tuple(idx.parity for idx in self.items)
-
-    def concat(self, other: "SuperSequence") -> "SuperSequence":
-        if other.range != self.range:
-            raise ValueError("concatenation requires a common range")
-        return SuperSequence(self.items + other.items, self.range)
-
-
 def all_words(index_range: IndexRange, length: int) -> Iterator[Word]:
     """All length-`length` words over the range, in alphabet order."""
     yield from itertools.product(index_range.indices(), repeat=length)

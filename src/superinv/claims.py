@@ -15,12 +15,14 @@ from typing import Callable, Optional
 from .alphabet import IndexRange, ev
 from .errors import CapExceeded, InvalidOptions
 from .liealgebras import (
+    AlgebraFamily,
     MatrixElement,
     act_on_polynomial,
     build_family,
     yminus_expansion,
 )
 from .invariants import (
+    DEFAULT_MONOMIAL_CAP,
     algebra_for,
     check_generation,
     check_monomial_cap,
@@ -114,7 +116,7 @@ class ClaimOptions:
     max_degree: int = 4
     n: int = 2
     k: int = 1
-    monomial_cap: int = 20_000
+    monomial_cap: int = DEFAULT_MONOMIAL_CAP
 
 
 def _status(ok: bool) -> str:
@@ -122,23 +124,42 @@ def _status(ok: bool) -> str:
 
 
 def _generation_records(
-    claim: str, tag: str, vdims, algebra, gens, degrees, expect: str = "equal"
+    claim: str, family: AlgebraFamily, opts: ClaimOptions, algebra, gens, degrees
 ) -> list[CheckRecord]:
-    family = build_family(tag, IndexRange(*vdims))
-    verdicts = check_generation(family, algebra, gens, degrees)
-    out = []
-    for v in verdicts:
-        ok = v.verdict == expect
-        out.append(
-            CheckRecord(
-                id=f"{claim}:{tag}{vdims}:deg{v.degree}",
-                claim_ref=claim,
-                status=_status(ok),
-                dims={"oracle": v.oracle_dim, "generated": v.generated_dim},
-                witness=str(v.witness) if v.witness is not None else None,
-            )
+    """One record per degree: the generated subspace equals the oracle's."""
+    verdicts = check_generation(family, algebra, gens, degrees, opts.monomial_cap)
+    return [
+        CheckRecord(
+            id=f"{claim}:{family.tag}{opts.dims}:deg{v.degree}",
+            claim_ref=claim,
+            status=_status(v.equal),
+            dims={"oracle": v.oracle_dim, "generated": v.generated_dim},
+            witness=str(v.witness) if v.witness is not None else None,
         )
-    return out
+        for v in verdicts
+    ]
+
+
+def _relation_records(
+    claim: str, rid: str, subs, rels: list, degree: int, opts: ClaimOptions
+) -> list[CheckRecord]:
+    """The relations substitute to zero, and they span the kernel of the
+    substitution map at their degree."""
+    rep = relation_kernel_check(subs, rels, degree, monomial_cap=opts.monomial_cap)
+    return [
+        CheckRecord(
+            rid + ":substitution",
+            claim,
+            _status(rep.all_substitute_to_zero),
+            detail={"relations": rep.relations_checked},
+        ),
+        CheckRecord(
+            rid + ":kernel",
+            claim,
+            _status(rep.kernel_matches_span),
+            dims={"oracle": rep.kernel_dim, "generated": rep.relation_span_dim},
+        ),
+    ]
 
 
 def run_t21(opts: ClaimOptions) -> list[CheckRecord]:
@@ -148,7 +169,7 @@ def run_t21(opts: ClaimOptions) -> list[CheckRecord]:
     algebra = algebra_for(family, p, q, k, l)
     gens = [g for g in scalar_products("gl", algebra) if g]
     return _generation_records(
-        "T2.1", "gl", opts.dims, algebra, gens, range(1, opts.max_degree + 1)
+        "T2.1", family, opts, algebra, gens, range(1, opts.max_degree + 1)
     )
 
 
@@ -169,22 +190,8 @@ def run_t22(opts: ClaimOptions) -> list[CheckRecord]:
     for I in enumerate_semistandard(t, U):
         moved = symmetrize(t, "plain", {tuple(I): 1}).items()
         rels += [f for J in Js if (f := Z_combination(source, moved, J, "zuw"))]
-    rep = relation_kernel_check(subs, rels, shape.size, monomial_cap=opts.monomial_cap)
     rid = f"T2.2:gl{opts.dims}:U{opts.udims}:W{opts.wdims}"
-    return [
-        CheckRecord(
-            id=rid + ":substitution",
-            claim_ref="T2.2",
-            status=_status(rep.all_substitute_to_zero),
-            detail={"relations": rep.relations_checked},
-        ),
-        CheckRecord(
-            id=rid + ":kernel",
-            claim_ref="T2.2",
-            status=_status(rep.kernel_matches_span),
-            dims={"oracle": rep.kernel_dim, "generated": rep.relation_span_dim},
-        ),
-    ]
+    return _relation_records("T2.2", rid, subs, rels, shape.size, opts)
 
 
 def _tensor_invariance_records(claim: str, opts: ClaimOptions, hat: bool) -> list[CheckRecord]:
@@ -223,8 +230,7 @@ def run_t36(opts: ClaimOptions) -> list[CheckRecord]:
     n, m = vdims
     f_degree = n * (opts.k + m) + m * (n + opts.k)
     records = []
-    verdicts = check_generation(family, algebra, base, [f_degree])
-    v = verdicts[0]
+    v = check_generation(family, algebra, base, [f_degree], opts.monomial_cap)[0]
     records.append(
         CheckRecord(
             id=f"T3.6:sl{vdims}:scalars-only:deg{f_degree}",
@@ -250,8 +256,8 @@ def run_t36(opts: ClaimOptions) -> list[CheckRecord]:
     records.extend(
         _generation_records(
             "T3.6",
-            "sl",
-            vdims,
+            family,
+            opts,
             algebra,
             base + extra.plus + extra.minus,
             range(1, opts.max_degree + 1),
@@ -348,28 +354,30 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     return records
 
 
+def _scalar_product_records(
+    claim: str, tag: str, opts: ClaimOptions, degrees
+) -> list[CheckRecord]:
+    """The family's scalar products are invariant and generate its
+    invariants in `degrees`."""
+    family = build_family(tag, IndexRange(*opts.dims))
+    p, q = opts.wdims
+    algebra = algebra_for(family, p, q, 0, 0)
+    gens = [g for g in scalar_products(tag, algebra) if g]
+    sound = all(act_on_polynomial(x, f).is_zero() for f in gens for x in family.basis)
+    invariance = CheckRecord(
+        id=f"{claim}:{tag}{opts.dims}:W{opts.wdims}:invariance",
+        claim_ref=claim,
+        status=_status(sound),
+        detail={"generators": len(gens)},
+    )
+    return [invariance] + _generation_records(claim, family, opts, algebra, gens, degrees)
+
+
 def run_t43(opts: ClaimOptions) -> list[CheckRecord]:
     """Orthosymplectic scalar products: invariance, and generation of the
     even-degree (extension-invariant) part; odd-degree gaps belong to the
     relative theory."""
-    family = build_family("osp", IndexRange(*opts.dims))
-    p, q = opts.wdims
-    algebra = algebra_for(family, p, q, 0, 0)
-    gens = [g for g in scalar_products("osp", algebra) if g]
-    sound = all(act_on_polynomial(x, f).is_zero() for f in gens for x in family.basis)
-    records = [
-        CheckRecord(
-            id=f"T4.3:osp{opts.dims}:W{opts.wdims}:invariance",
-            claim_ref="T4.3",
-            status=_status(sound),
-            detail={"generators": len(gens)},
-        )
-    ]
-    even_degrees = [d for d in range(1, opts.max_degree + 1) if d % 2 == 0]
-    records.extend(
-        _generation_records("T4.3", "osp", opts.dims, algebra, gens, even_degrees)
-    )
-    return records
+    return _scalar_product_records("T4.3", "osp", opts, range(2, opts.max_degree + 1, 2))
 
 
 def run_t44(opts: ClaimOptions) -> list[CheckRecord]:
@@ -410,22 +418,8 @@ def run_t45(opts: ClaimOptions) -> list[CheckRecord]:
     # each quadratic symbol absorbs two word letters
     check_monomial_cap(source, shape.size // 2, opts.monomial_cap)
     rels = [f for I in enumerate_semistandard(t, W) if (f := Pf_t(source, t, I))]
-    rep = relation_kernel_check(subs, rels, shape.size // 2, monomial_cap=opts.monomial_cap)
     rid = f"T4.5:osp{opts.dims}:W{opts.wdims}"
-    return [
-        CheckRecord(
-            rid + ":substitution",
-            "T4.5",
-            _status(rep.all_substitute_to_zero),
-            detail={"relations": rep.relations_checked},
-        ),
-        CheckRecord(
-            rid + ":kernel",
-            "T4.5",
-            _status(rep.kernel_matches_span),
-            dims={"oracle": rep.kernel_dim, "generated": rep.relation_span_dim},
-        ),
-    ]
+    return _relation_records("T4.5", rid, subs, rels, shape.size // 2, opts)
 
 
 def run_t51(opts: ClaimOptions) -> list[CheckRecord]:
@@ -488,7 +482,7 @@ def run_t52(opts: ClaimOptions) -> list[CheckRecord]:
     gens = [g for g in scalar_products("osp", algebra) if g] + relative
     records.extend(
         _generation_records(
-            "T5.2", "osp", opts.dims, algebra, gens, range(1, opts.max_degree + 1)
+            "T5.2", family, opts, algebra, gens, range(1, opts.max_degree + 1)
         )
     )
     return records
@@ -496,25 +490,7 @@ def run_t52(opts: ClaimOptions) -> list[CheckRecord]:
 
 def run_t62(opts: ClaimOptions) -> list[CheckRecord]:
     """Periplectic scalar products: invariance and generation."""
-    family = build_family("pe", IndexRange(*opts.dims))
-    p, q = opts.wdims
-    algebra = algebra_for(family, p, q, 0, 0)
-    gens = [g for g in scalar_products("pe", algebra) if g]
-    sound = all(act_on_polynomial(x, f).is_zero() for f in gens for x in family.basis)
-    records = [
-        CheckRecord(
-            id=f"T6.2:pe{opts.dims}:W{opts.wdims}:invariance",
-            claim_ref="T6.2",
-            status=_status(sound),
-            detail={"generators": len(gens)},
-        )
-    ]
-    records.extend(
-        _generation_records(
-            "T6.2", "pe", opts.dims, algebra, gens, range(1, opts.max_degree + 1)
-        )
-    )
-    return records
+    return _scalar_product_records("T6.2", "pe", opts, range(1, opts.max_degree + 1))
 
 
 def run_t631(opts: ClaimOptions) -> list[CheckRecord]:
@@ -550,22 +526,8 @@ def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     t = ppf_tableau(alphas)
     check_monomial_cap(source, t.size // 2, opts.monomial_cap)
     rels = [f for I in enumerate_semistandard(t, W) if (f := PPf_t(source, t, I))]
-    rep = relation_kernel_check(subs, rels, t.size // 2, monomial_cap=opts.monomial_cap)
     rid = f"T6.3.2:pe({n}|{n}):W{opts.wdims}"
-    return [
-        CheckRecord(
-            rid + ":substitution",
-            "T6.3.2",
-            _status(rep.all_substitute_to_zero),
-            detail={"relations": rep.relations_checked},
-        ),
-        CheckRecord(
-            rid + ":kernel",
-            "T6.3.2",
-            _status(rep.kernel_matches_span),
-            dims={"oracle": rep.kernel_dim, "generated": rep.relation_span_dim},
-        ),
-    ]
+    return _relation_records("T6.3.2", rid, subs, rels, t.size // 2, opts)
 
 
 # L7.1 expands 2^(n(n-1)/2) terms: 32,768 at n = 6, about 2M at n = 7
@@ -729,7 +691,7 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     for level in range(0, k + 1):
         gens.extend(spe_ppf_polynomials(tower_alg, family, level, 1, elements))
     degrees = list(range(2, n * (n + k) + 1, 2))
-    verdicts = check_generation(family, tower_alg, gens, degrees)
+    verdicts = check_generation(family, tower_alg, gens, degrees, opts.monomial_cap)
     for v in verdicts:
         records.append(
             CheckRecord(

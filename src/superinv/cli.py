@@ -11,14 +11,18 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
 from .alphabet import IndexRange
 from .claims import CLAIM_DEFAULTS, ClaimOptions, KNOWN_CLAIMS, run_claim
 from .errors import InvalidOptions
-from .invariants import CapExceeded, algebra_for, invariant_space_bruteforce
+from .invariants import (
+    DEFAULT_MONOMIAL_CAP,
+    CapExceeded,
+    algebra_for,
+    invariant_space_bruteforce,
+)
 from .liealgebras import build_family
 from .tableaux import Partition, count_semistandard, enumerate_standard_tableaux
 
@@ -215,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cap",
             type=int,
-            default=int(os.environ.get("SUPERINV_MONOMIAL_CAP", 20_000)),
+            default=DEFAULT_MONOMIAL_CAP,
             help="monomial basis cap",
         )
         p.add_argument(

@@ -503,28 +503,6 @@ def spe_ppf_polynomials(
     return nonzero_shadows(algebra, _dual_letters(held[key], t.size), t)
 
 
-def spe_tensor_invariants(n: int, k: int) -> list[TensorElement]:
-    """Both constructive tensor invariants at level k for the (n|n) family,
-    re-verified by direct action on construction."""
-    family = build_spe(n)
-    out = []
-    for kind in ("lower", "raise"):
-        element = spe_constructive_element(family, k, kind)
-        for x in family.basis:
-            from .tensors import act_on_tensor
-
-            if not act_on_tensor(x, element).is_zero():
-                raise AssertionError("constructive element failed invariance")
-        out.append(element)
-    return out
-
-
-def build_spe(n: int) -> AlgebraFamily:
-    from .liealgebras import build_family
-
-    return build_family("spe", IndexRange(n, n))
-
-
 def spe_ppf_literal(
     algebra: AlgebraDescriptor, k: int, sign_k: int
 ) -> list[Polynomial]:

@@ -80,7 +80,7 @@ def _diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list
     0 on generators without an inner action."""
     out = []
     for x in family.diagonal_basis():
-        e = x.entries
+        e = x.terms
         out.append(tuple(
             e.get((g.col, g.col), 0) if g.family == "uv"
             else -e.get((g.row, g.row), 0) if g.family == "vw"

@@ -14,58 +14,52 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
-from .coefficients import Coeff, add_scaled, exact
+from .coefficients import Coeff, SparseElement, add_scaled, exact
 from .errors import InvalidOptions
 from .linalg import SpanTracker, _primitive_terms, nullspace
 from .polynomials import AlgebraDescriptor, Polynomial
 
 
-@dataclass
-class MatrixElement:
+@dataclass(eq=False, repr=False)
+class MatrixElement(SparseElement):
     """Homogeneous matrix over the super vector space with basis indexed by
     `dims`.  Entry (r, c) sends basis vector c to basis vector r.  Entries
     are `int` while they are integral, `Fraction` only after a real
     division, never `float` (see `superinv.coefficients`)."""
 
     dims: IndexRange
-    entries: dict[tuple[SuperIndex, SuperIndex], Coeff]
+    terms: dict[tuple[SuperIndex, SuperIndex], Coeff]
     parity: int
 
     def __post_init__(self):
         clean = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.terms.items():
             v = exact(v)
             if not v:
                 continue
             if (r.parity + c.parity) % 2 != self.parity:
                 raise ValueError("entry off the declared parity block")
             clean[(r, c)] = v
-        self.entries = clean
+        self.terms = clean
 
     @staticmethod
     def unit(dims: IndexRange, r: SuperIndex, c: SuperIndex) -> "MatrixElement":
         return MatrixElement(dims, {(r, c): 1}, (r.parity + c.parity) % 2)
 
-    def is_zero(self) -> bool:
-        return not self.entries
+    def _space(self) -> tuple:
+        return (self.dims, self.parity)
 
-    def __add__(self, other: "MatrixElement") -> "MatrixElement":
-        if other.parity != self.parity:
-            raise ValueError("cannot add different parities")
-        out = dict(self.entries)
-        add_scaled(out, other.entries)
-        return MatrixElement(self.dims, out, self.parity)
+    def _wrap(self, terms: dict) -> "MatrixElement":
+        return MatrixElement(self.dims, terms, self.parity)
 
-    def scale(self, c) -> "MatrixElement":
-        c = exact(c)
-        return MatrixElement(
-            self.dims, {k: v * c for k, v in self.entries.items()}, self.parity
-        )
+    @staticmethod
+    def _label(rc: tuple[SuperIndex, SuperIndex]) -> str:
+        return f"E[{rc[0]},{rc[1]}]"
 
     def matmul(self, other: "MatrixElement") -> "MatrixElement":
         out: dict[tuple[SuperIndex, SuperIndex], Coeff] = {}
-        for (r1, c1), v1 in self.entries.items():
-            for (r2, c2), v2 in other.entries.items():
+        for (r1, c1), v1 in self.terms.items():
+            for (r2, c2), v2 in other.terms.items():
                 if c1 != r2:
                     continue
                 k = (r1, c2)
@@ -79,35 +73,23 @@ class MatrixElement:
 
     def supertrace(self) -> Coeff:
         out = 0
-        for (r, c), v in self.entries.items():
+        for (r, c), v in self.terms.items():
             if r == c:
                 out += v if r.parity == EVEN else -v
         return out
 
     def is_diagonal(self) -> bool:
-        return all(r == c for (r, c) in self.entries)
+        return all(r == c for (r, c) in self.terms)
 
     def column(self, c: SuperIndex) -> dict[SuperIndex, Coeff]:
         """Action on the basis vector e_c."""
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+        return {r: v for (r, cc), v in self.terms.items() if cc == c}
 
     def dual_row(self, r: SuperIndex) -> dict[SuperIndex, Coeff]:
         """Coefficients of the dual action: e_r^* goes to
         -(-1)^{p(X)p(r)} sum of X[r,c] e_c^*."""
         sign = -((-1) ** (self.parity * r.parity))
-        return {c: v * sign for (rr, c), v in self.entries.items() if rr == r}
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "0"
-        bits = []
-        for (r, c) in sorted(self.entries):
-            v = self.entries[(r, c)]
-            bits.append(f"{'+' if v > 0 else '-'} {abs(v)}*E[{r},{c}]")
-        s = " ".join(bits)
-        return s[2:] if s.startswith("+ ") else s
-
-    __repr__ = __str__
+        return {c: v * sign for (rr, c), v in self.terms.items() if rr == r}
 
 
 @dataclass
@@ -123,9 +105,6 @@ class AlgebraFamily:
 
     def diagonal_basis(self) -> list[MatrixElement]:
         return [b for b in self.basis if b.is_diagonal()]
-
-    def off_diagonal_basis(self) -> list[MatrixElement]:
-        return [b for b in self.basis if not b.is_diagonal()]
 
 
 def gl_basis(dims: IndexRange) -> list[MatrixElement]:
@@ -264,7 +243,7 @@ def _pe_grading(fam: AlgebraFamily) -> dict[str, list[MatrixElement]]:
     """Split a periplectic-type basis into the (lower | even | upper) blocks."""
     minus, zero, plus = [], [], []
     for b in fam.basis:
-        blocks = {(r.parity, c.parity) for (r, c) in b.entries}
+        blocks = {(r.parity, c.parity) for (r, c) in b.terms}
         if blocks <= {(ODD, EVEN)}:
             minus.append(b)
         elif blocks <= {(EVEN, ODD)}:
@@ -272,8 +251,8 @@ def _pe_grading(fam: AlgebraFamily) -> dict[str, list[MatrixElement]]:
         elif blocks <= {(EVEN, EVEN), (ODD, ODD)}:
             zero.append(b)
         else:  # mixed homogeneous odd element: split it
-            lower = {k: v for k, v in b.entries.items() if (k[0].parity, k[1].parity) == (ODD, EVEN)}
-            upper = {k: v for k, v in b.entries.items() if (k[0].parity, k[1].parity) == (EVEN, ODD)}
+            lower = {k: v for k, v in b.terms.items() if (k[0].parity, k[1].parity) == (ODD, EVEN)}
+            upper = {k: v for k, v in b.terms.items() if (k[0].parity, k[1].parity) == (EVEN, ODD)}
             if lower:
                 minus.append(MatrixElement(b.dims, lower, 1))
             if upper:
@@ -283,18 +262,14 @@ def _pe_grading(fam: AlgebraFamily) -> dict[str, list[MatrixElement]]:
 
 def _dedupe(elements: list[MatrixElement]) -> list[MatrixElement]:
     tracker = SpanTracker()
-    return [e for e in elements if tracker.add(e.entries)]
+    return [e for e in elements if tracker.add(e.terms)]
 
 
 def _span_tracker(fam: AlgebraFamily) -> SpanTracker:
     tracker = SpanTracker()
     for b in fam.basis:
-        tracker.add(b.entries)
+        tracker.add(b.terms)
     return tracker
-
-
-def in_span(fam: AlgebraFamily, x: MatrixElement) -> bool:
-    return _span_tracker(fam).contains(x.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +286,7 @@ def generator_images(x: MatrixElement, algebra: AlgebraDescriptor) -> list:
     """
     columns: dict[SuperIndex, list] = {}
     rows: dict[SuperIndex, list] = {}
-    for (r, c), v in x.entries.items():
+    for (r, c), v in x.terms.items():
         columns.setdefault(c, []).append((r, v))
         rows.setdefault(r, []).append((c, v))
     index = algebra.maybe_index

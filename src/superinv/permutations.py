@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .alphabet import SuperIndex, Word
-from .coefficients import Coeff, add_scaled, exact, normalized
+from .coefficients import Coeff, SparseElement, exact, normalized
 from .errors import CapExceeded
 from .tableaux import YoungTableau
 
@@ -114,7 +114,7 @@ def cocycle(word: Sequence[SuperIndex], sigma: Permutation) -> int:
     return cocycle_sign([x.parity for x in word], sigma.images)
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(SparseElement):
     """Sparse rational combination of permutations of a fixed degree.
 
     Coefficients are exact: `int` while they are integral, `Fraction` only
@@ -151,16 +151,13 @@ class GroupAlgebraElement:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out = dict(self.terms)
-        add_scaled(out, other.terms)
-        return GroupAlgebraElement(self.degree, out)
+    def _space(self) -> tuple:
+        return (self.degree,)
 
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = exact(c)
-        return GroupAlgebraElement(
-            self.degree, {perm: coeff * c for perm, coeff in self.terms.items()}
-        )
+    def _wrap(self, terms: dict) -> "GroupAlgebraElement":
+        return GroupAlgebraElement(self.degree, terms)
+
+    _label = staticmethod(repr)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         # Images are byte strings: p1 * p2 is p2's string translated through a
@@ -189,13 +186,6 @@ class GroupAlgebraElement:
                 out[im] = get(im, 0) + c * n
         return GroupAlgebraElement._adopt(
             k, {Permutation(tuple(im)): exact(c) for im, c in out.items() if c}
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupAlgebraElement)
-            and self.degree == other.degree
-            and self.terms == other.terms
         )
 
     def inverse_terms(self) -> Iterator[tuple[tuple[int, ...], Coeff]]:

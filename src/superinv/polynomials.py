@@ -12,10 +12,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 from operator import add
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .alphabet import IndexRange, SuperIndex
-from .coefficients import Coeff, add_scaled, exact, normalized
+from .coefficients import Coeff, SparseElement, exact, normalized
 
 Monomial = tuple[int, ...]
 
@@ -124,7 +124,7 @@ def _odd_crossings(left: list[int], right: list[int]) -> int:
     return n
 
 
-class Polynomial:
+class Polynomial(SparseElement):
     """Sparse exact element of a free supercommutative algebra.
 
     Coefficients are `int` while they are integral, `Fraction` only after a
@@ -139,37 +139,14 @@ class Polynomial:
         self.algebra = algebra
         self.terms: dict[Monomial, Coeff] = normalized(terms) if terms else {}
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _space(self) -> tuple:
+        return (self.algebra,)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _wrap(self, terms: dict) -> "Polynomial":
+        return Polynomial(self.algebra, terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
-
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.algebra, dict(self.terms))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if other.algebra is not self.algebra:
-            raise ValueError("mixed algebras")
-        out = dict(self.terms)
-        add_scaled(out, other.terms)
-        return Polynomial(self.algebra, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Polynomial":
-        c = exact(c)
-        if not c:
-            return Polynomial(self.algebra)
-        return Polynomial(self.algebra, {m: v * c for m, v in self.terms.items()})
+    def _label(self, mono: Monomial) -> str:
+        return self.algebra.monomial_str(mono)
 
     def add_term(self, mono: Sequence[int], coeff) -> None:
         """In-place accumulation of a not-necessarily-sorted product."""
@@ -222,21 +199,6 @@ class Polynomial:
 
     def is_homogeneous_degree(self, d: int) -> bool:
         return all(len(m) == d for m in self.terms)
-
-    def monomial_parity(self, mono: Monomial) -> int:
-        return sum(self.algebra.parities[g] for g in mono) % 2
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{self.algebra.monomial_str(mono)}")
-        s = " ".join(bits)
-        return s[2:] if s.startswith("+ ") else s
-
-    __repr__ = __str__
 
 
 def power(p: Polynomial, n: int) -> Polynomial:
@@ -401,9 +363,3 @@ def monomials_of_degree(
         walk(0, degree, (), zero)
     return out
 
-
-def multidegree(
-    algebra: AlgebraDescriptor, mono: Monomial, key: Callable[[Generator], object]
-) -> tuple:
-    """Multiset of key values over the monomial's factors, as a sorted tuple."""
-    return tuple(sorted(key(algebra.generators[g]) for g in mono))

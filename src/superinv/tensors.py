@@ -22,7 +22,7 @@ from .alphabet import (
     od,
     parity_of_word,
 )
-from .coefficients import Coeff, add_scaled, exact, normalized
+from .coefficients import Coeff, SparseElement, normalized
 from .liealgebras import MatrixElement
 from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
@@ -53,7 +53,7 @@ def letters_of(w: TWord) -> Word:
     return tuple(i for i, _ in w)
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """Sparse exact element of a fixed mixed tensor space.
 
     Coefficients are `int` while they are integral, `Fraction` only after a
@@ -94,37 +94,15 @@ class TensorElement:
     def from_word(dims: IndexRange, w: TWord, coeff=1) -> "TensorElement":
         return TensorElement(dims, signature_of(w), {w: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _space(self) -> tuple:
+        return (self.dims, self.signature)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _wrap(self, terms: dict) -> "TensorElement":
+        return TensorElement._from_raw(self.dims, self.signature, terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.dims == other.dims
-            and self.signature == other.signature
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if other.signature != self.signature or other.dims != self.dims:
-            raise ValueError("space mismatch")
-        out = dict(self.terms)
-        add_scaled(out, other.terms)
-        return TensorElement._from_raw(self.dims, self.signature, out)
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TensorElement":
-        c = exact(c)
-        if not c:
-            return TensorElement(self.dims, self.signature)
-        return TensorElement._from_raw(
-            self.dims, self.signature, {w: v * c for w, v in self.terms.items()}
-        )
+    @staticmethod
+    def _label(w: TWord) -> str:
+        return "@".join(f"e*[{i}]" if d else f"e[{i}]" for i, d in w)
 
     def tensor(self, other: "TensorElement") -> "TensorElement":
         if other.dims != self.dims:
@@ -134,22 +112,6 @@ class TensorElement:
             for w2, c2 in other.terms.items():
                 out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
         return TensorElement(self.dims, self.signature + other.signature, out)
-
-    def coefficient(self, w: TWord) -> Coeff:
-        return self.terms.get(w, 0)
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            label = "@".join(f"e*[{i}]" if d else f"e[{i}]" for i, d in w)
-            bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{label}")
-        s = " ".join(bits)
-        return s[2:] if s.startswith("+ ") else s
-
-    __repr__ = __str__
 
 
 def slot_parity(slot: Slot) -> int:
@@ -715,7 +677,7 @@ def tensor_invariant_space(
     slot), then a stacked nullspace over the off-diagonal ones."""
     words = [word(L, signature) for L in all_words(dims, len(signature))]
     weights = [
-        {(i, dual): -v if dual else v for (i, _), v in x.entries.items() for dual in (False, True)}
+        {(i, dual): -v if dual else v for (i, _), v in x.terms.items() for dual in (False, True)}
         for x in basis_elements
         if x.is_diagonal()
     ]

@@ -7,10 +7,7 @@ from superinv.alphabet import (
     mutual_parity_count,
     od,
     parity_of_word,
-    SuperSequence,
 )
-
-import pytest
 
 
 def test_order_even_below_odd():
@@ -58,14 +55,6 @@ def test_cross_parity_count_matches_bruteforce():
                 if a > b
             )
             assert cross_parity_count(left, right) == brute
-
-
-def test_sequence_range_validation():
-    r = IndexRange(1, 0)
-    with pytest.raises(ValueError):
-        SuperSequence([od(1)], r)
-    s = SuperSequence([ev(1), ev(1)], r)
-    assert s.parity_vector() == (0, 0)
 
 
 def test_all_words_count():

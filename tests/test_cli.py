@@ -192,6 +192,19 @@ def test_verify_cap_exit(capsys):
 
 
 @pytest.mark.parametrize(
+    "claim", ["T2.1", "T2.2", "T3.6", "T4.3", "T4.5", "T5.2", "T6.2", "T6.3.2", "T7.3"]
+)
+def test_cap_reaches_every_monomial_basis(capsys, claim):
+    """Every claim that builds a monomial basis, for the oracle or for a
+    relation kernel, runs it under --cap."""
+    code, out, err = run_cli(capsys, "verify", "--theorem", claim, "--cap", "1", "--no-timing")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.startswith("error: monomial basis would need ")
+    assert err.endswith(", above the cap 1\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--theorem", "T7.3", "--n", "1"),

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from superinv import coefficients, liealgebras, permutations, polynomials, tensors
+from superinv import coefficients, liealgebras, permutations, polynomials
 from superinv.alphabet import IndexRange, ev, od
-from superinv.coefficients import exact
+from superinv.coefficients import SparseElement, exact
 from superinv.generators import spe_ppf_polynomials
 from superinv.invariants import algebra_for, invariant_space_bruteforce
 from superinv.liealgebras import MatrixElement, act_on_polynomial, build_family
 from superinv.polynomials import Polynomial, make_mixed_algebra
-from superinv.tensors import TensorElement, act_on_tensor, plain_word, theta_power
+from superinv.permutations import GroupAlgebraElement, Permutation
+from superinv.tensors import TensorElement, act_on_tensor, dual_word, plain_word, theta_power
 
 V = IndexRange(1, 1)
 
@@ -21,10 +22,52 @@ def _types(terms):
     return {type(c) for c in terms.values()}
 
 
-def test_one_definition_shared_by_the_containers():
+CONTAINERS = (Polynomial, TensorElement, GroupAlgebraElement, MatrixElement)
+CORE = ("__add__", "__sub__", "scale", "__eq__", "__bool__", "is_zero", "__str__")
+
+
+def test_one_core_shared_by_the_containers():
     assert not hasattr(permutations, "_exact")
-    for module in (permutations, polynomials, tensors, liealgebras):
+    for module in (permutations, polynomials, liealgebras):
         assert module.exact is coefficients.exact
+    for cls in CONTAINERS:
+        assert issubclass(cls, SparseElement)
+        assert not set(CORE) & set(vars(cls)), cls
+
+
+def _pairs_across_spaces():
+    """(element, element of another space) for each container."""
+    a, b = make_mixed_algebra(V, V, V), make_mixed_algebra(V, V, V)
+    w = plain_word((ev(1), od(1)))
+    perm = Permutation.identity
+    yield a.gen(0), b.gen(0)
+    yield TensorElement.from_word(V, w), TensorElement.from_word(V, dual_word(w[:1]) + w[1:])
+    yield TensorElement.from_word(V, w), TensorElement.from_word(IndexRange(2, 1), w)
+    yield GroupAlgebraElement(2, {perm(2): 1}), GroupAlgebraElement(3, {perm(3): 1})
+    yield MatrixElement.unit(V, ev(1), ev(1)), MatrixElement.unit(IndexRange(2, 0), ev(2), ev(2))
+    yield MatrixElement.unit(V, ev(1), ev(1)), MatrixElement.unit(V, ev(1), od(1))
+
+
+@pytest.mark.parametrize(
+    "x, y", list(_pairs_across_spaces()),
+    ids=["algebra", "signature", "tensor-dims", "degree", "matrix-dims", "parity"],
+)
+def test_sum_across_spaces_raises(x, y):
+    for op in (x.__add__, x.__sub__):
+        with pytest.raises(ValueError, match="different spaces"):
+            op(y)
+    assert x != y and x - x == x.scale(0) and not x.scale(0) and x.scale(0).is_zero()
+    assert str(x.scale(0)) == "0" and str(x.scale(-2)).startswith("- 2*")
+
+
+def test_core_printing():
+    alg = make_mixed_algebra(V, V, V)
+    assert str(alg.gen(1) - alg.gen(0).scale(Fraction(1, 2))) == "- 1/2*x[1,1] + 1*x[1,1']"
+    w = plain_word((ev(1), od(1)))
+    assert repr(TensorElement.from_word(V, w, 3)) == "3*e[1]@e[1']"
+    swap = Permutation.transposition(2, 0, 1)
+    assert str(GroupAlgebraElement(2, {swap: -1})) == "- 1*Perm(1, 0)"
+    assert str(MatrixElement.unit(V, ev(1), od(1))) == "1*E[1,1']"
 
 
 def test_exact():
@@ -80,14 +123,14 @@ def test_tensor_coefficients():
 
 def test_matrix_coefficients():
     x = MatrixElement.unit(V, ev(1), ev(1))
-    assert _types(x.entries) == {int}
+    assert _types(x.terms) == {int}
     for fam in (build_family("spe", IndexRange(2, 2)), build_family("osp", IndexRange(1, 2))):
         for b in fam.basis:
-            assert _types(b.entries) == {int}
-            assert _types(b.bracket(fam.basis[0]).entries) <= {int}
+            assert _types(b.terms) == {int}
+            assert _types(b.bracket(fam.basis[0]).terms) <= {int}
     half = x.scale(Fraction(1, 2))
-    assert _types(half.entries) == {Fraction}
-    assert _types((half + half).entries) == {int}
+    assert _types(half.terms) == {Fraction}
+    assert _types((half + half).terms) == {int}
     for bad in (
         lambda: MatrixElement(V, {(ev(1), ev(1)): 0.5}, 0),
         lambda: x.scale(2.0),

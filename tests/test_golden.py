@@ -3,8 +3,7 @@ every catalog claim must print exactly the report stored under
 `tests/golden/<id>.json`.
 
 Regenerate a golden file only when a report change is intended:
-`superinv verify --theorem <id> --no-timing > tests/golden/<id>.json`
-(with `SUPERINV_MONOMIAL_CAP` unset).
+`superinv verify --theorem <id> --no-timing > tests/golden/<id>.json`.
 """
 
 from pathlib import Path
@@ -22,8 +21,7 @@ def test_golden_set_covers_the_catalog():
 
 
 @pytest.mark.parametrize("theorem", KNOWN_CLAIMS)
-def test_verify_report_matches_golden(theorem, capsys, monkeypatch):
-    monkeypatch.delenv("SUPERINV_MONOMIAL_CAP", raising=False)
+def test_verify_report_matches_golden(theorem, capsys):
     code = main(["verify", "--theorem", theorem, "--no-timing"])
     out = capsys.readouterr().out
     assert code == EXIT_OK

@@ -13,7 +13,6 @@ from superinv.liealgebras import (
     act_on_polynomial,
     build_family,
     gl_basis,
-    in_span,
     t1_matrices,
     yminus_expansion,
     yminus_factors,
@@ -59,7 +58,7 @@ def bracket_closed(fam) -> bool:
     """Closure reference: every bracket of two basis elements lies in the
     span of the basis."""
     tracker = _span_tracker(fam)
-    return all(tracker.contains(x.bracket(y).entries) for x in fam.basis for y in fam.basis)
+    return all(tracker.contains(x.bracket(y).terms) for x in fam.basis for y in fam.basis)
 
 
 @pytest.mark.parametrize(
@@ -94,8 +93,8 @@ def test_spe_lower_grading():
         IndexRange(2, 2), od(2), ev(1)
     ).scale(-1)
     got = minus[0]
-    ratio = next(iter(got.entries.values()))
-    assert got.entries == target.scale(ratio).entries or got.entries == target.scale(-ratio).entries
+    ratio = next(iter(got.terms.values()))
+    assert got.terms == target.scale(ratio).terms or got.terms == target.scale(-ratio).terms
 
 
 def test_pe_grading_weights():
@@ -109,31 +108,31 @@ def test_pe_grading_weights():
     for fac in yminus_factors(dims):
         for h in diag:
             br = h.bracket(fac)
-            (r, c), v = next(iter(fac.entries.items()))
+            (r, c), v = next(iter(fac.terms.items()))
             expected = (
-                h.entries.get((r, r), Fraction(0)) - h.entries.get((c, c), Fraction(0))
+                h.terms.get((r, r), Fraction(0)) - h.terms.get((c, c), Fraction(0))
             )
-            assert br.entries == fac.scale(expected).entries
+            assert br.terms == fac.scale(expected).terms
     # the products carry the advertised total weights
     total_minus = {}
     for fac in yminus_factors(dims):
-        (r, c), _ = next(iter(sorted(fac.entries.items())))
+        (r, c), _ = next(iter(sorted(fac.terms.items())))
     # weight of the full lower product: -(n-1) sum eps_i, checked through a
     # diagonal element h = diag(a_i; -a_i)
-    h = next(b for b in diag if b.entries)
+    h = next(b for b in diag if b.terms)
     evals = []
     for fac in yminus_factors(dims):
-        (r, c), _ = next(iter(sorted(fac.entries.items())))
+        (r, c), _ = next(iter(sorted(fac.terms.items())))
         evals.append(
-            h.entries.get((r, r), Fraction(0)) - h.entries.get((c, c), Fraction(0))
+            h.terms.get((r, r), Fraction(0)) - h.terms.get((c, c), Fraction(0))
         )
-    a = [h.entries.get((ev(i), ev(i)), Fraction(0)) for i in range(1, n + 1)]
+    a = [h.terms.get((ev(i), ev(i)), Fraction(0)) for i in range(1, n + 1)]
     assert sum(evals) == -(n - 1) * sum(a)
     evals_plus = []
     for fac in xplus_factors(dims):
-        (r, c), _ = next(iter(sorted(fac.entries.items())))
+        (r, c), _ = next(iter(sorted(fac.terms.items())))
         evals_plus.append(
-            h.entries.get((r, r), Fraction(0)) - h.entries.get((c, c), Fraction(0))
+            h.terms.get((r, r), Fraction(0)) - h.terms.get((c, c), Fraction(0))
         )
     assert sum(evals_plus) == (n + 1) * sum(a)
 
@@ -154,7 +153,7 @@ def test_jacobi_superidentity_random():
             sxz = (-1) ** (x.parity * z.parity)
             lhs = x.bracket(y.bracket(z))
             rhs = x.bracket(y).bracket(z) + y.bracket(x.bracket(z)).scale(sxy)
-            assert lhs.entries == rhs.entries
+            assert lhs.terms == rhs.terms
 
 
 def test_action_is_representation():

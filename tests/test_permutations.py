@@ -297,24 +297,6 @@ def test_symmetrizer_image_independence():
         assert rank_rows(rows) == len(words)
 
 
-def act_on_sequence(sigma, seq):
-    """Range-aware form of the word action (no caller in the package)."""
-    from superinv.alphabet import SuperSequence
-    from superinv.permutations import act_on_word
-
-    return SuperSequence(act_on_word(sigma, seq.items), seq.range)
-
-
-def test_act_on_sequence_wrapper():
-    from superinv.alphabet import SuperSequence
-
-    r = IndexRange(1, 1)
-    seq = SuperSequence((ev(1), od(1)), r)
-    moved = act_on_sequence(Permutation.transposition(2, 0, 1), seq)
-    assert moved == SuperSequence((od(1), ev(1)), r)
-    assert moved.range == r
-
-
 def test_semistandard_count_is_module_dimension():
     """Independent oracle: the number of semistandard sequences equals the
     rank of the symmetrizer image on the whole tensor power."""
