@@ -30,7 +30,7 @@ from .polynomials import AlgebraDescriptor, Polynomial
 from .tableaux import YoungTableau, enumerate_semistandard
 from .tensors import (
     TensorElement,
-    act_universal_product,
+    act_on_tensor,
     dual_word,
     form_sign,
     letters_of,
@@ -452,7 +452,7 @@ def spe_constructive_element(
     """The two constructive routes: the product of the lower-block
     generators applied to the symmetrized all-odd word with an odd tail, or
     the product of the raising-block generators applied to the symmetrized
-    all-even word with an even head."""
+    all-even word with an even head.  The leftmost factor acts last."""
     from .liealgebras import yminus_factors
 
     dims = family.dims
@@ -467,7 +467,10 @@ def spe_constructive_element(
         factors = xplus_factors(dims)
     else:
         raise ValueError("kind must be 'lower' or 'raise'")
-    return act_universal_product(factors, symmetrize_element(t, "plain", w))
+    out = symmetrize_element(t, "plain", w)
+    for x in reversed(factors):
+        out = act_on_tensor(x, out)
+    return out
 
 
 def spe_ppf_polynomials(

@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 from .alphabet import IndexRange
 from .coefficients import Coeff
 from .errors import CapExceeded
-from .liealgebras import AlgebraFamily, act_through_images, generator_images
-from .linalg import SpanTracker, _primitive_terms, joint_kernel
+from .liealgebras import AlgebraFamily, act_through_images, annihilates, generator_images
+from .linalg import SpanTracker, joint_kernel
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -75,19 +75,14 @@ def blocked_monomials(
 
 
 def _diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
-    """One weight per generator for each diagonal basis element x: x[c, c]
-    on a uv generator of column c, -x[r, r] on a vw generator of row r, and
-    0 on generators without an inner action."""
-    out = []
-    for x in family.diagonal_basis():
-        e = x.terms
-        out.append(tuple(
-            e.get((g.col, g.col), 0) if g.family == "uv"
-            else -e.get((g.row, g.row), 0) if g.family == "vw"
-            else 0
-            for g in algebra.generators
-        ))
-    return out
+    """One weight per generator for each diagonal basis element x: the
+    coefficient of the generator in its own image, which is its inner
+    slot's own entry (x[c, c] on a uv generator of column c, -x[r, r] on a
+    vw generator of row r), and 0 on generators without an inner action."""
+    return [
+        tuple(dict(image or ()).get(g, 0) for g, image in enumerate(generator_images(x, algebra)))
+        for x in family.diagonal_basis()
+    ]
 
 
 @dataclass
@@ -121,21 +116,18 @@ def invariant_space_bruteforce(
     act through their generator-image tables (`generator_images`), built
     once per call; the kernel of their stacked images is read off the
     reduced echelon form.  With `verify`, every basis polynomial is checked
-    against every element of the family, in integers: the action is linear,
-    so acting on the primitive integer multiple of the polynomial decides
-    whether it is annihilated.
+    against every element of the family (`annihilates`).
     """
-    tables = [generator_images(x, algebra) for x in family.basis]
     blocks = blocked_monomials(
         algebra, degree, monomial_cap, _diagonal_weights(family, algebra)
     )
     # cancelled terms are dropped, so that the entry cap counts only the
     # image monomials that occur
     maps = [
-        lambda m, t=table, p=x.parity: {
+        lambda m, t=generator_images(x, algebra), p=x.parity: {
             u: c for u, c in act_through_images(t, p, algebra, {m: 1}).items() if c
         }
-        for x, table in zip(family.basis, tables)
+        for x in family.basis
         if not x.is_diagonal()
     ]
     basis = [
@@ -143,12 +135,8 @@ def invariant_space_bruteforce(
         for key in sorted(blocks)
         for terms in joint_kernel(blocks[key], [], maps, entry_cap)
     ]
-    if verify:
-        for f in basis:
-            terms = _primitive_terms(f.terms)
-            for x, table in zip(family.basis, tables):
-                if any(act_through_images(table, x.parity, algebra, terms).values()):
-                    raise AssertionError("oracle produced a non-invariant")
+    if verify and not annihilates(family.basis, basis):
+        raise AssertionError("oracle produced a non-invariant")
     return InvariantSpace(family.tag, degree, algebra, basis)
 
 

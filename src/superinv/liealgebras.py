@@ -1,9 +1,12 @@
 """Matrix Lie superalgebras gl, sl, osp, pe, spe: bases, brackets, and the
-derivation action on polynomial algebras.
+derivation action: one slot-image table per element
+(`MatrixElement.slot_images`), extended to slot words (`act_on_words`) and
+to polynomials (`generator_images`, `act_through_images`).
 
 Form-preserving families are not hand-coded; their bases are exact
 nullspaces of the annihilation condition on the gl basis, echelonized for
-determinism.  `build_family` checks that a basis is linearly independent;
+determinism: the condition is the word action on the form's dual-dual
+words.  `build_family` checks that a basis is linearly independent;
 bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 """
 
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, SparseElement, add_scaled, exact
@@ -81,15 +85,17 @@ class MatrixElement(SparseElement):
     def is_diagonal(self) -> bool:
         return all(r == c for (r, c) in self.terms)
 
-    def column(self, c: SuperIndex) -> dict[SuperIndex, Coeff]:
-        """Action on the basis vector e_c."""
-        return {r: v for (r, cc), v in self.terms.items() if cc == c}
-
-    def dual_row(self, r: SuperIndex) -> dict[SuperIndex, Coeff]:
-        """Coefficients of the dual action: e_r^* goes to
-        -(-1)^{p(X)p(r)} sum of X[r,c] e_c^*."""
-        sign = -((-1) ** (self.parity * r.parity))
-        return {c: v * sign for (rr, c), v in self.terms.items() if rr == r}
+    def slot_images(self) -> dict:
+        """The action on one slot, as a table from a slot (letter, dual) to
+        its image, a tuple of (slot, coefficient) pairs; slots without an
+        image are absent.  The vector e_c goes to the sum of X[r,c] e_r, and
+        the covector e_r^* to -(-1)^{p(X)p(r)} times the sum of X[r,c] e_c^*."""
+        table: dict = {}
+        for (r, c), v in self.terms.items():
+            table.setdefault((c, False), []).append(((r, False), v))
+            sign = 1 if self.parity and r.parity else -1
+            table.setdefault((r, True), []).append(((c, True), v * sign))
+        return {slot: tuple(image) for slot, image in table.items()}
 
 
 @dataclass
@@ -130,16 +136,16 @@ def _solve_family(
 ) -> list[MatrixElement]:
     """Solve linear conditions on a single parity block of gl.
 
-    `conditions(X)` maps a MatrixElement to a list of exact numbers that
+    `conditions(X)` maps a MatrixElement to a dict of exact numbers that
     must all vanish.
     """
     coords = _parity_block(dims, parity)
     # each condition gives one linear equation over the coords
-    rows: dict[int, dict[int, Coeff]] = {}
+    rows: dict = {}
     for i, coord in enumerate(coords):
-        for j, v in enumerate(conditions(MatrixElement.unit(dims, *coord))):
+        for key, v in conditions(MatrixElement.unit(dims, *coord)).items():
             if v:
-                rows.setdefault(j, {})[i] = v
+                rows.setdefault(key, {})[i] = v
     return [
         MatrixElement(dims, {coords[i]: v for i, v in _primitive_terms(vec).items()}, parity)
         for vec in nullspace(list(rows.values()), len(coords))
@@ -149,8 +155,8 @@ def _solve_family(
 def osp_form_tensor(dims: IndexRange):
     """The preserved covector pairing for the orthosymplectic family:
     symmetric anti-diagonal on the even part, symplectic pairing on the odd
-    part.  Returned as a list of ((a, b), coeff) slots of a two-fold dual
-    tensor."""
+    part.  Returned as a list of ((a, b), coeff) letter pairs of a two-fold
+    dual tensor."""
     n, m = dims.even_count, dims.odd_count
     if m % 2:
         raise InvalidOptions(f"osp needs an even odd dimension, got --dims {n},{m}")
@@ -176,21 +182,11 @@ def pe_form_tensor(dims: IndexRange):
     return terms
 
 
-def _dual_pair_action(x: MatrixElement, form) -> list[Coeff]:
-    """Coefficients of x acting on a dual-dual tensor sum c_{ab} e_a* x e_b*.
-
-    The action on e_a* is -(-1)^{p(x)p(a)} sum_c x[a,c] e_c*; crossing into the
-    second slot costs (-1)^{p(x)p(first slot)}.
-    """
-    out: dict[tuple[SuperIndex, SuperIndex], Coeff] = {}
-    for (a, b), coeff in form:
-        for c, v in x.dual_row(a).items():
-            out[(c, b)] = out.get((c, b), 0) + coeff * v
-        sign = (-1) ** (x.parity * a.parity)
-        for c, v in x.dual_row(b).items():
-            out[(a, c)] = out.get((a, c), 0) + coeff * v * sign
-    letters = x.dims.indices()
-    return [out.get((a, b), 0) for a in letters for b in letters]
+def _form_action(form) -> Callable[[MatrixElement], dict]:
+    """The condition that x annihilates the dual-dual tensor
+    sum c_{ab} e_a* x e_b* of a form: x's action on its words."""
+    words = {((a, True), (b, True)): c for (a, b), c in form}
+    return lambda x: act_on_words(x.slot_images(), x.parity, words)
 
 
 def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
@@ -215,23 +211,15 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
             )
             basis.append(x)
         fam = AlgebraFamily("sl", dims, basis)
-    elif tag == "osp":
-        form = osp_form_tensor(dims)
-        basis = []
-        for parity in (0, 1):
-            basis.extend(_solve_family(dims, lambda x: _dual_pair_action(x, form), parity))
-        fam = AlgebraFamily("osp", dims, basis)
-    elif tag in ("pe", "spe"):
-        form = pe_form_tensor(dims)
-        basis = []
-        for parity in (0, 1):
-            if tag == "pe":
-                cond = lambda x: _dual_pair_action(x, form)
-            else:
-                cond = lambda x: _dual_pair_action(x, form) + [x.supertrace()]
-            basis.extend(_solve_family(dims, cond, parity))
+    elif tag in ("osp", "pe", "spe"):
+        form_action = _form_action(osp_form_tensor(dims) if tag == "osp" else pe_form_tensor(dims))
+        cond = form_action
+        if tag == "spe":
+            cond = lambda x: {**form_action(x), "str": x.supertrace()}
+        basis = [b for parity in (0, 1) for b in _solve_family(dims, cond, parity)]
         fam = AlgebraFamily(tag, dims, basis)
-        fam.grading = _pe_grading(fam)
+        if tag != "osp":
+            fam.grading = _pe_grading(fam)
     else:
         raise ValueError(f"unknown family tag {tag!r}")
     if _span_tracker(fam).rank != fam.dimension:
@@ -273,32 +261,55 @@ def _span_tracker(fam: AlgebraFamily) -> SpanTracker:
 
 
 # ---------------------------------------------------------------------------
-# derivation action on the polynomial algebras
+# the derivation action on slot words and on the polynomial algebras
+
+
+def act_on_words(table: dict, parity: int, terms: dict) -> dict:
+    """An element of the given parity, with slot-image table `table`
+    (`MatrixElement.slot_images`), applied as a derivation to a dict of slot
+    words.
+
+    Each slot of a word is replaced in turn by its image, with the sign
+    (-1)^{parity * p(slots before it)}.  Returns raw sums: zeros are left
+    in, and coefficients are not made exact.
+    """
+    out: dict = {}
+    get = out.get
+    for w, coeff in terms.items():
+        odd = 0
+        for pos, slot in enumerate(w):
+            image = table.get(slot)
+            if image:
+                c = -coeff if parity and odd else coeff
+                head, tail = w[:pos], w[pos + 1 :]
+                for target, v in image:
+                    key = head + (target,) + tail
+                    out[key] = get(key, 0) + c * v
+            odd ^= slot[0].parity
+    return out
 
 
 def generator_images(x: MatrixElement, algebra: AlgebraDescriptor) -> list:
     """The image of each generator under x, as a tuple of (generator index,
     coefficient) pairs, or None for a generator without an inner action.
 
-    x[r,i] goes to (-1)^{p(x)p(r)} sum over a of x[a,i] x[r,a]: the matrix
-    acts through the vector slot, crossing the u-factor first.  x*[i,s]
-    goes to the dual action, -(-1)^{p(x)p(i)} sum over b of x[i,b] x*[b,s].
+    x[r,i] carries the vector slot i and x*[i,s] the covector slot i; each
+    goes to its slot's image, and x[r,i] takes the sign (-1)^{p(x)p(r)} of
+    crossing the u-factor first.
     """
-    columns: dict[SuperIndex, list] = {}
-    rows: dict[SuperIndex, list] = {}
-    for (r, c), v in x.terms.items():
-        columns.setdefault(c, []).append((r, v))
-        rows.setdefault(r, []).append((c, v))
+    if algebra.v_range is not None and algebra.v_range != x.dims:
+        raise ValueError("matrix dimensions do not match the algebra's inner space")
+    table = x.slot_images()
     index = algebra.maybe_index
     out: list = []
     for g in algebra.generators:
-        odd_crossing = x.parity and g.row.parity
         if g.family == "uv":
-            sign = -1 if odd_crossing else 1
-            pairs = [(index("uv", g.row, a), v * sign) for a, v in columns.get(g.col, ())]
+            sign = -1 if x.parity and g.row.parity else 1
+            image = table.get((g.col, False), ())
+            pairs = [(index("uv", g.row, a), v * sign) for (a, _), v in image]
         elif g.family == "vw":
-            sign = 1 if odd_crossing else -1
-            pairs = [(index("vw", b, g.col), v * sign) for b, v in rows.get(g.row, ())]
+            image = table.get((g.row, True), ())
+            pairs = [(index("vw", b, g.col), v) for (b, _), v in image]
         else:
             out.append(None)
             continue
@@ -355,11 +366,27 @@ def act_through_images(
 def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     """Super-derivation extension of the generator action."""
     algebra = f.algebra
-    v_range = algebra.v_range
-    if v_range is not None and v_range != x.dims:
-        raise ValueError("matrix dimensions do not match the algebra's inner space")
     images = generator_images(x, algebra)
     return Polynomial(algebra, act_through_images(images, x.parity, algebra, f.terms))
+
+
+def annihilates(basis: Sequence[MatrixElement], polys: Iterable[Polynomial]) -> bool:
+    """Whether every element of `basis` kills every polynomial of `polys`.
+
+    Generator images are built once per algebra.  The action is linear, so
+    each polynomial's primitive integer multiple is acted on, and the check
+    stops at the first nonzero image.
+    """
+    tables: dict = {}
+    for f in polys:
+        algebra = f.algebra
+        if algebra not in tables:
+            tables[algebra] = [(generator_images(x, algebra), x.parity) for x in basis]
+        terms = _primitive_terms(f.terms)
+        for images, parity in tables[algebra]:
+            if any(act_through_images(images, parity, algebra, terms).values()):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

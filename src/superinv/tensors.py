@@ -2,7 +2,9 @@
 actions, contraction operators, and the constructive invariant operator.
 
 A tensor word is a tuple of slots (index, dual flag); elements are sparse
-exact combinations of words sharing one slot signature.
+exact combinations of words sharing one slot signature.  A matrix acts on
+them through its slot-image table, as a derivation across the slots
+(`liealgebras.act_on_words`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .alphabet import (
     parity_of_word,
 )
 from .coefficients import Coeff, SparseElement, normalized
-from .liealgebras import MatrixElement
+from .liealgebras import MatrixElement, act_on_words
 from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
@@ -187,26 +189,8 @@ def act_on_tensor(x: MatrixElement, element: TensorElement) -> TensorElement:
     sign-twisted transpose action."""
     if x.dims != element.dims:
         raise ValueError("dimension mismatch")
-    acc: dict[TWord, Coeff] = {}
-    get = acc.get
-    for w, coeff in element.terms.items():
-        left = 0
-        for pos, (idx, dual) in enumerate(w):
-            sign = (-1) ** (x.parity * left)
-            images = x.dual_row(idx) if dual else x.column(idx)
-            for target, v in images.items():
-                nw = w[:pos] + ((target, dual),) + w[pos + 1 :]
-                acc[nw] = get(nw, 0) + coeff * v * sign
-            left = (left + idx.parity) % 2
+    acc = act_on_words(x.slot_images(), x.parity, element.terms)
     return TensorElement._from_raw(element.dims, element.signature, acc)
-
-
-def act_universal_product(xs: Sequence[MatrixElement], element: TensorElement) -> TensorElement:
-    """Apply a product of algebra elements; the leftmost factor acts last."""
-    out = element
-    for x in reversed(xs):
-        out = act_on_tensor(x, out)
-    return out
 
 
 def apply_group_algebra(
@@ -673,16 +657,16 @@ def tensor_invariant_space(
 ) -> list[TensorElement]:
     """Exact basis of the joint kernel of the action of the given elements
     on the full word space: weight-filter by the diagonal elements (a
-    diagonal x weighs x[i, i] on a slot of letter i, negated on a dual
-    slot), then a stacked nullspace over the off-diagonal ones."""
+    diagonal x weighs each slot by the coefficient of the slot in its own
+    image), then a stacked nullspace over the off-diagonal ones."""
     words = [word(L, signature) for L in all_words(dims, len(signature))]
     weights = [
-        {(i, dual): -v if dual else v for (i, _), v in x.terms.items() for dual in (False, True)}
+        {slot: dict(image)[slot] for slot, image in x.slot_images().items()}
         for x in basis_elements
         if x.is_diagonal()
     ]
     maps = [
-        lambda w, x=x: act_on_tensor(x, TensorElement.from_word(dims, w)).terms
+        lambda w, t=x.slot_images(), p=x.parity: normalized(act_on_words(t, p, {w: 1}))
         for x in basis_elements
         if not x.is_diagonal()
     ]

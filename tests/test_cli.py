@@ -311,13 +311,23 @@ def _forbid(monkeypatch, modules, name):
             ("symmetrize", "Z_combination"),
             "symmetrizer terms would need 33177600, above the cap 5000000",
         ),
+        (
+            "T7.3",
+            ["--n", "2", "--k", "2", "--cap", "1"],
+            "symmetrize",
+            "monomial basis would need 32, above the cap 1",
+        ),
+        ("T3.6", ["--cap", "1"], "symmetrize", "monomial basis would need 192, above the cap 1"),
+        ("T5.2", ["--cap", "1"], "nabla_construct", "monomial basis would need 3, above the cap 1"),
     ],
 )
 def test_caps_checked_before_the_work(capsys, monkeypatch, claim, options, forbidden, message):
     """Exit 3 with the cap's one-line message before any relation is built
-    (T2.2, T4.5, T6.3.2) or any word is symmetrized or paired (T2.2, T7.3):
-    at level -3 T7.3's symmetrizer would expand to 33,177,600 terms, after
-    the 460,800 of level +3."""
+    (T2.2, T4.5, T6.3.2), any word is symmetrized or paired (T2.2, T3.6,
+    T7.3) or the constructive invariant is built (T5.2): at level -3 T7.3's
+    symmetrizer would expand to 33,177,600 terms, after the 460,800 of level
+    +3, and the generation claims check every degree their oracle will
+    reach."""
     from superinv import claims, generators, named_polynomials, permutations, tensors
 
     modules = [claims, generators, named_polynomials, permutations, tensors]
@@ -347,16 +357,16 @@ def _slow(claim, n, k, dims, udims, wdims):
     every cap (measured on a 2-core machine, 6 s limit): T2.2 with more
     than 8 letters in all and a monomial basis within the default cap
     (above it, the run exits 3 before building a relation), the
-    split-tableau claims at --dims 2,2 (T3.3 and T3.4 about 40 s at
-    --k 1, T3.8 19 s, T3.6 5 s before it exits 3), and T7.2 at --n 3 --k 0
-    (27 s).  With the symmetrizers applied block by block, T7.3 at
-    --n 2 --k 2 takes 2.5 s, T7.2 at --n 2 --k 3 4.6 s, and the
-    split-tableau claims at --k 3 and smaller --dims at most 1.6 s (T7.3 at
-    --k 3 exits 3 before any symmetrization).  Every other vector finishes
+    split-tableau claims at --dims 2,2 (T3.3 and T3.4 about 21 s at
+    --k 1, T3.8 19 s; T3.6 exits 3 there before any construction), and
+    T7.2 at --n 3 --k 0 (27 s).  With the symmetrizers applied block by
+    block, T7.3 at --n 2 --k 2 takes 2.6 s, T7.2 at --n 2 --k 3 3.2 s, and
+    the split-tableau claims at --k 3 and smaller --dims at most 1.6 s
+    (T7.3 at --k 3 exits 3 before any symmetrization).  Every other vector finishes
     within about 2 s."""
     if claim == "T2.2":
         return sum(dims + udims + wdims) > 8 and _t22_monomials(dims, udims, wdims) <= 20_000
-    if claim in ("T3.3", "T3.4", "T3.6", "T3.8"):
+    if claim in ("T3.3", "T3.4", "T3.8"):
         return dims == (2, 2)
     return claim == "T7.2" and (n, k) == (3, 0)
 

@@ -273,7 +273,8 @@ def test_form_annihilation_explicit():
 
 def reference_act(x, f):
     """The per-term derivation action: each factor is replaced by its image,
-    read off the matrix column by column, and every new word is sorted into
+    read off the matrix entries (a column for x[r,i], a row with the dual
+    sign -(-1)^{p(x)p(i)} for x*[i,s]), and every new word is sorted into
     normal form by insertion sort."""
     algebra = f.algebra
     parities = algebra.parities
@@ -286,13 +287,16 @@ def reference_act(x, f):
             if g.family == "uv":
                 u_sign = (-1) ** (x.parity * g.row.parity)
                 images = [
-                    (algebra.maybe_index("uv", g.row, a), v * u_sign)
-                    for a, v in x.column(g.col).items()
+                    (algebra.maybe_index("uv", g.row, r), v * u_sign)
+                    for (r, c), v in x.terms.items()
+                    if c == g.col
                 ]
             else:
+                dual_sign = -((-1) ** (x.parity * g.row.parity))
                 images = [
-                    (algebra.maybe_index("vw", b, g.col), v)
-                    for b, v in x.dual_row(g.row).items()
+                    (algebra.maybe_index("vw", c, g.col), v * dual_sign)
+                    for (r, c), v in x.terms.items()
+                    if r == g.row
                 ]
             for idx, v in images:
                 if idx is None:

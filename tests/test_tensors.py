@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, all_words, ev, od
 from superinv.liealgebras import MatrixElement, build_family
@@ -104,6 +106,59 @@ def test_action_bracket_compatibility():
             y, act_on_tensor(x, w)
         ).scale(sign)
         assert (lhs - rhs).is_zero()
+
+
+def reference_act_on_tensor(x, element):
+    """The per-slot derivation action read off the matrix entries: a vector
+    slot c goes to the sum of x[r,c] e_r, a covector slot r to
+    -(-1)^{p(x)p(r)} times the sum of x[r,c] e_c*, each with the sign
+    (-1)^{p(x) p(slots before it)}."""
+    out = {}
+    for w, coeff in element.terms.items():
+        for pos, (letter, dual) in enumerate(w):
+            sign = (-1) ** (x.parity * sum(i.parity for i, _ in w[:pos]))
+            for (r, c), v in x.terms.items():
+                if dual and r == letter:
+                    target, v = c, v * -((-1) ** (x.parity * r.parity))
+                elif not dual and c == letter:
+                    target = r
+                else:
+                    continue
+                nw = w[:pos] + ((target, dual),) + w[pos + 1 :]
+                out[nw] = out.get(nw, 0) + coeff * v * sign
+    return TensorElement(element.dims, element.signature, out)
+
+
+_TENSOR_FAMILIES = [
+    ("gl", (1, 1)),
+    ("gl", (2, 1)),
+    ("gl", (1, 2)),
+    ("osp", (1, 2)),
+    ("pe", (1, 1)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TENSOR_FAMILIES), st.lists(st.booleans(), min_size=1, max_size=4), st.data())
+def test_act_on_tensor_matches_the_per_slot_reference(family_dims, signature, data):
+    """act_on_tensor equals the per-slot reference for every basis element,
+    odd ones included, on random mixed-signature elements with int and
+    Fraction coefficients, and keeps every integral coefficient an int."""
+    tag, dims = family_dims
+    V = IndexRange(*dims)
+    letters = st.sampled_from(V.indices())
+    words = st.lists(letters, min_size=len(signature), max_size=len(signature)).map(
+        lambda L: tuple(zip(L, signature))
+    )
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    )
+    element = TensorElement(V, tuple(signature), data.draw(st.dictionaries(words, coeff, max_size=5)))
+    for x in build_family(tag, V).basis:
+        got = act_on_tensor(x, element)
+        assert got == reference_act_on_tensor(x, element), (tag, dims, x)
+        assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
 
 
 def test_pair_dual_against():
