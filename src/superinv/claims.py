@@ -30,10 +30,7 @@ from .invariants import (
     span_dimension,
 )
 from .generators import (
-    gl_substitution_map,
     osp_relative_generators,
-    osp_substitution_map,
-    pe_substitution_map,
     scalar_products,
     sl_extra_generators,
     sl_extra_literal,
@@ -41,6 +38,7 @@ from .generators import (
     spe_constructive_element,
     spe_ppf_literal,
     spe_ppf_polynomials,
+    substitution_map,
 )
 from .named_polynomials import Pf_t, PPf_t, Z_combination, ppf_tableau
 from .polynomials import make_sym_square_algebra, make_uw_algebra
@@ -180,7 +178,7 @@ def run_t22(opts: ClaimOptions) -> list[CheckRecord]:
     U, W = IndexRange(*opts.udims), IndexRange(*opts.wdims)
     target = algebra_for(family, W.even_count, W.odd_count, U.even_count, U.odd_count)
     source = make_uw_algebra(U, W)
-    subs = gl_substitution_map(source, target)
+    subs = substitution_map("gl", source, target)
     shape = Partition(((m + 1),) * (n + 1))
     t = fill_rows(shape)
     check_monomial_cap(source, shape.size, opts.monomial_cap)
@@ -283,6 +281,19 @@ def run_t36(opts: ClaimOptions) -> list[CheckRecord]:
     return records
 
 
+def _ratio(a: TensorElement, b: TensorElement) -> Optional[Fraction]:
+    """The r with a = r b, read off a's first word: 1 when both are zero,
+    None when there is no such r or just one of them is zero."""
+    if a.is_zero() or b.is_zero():
+        return Fraction(1) if a.is_zero() and b.is_zero() else None
+    wd = next(iter(a.terms))
+    c = b.terms.get(wd)
+    if c is None:
+        return None
+    r = Fraction(a.terms[wd], c)
+    return r if b.scale(r) == a else None
+
+
 def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     """Marked-tableau closed form versus the first-principles operator,
     under the quoted sign data and under the corrected convention that adds
@@ -305,13 +316,11 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
                 ratios[key] = "zero-mismatch"
                 uniform = False
                 continue
-            wd = next(iter(direct.terms))
-            c = marked.terms.get(wd)
-            if c is None or marked.scale(Fraction(direct.terms[wd], c)) != direct:
+            r = _ratio(direct, marked)
+            if r is None:
                 ratios[key] = "shape-mismatch"
                 uniform = False
                 continue
-            r = Fraction(direct.terms[wd], c)
             ratios[key] = str(r)
             if reference is None:
                 reference = r
@@ -409,7 +418,7 @@ def run_t45(opts: ClaimOptions) -> list[CheckRecord]:
     W = IndexRange(*opts.wdims)
     target = algebra_for(family, W.even_count, W.odd_count, 0, 0)
     source = make_sym_square_algebra(W, twisted=False)
-    subs = osp_substitution_map(source, target)
+    subs = substitution_map("osp", source, target)
     shape = Partition(((2 * r + 2),) * (n + 1))
     t = fill_rows(shape)
     # each quadratic symbol absorbs two word letters
@@ -515,7 +524,7 @@ def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     W = IndexRange(*opts.wdims)
     target = algebra_for(family, W.even_count, W.odd_count, 0, 0)
     source = make_sym_square_algebra(W, twisted=True)
-    subs = pe_substitution_map(source, target)
+    subs = substitution_map("pe", source, target)
     alphas = tuple(n + 2 - i for i in range(1, n + 2))
     t = ppf_tableau(alphas)
     check_monomial_cap(source, t.size // 2, opts.monomial_cap)
@@ -593,16 +602,8 @@ def run_t72(opts: ClaimOptions) -> list[CheckRecord]:
         )
         corrected = spe_closed_form_element(dims, k, kind, "corrected")
         printed = spe_closed_form_element(dims, k, kind, "printed")
-
-        def proportional(a: TensorElement, b: TensorElement) -> bool:
-            if a.is_zero() or b.is_zero():
-                return a.is_zero() == b.is_zero()
-            wd = next(iter(a.terms))
-            c = b.terms.get(wd)
-            return c is not None and b.scale(Fraction(a.terms[wd], c)) == a
-
-        corr_ok = proportional(w, corrected)
-        printed_ok = proportional(w, printed)
+        corr_ok = _ratio(w, corrected) is not None
+        printed_ok = _ratio(w, printed) is not None
         records.append(
             CheckRecord(
                 base + ":corrected-coefficients",
@@ -784,6 +785,17 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
         raise InvalidOptions(f"needs --n >= {n_min}, got {opts.n}")
     if k_min is not None and opts.k < k_min:
         raise InvalidOptions(f"needs --k >= {k_min}, got {opts.k}")
+    # each extra family pairs semistandard u-words of one split tableau with
+    # w-words of the other, and a shape has semistandard fillings over the
+    # (e|o) letters iff it fits that hook: part e+1 is at most o
+    if key == "T3.6":
+        p, q, k, l = opts.pqkl
+        shapes = [f(even, odd, opts.k).shape for f in (split_cols_tableau, split_rows_tableau)]
+        if any(shape.part(e + 1) > o for shape in shapes for e, o in ((k, l), (p, q))):
+            raise InvalidOptions(
+                "needs --dims and --pqkl whose split tableaux fit both the u- and the w-hook,"
+                f" or an extra family is empty, got --dims {even},{odd} --pqkl {p},{q},{k},{l}"
+            )
 
 
 def run_claim(theorem_id: str, opts: Optional[ClaimOptions] = None) -> list[CheckRecord]:

@@ -1,6 +1,8 @@
-"""Generator families for the invariant rings: scalar products per algebra
-family, the extra special-linear generators, the orthosymplectic relative
-generators, and the special-periplectic tensor and polynomial families."""
+"""Generator families for the invariant rings: the scalar products of every
+family and their substitution maps (one function each, reading the
+preserved form from `liealgebras.invariant_form`), the extra special-linear
+generators, the orthosymplectic relative generators, and the
+special-periplectic tensor and polynomial families."""
 
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from .alphabet import (
     parity_of_word,
 )
 from .coefficients import Coeff, add_scaled, exact
-from .liealgebras import AlgebraFamily, MatrixElement, abs_exponent
+from .invariants import SubstitutionMap
+from .liealgebras import AlgebraFamily, MatrixElement, abs_exponent, invariant_form
 from .named_polynomials import Z_combination, Z_of
 from .permutations import symmetrize
 from .polynomials import AlgebraDescriptor, Polynomial
@@ -32,117 +35,56 @@ from .tensors import (
     TensorElement,
     act_on_tensor,
     dual_word,
-    form_sign,
     letters_of,
     repeated_evens,
     blocked_odds,
     split_cols_tableau,
     split_rows_tableau,
     symmetrize_element,
-    tilde_index,
 )
 
 
-def gl_scalar_products(algebra: AlgebraDescriptor) -> list[Polynomial]:
-    """(v_r*, v_s) = sum over i of x[r,i] x*[i,s], one per (r, s)."""
-    v_range = algebra.v_range
-    u_range = algebra.u_range
-    w_range = algebra.w_range
-    out = []
-    for r in u_range:
-        for s in w_range:
-            f = algebra.zero()
-            for i in v_range:
-                f.add_term((algebra.index("uv", r, i), algebra.index("vw", i, s)), 1)
-            out.append(f)
-    return out
-
-
-def osp_scalar_product(
-    algebra: AlgebraDescriptor, s: SuperIndex, t: SuperIndex
+def scalar_product(
+    tag: str, algebra: AlgebraDescriptor, s: SuperIndex, t: SuperIndex
 ) -> Polynomial:
-    """Anti-diagonal symmetric pairing on the even block, symplectic pairing
-    on the odd block, with the sign (-1)^{p(s)} on the odd part."""
-    v_range = algebra.v_range
-    n, m = v_range.even_count, v_range.odd_count
-    r = m // 2
-    f = algebra.zero()
-    for i in range(1, n + 1):
-        f.add_term((algebra.index("vw", ev(i), s), algebra.index("vw", ev(n - i + 1), t)), 1)
-    ps = (-1) ** s.parity
-    for j in range(1, r + 1):
-        f.add_term((algebra.index("vw", od(m - j + 1), s), algebra.index("vw", od(j), t)), ps)
-        f.add_term((algebra.index("vw", od(j), s), algebra.index("vw", od(m - j + 1), t)), -ps)
-    return f
+    """The scalar product (v_s, v_t) of the family `tag`.
 
-
-def pe_scalar_product(
-    algebra: AlgebraDescriptor, s: SuperIndex, t: SuperIndex
-) -> Polynomial:
-    """Odd-form pairing: the sign (-1)^{p(s)} rides only the summand whose
-    first factor is even-indexed (the placement forced by invariance)."""
-    v_range = algebra.v_range
-    n = v_range.even_count
+    For gl and sl: the sum over i of x[s,i] x*[i,t].  For osp, pe and spe:
+    the sum over the pairs (a, b, c) of the invariant form of
+    c (-1)^{p(s)p(b)} x*[a,s] x*[b,t].
+    """
+    index = algebra.index
     f = algebra.zero()
-    ps = (-1) ** s.parity
-    for i in range(1, n + 1):
-        f.add_term((algebra.index("vw", ev(i), s), algebra.index("vw", od(i), t)), ps)
-        f.add_term((algebra.index("vw", od(i), s), algebra.index("vw", ev(i), t)), 1)
+    if tag in ("gl", "sl"):
+        for i in algebra.v_range:
+            f.add_term((index("uv", s, i), index("vw", i, t)), 1)
+        return f
+    for a, (b, c) in invariant_form(tag, algebra.v_range).items():
+        f.add_term((index("vw", a, s), index("vw", b, t)), -c if s.parity and b.parity else c)
     return f
 
 
 def scalar_products(tag: str, algebra: AlgebraDescriptor) -> list[Polynomial]:
-    """The basic invariant family for gl, osp, or pe (sl and spe reuse their
-    parent's products)."""
+    """The basic invariant family: (v_r*, v_s) for every u-letter r and
+    w-letter s for gl and sl, (v_s, v_t) for every pair s <= t of w-letters
+    for osp, pe and spe."""
     if tag in ("gl", "sl"):
-        return gl_scalar_products(algebra)
-    w_range = algebra.w_range
-    letters = w_range.indices()
-    if tag in ("osp",):
+        pairs = itertools.product(algebra.u_range, algebra.w_range)
+    elif tag in ("osp", "pe", "spe"):
+        letters = algebra.w_range.indices()
         pairs = [(s, t) for a, s in enumerate(letters) for t in letters[a:]]
-        return [osp_scalar_product(algebra, s, t) for s, t in pairs]
-    if tag in ("pe", "spe"):
-        pairs = [(s, t) for a, s in enumerate(letters) for t in letters[a:]]
-        return [pe_scalar_product(algebra, s, t) for s, t in pairs]
-    raise ValueError(f"no scalar products for family {tag!r}")
+    else:
+        raise ValueError(f"no scalar products for family {tag!r}")
+    return [scalar_product(tag, algebra, s, t) for s, t in pairs]
 
 
-# ---------------------------------------------------------------------------
-# substitution homomorphisms onto the scalar products
-
-
-def gl_substitution_map(source: AlgebraDescriptor, target: AlgebraDescriptor):
-    """z[r,s] goes to the gl scalar product (v_r*, v_s)."""
-    from .invariants import SubstitutionMap
-
-    v_range = target.v_range
-    images = {}
-    for idx, g in enumerate(source.generators):
-        f = target.zero()
-        for i in v_range:
-            f.add_term((target.index("uv", g.row, i), target.index("vw", i, g.col)), 1)
-        images[idx] = f
-    return SubstitutionMap(source, target, images)
-
-
-def osp_substitution_map(source: AlgebraDescriptor, target: AlgebraDescriptor):
-    """Symmetric-square symbol q[s,t] goes to the orthosymplectic scalar
-    product (v_s, v_t)."""
-    from .invariants import SubstitutionMap
-
+def substitution_map(
+    tag: str, source: AlgebraDescriptor, target: AlgebraDescriptor
+) -> SubstitutionMap:
+    """The substitution homomorphism onto the scalar products: the symbol of
+    (r, s), z[r,s], q[r,s] or y[r,s], goes to `scalar_product(tag, target, r, s)`."""
     images = {
-        idx: osp_scalar_product(target, g.row, g.col)
-        for idx, g in enumerate(source.generators)
-    }
-    return SubstitutionMap(source, target, images)
-
-
-def pe_substitution_map(source: AlgebraDescriptor, target: AlgebraDescriptor):
-    """Twisted symbol y[s,t] goes to the periplectic scalar product."""
-    from .invariants import SubstitutionMap
-
-    images = {
-        idx: pe_scalar_product(target, g.row, g.col)
+        idx: scalar_product(tag, target, g.row, g.col)
         for idx, g in enumerate(source.generators)
     }
     return SubstitutionMap(source, target, images)
@@ -308,21 +250,17 @@ def _form_letters(
     algebra: AlgebraDescriptor, element: TensorElement, length: int
 ) -> list[tuple[Word, Coeff]]:
     """A covariant tensor under the form isomorphism: each word v_M becomes
-    the dual letters M~ with its coefficient times the form signs, so that
-    its canonical projection against J is the sum of c * Z(M~, J)."""
-    v_range = algebra.v_range
+    the partner letters M~ (`invariant_form`), its coefficient times their
+    form coefficients, so that its projection against J is sum c * Z(M~, J)."""
     if any(element.signature):
         raise ValueError("element must be covariant")
     if len(element.signature) != length:
         raise ValueError("sequences must have equal length")
+    form = invariant_form("osp", algebra.v_range)
     weighted = []
     for w, coeff in element.terms.items():
-        sign = 1
-        dual_letters = []
-        for i, _ in w:
-            sign *= form_sign(v_range, i)
-            dual_letters.append(tilde_index(v_range, i))
-        weighted.append((tuple(dual_letters), coeff * sign))
+        pairs = [form[i] for i, _ in w]
+        weighted.append((tuple(b for b, _ in pairs), coeff * math.prod(c for _, c in pairs)))
     return weighted
 
 

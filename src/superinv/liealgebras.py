@@ -3,10 +3,11 @@ derivation action: one slot-image table per element
 (`MatrixElement.slot_images`), extended to slot words (`act_on_words`) and
 to polynomials (`generator_images`, `act_through_images`).
 
-Form-preserving families are not hand-coded; their bases are exact
-nullspaces of the annihilation condition on the gl basis, echelonized for
-determinism: the condition is the word action on the form's dual-dual
-words.  `build_family` checks that a basis is linearly independent;
+Each preserved form is written once, as a table (`invariant_form`) that
+every layer reads.  Form-preserving families are not hand-coded; their bases
+are exact nullspaces of the annihilation condition on the gl basis,
+echelonized for determinism: the condition is the word action on the form's
+dual-dual words.  `build_family` checks that a basis is linearly independent;
 bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, SparseElement, add_scaled, exact
@@ -152,41 +153,35 @@ def _solve_family(
     ]
 
 
-def osp_form_tensor(dims: IndexRange):
-    """The preserved covector pairing for the orthosymplectic family:
-    symmetric anti-diagonal on the even part, symplectic pairing on the odd
-    part.  Returned as a list of ((a, b), coeff) letter pairs of a two-fold
-    dual tensor."""
+def invariant_form(tag: str, dims: IndexRange) -> dict[SuperIndex, tuple[SuperIndex, int]]:
+    """The bilinear form B that `tag` preserves, as a table from each letter
+    a to (partner b, coefficient c) of e_a* x e_b* in the preserved
+    covector; every letter is the first entry of exactly one pair.
+
+    "osp": the symmetric anti-diagonal pairing on the even part and the
+    symplectic pairing on the odd part, with -1 on an odd letter below its
+    partner.  "pe" and "spe": the odd pairing e_i <-> e_i'.  The scalar
+    products add their terms in table order: for osp the evens, then the
+    letters m-j+1' and j' for each j <= m/2.
+    """
     n, m = dims.even_count, dims.odd_count
-    if m % 2:
-        raise InvalidOptions(f"osp needs an even odd dimension, got --dims {n},{m}")
-    r = m // 2
-    terms: list[tuple[tuple[SuperIndex, SuperIndex], int]] = []
-    for i in range(1, n + 1):
-        terms.append(((ev(i), ev(n - i + 1)), 1))
-    for j in range(1, r + 1):
-        terms.append(((od(m - j + 1), od(j)), 1))
-        terms.append(((od(j), od(m - j + 1)), -1))
-    return terms
-
-
-def pe_form_tensor(dims: IndexRange):
-    """The preserved odd covector pairing for the periplectic family."""
-    n, m = dims.even_count, dims.odd_count
-    if n != m:
-        raise InvalidOptions(f"periplectic dimensions must be n,n, got --dims {n},{m}")
-    terms: list[tuple[tuple[SuperIndex, SuperIndex], int]] = []
-    for i in range(1, n + 1):
-        terms.append(((ev(i), od(i)), 1))
-        terms.append(((od(i), ev(i)), 1))
-    return terms
-
-
-def _form_action(form) -> Callable[[MatrixElement], dict]:
-    """The condition that x annihilates the dual-dual tensor
-    sum c_{ab} e_a* x e_b* of a form: x's action on its words."""
-    words = {((a, True), (b, True)): c for (a, b), c in form}
-    return lambda x: act_on_words(x.slot_images(), x.parity, words)
+    if tag == "osp":
+        if m % 2:
+            raise InvalidOptions(f"osp needs an even odd dimension, got --dims {n},{m}")
+        form = {ev(i): (ev(n - i + 1), 1) for i in range(1, n + 1)}
+        for j in range(1, m // 2 + 1):
+            form[od(m - j + 1)] = (od(j), 1)
+            form[od(j)] = (od(m - j + 1), -1)
+        return form
+    if tag in ("pe", "spe"):
+        if n != m:
+            raise InvalidOptions(f"periplectic dimensions must be n,n, got --dims {n},{m}")
+        form = {}
+        for i in range(1, n + 1):
+            form[ev(i)] = (od(i), 1)
+            form[od(i)] = (ev(i), 1)
+        return form
+    raise ValueError(f"no invariant form for family {tag!r}")
 
 
 def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
@@ -212,10 +207,14 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
             basis.append(x)
         fam = AlgebraFamily("sl", dims, basis)
     elif tag in ("osp", "pe", "spe"):
-        form_action = _form_action(osp_form_tensor(dims) if tag == "osp" else pe_form_tensor(dims))
-        cond = form_action
-        if tag == "spe":
-            cond = lambda x: {**form_action(x), "str": x.supertrace()}
+        words = {((a, True), (b, True)): c for a, (b, c) in invariant_form(tag, dims).items()}
+
+        def cond(x: MatrixElement) -> dict:
+            out = act_on_words(x.slot_images(), x.parity, words)
+            if tag == "spe":
+                out["str"] = x.supertrace()
+            return out
+
         basis = [b for parity in (0, 1) for b in _solve_family(dims, cond, parity)]
         fam = AlgebraFamily(tag, dims, basis)
         if tag != "osp":

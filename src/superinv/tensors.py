@@ -4,7 +4,8 @@ actions, contraction operators, and the constructive invariant operator.
 A tensor word is a tuple of slots (index, dual flag); elements are sparse
 exact combinations of words sharing one slot signature.  A matrix acts on
 them through its slot-image table, as a derivation across the slots
-(`liealgebras.act_on_words`).
+(`liealgebras.act_on_words`).  The inverse-form element and the relative
+invariant's closed form read the form table `liealgebras.invariant_form`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .alphabet import (
     parity_of_word,
 )
 from .coefficients import Coeff, SparseElement, normalized
-from .liealgebras import MatrixElement, act_on_words
+from .liealgebras import MatrixElement, act_on_words, invariant_form
 from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
@@ -464,31 +465,18 @@ def marked_tableau_operator(
 # the orthosymplectic constructive invariant
 
 
-def tilde_index(dims: IndexRange, i: SuperIndex) -> SuperIndex:
-    n, m = dims.even_count, dims.odd_count
-    return ev(n - i.value + 1) if i.parity == EVEN else od(m - i.value + 1)
+def theta_tilde_2(dims: IndexRange) -> TensorElement:
+    """The inverse-form element: the orthosymplectic form table
+    (`invariant_form`) read as plain words, the sum of c e_a x e_b over its
+    pairs.
 
-
-def form_sign(dims: IndexRange, i: SuperIndex) -> int:
-    """Coefficient of e_i x e_{i~} in the inverse-form element: +1 on even
-    letters, -1 on odd letters below their partner, +1 above it.
-
-    The odd-block sign is the one actually annihilated by the family that
-    preserves the form covector; the quoted case split carries the opposite
-    odd signs and fails invariance (see the errata comparison in the claim
-    runners).
+    The odd coefficients are the ones actually annihilated by the family
+    that preserves the form covector; the quoted case split carries the
+    opposite odd signs and fails invariance (see the errata comparison in
+    the claim runners).
     """
-    if i.parity == EVEN:
-        return 1
-    return -1 if i < tilde_index(dims, i) else 1
-
-
-def theta_tilde_2(dims: IndexRange, sign=form_sign) -> TensorElement:
-    """The inverse-form element: sum of c(i, i~) e_i x e_{i~}."""
-    terms: dict[TWord, Coeff] = {}
-    for i in dims:
-        w = plain_word((i, tilde_index(dims, i)))
-        terms[w] = terms.get(w, 0) + sign(dims, i)
+    form = invariant_form("osp", dims)
+    terms = {plain_word((a, b)): c for a, (b, c) in sorted(form.items())}
     return TensorElement(dims, (False, False), terms)
 
 
@@ -536,13 +524,14 @@ def nabla_support_words(dims: IndexRange) -> list[Word]:
     pairwise distinct odd letters closed under the partner map."""
     n, m = dims.even_count, dims.odd_count
     letters = dims.indices()
+    partner = {a: b for a, (b, _) in invariant_form("osp", dims).items()}
     out = []
     for I in itertools.product(letters, repeat=n * m):
         grid = [[I[j * n + i] for j in range(m)] for i in range(n)]
         ok = True
         for i in range(n - 1):
             for a in range(0, m, 2):
-                if grid[i][a + 1] != tilde_index(dims, grid[i][a]):
+                if grid[i][a + 1] != partner[grid[i][a]]:
                     ok = False
         if not ok:
             continue
@@ -550,13 +539,13 @@ def nabla_support_words(dims: IndexRange) -> list[Word]:
         loose: list[SuperIndex] = []
         for a in range(0, m, 2):
             x, y = last[a], last[a + 1]
-            if y != tilde_index(dims, x):
+            if y != partner[x]:
                 loose.extend((x, y))
         if any(x.parity == EVEN for x in loose):
             continue
         if len(set(loose)) != len(loose):
             continue
-        if {tilde_index(dims, x) for x in loose} != set(loose):
+        if {partner[x] for x in loose} != set(loose):
             continue
         out.append(tuple(I))
     return out
@@ -570,6 +559,7 @@ def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> int:
     n, m = dims.even_count, dims.odd_count
     r = m // 2
     grid = [[I[j * n + i] for j in range(m)] for i in range(n)]
+    partner = {a: b for a, (b, _) in invariant_form("osp", dims).items()}
     d = 1
     for j in range(0, m, 2):
         col = tuple(grid[i][j] for i in range(n))
@@ -578,7 +568,7 @@ def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> int:
     counts: dict[frozenset, int] = {}
     for a in range(0, m, 2):
         x, y = last[a], last[a + 1]
-        if y == tilde_index(dims, x) and x.parity:
+        if y == partner[x] and x.parity:
             key = frozenset((x, y))
             counts[key] = counts.get(key, 0) + 1
     mults = sorted(counts.values())

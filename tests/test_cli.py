@@ -233,6 +233,7 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T3.3", "--k", "0"),
         ("--theorem", "T3.4", "--k", "0"),
         ("--theorem", "T3.6", "--k", "0"),
+        ("--theorem", "T3.6", "--dims", "1,2"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -358,7 +359,8 @@ def _slow(claim, n, k, dims, udims, wdims):
     than 8 letters in all and a monomial basis within the default cap
     (above it, the run exits 3 before building a relation), the
     split-tableau claims at --dims 2,2 (T3.3 and T3.4 about 21 s at
-    --k 1, T3.8 19 s; T3.6 exits 3 there before any construction), and
+    --k 1, T3.8 19 s; T3.6 exits 2 there: at the default --pqkl its split
+    tableaux do not fit the u-hook), and
     T7.2 at --n 3 --k 0 (27 s).  With the symmetrizers applied block by
     block, T7.3 at --n 2 --k 2 takes 2.6 s, T7.2 at --n 2 --k 3 3.2 s, and
     the split-tableau claims at --k 3 and smaller --dims at most 1.6 s

@@ -11,11 +11,9 @@ from superinv.tableaux import enumerate_semistandard
 from superinv.generators import (
     _t2_weights,
     dual_shadow,
-    gl_scalar_products,
     mixed_shadow,
     osp_relative_generators,
-    osp_scalar_product,
-    pe_scalar_product,
+    scalar_product,
     scalar_products,
     sl_extra_generators,
     sl_extra_literal,
@@ -76,7 +74,7 @@ def assert_all_annihilated(family, polys):
 def test_gl_scalar_products_count_and_invariance():
     fam = build_family("gl", IndexRange(2, 1))
     alg = algebra_for(fam, 1, 1, 1, 1)
-    gens = gl_scalar_products(alg)
+    gens = scalar_products("gl", alg)
     assert len(gens) == 4
     assert_all_annihilated(fam, gens)
 
@@ -92,7 +90,7 @@ def test_osp_scalar_products_invariance():
 def test_osp_odd_selfpair_vanishes():
     fam = build_family("osp", IndexRange(1, 2))
     alg = algebra_for(fam, 0, 1, 0, 0)
-    f = osp_scalar_product(alg, od(1), od(1))
+    f = scalar_product("osp", alg, od(1), od(1))
     assert f.is_zero()
 
 

@@ -25,11 +25,7 @@ from superinv.invariants import (
     span_dimension,
 )
 from superinv.liealgebras import act_on_polynomial, build_family
-from superinv.generators import (
-    gl_scalar_products,
-    gl_substitution_map,
-    scalar_products,
-)
+from superinv.generators import scalar_products, substitution_map
 from superinv.named_polynomials import P_t
 from superinv.polynomials import (
     Polynomial,
@@ -70,7 +66,7 @@ def test_oracle_order_independence():
 def test_generated_subspace_simple():
     fam = build_family("gl", IndexRange(1, 0))
     alg = algebra_for(fam, 1, 0, 1, 0)
-    g = gl_scalar_products(alg)[0]
+    g = scalar_products("gl", alg)[0]
     basis4 = generated_subspace([g], 4)
     assert len(basis4) == 1  # the square
     assert generated_subspace([], 3) == []
@@ -80,7 +76,7 @@ def test_generated_subspace_simple():
 def test_generated_requires_homogeneous():
     fam = build_family("gl", IndexRange(1, 0))
     alg = algebra_for(fam, 1, 0, 1, 0)
-    g = gl_scalar_products(alg)[0]
+    g = scalar_products("gl", alg)[0]
     bad = g + alg.one()
     with pytest.raises(ValueError):
         generated_subspace([bad], 2)
@@ -143,7 +139,7 @@ def test_relation_kernel_minor():
     U = W = IndexRange(2, 0)
     target = algebra_for(fam, 2, 0, 2, 0)
     source = make_uw_algebra(U, W)
-    subs = gl_substitution_map(source, target)
+    subs = substitution_map("gl", source, target)
     t = fill_rows(Partition((1, 1)))
     rels = [
         P_t(source, t, I, J)
@@ -163,7 +159,7 @@ def test_kernel_dimension_counts_minors():
         U = W = IndexRange(size, 0)
         target = algebra_for(fam, size, 0, size, 0)
         source = make_uw_algebra(U, W)
-        subs = gl_substitution_map(source, target)
+        subs = substitution_map("gl", source, target)
         assert kernel_dimension_at_degree(subs, 2) == expected
 
 

@@ -248,7 +248,7 @@ def test_action_dims_guard():
 def test_form_annihilation_explicit():
     """The solved bases annihilate their defining covector tensors under the
     tensor action, not just the linear system they were solved from."""
-    from superinv.liealgebras import osp_form_tensor, pe_form_tensor
+    from superinv.liealgebras import invariant_form
     from superinv.tensors import TensorElement, act_on_tensor
     from fractions import Fraction
 
@@ -259,11 +259,8 @@ def test_form_annihilation_explicit():
         ("spe", IndexRange(2, 2), None),
     ]:
         fam = build_family(tag, dims)
-        terms = (
-            osp_form_tensor(dims) if tag == "osp" else pe_form_tensor(dims)
-        )
         acc = {}
-        for (a, b), c in terms:
+        for a, (b, c) in invariant_form(tag, dims).items():
             w = ((a, True), (b, True))
             acc[w] = acc.get(w, Fraction(0)) + c
         form = TensorElement(dims, (True, True), acc)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, all_words, ev, od
-from superinv.liealgebras import MatrixElement, build_family
+from superinv.liealgebras import MatrixElement, build_family, invariant_form
 from superinv.permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -40,7 +40,6 @@ from superinv.tensors import (
     theta,
     theta_power,
     theta_tilde_2,
-    tilde_index,
 )
 
 V11 = IndexRange(1, 1)
@@ -349,25 +348,21 @@ def test_marked_tableau_vs_operator():
 
 def test_tilde_index_and_form():
     V = IndexRange(1, 2)
-    assert tilde_index(V, ev(1)) == ev(1)
-    assert tilde_index(V, od(1)) == od(2)
+    form = invariant_form("osp", V)
+    assert form[ev(1)][0] == ev(1)
+    assert form[od(1)][0] == od(2)
     osp = build_family("osp", V)
     tt = theta_tilde_2(V)
     assert all(act_on_tensor(x, tt).is_zero() for x in osp.basis)
 
 
-def printed_form_sign(dims, i):
-    """The form's case split as printed, the opposite odd signs of
-    `tensors.form_sign` (no caller in the package)."""
-    if not i.parity:
-        return 1
-    return 1 if i < tilde_index(dims, i) else -1
-
-
 def test_form_sign_printed_convention_fails():
+    """The form's case split as printed carries the opposite odd signs:
+    every term whose first letter is odd is flipped."""
     V = IndexRange(1, 2)
     osp = build_family("osp", V)
-    tt = theta_tilde_2(V, sign=printed_form_sign)
+    terms = {w: -c if w[0][0].parity else c for w, c in theta_tilde_2(V).terms.items()}
+    tt = TensorElement(V, (False, False), terms)
     assert not all(act_on_tensor(x, tt).is_zero() for x in osp.basis)
 
 
