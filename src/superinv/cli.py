@@ -263,6 +263,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    for name in ("cap", "degree", "max_degree"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

@@ -1,6 +1,11 @@
 """The invariant laboratory: brute-force invariant spaces by exact nullspace,
 subspaces generated by polynomial families, generation verdicts with
-witnesses, and relation-ideal kernel checks."""
+witnesses, and relation-ideal kernel checks.
+
+The oracle walks the monomials of weight zero under the diagonal basis and
+stacks the kernel maps of the family's certified generating subset
+(`AlgebraFamily.generators`) only; its `verify` re-check acts with every
+basis element."""
 
 from __future__ import annotations
 
@@ -10,7 +15,13 @@ from typing import Optional, Sequence
 from .alphabet import IndexRange
 from .coefficients import Coeff
 from .errors import CapExceeded
-from .liealgebras import AlgebraFamily, act_through_images, annihilates, generator_images
+from .liealgebras import (
+    AlgebraFamily,
+    act_through_images,
+    annihilates,
+    diagonal_weights,
+    generator_images,
+)
 from .linalg import SpanTracker, joint_kernel
 from .polynomials import (
     AlgebraDescriptor,
@@ -74,17 +85,6 @@ def blocked_monomials(
     return blocks
 
 
-def _diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
-    """One weight per generator for each diagonal basis element x: the
-    coefficient of the generator in its own image, which is its inner
-    slot's own entry (x[c, c] on a uv generator of column c, -x[r, r] on a
-    vw generator of row r), and 0 on generators without an inner action."""
-    return [
-        tuple(dict(image or ()).get(g, 0) for g, image in enumerate(generator_images(x, algebra)))
-        for x in family.diagonal_basis()
-    ]
-
-
 @dataclass
 class InvariantSpace:
     family_tag: str
@@ -109,17 +109,20 @@ def invariant_space_bruteforce(
 
     Works block by block in the outer multidegree (the action only touches
     the inner letters).  The diagonal elements act on a monomial by a
-    scalar, its weight (see `_diagonal_weights`), so only the monomials of
+    scalar, its weight (see `diagonal_weights`), so only the monomials of
     weight zero under all of them can occur: the walk of
     `blocked_monomials` enumerates just those, pruning as it goes.  The
-    monomial cap still counts the full degree-d basis.  The other elements
-    act through their generator-image tables (`generator_images`), built
-    once per call; the kernel of their stacked images is read off the
-    reduced echelon form.  With `verify`, every basis polynomial is checked
-    against every element of the family (`annihilates`).
+    monomial cap still counts the full degree-d basis.  The elements of
+    `family.generators` act through their generator-image tables
+    (`generator_images`), built once per call: the annihilator of a
+    polynomial is a Lie sub-superalgebra, so on weight-zero monomials their
+    joint kernel is the kernel of every off-diagonal element, and it is
+    read off the reduced echelon form.  With `verify`, every basis
+    polynomial is checked against every element of the family
+    (`annihilates`), independently of the generating subset.
     """
     blocks = blocked_monomials(
-        algebra, degree, monomial_cap, _diagonal_weights(family, algebra)
+        algebra, degree, monomial_cap, diagonal_weights(family, algebra)
     )
     # cancelled terms are dropped, so that the entry cap counts only the
     # image monomials that occur
@@ -127,8 +130,7 @@ def invariant_space_bruteforce(
         lambda m, t=generator_images(x, algebra), p=x.parity: {
             u: c for u, c in act_through_images(t, p, algebra, {m: 1}).items() if c
         }
-        for x in family.basis
-        if not x.is_diagonal()
+        for x in family.generators
     ]
     basis = [
         Polynomial(algebra, terms)

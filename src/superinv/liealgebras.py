@@ -3,6 +3,14 @@ derivation action: one slot-image table per element
 (`MatrixElement.slot_images`), extended to slot words (`act_on_words`) and
 to polynomials (`generator_images`, `act_through_images`).
 
+Invariance is decided by one predicate, `invariant(family, items)`, for
+polynomials and tensors alike: weight zero under the diagonal basis, read
+off the elements' own image entries (`diagonal_weights`, `slot_weights`),
+and annihilation by `AlgebraFamily.generators`, a subset of the
+off-diagonal basis that generates the family with the diagonal, certified
+once per family by an exact bracket span.  `annihilates(elements, polys)`
+stays the plain check against a given list of elements.
+
 Each preserved form is written once, as a table (`invariant_form`) that
 every layer reads.  Form-preserving families are not hand-coded; their bases
 are exact nullspaces of the annihilation condition on the gl basis,
@@ -16,6 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
@@ -61,20 +70,18 @@ class MatrixElement(SparseElement):
     def _label(rc: tuple[SuperIndex, SuperIndex]) -> str:
         return f"E[{rc[0]},{rc[1]}]"
 
-    def matmul(self, other: "MatrixElement") -> "MatrixElement":
-        out: dict[tuple[SuperIndex, SuperIndex], Coeff] = {}
-        for (r1, c1), v1 in self.terms.items():
-            for (r2, c2), v2 in other.terms.items():
-                if c1 != r2:
-                    continue
-                k = (r1, c2)
-                out[k] = out.get(k, 0) + v1 * v2
-        return MatrixElement(self.dims, out, (self.parity + other.parity) % 2)
-
     def bracket(self, other: "MatrixElement") -> "MatrixElement":
         """Superbracket [X, Y] = XY - (-1)^{p(X)p(Y)} YX."""
-        sign = (-1) ** (self.parity * other.parity)
-        return self.matmul(other) + other.matmul(self).scale(-sign)
+        sign = 1 if self.parity and other.parity else -1
+        out: dict[tuple[SuperIndex, SuperIndex], Coeff] = {}
+        get = out.get
+        for (r1, c1), v1 in self.terms.items():
+            for (r2, c2), v2 in other.terms.items():
+                if c1 == r2:
+                    out[r1, c2] = get((r1, c2), 0) + v1 * v2
+                if c2 == r1:
+                    out[r2, c1] = get((r2, c1), 0) + sign * v2 * v1
+        return MatrixElement(self.dims, out, (self.parity + other.parity) % 2)
 
     def supertrace(self) -> Coeff:
         out = 0
@@ -112,6 +119,44 @@ class AlgebraFamily:
 
     def diagonal_basis(self) -> list[MatrixElement]:
         return [b for b in self.basis if b.is_diagonal()]
+
+    @cached_property
+    def generators(self) -> list[MatrixElement]:
+        """A subset of the off-diagonal basis that generates the family
+        together with the diagonal basis, computed once per instance.
+
+        The annihilator of a polynomial or a tensor is a Lie
+        sub-superalgebra, so an element of weight zero under the diagonal
+        basis that every generator kills is invariant under the whole
+        family.  Greedy removal: each off-diagonal element, in basis order,
+        is dropped when the rest still generate (`_generates`); the whole
+        basis generates trivially.
+        """
+        diagonal = self.diagonal_basis()
+        chosen = [b for b in self.basis if not b.is_diagonal()]
+        for x in list(chosen):
+            rest = [y for y in chosen if y is not x]
+            if _generates(self, diagonal + rest):
+                chosen = rest
+        return chosen
+
+
+def _generates(family: AlgebraFamily, elements: list[MatrixElement]) -> bool:
+    """Whether the Lie sub-superalgebra generated by `elements` contains the
+    family.  It is spanned by the nested brackets [x1, [x2, ..., xk]] of the
+    elements, so the span grows by bracketing each new element with every
+    element, until it has the family's dimension or stops growing; it must
+    then contain every basis element."""
+    tracker = SpanTracker()
+    span = [x for x in elements if tracker.add(x.terms)]
+    for y in span:  # the list grows while it is walked
+        if tracker.rank >= family.dimension:
+            break
+        for x in elements:
+            z = x.bracket(y)
+            if z.terms and tracker.add(z.terms):
+                span.append(z)
+    return all(tracker.contains(b.terms) for b in family.basis)
 
 
 def gl_basis(dims: IndexRange) -> list[MatrixElement]:
@@ -386,6 +431,58 @@ def annihilates(basis: Sequence[MatrixElement], polys: Iterable[Polynomial]) -> 
             if any(act_through_images(images, parity, algebra, terms).values()):
                 return False
     return True
+
+
+def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
+    """One weight per generator for each diagonal basis element x: the
+    coefficient of the generator in its own image, which is its inner
+    slot's own entry (x[c, c] on a uv generator of column c, -x[r, r] on a
+    vw generator of row r), and 0 on generators without an inner action.
+    x multiplies a monomial by the sum of its factors' weights."""
+    return [
+        tuple(dict(image or ()).get(g, 0) for g, image in enumerate(generator_images(x, algebra)))
+        for x in family.diagonal_basis()
+    ]
+
+
+def slot_weights(x: MatrixElement) -> dict:
+    """The weight of each slot under a diagonal element x: the coefficient
+    of the slot in its own image; x multiplies a word by the sum of its
+    slots' weights."""
+    return {slot: dict(image)[slot] for slot, image in x.slot_images().items()}
+
+
+def invariant(family: AlgebraFamily, items: Iterable) -> bool:
+    """Whether the whole family kills every polynomial or tensor of `items`.
+
+    Every monomial or word must have weight zero under the diagonal basis
+    (`diagonal_weights`, `slot_weights`), and every element of
+    `family.generators` must kill every item: the annihilator is a Lie
+    sub-superalgebra, and those elements generate the family.  The check
+    stops at the first nonzero weight or image.
+    """
+    items = list(items)
+    polys = [f for f in items if isinstance(f, Polynomial)]
+    tensors = [t for t in items if not isinstance(t, Polynomial)]
+    if any(t.dims != family.dims for t in tensors):
+        raise ValueError("dimension mismatch")
+    weights: dict = {}
+    for f in polys:
+        if f.algebra not in weights:
+            weights[f.algebra] = diagonal_weights(family, f.algebra)
+        if any(sum(w[g] for g in m) for m in f.terms for w in weights[f.algebra]):
+            return False
+    slots = [slot_weights(x) for x in family.diagonal_basis()]
+    if any(sum(w.get(s, 0) for s in word) for t in tensors for word in t.terms for w in slots):
+        return False
+    if not annihilates(family.generators, polys):
+        return False
+    tables = [(x.slot_images(), x.parity) for x in family.generators]
+    return not any(
+        any(act_on_words(table, parity, t.terms).values())
+        for t in tensors
+        for table, parity in tables
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .alphabet import (
     parity_of_word,
 )
 from .coefficients import Coeff, SparseElement, normalized
-from .liealgebras import MatrixElement, act_on_words, invariant_form
+from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights
 from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
 from .tableaux import Partition, YoungTableau
@@ -646,15 +646,12 @@ def tensor_invariant_space(
     signature: tuple[bool, ...],
 ) -> list[TensorElement]:
     """Exact basis of the joint kernel of the action of the given elements
-    on the full word space: weight-filter by the diagonal elements (a
-    diagonal x weighs each slot by the coefficient of the slot in its own
-    image), then a stacked nullspace over the off-diagonal ones."""
+    on the full word space: weight-filter by the diagonal elements
+    (`slot_weights`), then a stacked nullspace over the off-diagonal ones.
+    Every given element acts, with no generating subset, so the tests use
+    it as a full-basis reference."""
     words = [word(L, signature) for L in all_words(dims, len(signature))]
-    weights = [
-        {slot: dict(image)[slot] for slot, image in x.slot_images().items()}
-        for x in basis_elements
-        if x.is_diagonal()
-    ]
+    weights = [slot_weights(x) for x in basis_elements if x.is_diagonal()]
     maps = [
         lambda w, t=x.slot_images(), p=x.parity: normalized(act_on_words(t, p, {w: 1}))
         for x in basis_elements

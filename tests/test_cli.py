@@ -234,6 +234,8 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T3.4", "--k", "0"),
         ("--theorem", "T3.6", "--k", "0"),
         ("--theorem", "T3.6", "--dims", "1,2"),
+        ("--theorem", "T2.1", "--max-degree", "0"),
+        ("--theorem", "T4.4", "--max-degree", "1"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -244,6 +246,24 @@ def test_verify_out_of_range_options(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert argv[1] in err and argv[2] in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "--theorem", "T2.1", "--max-degree", "-1"), "--max-degree"),
+        (("verify", "--theorem", "T2.1", "--cap", "-1"), "--cap"),
+        (("invariants", "--family", "gl", "--dims", "1,1", "--degree", "-1"), "--degree"),
+        (("invariants", "--degree", "2", "--cap", "-1"), "--cap"),
+    ],
+)
+def test_negative_options_are_usage_errors(capsys, argv, flag):
+    """A negative --degree, --cap or --max-degree is refused as the options
+    are parsed: exit 2, one line naming the option, no report."""
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: {flag} must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("dims", ["0,1", "1,0", "0,2", "2,0"])
@@ -358,14 +378,13 @@ def _slow(claim, n, k, dims, udims, wdims):
     every cap (measured on a 2-core machine, 6 s limit): T2.2 with more
     than 8 letters in all and a monomial basis within the default cap
     (above it, the run exits 3 before building a relation), the
-    split-tableau claims at --dims 2,2 (T3.3 and T3.4 about 21 s at
+    split-tableau claims at --dims 2,2 (T3.3 and T3.4 12 and 15 s at
     --k 1, T3.8 19 s; T3.6 exits 2 there: at the default --pqkl its split
-    tableaux do not fit the u-hook), and
-    T7.2 at --n 3 --k 0 (27 s).  With the symmetrizers applied block by
-    block, T7.3 at --n 2 --k 2 takes 2.6 s, T7.2 at --n 2 --k 3 3.2 s, and
-    the split-tableau claims at --k 3 and smaller --dims at most 1.6 s
-    (T7.3 at --k 3 exits 3 before any symmetrization).  Every other vector finishes
-    within about 2 s."""
+    tableaux do not fit the u-hook), and T7.2 at --n 3 --k 0 (6 s).  With
+    the symmetrizers applied block by block, T7.3 at --n 2 --k 2 takes
+    2.6 s, T7.2 at --n 2 --k 3 1.9 s, and the split-tableau claims at
+    --k 3 and smaller --dims at most 1.6 s (T7.3 at --k 3 exits 3 before
+    any symmetrization).  Every other vector finishes within about 2 s."""
     if claim == "T2.2":
         return sum(dims + udims + wdims) > 8 and _t22_monomials(dims, udims, wdims) <= 20_000
     if claim in ("T3.3", "T3.4", "T3.8"):
@@ -384,8 +403,8 @@ def _slow(claim, n, k, dims, udims, wdims):
 )
 def test_verify_random_small_options_keep_exit_contract(claim, n, k, dims, udims, wdims):
     """Small random verify option vectors: no exception escapes, the exit
-    code is 0, 1, 2 or 3, and a usage error is exactly one line on stderr
-    with no report."""
+    code is 0, 1, 2 or 3, a usage error is exactly one line on stderr with
+    no report, and a report lists at least one check."""
     assume(not _slow(claim, n, k, dims, udims, wdims))
     argv = ["verify", "--theorem", claim, "--n", str(n), "--k", str(k), "--no-timing"]
     for flag, pair in (("--dims", dims), ("--udims", udims), ("--wdims", wdims)):
@@ -398,4 +417,4 @@ def test_verify_random_small_options_keep_exit_contract(claim, n, k, dims, udims
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     elif code != EXIT_CAP:
-        assert isinstance(json.loads(out.getvalue())["checks"], list)
+        assert json.loads(out.getvalue())["checks"]

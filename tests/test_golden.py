@@ -4,6 +4,8 @@ every catalog claim must print exactly the report stored under
 
 Regenerate a golden file only when a report change is intended:
 `superinv verify --theorem <id> --no-timing > tests/golden/<id>.json`.
+Reports at other option vectors, too slow for this suite, sit under
+`tests/golden/options/` and are compared in CI.
 """
 
 from pathlib import Path

@@ -13,7 +13,6 @@ import superinv.invariants as invariants_module
 from superinv.invariants import (
     CapExceeded,
     DEFAULT_MONOMIAL_CAP,
-    _diagonal_weights,
     SubstitutionMap,
     algebra_for,
     blocked_monomials,
@@ -24,7 +23,7 @@ from superinv.invariants import (
     relation_kernel_check,
     span_dimension,
 )
-from superinv.liealgebras import act_on_polynomial, build_family
+from superinv.liealgebras import act_on_polynomial, build_family, diagonal_weights
 from superinv.generators import scalar_products, substitution_map
 from superinv.named_polynomials import P_t
 from superinv.polynomials import (
@@ -224,7 +223,7 @@ def test_weighted_walk_is_the_filtered_unweighted_walk(family_dims, pqkl, degree
     # keep the unweighted reference small: lower the degree until it is
     while degree and count_monomials_of_degree(alg, degree) > 3000:
         degree -= 1
-    weights = _diagonal_weights(fam, alg)
+    weights = diagonal_weights(fam, alg)
 
     def weight_zero(m):
         return all(sum(w[g] for g in m) == 0 for w in weights)
@@ -268,7 +267,7 @@ def test_cap_counts_the_full_basis():
     assert count_monomials_of_degree(alg, 6) == 57_799 > DEFAULT_MONOMIAL_CAP
     with pytest.raises(CapExceeded):
         invariant_space_bruteforce(fam, alg, 6)
-    weights = _diagonal_weights(fam, alg)
+    weights = diagonal_weights(fam, alg)
     assert len(monomials_of_degree(alg, 6, weights)) == 2_031
 
 
