@@ -4,7 +4,7 @@ supercommutative polynomial algebras, tensor invariants and their operators,
 and brute-force verification oracles with a claim catalog."""
 
 from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
-from .claims import CLAIM_DEFAULTS, ClaimOptions, KNOWN_CLAIMS, run_claim
+from .claims import CATALOG, ClaimOptions, KNOWN_CLAIMS, run_claim
 from .generators import (
     scalar_products,
     sl_extra_generators,

@@ -8,7 +8,7 @@ constructive computation (errata never affect process exit status).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -60,26 +60,6 @@ from .tensors import (
 from .permutations import check_symmetrizer_cap, symmetrize
 from .alphabet import all_words
 
-KNOWN_CLAIMS = [
-    "T2.1",
-    "T2.2",
-    "T3.3",
-    "T3.4",
-    "T3.6",
-    "T3.8",
-    "T4.3",
-    "T4.4",
-    "T4.5",
-    "T5.1",
-    "T5.2",
-    "T6.2",
-    "T6.3.1",
-    "T6.3.2",
-    "L7.1",
-    "T7.2",
-    "T7.3",
-]
-
 
 @dataclass
 class CheckRecord:
@@ -92,21 +72,11 @@ class CheckRecord:
     detail: Optional[dict] = None
 
     def as_dict(self) -> dict:
-        out: dict = {"id": self.id, "claim_ref": self.claim_ref, "status": self.status}
-        if self.dims is not None:
-            out["dims"] = self.dims
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.errata is not None:
-            out["errata"] = self.errata
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClaimOptions:
-    family: str = "gl"
     dims: tuple[int, int] = (1, 1)
     pqkl: tuple[int, int, int, int] = (1, 1, 1, 1)
     udims: tuple[int, int] = (1, 1)
@@ -294,54 +264,48 @@ def _ratio(a: TensorElement, b: TensorElement) -> Optional[Fraction]:
     return r if b.scale(r) == a else None
 
 
+def _uniform(ratios: dict[str, str]) -> bool:
+    """At least one word was compared, and all share one ratio (no mismatch)."""
+    values = set(ratios.values())
+    return len(values) == 1 and not values & {"zero-mismatch", "shape-mismatch"}
+
+
 def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     """Marked-tableau closed form versus the first-principles operator,
     under the quoted sign data and under the corrected convention that adds
     the contraction's head-parity sign."""
     dims = IndexRange(*opts.dims)
     setup = operator_setup(dims, 1)
-
-    def compare(convention: str) -> tuple[bool, dict[str, str]]:
-        ratios: dict[str, str] = {}
-        uniform = True
-        reference: Optional[Fraction] = None
-        for L in all_words(dims, setup.m * (setup.n + 1)):
-            w = TensorElement.from_word(dims, plain_word(L))
-            direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w), "direct")
+    # per convention, the ratio of the operator's image to the closed form's
+    # for each word where either is nonzero
+    ratios: dict[str, dict[str, str]] = {"corrected": {}, "printed": {}}
+    for L in all_words(dims, setup.m * (setup.n + 1)):
+        w = TensorElement.from_word(dims, plain_word(L))
+        direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w), "direct")
+        key = "".join(str(x) for x in L)
+        for convention, found in ratios.items():
             marked = marked_tableau_operator(setup, L, convention)
-            key = "".join(str(x) for x in L)
             if direct.is_zero() and marked.is_zero():
                 continue
             if direct.is_zero() != marked.is_zero():
-                ratios[key] = "zero-mismatch"
-                uniform = False
-                continue
-            r = _ratio(direct, marked)
-            if r is None:
-                ratios[key] = "shape-mismatch"
-                uniform = False
-                continue
-            ratios[key] = str(r)
-            if reference is None:
-                reference = r
-            elif r != reference:
-                uniform = False
-        return uniform and bool(ratios), ratios
-
-    corrected_ok, corrected_ratios = compare("corrected")
-    printed_ok, printed_ratios = compare("printed")
+                found[key] = "zero-mismatch"
+            elif (r := _ratio(direct, marked)) is None:
+                found[key] = "shape-mismatch"
+            else:
+                found[key] = str(r)
+    corrected, printed = ratios["corrected"], ratios["printed"]
     base = f"T3.8:dims{opts.dims}"
     records = [
         CheckRecord(
             id=base + ":corrected-convention",
             claim_ref="T3.8",
-            status=_status(corrected_ok),
-            detail={"words_compared": len(corrected_ratios)},
+            status=_status(_uniform(corrected)),
+            detail={"words_compared": len(corrected)},
         )
     ]
-    if printed_ok:
+    if _uniform(printed):
         records.append(
-            CheckRecord(base + ":printed-signs", "T3.8", "pass", detail={"ratios": printed_ratios})
+            CheckRecord(base + ":printed-signs", "T3.8", "pass", detail={"ratios": printed})
         )
     else:
         records.append(
@@ -353,7 +317,7 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
                     "issue": "the quoted sign data is not a single global "
                     "constant across word contents; adding the contraction's "
                     "head-parity sign makes it one; per-word ratios recorded",
-                    "ratios": printed_ratios,
+                    "ratios": printed,
                 },
             )
         )
@@ -697,88 +661,70 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     return records
 
 
-CLAIM_RUNNERS: dict[str, Callable[[ClaimOptions], list[CheckRecord]]] = {
-    "T2.1": run_t21,
-    "T2.2": run_t22,
-    "T3.3": run_t33,
-    "T3.4": run_t34,
-    "T3.6": run_t36,
-    "T3.8": run_t38,
-    "T4.3": run_t43,
-    "T4.4": run_t44,
-    "T4.5": run_t45,
-    "T5.1": run_t51,
-    "T5.2": run_t52,
-    "T6.2": run_t62,
-    "T6.3.1": run_t631,
-    "T6.3.2": run_t632,
-    "L7.1": run_l71,
-    "T7.2": run_t72,
-    "T7.3": run_t73,
+@dataclass(frozen=True)
+class Claim:
+    """A catalog entry: the runner, its default options, and the least
+    options the claim is defined on (None: the runner does not read it)."""
+
+    run: Callable[[ClaimOptions], list[CheckRecord]]
+    defaults: ClaimOptions = ClaimOptions()
+    min_dims: tuple[int, int] = (0, 0)
+    min_n: Optional[int] = None
+    min_k: Optional[int] = None
+    min_max_degree: int = 0
+
+
+# Each record gives the defaults that differ from ClaimOptions'.  The
+# floors: at k = 0 the T3.3/T3.4 element is a general-linear invariant and
+# the T3.6 extra generators have no extra rows (at --dims 0,m their degree
+# is 0).  The split tableaux of T3.6 and T3.8 have one column per odd
+# letter, and the T5 constructions fill their rows with even letters.
+# T3.3 and T3.4 also need an even letter: their not-gl-invariant check acts
+# with the diagonal unit on the first even letter.  Every record of T2.1
+# and T4.4 is one degree's, so below their least --max-degree they would
+# check nothing.
+CATALOG: dict[str, Claim] = {
+    "T2.1": Claim(run_t21, ClaimOptions(max_degree=3), min_max_degree=1),
+    "T2.2": Claim(run_t22),
+    "T3.3": Claim(run_t33, min_dims=(1, 1), min_k=1),
+    "T3.4": Claim(run_t34, min_dims=(1, 1), min_k=1),
+    "T3.6": Claim(run_t36, min_dims=(0, 1), min_k=1),
+    "T3.8": Claim(run_t38, min_dims=(0, 1)),
+    "T4.3": Claim(run_t43, ClaimOptions(dims=(1, 2), wdims=(2, 1))),
+    "T4.4": Claim(run_t44, ClaimOptions(wdims=(2, 1)), min_max_degree=2),
+    "T4.5": Claim(run_t45, ClaimOptions(dims=(1, 2), wdims=(2, 1))),
+    "T5.1": Claim(run_t51, ClaimOptions(dims=(1, 2)), min_dims=(1, 1)),
+    "T5.2": Claim(run_t52, ClaimOptions(dims=(1, 2), wdims=(1, 0)), min_dims=(1, 1)),
+    "T6.2": Claim(run_t62, ClaimOptions(wdims=(2, 1))),
+    "T6.3.1": Claim(run_t631, ClaimOptions(wdims=(2, 1))),
+    "T6.3.2": Claim(run_t632, ClaimOptions(wdims=(2, 1))),
+    "L7.1": Claim(run_l71, min_n=2),
+    "T7.2": Claim(run_t72, min_n=2, min_k=0),
+    "T7.3": Claim(run_t73, ClaimOptions(wdims=(2, 2)), min_n=2, min_k=1),
 }
 
-CLAIM_DEFAULTS: dict[str, ClaimOptions] = {
-    "T2.1": ClaimOptions(family="gl", dims=(1, 1), pqkl=(1, 1, 1, 1), max_degree=3),
-    "T2.2": ClaimOptions(family="gl", dims=(1, 1), udims=(1, 1), wdims=(1, 1)),
-    "T3.3": ClaimOptions(dims=(1, 1), k=1),
-    "T3.4": ClaimOptions(dims=(1, 1), k=1),
-    "T3.6": ClaimOptions(family="sl", dims=(1, 1), pqkl=(1, 1, 1, 1), k=1, max_degree=4),
-    "T3.8": ClaimOptions(dims=(1, 1)),
-    "T4.3": ClaimOptions(family="osp", dims=(1, 2), wdims=(2, 1), max_degree=4),
-    "T4.4": ClaimOptions(wdims=(2, 1), max_degree=4),
-    "T4.5": ClaimOptions(family="osp", dims=(1, 2), wdims=(2, 1)),
-    "T5.1": ClaimOptions(family="osp", dims=(1, 2)),
-    "T5.2": ClaimOptions(family="osp", dims=(1, 2), wdims=(1, 0), max_degree=4),
-    "T6.2": ClaimOptions(family="pe", dims=(1, 1), wdims=(2, 1), max_degree=4),
-    "T6.3.1": ClaimOptions(wdims=(2, 1)),
-    "T6.3.2": ClaimOptions(family="pe", dims=(1, 1), wdims=(2, 1)),
-    "L7.1": ClaimOptions(n=2),
-    "T7.2": ClaimOptions(n=2, k=1),
-    "T7.3": ClaimOptions(n=2, k=1, wdims=(2, 2)),
-}
+KNOWN_CLAIMS = list(CATALOG)
 
 
-# smallest --n and --k each claim is defined on (None: not used).  At k = 0
-# the T3.3/T3.4 element is a general-linear invariant and the T3.6 extra
-# generators have no extra rows (at --dims 0,m their degree is 0)
-_MIN_N_K: dict[str, tuple[Optional[int], Optional[int]]] = {
-    "T3.3": (None, 1),
-    "T3.4": (None, 1),
-    "T3.6": (None, 1),
-    "L7.1": (2, None),
-    "T7.2": (2, 0),
-    "T7.3": (2, 1),
-}
-
-# smallest even and odd --dims of the claims whose constructions index its
-# letters: the split tableaux have one column per odd letter, and the
-# T5 constructions fill their rows with even letters.  T3.3 and T3.4 also
-# need an even letter: their not-gl-invariant check acts with the diagonal
-# unit on the first even letter, and without one the premise fails
-_MIN_DIMS: dict[str, tuple[int, int]] = {
-    "T3.3": (1, 1),
-    "T3.4": (1, 1),
-    "T3.6": (0, 1),
-    "T3.8": (0, 1),
-    "T5.1": (1, 1),
-    "T5.2": (1, 1),
-}
-
-
-# smallest --max-degree of the claims whose every record is one degree's:
-# below it they would check nothing
-_MIN_MAX_DEGREE: dict[str, int] = {"T2.1": 1, "T4.4": 2}
+def claim_key(theorem_id: str) -> str:
+    """The catalog id of `theorem_id`, which may end in `(constructive)`;
+    KeyError for an id outside the catalog."""
+    key = theorem_id.strip().removesuffix("(constructive)")
+    if key not in CATALOG:
+        raise KeyError(f"unknown claim id {theorem_id!r}")
+    return key
 
 
 def validate_options(key: str, opts: ClaimOptions) -> None:
     """Raise InvalidOptions when the options lie outside the claim's range."""
-    least = _MIN_MAX_DEGREE.get(key, 0)
-    if opts.max_degree < least:
+    claim = CATALOG[key]
+    if opts.max_degree < claim.min_max_degree:
         raise InvalidOptions(
-            f"needs --max-degree >= {least}, got {opts.max_degree}: no check would run"
+            f"needs --max-degree >= {claim.min_max_degree}, got {opts.max_degree}:"
+            " no check would run"
         )
     even, odd = opts.dims
-    even_min, odd_min = _MIN_DIMS.get(key, (0, 0))
+    even_min, odd_min = claim.min_dims
     if even < even_min or odd < odd_min:
         raise InvalidOptions(f"needs --dims of at least {even_min},{odd_min}, got --dims {even},{odd}")
     # osp(2r|0) = so(2r) contains -1, so its determinant-type invariants
@@ -788,13 +734,10 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
             f"needs --dims n,m with m > 0 or n odd: osp({even}|0) = so({even}) has"
             f" determinant-type invariants beyond the scalar products, got --dims {even},{odd}"
         )
-    if key not in _MIN_N_K:
-        return
-    n_min, k_min = _MIN_N_K[key]
-    if n_min is not None and opts.n < n_min:
-        raise InvalidOptions(f"needs --n >= {n_min}, got {opts.n}")
-    if k_min is not None and opts.k < k_min:
-        raise InvalidOptions(f"needs --k >= {k_min}, got {opts.k}")
+    if claim.min_n is not None and opts.n < claim.min_n:
+        raise InvalidOptions(f"needs --n >= {claim.min_n}, got {opts.n}")
+    if claim.min_k is not None and opts.k < claim.min_k:
+        raise InvalidOptions(f"needs --k >= {claim.min_k}, got {opts.k}")
     # each extra family pairs semistandard u-words of one split tableau with
     # w-words of the other, and a shape has semistandard fillings over the
     # (e|o) letters iff it fits that hook: part e+1 is at most o
@@ -809,12 +752,9 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
 
 
 def run_claim(theorem_id: str, opts: Optional[ClaimOptions] = None) -> list[CheckRecord]:
-    key = theorem_id.strip()
-    if key.endswith("(constructive)"):
-        key = key[: -len("(constructive)")]
-    if key not in CLAIM_RUNNERS:
-        raise KeyError(f"unknown claim id {theorem_id!r}")
+    key = claim_key(theorem_id)
+    claim = CATALOG[key]
     if opts is None:
-        opts = CLAIM_DEFAULTS[key]
+        opts = claim.defaults
     validate_options(key, opts)
-    return CLAIM_RUNNERS[key](opts)
+    return claim.run(opts)

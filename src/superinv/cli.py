@@ -13,9 +13,10 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields, replace
 
 from .alphabet import IndexRange
-from .claims import CLAIM_DEFAULTS, ClaimOptions, KNOWN_CLAIMS, run_claim
+from .claims import CATALOG, ClaimOptions, KNOWN_CLAIMS, claim_key, run_claim
 from .errors import InvalidOptions
 from .invariants import (
     DEFAULT_MONOMIAL_CAP,
@@ -94,10 +95,11 @@ def cmd_tableaux(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     parts = tuple(p for p in parts if p > 0)
+    if not parts:
+        print(f"error: --shape needs a positive part, got {args.shape}", file=sys.stderr)
+        return EXIT_USAGE
     n, m = _parse_ints(args.range, 2, "--range")
     config = {"command": "tableaux", "shape": list(parts), "range": [n, m], "seed": args.seed}
-    if not parts:
-        return _finish(config, [], args, started)
     try:
         shape = Partition(parts)
     except ValueError as exc:
@@ -159,37 +161,27 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     started = time.time()
-    theorem = args.theorem
-    key = theorem[: -len("(constructive)")] if theorem.endswith("(constructive)") else theorem
-    if key not in KNOWN_CLAIMS:
+    try:
+        key = claim_key(args.theorem)
+    except KeyError:
         print(
-            f"error: unknown claim id {theorem!r}; known ids: {', '.join(KNOWN_CLAIMS)}",
+            f"error: unknown claim id {args.theorem!r}; known ids: {', '.join(KNOWN_CLAIMS)}",
             file=sys.stderr,
         )
         return EXIT_USAGE
-    defaults = CLAIM_DEFAULTS[key]
-    opts = ClaimOptions(
-        family=args.family or defaults.family,
-        dims=_parse_ints(args.dims, 2, "--dims") if args.dims else defaults.dims,
-        pqkl=_parse_ints(args.pqkl, 4, "--pqkl") if args.pqkl else defaults.pqkl,
-        udims=_parse_ints(args.udims, 2, "--udims") if args.udims else defaults.udims,
-        wdims=_parse_ints(args.wdims, 2, "--wdims") if args.wdims else defaults.wdims,
-        max_degree=args.max_degree if args.max_degree is not None else defaults.max_degree,
-        n=args.n if args.n is not None else defaults.n,
-        k=args.k if args.k is not None else defaults.k,
-        monomial_cap=args.cap,
-    )
+    given = {"monomial_cap": args.cap}
+    for f in fields(ClaimOptions):
+        value = getattr(args, f.name, None)
+        if isinstance(value, str):
+            # a tuple option has as many entries as its default
+            value = _parse_ints(value, len(f.default), "--" + f.name)
+        if value is not None:
+            given[f.name] = value
+    opts = replace(CATALOG[key].defaults, **given)
     config = {
         "command": "verify",
         "theorem": key,
-        "family": opts.family,
-        "dims": list(opts.dims),
-        "pqkl": list(opts.pqkl),
-        "udims": list(opts.udims),
-        "wdims": list(opts.wdims),
-        "max_degree": opts.max_degree,
-        "n": opts.n,
-        "k": opts.k,
+        **{f.name: getattr(opts, f.name) for f in fields(ClaimOptions) if f.name != "monomial_cap"},
         "seed": args.seed,
     }
     try:
@@ -229,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("tableaux", help="standard and semistandard enumeration")
-    p.add_argument("--shape", required=True, help="partition, e.g. 2,1 (0 for empty)")
+    p.add_argument("--shape", required=True, help="partition with a positive part, e.g. 2,1")
     p.add_argument("--range", default="1,1", help="even,odd letter counts")
     common(p)
     p.set_defaults(func=cmd_tableaux)
@@ -244,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a claim from the catalog")
     p.add_argument("--theorem", required=True, help="claim id, e.g. T2.1")
-    p.add_argument("--family", default=None, choices=["gl", "sl", "osp", "pe", "spe"])
     p.add_argument("--dims", default=None)
     p.add_argument("--pqkl", default=None)
     p.add_argument("--udims", default=None)

@@ -4,8 +4,8 @@ witnesses, and relation-ideal kernel checks.
 
 The oracle walks the monomials of weight zero under the diagonal basis and
 stacks the kernel maps of the family's certified generating subset
-(`AlgebraFamily.generators`) only; its `verify` re-check acts with every
-basis element."""
+(`AlgebraFamily.generators`) only; its re-check of the result acts with
+every basis element."""
 
 from __future__ import annotations
 
@@ -102,8 +102,6 @@ def invariant_space_bruteforce(
     algebra: AlgebraDescriptor,
     degree: int,
     monomial_cap: int = DEFAULT_MONOMIAL_CAP,
-    entry_cap: int = DEFAULT_ENTRY_CAP,
-    verify: bool = True,
 ) -> InvariantSpace:
     """Exact joint kernel of the family action on the degree-d monomials.
 
@@ -117,9 +115,9 @@ def invariant_space_bruteforce(
     (`generator_images`), built once per call: the annihilator of a
     polynomial is a Lie sub-superalgebra, so on weight-zero monomials their
     joint kernel is the kernel of every off-diagonal element, and it is
-    read off the reduced echelon form.  With `verify`, every basis
-    polynomial is checked against every element of the family
-    (`annihilates`), independently of the generating subset.
+    read off the reduced echelon form.  Every basis polynomial is then
+    checked against every element of the family (`annihilates`),
+    independently of the generating subset.
     """
     blocks = blocked_monomials(
         algebra, degree, monomial_cap, diagonal_weights(family, algebra)
@@ -135,9 +133,9 @@ def invariant_space_bruteforce(
     basis = [
         Polynomial(algebra, terms)
         for key in sorted(blocks)
-        for terms in joint_kernel(blocks[key], [], maps, entry_cap)
+        for terms in joint_kernel(blocks[key], [], maps, DEFAULT_ENTRY_CAP)
     ]
-    if verify and not annihilates(family.basis, basis):
+    if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")
     return InvariantSpace(family.tag, degree, algebra, basis)
 

@@ -150,7 +150,7 @@ def test_ac5_sl_completeness():
     both extra families closes every degree."""
     t0 = time.time()
     records = run_claim(
-        "T3.6", ClaimOptions(family="sl", dims=(1, 1), pqkl=(1, 1, 1, 1), k=1, max_degree=4)
+        "T3.6", ClaimOptions(dims=(1, 1), pqkl=(1, 1, 1, 1), k=1, max_degree=4)
     )
     hard = [r for r in records if r.status != "errata"]
     assert all(r.status == "pass" for r in hard)
@@ -174,12 +174,12 @@ def test_ac6_osp():
     fam = build_family("osp", IndexRange(1, 2))
     for wdims in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]:
         records = run_claim(
-            "T4.3", ClaimOptions(family="osp", dims=(1, 2), wdims=wdims, max_degree=4)
+            "T4.3", ClaimOptions(dims=(1, 2), wdims=wdims, max_degree=4)
         )
         assert all(r.status == "pass" for r in records), wdims
     records = run_claim("T4.4", ClaimOptions(wdims=(2, 1), max_degree=4))
     assert all(r.status == "pass" for r in records)
-    records = run_claim("T4.5", ClaimOptions(family="osp", dims=(1, 2), wdims=(2, 1)))
+    records = run_claim("T4.5", ClaimOptions(dims=(1, 2), wdims=(2, 1)))
     assert all(r.status == "pass" for r in records)
     report("AC-6 osp(1|2) scalar products, Pfaffians, relations", True, f"{time.time() - t0:.1f}s")
 
@@ -188,7 +188,7 @@ def test_ac7_nabla():
     """The constructive relative invariant passes the hard gates; the quoted
     closed form is recorded as an errata item."""
     t0 = time.time()
-    records = run_claim("T5.1", ClaimOptions(family="osp", dims=(1, 2)))
+    records = run_claim("T5.1", ClaimOptions(dims=(1, 2)))
     by_id = {r.id.split(":")[-1]: r for r in records}
     assert by_id["nonzero-invariant"].status == "pass"
     assert by_id["not-gl-invariant"].status == "pass"
@@ -209,14 +209,14 @@ def test_ac8_pe():
     for n in (1, 2):
         for wdims in [(1, 0), (1, 1), (2, 1)]:
             records = run_claim(
-                "T6.2", ClaimOptions(family="pe", dims=(n, n), wdims=wdims, max_degree=4)
+                "T6.2", ClaimOptions(dims=(n, n), wdims=wdims, max_degree=4)
             )
             assert all(r.status == "pass" for r in records), (n, wdims)
     records = run_claim("T6.3.1", ClaimOptions(wdims=(2, 1)))
     assert all(r.status == "pass" for r in records)
     for n in (1, 2):
         records = run_claim(
-            "T6.3.2", ClaimOptions(family="pe", dims=(n, n), wdims=(2, 1))
+            "T6.3.2", ClaimOptions(dims=(n, n), wdims=(2, 1))
         )
         assert all(r.status == "pass" for r in records), n
     report("AC-8 pe(1), pe(2) scalar products and relations", True, f"{time.time() - t0:.1f}s")

@@ -1,11 +1,6 @@
 import pytest
 
-from superinv.claims import (
-    CLAIM_DEFAULTS,
-    ClaimOptions,
-    KNOWN_CLAIMS,
-    run_claim,
-)
+from superinv.claims import ClaimOptions, KNOWN_CLAIMS, run_claim
 
 ERRATA_TARGETS = {"T3.6", "T3.8", "T5.1", "L7.1", "T7.2", "T7.3"}
 
@@ -46,7 +41,7 @@ def test_record_serialization():
 
 
 def test_t21_custom_options():
-    records = run_claim("T2.1", ClaimOptions(family="gl", dims=(1, 0), pqkl=(1, 0, 1, 0), max_degree=3))
+    records = run_claim("T2.1", ClaimOptions(dims=(1, 0), pqkl=(1, 0, 1, 0), max_degree=3))
     assert all(r.status == "pass" for r in records)
     dims = {r.id: r.dims for r in records}
     assert dims["T2.1:gl(1, 0):deg2"] == {"oracle": 1, "generated": 1}

@@ -29,9 +29,13 @@ def test_tableaux_report(capsys):
 
 
 def test_tableaux_empty_shape(capsys):
-    code, out, _ = run_cli(capsys, "tableaux", "--shape", "0", "--no-timing")
-    assert code == EXIT_OK
-    assert json.loads(out)["checks"] == []
+    """A shape with no positive part would enumerate nothing: a usage
+    error in one line, no report."""
+    for shape in ("0", "0,0"):
+        code, out, err = run_cli(capsys, "tableaux", "--shape", shape, "--no-timing")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --shape needs a positive part, got {shape}\n"
 
 
 def test_tableaux_semistandard_dimension(capsys):
@@ -99,8 +103,6 @@ def test_verify_pass(capsys):
         "verify",
         "--theorem",
         "T2.1",
-        "--family",
-        "gl",
         "--dims",
         "1,1",
         "--pqkl",
@@ -170,8 +172,12 @@ def test_report_determinism(tmp_path, capsys):
 
 
 def test_bad_flag_values(capsys):
-    code, _, _ = run_cli(capsys, "tableaux", "--shape", "x,y")
-    assert code == EXIT_USAGE
+    """A malformed value, or a flag the command does not take (`verify`
+    reads no family: each claim fixes its own), exits 2 with no report."""
+    for argv in (("tableaux", "--shape", "x,y"), ("verify", "--theorem", "T2.1", "--family", "gl")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
 
 
 def test_verify_cap_exit(capsys):
@@ -379,8 +385,9 @@ def _slow(claim, n, k, dims, udims, wdims):
     than 8 letters in all and a monomial basis within the default cap
     (above it, the run exits 3 before building a relation), the
     split-tableau claims at --dims 2,2 (T3.3 and T3.4 12 and 15 s at
-    --k 1, T3.8 19 s; T3.6 exits 2 there: at the default --pqkl its split
-    tableaux do not fit the u-hook), and T7.2 at --n 3 --k 0 (6 s).  With
+    --k 1, T3.8 10 to 12 s with each operator image built once per word;
+    T3.6 exits 2 there: at the default --pqkl its split tableaux do not
+    fit the u-hook), and T7.2 at --n 3 --k 0 (6 s).  With
     the symmetrizers applied block by block, T7.3 at --n 2 --k 2 takes
     2.6 s, T7.2 at --n 2 --k 3 1.9 s, and the split-tableau claims at
     --k 3 and smaller --dims at most 1.6 s (T7.3 at --k 3 exits 3 before

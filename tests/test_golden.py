@@ -4,8 +4,8 @@ every catalog claim must print exactly the report stored under
 
 Regenerate a golden file only when a report change is intended:
 `superinv verify --theorem <id> --no-timing > tests/golden/<id>.json`.
-Reports at other option vectors, too slow for this suite, sit under
-`tests/golden/options/` and are compared in CI.
+Reports at other option vectors sit under `tests/golden/options/`; the
+ones too slow for this suite are compared in CI.
 """
 
 from pathlib import Path
@@ -28,3 +28,12 @@ def test_verify_report_matches_golden(theorem, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / f"{theorem}.json").read_bytes()
+
+
+def test_t38_off_default_report_matches_golden(capsys):
+    """T3.8 at --dims 2,1 passes, and its printed-sign errata records
+    ratios that differ across words."""
+    code = main(["verify", "--theorem", "T3.8", "--dims", "2,1", "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / "T3.8_dims2,1.json").read_bytes()
