@@ -3,7 +3,9 @@
 Each entry runs a batch of exact checks and returns typed records.  A
 record's status is "pass" or "fail" for hard assertions; "errata" marks a
 documented divergence between a quoted closed-form expression and the
-constructive computation (errata never affect process exit status).
+constructive computation (errata never affect process exit status).  One
+function, `_quoted`, writes the record of every quoted formula: "pass"
+when it agrees with the constructive object, else "errata".
 """
 
 from __future__ import annotations
@@ -89,6 +91,17 @@ class ClaimOptions:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
+
+
+def _quoted(
+    rid: str, claim: str, ok: bool, issue: str, detail: Optional[dict] = None, **found
+) -> CheckRecord:
+    """The record of a quoted formula checked against a constructive object:
+    "pass" with `detail` when they agree, else "errata" with the issue and
+    what was found.  The one place a record gets the status "errata"."""
+    if ok:
+        return CheckRecord(rid, claim, "pass", detail=detail)
+    return CheckRecord(rid, claim, "errata", errata={"issue": issue, **found})
 
 
 def _generation_records(
@@ -233,19 +246,16 @@ def run_t36(opts: ClaimOptions) -> list[CheckRecord]:
     # errata: the quoted sum for the minus family differs from the canonical
     # projection (the plus family agrees literally)
     literal = sl_extra_literal(algebra, opts.k)
-    lit_minus_invariant = invariant(family, literal.minus)
-    if not lit_minus_invariant:
+    if not invariant(family, literal.minus):
         records.append(
-            CheckRecord(
-                id=f"T3.6:sl{vdims}:literal-minus-formula",
-                claim_ref="T3.6",
-                status="errata",
-                errata={
-                    "issue": "the quoted sign factor on the minus family fails "
-                    "invariance; the canonical projection of the hat-side tensor "
-                    "invariant is used instead",
-                    "literal_members": len(literal.minus),
-                },
+            _quoted(
+                f"T3.6:sl{vdims}:literal-minus-formula",
+                "T3.6",
+                False,
+                "the quoted sign factor on the minus family fails invariance; "
+                "the canonical projection of the hat-side tensor invariant is "
+                "used instead",
+                literal_members=len(literal.minus),
             )
         )
     return records
@@ -295,33 +305,24 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
                 found[key] = str(r)
     corrected, printed = ratios["corrected"], ratios["printed"]
     base = f"T3.8:dims{opts.dims}"
-    records = [
+    return [
         CheckRecord(
             id=base + ":corrected-convention",
             claim_ref="T3.8",
             status=_status(_uniform(corrected)),
             detail={"words_compared": len(corrected)},
-        )
+        ),
+        _quoted(
+            base + ":printed-signs",
+            "T3.8",
+            _uniform(printed),
+            "the quoted sign data is not a single global constant across word "
+            "contents; adding the contraction's head-parity sign makes it one; "
+            "per-word ratios recorded",
+            detail={"ratios": printed},
+            ratios=printed,
+        ),
     ]
-    if _uniform(printed):
-        records.append(
-            CheckRecord(base + ":printed-signs", "T3.8", "pass", detail={"ratios": printed})
-        )
-    else:
-        records.append(
-            CheckRecord(
-                id=base + ":printed-signs",
-                claim_ref="T3.8",
-                status="errata",
-                errata={
-                    "issue": "the quoted sign data is not a single global "
-                    "constant across word contents; adding the contraction's "
-                    "head-parity sign makes it one; per-word ratios recorded",
-                    "ratios": printed,
-                },
-            )
-        )
-    return records
 
 
 def _scalar_product_records(
@@ -409,20 +410,14 @@ def run_t51(opts: ClaimOptions) -> list[CheckRecord]:
         CheckRecord(base + ":not-gl-invariant", "T5.1", _status(relative)),
     ]
     report = nabla_closed_form_report(dims)
-    matches = report.get("single_global_ratio", False)
     records.append(
-        CheckRecord(
+        _quoted(
             base + ":closed-form-coefficients",
             "T5.1",
-            "pass" if matches else "errata",
-            errata=None
-            if matches
-            else {
-                "issue": "closed-form coefficients (undefined summation bound "
-                "read as zero, exclusion set as empty) do not fit the "
-                "constructive invariant",
-                "report": report,
-            },
+            report.get("single_global_ratio", False),
+            "closed-form coefficients (undefined summation bound read as zero, "
+            "exclusion set as empty) do not fit the constructive invariant",
+            report=report,
         )
     )
     return records
@@ -510,7 +505,8 @@ def run_l71(opts: ClaimOptions) -> list[CheckRecord]:
         raise CapExceeded("lower-block product", expected_terms, YMINUS_TERM_CAP)
     rep = yminus_expansion(n)
     base = f"L7.1:n{n}"
-    records = [
+    literal_diff = rep["diff_literal"]
+    return [
         CheckRecord(
             base + ":term-count",
             "L7.1",
@@ -523,26 +519,17 @@ def run_l71(opts: ClaimOptions) -> list[CheckRecord]:
             _status(rep["diff_corrected"].is_zero()),
             detail={"diff_terms": len(rep["diff_corrected"].terms)},
         ),
-    ]
-    literal_diff = rep["diff_literal"]
-    records.append(
-        CheckRecord(
+        _quoted(
             base + ":literal-convention",
             "L7.1",
-            "errata" if not literal_diff.is_zero() else "pass",
-            errata=None
-            if literal_diff.is_zero()
-            else {
-                "issue": "the stated recursion (zero base case, whole-matrix "
-                "lower count per level, cubic constant) disagrees with the "
-                "product expansion; the corrected convention (base equal to "
-                "the lower entry, last-row count per level, crossing constant) "
-                "matches exactly",
-                "mismatched_terms": len(literal_diff.terms),
-            },
-        )
-    )
-    return records
+            literal_diff.is_zero(),
+            "the stated recursion (zero base case, whole-matrix lower count per "
+            "level, cubic constant) disagrees with the product expansion; the "
+            "corrected convention (base equal to the lower entry, last-row "
+            "count per level, crossing constant) matches exactly",
+            mismatched_terms=len(literal_diff.terms),
+        ),
+    ]
 
 
 def run_t72(opts: ClaimOptions) -> list[CheckRecord]:
@@ -566,27 +553,21 @@ def run_t72(opts: ClaimOptions) -> list[CheckRecord]:
         )
         corrected = spe_closed_form_element(dims, k, kind, "corrected")
         printed = spe_closed_form_element(dims, k, kind, "printed")
-        corr_ok = _ratio(w, corrected) is not None
-        printed_ok = _ratio(w, printed) is not None
         records.append(
             CheckRecord(
                 base + ":corrected-coefficients",
                 "T7.2",
-                _status(corr_ok),
+                _status(_ratio(w, corrected) is not None),
             )
         )
         records.append(
-            CheckRecord(
+            _quoted(
                 base + ":printed-coefficients",
                 "T7.2",
-                "pass" if printed_ok else "errata",
-                errata=None
-                if printed_ok
-                else {
-                    "issue": "the tail-dependent sign exponent does not match "
-                    "the constructive element; replacing it with the plain "
-                    "row-sum parity makes the coefficients exact",
-                },
+                _ratio(w, printed) is not None,
+                "the tail-dependent sign exponent does not match the "
+                "constructive element; replacing it with the plain row-sum "
+                "parity makes the coefficients exact",
             )
         )
     return records
@@ -630,19 +611,16 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
             )
         )
         literal = spe_ppf_literal(algebra, k, sign_k)
-        lit_ok = bool(literal) and invariant(family, literal)
-        if literal and not lit_ok:
+        if literal and not invariant(family, literal):
             records.append(
-                CheckRecord(
+                _quoted(
                     base + ":literal-formula",
                     "T7.3",
-                    "errata",
-                    errata={
-                        "issue": "the quoted level-shifted coefficients fail "
-                        "invariance; the canonical shadows of the constructive "
-                        "tensors are used instead",
-                        "literal_members": len(literal),
-                    },
+                    False,
+                    "the quoted level-shifted coefficients fail invariance; the "
+                    "canonical shadows of the constructive tensors are used "
+                    "instead",
+                    literal_members=len(literal),
                 )
             )
     gens = [g for g in scalar_products("spe", tower_alg) if g]

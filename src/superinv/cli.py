@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import fields, replace
@@ -70,9 +71,13 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe (`| head`): what is left of the
+            # report, and the flush at exit, go to the null device
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
 
 
 def _finish(config: dict, checks: list[dict], args, started: float) -> int:
@@ -196,8 +201,16 @@ def cmd_verify(args) -> int:
     return _finish(config, [r.as_dict() for r in records], args, started)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line, `error: <message>`, and exit 2; the
+    subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superinv",
         description="Exact verification toolkit for invariant rings of matrix "
         "Lie superalgebras.",

@@ -2,14 +2,15 @@
 family and their substitution maps (one function each, reading the
 preserved form from `liealgebras.invariant_form`), the extra special-linear
 generators, the orthosymplectic relative generators, and the
-special-periplectic tensor and polynomial families."""
+special-periplectic tensor and polynomial families.  Every quoted
+special-periplectic sum over the square tableaux, printed or corrected, is
+built by one function, `_quoted_sum`."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Optional
 
@@ -24,9 +25,15 @@ from .alphabet import (
     od,
     parity_of_word,
 )
-from .coefficients import Coeff, add_scaled, exact
+from .coefficients import Coeff, add_scaled
 from .invariants import SubstitutionMap
-from .liealgebras import AlgebraFamily, MatrixElement, abs_exponent, invariant_form
+from .liealgebras import (
+    AlgebraFamily,
+    MatrixElement,
+    abs_exponent,
+    invariant_form,
+    t1_matrices,
+)
 from .named_polynomials import Z_combination, Z_of
 from .permutations import symmetrize
 from .polynomials import AlgebraDescriptor, Polynomial
@@ -278,64 +285,56 @@ def osp_relative_generators(
 # special periplectic: the T2 tableaux and their tensor/polynomial families
 
 
-@dataclass(frozen=True)
+@dataclass
 class T2Datum:
     """One admissible square tableau: the sequence read down the columns,
-    the 0/1 parity matrix, and the derived combinatorial weights."""
+    and its admissible matrix a (`t1_matrices`); the parity of the (i, j)
+    entry is a[i,j] off the diagonal and 1 on it."""
 
     word: Word
-    matrix: tuple[tuple[int, ...], ...]
-
-    def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.matrix]
+    a: dict[tuple[int, int], int]
 
 
 def t2_tableaux(n: int) -> list[T2Datum]:
-    """Square tableaux with conjugate mirror entries, odd diagonal, and the
-    (i, j) entry drawn from {i even, j odd}; enumerated off-diagonal pair by
-    pair."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    """Square tableaux with conjugate mirror entries and odd diagonal, one
+    per admissible matrix a of `t1_matrices(n)`, in its order: j' sits at
+    (i, j) and j at (j, i) where a[i,j] = 1."""
     out = []
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        grid: dict[tuple[int, int], SuperIndex] = {}
-        for i in range(1, n + 1):
-            grid[(i, i)] = od(i)
-        for (i, j), pick in zip(pairs, choice):
+    for a in t1_matrices(n):
+        grid = {(i, i): od(i) for i in range(1, n + 1)}
+        for (i, j), pick in a.items():
             if pick:
-                grid[(i, j)] = od(j)
-                grid[(j, i)] = ev(j)
-            else:
-                grid[(i, j)] = ev(i)
-                grid[(j, i)] = od(i)
+                grid[(i, j)], grid[(j, i)] = od(j), ev(j)
         word = tuple(grid[(i, j)] for j in range(1, n + 1) for i in range(1, n + 1))
-        matrix = tuple(
-            tuple(grid[(i, j)].parity for j in range(1, n + 1)) for i in range(1, n + 1)
-        )
-        out.append(T2Datum(word, matrix))
+        out.append(T2Datum(word, a))
     return out
 
 
 def _t2_weights(datum: T2Datum, n: int, k: int) -> tuple[int, int, Coeff]:
-    """(m(L), eps exponent, multiplicity m_k(L)) for one tableau."""
-    a = {
-        (i, j): datum.matrix[i - 1][j - 1]
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
-    }
-    m_L = sum(
-        datum.matrix[i - 1][j - 1]
-        for i in range(2, n + 1, 2)
-        for j in range(1, n + 1)
-    )
+    """(m(L), eps exponent, multiplicity m_k(L)) for one tableau.  Both m(L),
+    over the even-numbered rows, and m_k(L), the product over the rows of
+    (n+k)! / (n+k-l)!, read the row sums l of the parity matrix."""
+    a = datum.a
+    rows = range(1, n + 1)
+    row_sums = [1 + sum(a[(i, j)] for j in rows if j != i) for i in rows]
     n_L = sum(1 for x in datum.word if x.parity == EVEN)
-    abs_a = abs_exponent(a, n, "corrected")
-    eps_exp = abs_a + n_L
-    row_sums = [sum(datum.matrix[i - 1]) for i in range(1, n + 1)]
-    mult = Fraction(
-        factorial(n + k) ** n, math.prod(factorial(n + k - li) for li in row_sums)
-    )
-    return m_L, eps_exp, exact(mult)
+    eps_exp = abs_exponent(a, n, "corrected") + n_L
+    mult = math.prod(factorial(n + k) // factorial(n + k - li) for li in row_sums)
+    return sum(row_sums[1::2]), eps_exp, mult
+
+
+def _quoted_sum(
+    dims: IndexRange, t: YoungTableau, head: Word, tail: Word, level: int, m_times: int
+) -> TensorElement:
+    """e_t applied to the quoted sum over the square tableaux L of
+    (-1)^{m_times m(L) + eps(L)} m_level(L) v*_{head + L + tail}: every
+    quoted special-periplectic sum, printed or corrected, is built here."""
+    n = dims.even_count
+    terms = {}
+    for datum in t2_tableaux(n):
+        m_L, eps_exp, mult = _t2_weights(datum, n, level)
+        terms[dual_word(head + datum.word + tail)] = (-1) ** (m_times * m_L + eps_exp) * mult
+    return symmetrize_element(t, "plain", TensorElement(dims, (True,) * t.size, terms))
 
 
 def xplus_factors(dims: IndexRange) -> list[MatrixElement]:
@@ -354,34 +353,24 @@ def xplus_factors(dims: IndexRange) -> list[MatrixElement]:
 def spe_closed_form_element(
     dims: IndexRange, k: int, kind: str = "lower", convention: str = "printed"
 ) -> TensorElement:
-    """The displayed sums over the square tableaux.
+    """The displayed sums over the square tableaux (`_quoted_sum`).
 
     kind "lower": coefficient (-1)^{k m(L)} eps(L) m_k(L) on v*_L x v*_{J_k},
     symmetrized by the row-split rectangle.  kind "raise": coefficient
     eps(L) m_0(L) with the even run in front, symmetrized by the column-split
     rectangle.  With convention "corrected" the tail-dependent sign
     (-1)^{k m(L)} is replaced by (-1)^{m(L)}, which is what the constructive
-    route actually produces.
+    route actually produces at n = 2.
     """
     n = dims.even_count
+    printed = convention == "printed"
     if kind == "lower":
         t = split_rows_tableau(n, n, k)
-        words = [datum.word + blocked_odds(n, k) for datum in t2_tableaux(n)]
-    elif kind == "raise":
+        return _quoted_sum(dims, t, (), blocked_odds(n, k), k, k if printed else 1)
+    if kind == "raise":
         t = split_cols_tableau(n, n, k)
-        words = [repeated_evens(n, k) + datum.word for datum in t2_tableaux(n)]
-    else:
-        raise ValueError("kind must be 'lower' or 'raise'")
-    terms: dict = {}
-    for datum, w_letters in zip(t2_tableaux(n), words):
-        m_L, eps_exp, mult = _t2_weights(datum, n, k if kind == "lower" else 0)
-        if kind == "lower":
-            m_factor = k * m_L if convention == "printed" else m_L
-        else:
-            m_factor = 0 if convention == "printed" else m_L
-        w = dual_word(w_letters)
-        terms[w] = terms.get(w, 0) + (-1) ** (m_factor + eps_exp) * mult
-    return symmetrize_element(t, "plain", TensorElement(dims, (True,) * t.size, terms))
+        return _quoted_sum(dims, t, repeated_evens(n, k), (), 0, 0 if printed else 1)
+    raise ValueError("kind must be 'lower' or 'raise'")
 
 
 def spe_constructive_element(
@@ -452,20 +441,16 @@ def spe_ppf_literal(
 
     Each quoted sum is c(L) P_t(L + tail, J) summed over the square tableaux
     L.  P_t(I, J) is the pairing of e_t v*_I against J, so the sum is the
-    pairing of e_t T with T the sum of c(L) v*_{L + tail}: the symmetrizer
-    is applied once per level and the result is paired against every J.
+    pairing of e_t T with T the sum of c(L) v*_{L + tail} (`_quoted_sum`):
+    the symmetrizer is applied once per level and the result is paired
+    against every J.
     """
     v_range = algebra.v_range
     n = v_range.even_count
     if sign_k > 0:
-        t, tail, level = split_rows_tableau(n, n, k), blocked_odds(n, k), k - 1
+        t = split_rows_tableau(n, n, k)
+        symmetrized = _quoted_sum(v_range, t, (), blocked_odds(n, k), k - 1, k - 1)
     else:
-        t, tail, level = split_rows_tableau(n, n, k + 1), repeated_evens(n, k + 1), 0
-    terms: dict = {}
-    for datum in t2_tableaux(n):
-        m_L, eps_exp, mult = _t2_weights(datum, n, level)
-        w = dual_word(datum.word + tail)
-        terms[w] = terms.get(w, 0) + (-1) ** (level * m_L + eps_exp) * mult
-    combined = TensorElement(v_range, (True,) * t.size, terms)
-    symmetrized = symmetrize_element(t, "plain", combined)
+        t = split_rows_tableau(n, n, k + 1)
+        symmetrized = _quoted_sum(v_range, t, (), repeated_evens(n, k + 1), 0, 0)
     return nonzero_shadows(algebra, _dual_letters(symmetrized, t.size), t)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .alphabet import EVEN, ODD, IndexRange, SuperIndex, ev, od
+from .alphabet import EVEN, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, SparseElement, add_scaled, exact
 from .errors import InvalidOptions
 from .linalg import SpanTracker, _primitive_terms, nullspace
@@ -111,7 +111,6 @@ class AlgebraFamily:
     tag: str
     dims: IndexRange
     basis: list[MatrixElement]
-    grading: dict[str, list[MatrixElement]] = field(default_factory=dict)
 
     @property
     def dimension(self) -> int:
@@ -262,39 +261,11 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
 
         basis = [b for parity in (0, 1) for b in _solve_family(dims, cond, parity)]
         fam = AlgebraFamily(tag, dims, basis)
-        if tag != "osp":
-            fam.grading = _pe_grading(fam)
     else:
         raise ValueError(f"unknown family tag {tag!r}")
     if _span_tracker(fam).rank != fam.dimension:
         raise AssertionError("family basis is linearly dependent")
     return fam
-
-
-def _pe_grading(fam: AlgebraFamily) -> dict[str, list[MatrixElement]]:
-    """Split a periplectic-type basis into the (lower | even | upper) blocks."""
-    minus, zero, plus = [], [], []
-    for b in fam.basis:
-        blocks = {(r.parity, c.parity) for (r, c) in b.terms}
-        if blocks <= {(ODD, EVEN)}:
-            minus.append(b)
-        elif blocks <= {(EVEN, ODD)}:
-            plus.append(b)
-        elif blocks <= {(EVEN, EVEN), (ODD, ODD)}:
-            zero.append(b)
-        else:  # mixed homogeneous odd element: split it
-            lower = {k: v for k, v in b.terms.items() if (k[0].parity, k[1].parity) == (ODD, EVEN)}
-            upper = {k: v for k, v in b.terms.items() if (k[0].parity, k[1].parity) == (EVEN, ODD)}
-            if lower:
-                minus.append(MatrixElement(b.dims, lower, 1))
-            if upper:
-                plus.append(MatrixElement(b.dims, upper, 1))
-    return {"minus": _dedupe(minus), "zero": zero, "plus": _dedupe(plus)}
-
-
-def _dedupe(elements: list[MatrixElement]) -> list[MatrixElement]:
-    tracker = SpanTracker()
-    return [e for e in elements if tracker.add(e.terms)]
 
 
 def _span_tracker(fam: AlgebraFamily) -> SpanTracker:
@@ -575,7 +546,8 @@ def yminus_expansion(n: int) -> dict:
     exterior algebra on the symbols, and compare with the signed sum over
     the admissible 0/1 matrices under both sign conventions.
 
-    Returns the product expansion, both sums, and the per-matrix diffs.
+    Returns the product's term count and, per convention, the product minus
+    the signed sum.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -597,21 +569,10 @@ def yminus_expansion(n: int) -> dict:
                     term = term * sym(i, j)
         return term
 
-    sums = {}
-    diffs = {}
+    out: dict = {"term_count": len(product.terms)}
     for convention in ("literal", "corrected"):
         acc: dict = {}
         for a in t1_matrices(n):
-            sign = (-1) ** abs_exponent(a, n, convention)
-            add_scaled(acc, matrix_monomial(a).terms, sign)
-        total = Polynomial(algebra, acc)
-        sums[convention] = total
-        diffs[convention] = product - total
-    return {
-        "product": product,
-        "sum_literal": sums["literal"],
-        "sum_corrected": sums["corrected"],
-        "diff_literal": diffs["literal"],
-        "diff_corrected": diffs["corrected"],
-        "term_count": len(product.terms),
-    }
+            add_scaled(acc, matrix_monomial(a).terms, (-1) ** abs_exponent(a, n, convention))
+        out["diff_" + convention] = product - Polynomial(algebra, acc)
+    return out

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -172,12 +174,43 @@ def test_report_determinism(tmp_path, capsys):
 
 
 def test_bad_flag_values(capsys):
-    """A malformed value, or a flag the command does not take (`verify`
-    reads no family: each claim fixes its own), exits 2 with no report."""
-    for argv in (("tableaux", "--shape", "x,y"), ("verify", "--theorem", "T2.1", "--family", "gl")):
-        code, out, _ = run_cli(capsys, *argv)
+    """A malformed value, a flag the command does not take (`verify` reads
+    no family: each claim fixes its own), a missing required flag or a bad
+    choice exits 2 with no report and one line on stderr."""
+    for argv in (
+        ("tableaux", "--shape", "x,y"),
+        ("verify", "--theorem", "T2.1", "--family", "gl"),
+        ("verify",),
+        ("verify", "--theorem", "T2.1", "--format", "xml"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run_cli(capsys, "verify", "--help")
+    assert code == EXIT_OK
+    assert out.startswith("usage: superinv verify") and err == ""
+
+
+def test_closed_pipe_is_not_an_error(monkeypatch):
+    """A reader that closes the pipe early (`| head`) costs the rest of the
+    report, not a traceback: the run keeps its verdict's exit code."""
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["verify", "--theorem", "T2.1", "--no-timing"]) == EXIT_OK
+    # the rest of the output, and the flush at exit, go to the null device
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
 
 
 def test_verify_cap_exit(capsys):

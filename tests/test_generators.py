@@ -244,10 +244,13 @@ def _reference_literal(algebra, k, sign_k):
         yield f
 
 
-def test_spe_ppf_literal_matches_per_tableau_sum_every_J():
+@pytest.mark.parametrize("k", [1, 2])
+def test_spe_ppf_literal_matches_per_tableau_sum_every_J(k):
+    # at k = 2 the level weights m_1(L) and the sign (-1)^{m(L)} show; at
+    # k = 1 both are trivial
     alg = _catalog_spe_algebra()
-    expected = [f for f in _reference_literal(alg, 1, 1) if f]
-    got = spe_ppf_literal(alg, 1, 1)
+    expected = [f for f in _reference_literal(alg, k, 1) if f]
+    got = spe_ppf_literal(alg, k, 1)
     assert expected and got == expected
     assert all(type(c) is int for f in got for c in f.terms.values())
 

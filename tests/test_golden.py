@@ -37,3 +37,13 @@ def test_t38_off_default_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / "options" / "T3.8_dims2,1.json").read_bytes()
+
+
+def test_t72_level_two_report_matches_golden(capsys):
+    """T7.2 at --k 2 passes, and both printed-coefficient records are
+    errata: the first level at which the printed tail sign (-1)^{k m(L)}
+    and the level-k weights differ from the corrected ones."""
+    code = main(["verify", "--theorem", "T7.2", "--n", "2", "--k", "2", "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / "T7.2_n2_k2.json").read_bytes()

@@ -84,17 +84,17 @@ def test_supertrace_conditions():
         assert all(b.supertrace() == 0 for b in fam.basis)
 
 
-def test_spe_lower_grading():
-    # the lower block is one-dimensional: the antisymmetric corner element
-    fam = build_family("spe", IndexRange(2, 2))
-    minus = fam.grading["minus"]
-    assert len(minus) == 1
-    target = MatrixElement.unit(IndexRange(2, 2), od(1), ev(2)) + MatrixElement.unit(
-        IndexRange(2, 2), od(2), ev(1)
-    ).scale(-1)
-    got = minus[0]
-    ratio = next(iter(got.terms.values()))
-    assert got.terms == target.scale(ratio).terms or got.terms == target.scale(-ratio).terms
+@pytest.mark.parametrize("tag", ["pe", "spe"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_block_factors_lie_in_the_family(tag, n):
+    """The lower-block factors E[i',j] - E[j',i] and the raising-block ones
+    E[i,j'] + E[j,i'], with which T7.2 builds its constructive elements,
+    are elements of pe(n|n) and of spe(n|n)."""
+    dims = IndexRange(n, n)
+    tracker = _span_tracker(build_family(tag, dims))
+    factors = yminus_factors(dims) + xplus_factors(dims)
+    assert len(factors) == n * n
+    assert all(tracker.contains(x.terms) for x in factors)
 
 
 def test_pe_grading_weights():
