@@ -583,7 +583,7 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     p, q = opts.wdims
     algebra = algebra_for(family, p, q, 0, 0)
     # every symmetrizer the run expands, before the first one and in the
-    # run's order: level +k, level -k (the element, then the literal
+    # run's order: level +k, level -k (the seed, then the literal
     # family), then the tower's levels below k
     expanded = [split_rows_tableau(n, n, k), split_cols_tableau(n, n, k + 1)]
     expanded += [split_rows_tableau(n, n, level) for level in [k + 1, *range(k)]]
@@ -596,10 +596,9 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     degrees = list(range(2, n * (n + k) + 1, 2))
     for d in degrees:
         check_monomial_cap(tower_alg, d, opts.monomial_cap)
-    elements: dict = {}  # the run's constructive elements by (k, kind)
     records = []
     for sign_k in (1, -1):
-        fam = spe_ppf_polynomials(algebra, family, k, sign_k, elements)
+        fam = spe_ppf_polynomials(algebra, family, k, sign_k)
         sound = invariant(family, fam)
         base = f"T7.3:spe({n}|{n}):W{opts.wdims}:k{sign_k * k:+d}"
         records.append(
@@ -625,7 +624,7 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
             )
     gens = [g for g in scalar_products("spe", tower_alg) if g]
     for level in range(0, k + 1):
-        gens.extend(spe_ppf_polynomials(tower_alg, family, level, 1, elements))
+        gens.extend(spe_ppf_polynomials(tower_alg, family, level, 1))
     verdicts = check_generation(family, tower_alg, gens, degrees, opts.monomial_cap)
     for v in verdicts:
         records.append(
@@ -716,16 +715,24 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
         raise InvalidOptions(f"needs --n >= {claim.min_n}, got {opts.n}")
     if claim.min_k is not None and opts.k < claim.min_k:
         raise InvalidOptions(f"needs --k >= {claim.min_k}, got {opts.k}")
-    # each extra family pairs semistandard u-words of one split tableau with
-    # w-words of the other, and a shape has semistandard fillings over the
-    # (e|o) letters iff it fits that hook: part e+1 is at most o
+    # each family pairs semistandard words of a split tableau, and a shape
+    # has semistandard fillings over the (e|o) letters iff it fits that hook
     if key == "T3.6":
         p, q, k, l = opts.pqkl
         shapes = [f(even, odd, opts.k).shape for f in (split_cols_tableau, split_rows_tableau)]
-        if any(shape.part(e + 1) > o for shape in shapes for e, o in ((k, l), (p, q))):
+        if not all(shape.fits_hook(e, o) for shape in shapes for e, o in ((k, l), (p, q))):
             raise InvalidOptions(
                 "needs --dims and --pqkl whose split tableaux fit both the u- and the w-hook,"
                 f" or an extra family is empty, got --dims {even},{odd} --pqkl {p},{q},{k},{l}"
+            )
+    if key == "T7.3":
+        n, k = opts.n, opts.k
+        p, q = opts.wdims
+        shapes = [split_rows_tableau(n, n, k).shape, split_cols_tableau(n, n, k + 1).shape]
+        if not all(shape.fits_hook(p, q) for shape in shapes):
+            raise InvalidOptions(
+                "needs --wdims whose hook fits the level +k and -k tableaux of --n and --k,"
+                f" or a level family is empty, got --wdims {p},{q} --n {n} --k {k}"
             )
 
 

@@ -4,7 +4,12 @@ preserved form from `liealgebras.invariant_form`), the extra special-linear
 generators, the orthosymplectic relative generators, and the
 special-periplectic tensor and polynomial families.  Every quoted
 special-periplectic sum over the square tableaux, printed or corrected, is
-built by one function, `_quoted_sum`."""
+built by one function, `_quoted_sum`.
+
+The special-periplectic shadows pair each route's symmetrized seed against
+the semistandard words and then let the route's factors act on the
+polynomials: the shadow map onto S(V*(x)W) is a gl(V)-module map, so this
+equals the shadow of the constructive tensor, which is never built there."""
 
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import factorial
-from typing import Optional
 
 from .alphabet import (
     EVEN,
@@ -31,8 +35,10 @@ from .liealgebras import (
     AlgebraFamily,
     MatrixElement,
     abs_exponent,
+    act_on_polynomial,
     invariant_form,
     t1_matrices,
+    yminus_factors,
 )
 from .named_polynomials import Z_combination, Z_of
 from .permutations import symmetrize
@@ -373,6 +379,26 @@ def spe_closed_form_element(
     raise ValueError("kind must be 'lower' or 'raise'")
 
 
+def _route(
+    dims: IndexRange, k: int, kind: str
+) -> tuple[YoungTableau, TensorElement, list[MatrixElement]]:
+    """A constructive route at level k: its tableau, its symmetrized seed and
+    its factors.  "lower": the row-split tableau, the all-odd word with an
+    odd tail, the lower-block factors; "raise": the column-split tableau,
+    the all-even word with an even head, the raising-block factors."""
+    n = dims.even_count
+    if kind == "lower":
+        t = split_rows_tableau(n, n, k)
+        word, factors = blocked_odds(n, n) + blocked_odds(n, k), yminus_factors(dims)
+    elif kind == "raise":
+        t = split_cols_tableau(n, n, k)
+        word, factors = repeated_evens(n, k) + repeated_evens(n, n), xplus_factors(dims)
+    else:
+        raise ValueError("kind must be 'lower' or 'raise'")
+    seed = symmetrize_element(t, "plain", TensorElement.from_word(dims, dual_word(word)))
+    return t, seed, factors
+
+
 def spe_constructive_element(
     family: AlgebraFamily, k: int, kind: str = "lower"
 ) -> TensorElement:
@@ -380,57 +406,41 @@ def spe_constructive_element(
     generators applied to the symmetrized all-odd word with an odd tail, or
     the product of the raising-block generators applied to the symmetrized
     all-even word with an even head.  The leftmost factor acts last."""
-    from .liealgebras import yminus_factors
-
-    dims = family.dims
-    n = dims.even_count
-    if kind == "lower":
-        t = split_rows_tableau(n, n, k)
-        w = TensorElement.from_word(dims, dual_word(blocked_odds(n, n) + blocked_odds(n, k)))
-        factors = yminus_factors(dims)
-    elif kind == "raise":
-        t = split_cols_tableau(n, n, k)
-        w = TensorElement.from_word(dims, dual_word(repeated_evens(n, k) + repeated_evens(n, n)))
-        factors = xplus_factors(dims)
-    else:
-        raise ValueError("kind must be 'lower' or 'raise'")
-    out = symmetrize_element(t, "plain", w)
+    _, out, factors = _route(family.dims, k, kind)
     for x in reversed(factors):
         out = act_on_tensor(x, out)
     return out
 
 
 def spe_ppf_polynomials(
-    algebra: AlgebraDescriptor,
-    family: AlgebraFamily,
-    k: int,
-    sign_k: int,
-    elements: Optional[dict] = None,
+    algebra: AlgebraDescriptor, family: AlgebraFamily, k: int, sign_k: int
 ) -> list[Polynomial]:
     """Polynomial shadows of the constructive invariant tensors, one per
     semistandard w-word: level +k (k >= 0) pairs the lower-route tensor of
     degree n(n+k) against row-split-semistandard words, level -k pairs the
     raise-route tensor of degree n(n+k+1) against column-split ones.
 
+    The shadow map is a gl(V)-module map, so the shadow of the constructive
+    tensor is the route's factors acting, as derivations, on the shadow of
+    its symmetrized seed.  The seed (70 words for the raise route at
+    n = 2, k = 2, against 1,920 once the factors act) is paired against
+    each J, and the factors then act on each polynomial, the leftmost
+    last; the constructive tensor is never built.
+
     Level +0 is the shadow of the bare lower element; the quoted generator
     list starts at level one and misses it, but the oracle requires it (the
     first relative invariants appear at degree n^2).
-
-    `elements`, when given, holds the constructive elements by (k, kind)
-    from call to call, so a run that pairs one element against several
-    algebras builds it once.
     """
-    n = algebra.v_range.even_count
     if sign_k > 0:
-        t, key = split_rows_tableau(n, n, k), (k, "lower")
+        t, seed, factors = _route(family.dims, k, "lower")
     else:
         if k < 1:
             raise ValueError("negative levels start at one")
-        t, key = split_cols_tableau(n, n, k + 1), (k + 1, "raise")
-    held = {} if elements is None else elements
-    if key not in held:
-        held[key] = spe_constructive_element(family, *key)
-    return nonzero_shadows(algebra, _dual_letters(held[key], t.size), t)
+        t, seed, factors = _route(family.dims, k + 1, "raise")
+    shadows = nonzero_shadows(algebra, _dual_letters(seed, t.size), t)
+    for x in reversed(factors):
+        shadows = [act_on_polynomial(x, f) for f in shadows]
+    return [f for f in shadows if f]
 
 
 def spe_ppf_literal(

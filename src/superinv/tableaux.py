@@ -45,6 +45,11 @@ class Partition:
         """i-th part, 1-indexed, zero beyond the last row."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
+    def fits_hook(self, even: int, odd: int) -> bool:
+        """Whether the shape has a semistandard filling over `even` even and
+        `odd` odd letters: it fits that hook, so part even+1 is at most odd."""
+        return self.part(even + 1) <= odd
+
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
 

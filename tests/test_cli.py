@@ -275,6 +275,9 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T3.6", "--dims", "1,2"),
         ("--theorem", "T2.1", "--max-degree", "0"),
         ("--theorem", "T4.4", "--max-degree", "1"),
+        # a level tableau of T7.3 misses the W hook, so a level family is empty
+        *(("--theorem", "T7.3", "--wdims", w) for w in ("0,0", "1,0", "0,1", "1,1", "2,1")),
+        ("--theorem", "T7.3", "--n", "3", "--k", "1"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -379,6 +382,12 @@ def _forbid(monkeypatch, modules, name):
         ),
         ("T3.6", ["--cap", "1"], "symmetrize", "monomial basis would need 192, above the cap 1"),
         ("T5.2", ["--cap", "1"], "nabla_construct", "monomial basis would need 3, above the cap 1"),
+        (
+            "T7.3",
+            ["--n", "3", "--k", "1", "--wdims", "3,3"],
+            ("symmetrize", "Z_combination"),
+            "symmetrizer terms would need 17915904, above the cap 5000000",
+        ),
     ],
 )
 def test_caps_checked_before_the_work(capsys, monkeypatch, claim, options, forbidden, message):
@@ -422,7 +431,9 @@ def _slow(claim, n, k, dims, udims, wdims):
     T3.6 exits 2 there: at the default --pqkl its split tableaux do not
     fit the u-hook), and T7.2 at --n 3 --k 0 (6 s).  With
     the symmetrizers applied block by block, T7.3 at --n 2 --k 2 takes
-    2.6 s, T7.2 at --n 2 --k 3 1.9 s, and the split-tableau claims at
+    0.4 to 0.55 s (it pairs each route's seed and acts on the shadows;
+    1.7 to 2.4 s when it paired the constructive tensor), T7.2 at
+    --n 2 --k 3 1.9 s, and the split-tableau claims at
     --k 3 and smaller --dims at most 1.6 s (T7.3 at --k 3 exits 3 before
     any symmetrization).  Every other vector finishes within about 2 s."""
     if claim == "T2.2":

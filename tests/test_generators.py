@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -9,9 +10,11 @@ from superinv.liealgebras import act_on_polynomial, build_family
 from superinv.named_polynomials import P_t
 from superinv.tableaux import enumerate_semistandard
 from superinv.generators import (
+    _dual_letters,
     _t2_weights,
     dual_shadow,
     mixed_shadow,
+    nonzero_shadows,
     osp_relative_generators,
     scalar_product,
     scalar_products,
@@ -32,6 +35,7 @@ from superinv.tensors import (
     nabla_construct,
     plain_word,
     repeated_evens,
+    split_cols_tableau,
     split_rows_tableau,
 )
 
@@ -206,6 +210,28 @@ def test_spe_ppf_polynomials_invariant():
         fam = spe_ppf_polynomials(alg, spe, 1, sign)
         assert fam
         assert_all_annihilated(spe, fam)
+
+
+@cache
+def _spe22_constructive(k, kind):
+    return spe_constructive_element(build_family("spe", IndexRange(2, 2)), k, kind)
+
+
+# level -2 pairs the 14,000-word reference tensor against every J
+@pytest.mark.parametrize("level", [0, 1, 2, -1, pytest.param(-2, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("wdims", [(2, 2), (2, 1), (1, 2), (0, 2), (3, 1)])
+def test_spe_ppf_polynomials_match_the_constructive_shadows(level, wdims):
+    """Pairing the symmetrized seed and then acting with the route's
+    factors gives, J by J, the shadows of the constructive tensor."""
+    spe = build_family("spe", IndexRange(2, 2))
+    alg = algebra_for(spe, *wdims, 0, 0)
+    k = abs(level)
+    if level >= 0:
+        t, element = split_rows_tableau(2, 2, k), _spe22_constructive(k, "lower")
+    else:
+        t, element = split_cols_tableau(2, 2, k + 1), _spe22_constructive(k + 1, "raise")
+    reference = nonzero_shadows(alg, _dual_letters(element, t.size), t)
+    assert spe_ppf_polynomials(alg, spe, k, 1 if level >= 0 else -1) == reference
 
 
 def test_mixed_shadow_lengths_guard():

@@ -47,3 +47,12 @@ def test_t72_level_two_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / "options" / "T7.2_n2_k2.json").read_bytes()
+
+
+def test_t73_level_two_report_matches_golden(capsys):
+    """T7.3 at --k 2 passes: both level families over W = (2|2) have 16
+    members, and the tower over W = (0|2) reaches degree 8."""
+    code = main(["verify", "--theorem", "T7.3", "--n", "2", "--k", "2", "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / "T7.3_n2_k2.json").read_bytes()

@@ -163,9 +163,11 @@ def test_semistandard_count_filling_independent():
 
 
 def test_emptiness_criterion():
-    # fillings exist over (n|m) exactly when the (n+1)-th part is at most m
+    # fillings exist over (n|m) exactly when the shape fits the hook: the
+    # (n+1)-th part is at most m
     for parts in [(2,), (1, 1), (2, 2), (3, 2), (2, 2, 2), (1, 1, 1)]:
         shape = Partition(parts)
-        for n, m in [(1, 0), (1, 1), (2, 1)]:
+        for n, m in [(1, 0), (1, 1), (2, 1), (0, 2), (2, 0)]:
             empty = count_semistandard(shape, IndexRange(n, m)) == 0
             assert empty == (shape.part(n + 1) > m)
+            assert shape.fits_hook(n, m) == (not empty)
