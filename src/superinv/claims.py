@@ -5,7 +5,10 @@ record's status is "pass" or "fail" for hard assertions; "errata" marks a
 documented divergence between a quoted closed-form expression and the
 constructive computation (errata never affect process exit status).  One
 function, `_quoted`, writes the record of every quoted formula: "pass"
-when it agrees with the constructive object, else "errata".
+when it agrees with the constructive object, else "errata".  Each check
+kind has one builder too: `_invariance`, `_relative` (invariant under the
+subalgebra, moved by `gl`), `_independence`, `_generation_records` and
+`_relation_records`.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .generators import (
     spe_ppf_polynomials,
     substitution_map,
 )
-from .named_polynomials import Pf_t, PPf_t, Z_combination, ppf_tableau
-from .polynomials import make_sym_square_algebra, make_uw_algebra
+from .named_polynomials import P_t_rows, Pf_t, PPf_t, ppf_tableau
+from .polynomials import Polynomial, make_sym_square_algebra, make_uw_algebra
 from .tableaux import Partition, enumerate_partitions, enumerate_semistandard, fill_rows
 from .tensors import (
     act_on_tensor,
@@ -59,7 +62,7 @@ from .tensors import (
     symmetrize_element,
     TensorElement,
 )
-from .permutations import check_symmetrizer_cap, symmetrize
+from .permutations import check_symmetrizer_cap
 from .alphabet import all_words
 
 
@@ -89,55 +92,85 @@ class ClaimOptions:
     monomial_cap: int = DEFAULT_MONOMIAL_CAP
 
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def _record(rid: str, ok: bool, **found) -> CheckRecord:
+    """A "pass" or "fail" record; its claim is the id's first field."""
+    return CheckRecord(rid, rid.split(":")[0], "pass" if ok else "fail", **found)
 
 
-def _quoted(
-    rid: str, claim: str, ok: bool, issue: str, detail: Optional[dict] = None, **found
-) -> CheckRecord:
+def _quoted(rid: str, ok: bool, issue: str, detail: Optional[dict] = None, **found) -> CheckRecord:
     """The record of a quoted formula checked against a constructive object:
     "pass" with `detail` when they agree, else "errata" with the issue and
     what was found.  The one place a record gets the status "errata"."""
     if ok:
-        return CheckRecord(rid, claim, "pass", detail=detail)
-    return CheckRecord(rid, claim, "errata", errata={"issue": issue, **found})
+        return _record(rid, True, detail=detail)
+    return CheckRecord(rid, rid.split(":")[0], "errata", errata={"issue": issue, **found})
+
+
+def _invariance(
+    rid: str,
+    family: AlgebraFamily,
+    items: list,
+    premise: bool = True,
+    detail: Optional[dict] = None,
+) -> CheckRecord:
+    """The items are invariant under the family, and the caller's premise
+    holds: that an element is nonzero, or that a family has members where
+    the claim needs them (a family of scalar products may be empty)."""
+    return _record(rid, premise and invariant(family, items), detail=detail)
+
+
+def _relative(
+    base: str, family: AlgebraFamily, el: TensorElement, name: str, detail: Optional[dict] = None
+) -> list[CheckRecord]:
+    """A relative invariant: nonzero and invariant under the family (the
+    record `name`), and moved by the diagonal unit on the first even letter,
+    so not a general-linear invariant."""
+    weight = MatrixElement.unit(family.dims, ev(1), ev(1))
+    moved = bool(el) and not act_on_tensor(weight, el).is_zero()
+    return [
+        _invariance(f"{base}:{name}", family, [el], bool(el), detail),
+        _record(base + ":not-gl-invariant", moved),
+    ]
+
+
+def _independence(rid: str, members: list[Polynomial]) -> CheckRecord:
+    """The members are linearly independent: their span has full rank."""
+    rank = span_dimension(members)
+    return _record(rid, rank == len(members), dims={"oracle": len(members), "generated": rank})
 
 
 def _generation_records(
-    claim: str, family: AlgebraFamily, opts: ClaimOptions, algebra, gens, degrees
+    prefix: str, family: AlgebraFamily, algebra, gens, degrees, cap: int, gap: bool = False
 ) -> list[CheckRecord]:
-    """One record per degree: the generated subspace equals the oracle's."""
-    verdicts = check_generation(family, algebra, gens, degrees, opts.monomial_cap)
+    """One record per degree d, `prefix:deg<d>`: the generated subspace
+    equals the oracle's or, with `gap`, is a strict subspace of it; the
+    witness is the first oracle vector outside the generated span."""
     return [
-        CheckRecord(
-            id=f"{claim}:{family.tag}{opts.dims}:deg{v.degree}",
-            claim_ref=claim,
-            status=_status(v.equal),
+        _record(
+            f"{prefix}:deg{v.degree}",
+            (v.verdict == "strict-subspace" and v.witness is not None) if gap else v.equal,
             dims={"oracle": v.oracle_dim, "generated": v.generated_dim},
             witness=str(v.witness) if v.witness is not None else None,
         )
-        for v in verdicts
+        for v in check_generation(family, algebra, gens, degrees, cap)
     ]
 
 
 def _relation_records(
-    claim: str, rid: str, subs, rels: list, degree: int, opts: ClaimOptions
+    rid: str, subs, rels: list, degree: int, opts: ClaimOptions
 ) -> list[CheckRecord]:
     """The relations substitute to zero, and they span the kernel of the
     substitution map at their degree."""
     rep = relation_kernel_check(subs, rels, degree, monomial_cap=opts.monomial_cap)
     return [
-        CheckRecord(
+        _record(
             rid + ":substitution",
-            claim,
-            _status(rep.all_substitute_to_zero),
+            rep.all_substitute_to_zero,
             detail={"relations": rep.relations_checked},
         ),
-        CheckRecord(
+        _record(
             rid + ":kernel",
-            claim,
-            _status(rep.kernel_matches_span),
+            rep.kernel_matches_span,
             dims={"oracle": rep.kernel_dim, "generated": rep.relation_span_dim},
         ),
     ]
@@ -149,8 +182,9 @@ def run_t21(opts: ClaimOptions) -> list[CheckRecord]:
     family = build_family("gl", IndexRange(*opts.dims))
     algebra = algebra_for(family, p, q, k, l)
     gens = [g for g in scalar_products("gl", algebra) if g]
+    degrees = range(1, opts.max_degree + 1)
     return _generation_records(
-        "T2.1", family, opts, algebra, gens, range(1, opts.max_degree + 1)
+        f"T2.1:gl{opts.dims}", family, algebra, gens, degrees, opts.monomial_cap
     )
 
 
@@ -165,28 +199,18 @@ def run_t22(opts: ClaimOptions) -> list[CheckRecord]:
     shape = Partition(((m + 1),) * (n + 1))
     t = fill_rows(shape)
     check_monomial_cap(source, shape.size, opts.monomial_cap)
-    rels = []
     Js = list(enumerate_semistandard(t, W))
-    # P_t(I, J) for every pair, each I symmetrized once
-    for I in enumerate_semistandard(t, U):
-        moved = symmetrize(t, "plain", {tuple(I): 1}).items()
-        rels += [f for J in Js if (f := Z_combination(source, moved, J, "zuw"))]
+    rows = P_t_rows(source, t, enumerate_semistandard(t, U), Js, family="zuw")
+    rels = [f for row in rows for f in row if f]
     rid = f"T2.2:gl{opts.dims}:U{opts.udims}:W{opts.wdims}"
-    return _relation_records("T2.2", rid, subs, rels, shape.size, opts)
+    return _relation_records(rid, subs, rels, shape.size, opts)
 
 
 def _tensor_invariance_records(claim: str, opts: ClaimOptions, hat: bool) -> list[CheckRecord]:
     dims = IndexRange(*opts.dims)
     sl = build_family("sl", dims)
     el = sl_invariant_element(dims, opts.k, hat=hat)
-    inv = bool(el) and invariant(sl, [el])
-    weight = MatrixElement.unit(dims, ev(1), ev(1))
-    relative = bool(el) and not act_on_tensor(weight, el).is_zero()
-    base = f"{claim}:dims{opts.dims}:k{opts.k}"
-    return [
-        CheckRecord(base + ":sl-invariant", claim, _status(inv)),
-        CheckRecord(base + ":not-gl-invariant", claim, _status(relative)),
-    ]
+    return _relative(f"{claim}:dims{opts.dims}:k{opts.k}", sl, el, "sl-invariant")
 
 
 def run_t33(opts: ClaimOptions) -> list[CheckRecord]:
@@ -213,44 +237,28 @@ def run_t36(opts: ClaimOptions) -> list[CheckRecord]:
         check_monomial_cap(algebra, d, opts.monomial_cap)
     base = [g for g in scalar_products("sl", algebra) if g]
     extra = sl_extra_generators(algebra, opts.k)
-    records = []
-    v = check_generation(family, algebra, base, [f_degree], opts.monomial_cap)[0]
-    records.append(
-        CheckRecord(
-            id=f"T3.6:sl{vdims}:scalars-only:deg{f_degree}",
-            claim_ref="T3.6",
-            status=_status(v.verdict == "strict-subspace" and v.witness is not None),
-            dims={"oracle": v.oracle_dim, "generated": v.generated_dim},
-            witness=str(v.witness) if v.witness is not None else None,
-        )
+    prefix, cap = f"T3.6:sl{vdims}", opts.monomial_cap
+    records = _generation_records(
+        prefix + ":scalars-only", family, algebra, base, [f_degree], cap, gap=True
     )
-    soundness = invariant(family, extra.plus + extra.minus)
     records.append(
-        CheckRecord(
-            id=f"T3.6:sl{vdims}:extra-family-invariance",
-            claim_ref="T3.6",
-            status=_status(soundness and bool(extra.plus) and bool(extra.minus)),
-            detail={"plus": len(extra.plus), "minus": len(extra.minus)},
-        )
-    )
-    records.extend(
-        _generation_records(
-            "T3.6",
+        _invariance(
+            prefix + ":extra-family-invariance",
             family,
-            opts,
-            algebra,
-            base + extra.plus + extra.minus,
-            degrees,
+            extra.plus + extra.minus,
+            bool(extra.plus) and bool(extra.minus),
+            {"plus": len(extra.plus), "minus": len(extra.minus)},
         )
     )
+    gens = base + extra.plus + extra.minus
+    records += _generation_records(prefix, family, algebra, gens, degrees, cap)
     # errata: the quoted sum for the minus family differs from the canonical
     # projection (the plus family agrees literally)
     literal = sl_extra_literal(algebra, opts.k)
     if not invariant(family, literal.minus):
         records.append(
             _quoted(
-                f"T3.6:sl{vdims}:literal-minus-formula",
-                "T3.6",
+                prefix + ":literal-minus-formula",
                 False,
                 "the quoted sign factor on the minus family fails invariance; "
                 "the canonical projection of the hat-side tensor invariant is "
@@ -306,15 +314,13 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     corrected, printed = ratios["corrected"], ratios["printed"]
     base = f"T3.8:dims{opts.dims}"
     return [
-        CheckRecord(
-            id=base + ":corrected-convention",
-            claim_ref="T3.8",
-            status=_status(_uniform(corrected)),
+        _record(
+            base + ":corrected-convention",
+            _uniform(corrected),
             detail={"words_compared": len(corrected)},
         ),
         _quoted(
             base + ":printed-signs",
-            "T3.8",
             _uniform(printed),
             "the quoted sign data is not a single global constant across word "
             "contents; adding the contraction's head-parity sign makes it one; "
@@ -334,14 +340,13 @@ def _scalar_product_records(
     p, q = opts.wdims
     algebra = algebra_for(family, p, q, 0, 0)
     gens = [g for g in scalar_products(tag, algebra) if g]
-    sound = invariant(family, gens)
-    invariance = CheckRecord(
-        id=f"{claim}:{tag}{opts.dims}:W{opts.wdims}:invariance",
-        claim_ref=claim,
-        status=_status(sound),
-        detail={"generators": len(gens)},
+    prefix = f"{claim}:{tag}{opts.dims}"
+    invariance = _invariance(
+        f"{prefix}:W{opts.wdims}:invariance", family, gens, detail={"generators": len(gens)}
     )
-    return [invariance] + _generation_records(claim, family, opts, algebra, gens, degrees)
+    return [invariance] + _generation_records(
+        prefix, family, algebra, gens, degrees, opts.monomial_cap
+    )
 
 
 def run_t43(opts: ClaimOptions) -> list[CheckRecord]:
@@ -362,15 +367,7 @@ def run_t44(opts: ClaimOptions) -> list[CheckRecord]:
                 continue
             t = fill_rows(shape)
             fam = [Pf_t(sq, t, I) for I in enumerate_semistandard(t, W)]
-            rank = span_dimension(fam)
-            records.append(
-                CheckRecord(
-                    id=f"T4.4:W{opts.wdims}:shape{shape}",
-                    claim_ref="T4.4",
-                    status=_status(rank == len(fam)),
-                    dims={"oracle": len(fam), "generated": rank},
-                )
-            )
+            records.append(_independence(f"T4.4:W{opts.wdims}:shape{shape}", fam))
     return records
 
 
@@ -390,7 +387,7 @@ def run_t45(opts: ClaimOptions) -> list[CheckRecord]:
     check_monomial_cap(source, shape.size // 2, opts.monomial_cap)
     rels = [f for I in enumerate_semistandard(t, W) if (f := Pf_t(source, t, I))]
     rid = f"T4.5:osp{opts.dims}:W{opts.wdims}"
-    return _relation_records("T4.5", rid, subs, rels, shape.size // 2, opts)
+    return _relation_records(rid, subs, rels, shape.size // 2, opts)
 
 
 def run_t51(opts: ClaimOptions) -> list[CheckRecord]:
@@ -400,20 +397,12 @@ def run_t51(opts: ClaimOptions) -> list[CheckRecord]:
     dims = IndexRange(*opts.dims)
     family = build_family("osp", dims)
     nab = nabla_construct(dims)
-    inv = bool(nab) and invariant(family, [nab])
-    weight = MatrixElement.unit(dims, ev(1), ev(1))
-    relative = bool(nab) and not act_on_tensor(weight, nab).is_zero()
     base = f"T5.1:osp{opts.dims}"
-    records = [
-        CheckRecord(base + ":nonzero-invariant", "T5.1", _status(inv),
-                    detail={"terms": len(nab.terms)}),
-        CheckRecord(base + ":not-gl-invariant", "T5.1", _status(relative)),
-    ]
+    records = _relative(base, family, nab, "nonzero-invariant", {"terms": len(nab.terms)})
     report = nabla_closed_form_report(dims)
     records.append(
         _quoted(
             base + ":closed-form-coefficients",
-            "T5.1",
             report.get("single_global_ratio", False),
             "closed-form coefficients (undefined summation bound read as zero, "
             "exclusion set as empty) do not fit the constructive invariant",
@@ -436,18 +425,19 @@ def run_t52(opts: ClaimOptions) -> list[CheckRecord]:
         check_monomial_cap(algebra, d, opts.monomial_cap)
     nab = nabla_construct(dims)
     relative = osp_relative_generators(algebra, nab)
-    sound = invariant(family, relative)
     records = [
-        CheckRecord(
-            id=f"T5.2:osp{opts.dims}:W{opts.wdims}:relative-invariance",
-            claim_ref="T5.2",
-            status=_status(sound and bool(relative)),
-            detail={"generators": len(relative)},
+        _invariance(
+            f"T5.2:osp{opts.dims}:W{opts.wdims}:relative-invariance",
+            family,
+            relative,
+            bool(relative),
+            {"generators": len(relative)},
         )
     ]
     gens = [g for g in scalar_products("osp", algebra) if g] + relative
-    records.extend(_generation_records("T5.2", family, opts, algebra, gens, degrees))
-    return records
+    return records + _generation_records(
+        f"T5.2:osp{opts.dims}", family, algebra, gens, degrees, opts.monomial_cap
+    )
 
 
 def run_t62(opts: ClaimOptions) -> list[CheckRecord]:
@@ -464,15 +454,7 @@ def run_t631(opts: ClaimOptions) -> list[CheckRecord]:
     for alphas in [(1,), (2,)]:
         t = ppf_tableau(alphas)
         fam = [PPf_t(esq, t, I) for I in enumerate_semistandard(t, W)]
-        rank = span_dimension(fam)
-        records.append(
-            CheckRecord(
-                id=f"T6.3.1:W{opts.wdims}:shape{t.shape}",
-                claim_ref="T6.3.1",
-                status=_status(rank == len(fam)),
-                dims={"oracle": len(fam), "generated": rank},
-            )
-        )
+        records.append(_independence(f"T6.3.1:W{opts.wdims}:shape{t.shape}", fam))
     return records
 
 
@@ -489,7 +471,7 @@ def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     check_monomial_cap(source, t.size // 2, opts.monomial_cap)
     rels = [f for I in enumerate_semistandard(t, W) if (f := PPf_t(source, t, I))]
     rid = f"T6.3.2:pe({n}|{n}):W{opts.wdims}"
-    return _relation_records("T6.3.2", rid, subs, rels, t.size // 2, opts)
+    return _relation_records(rid, subs, rels, t.size // 2, opts)
 
 
 # L7.1 expands 2^(n(n-1)/2) terms: 32,768 at n = 6, about 2M at n = 7
@@ -507,21 +489,18 @@ def run_l71(opts: ClaimOptions) -> list[CheckRecord]:
     base = f"L7.1:n{n}"
     literal_diff = rep["diff_literal"]
     return [
-        CheckRecord(
+        _record(
             base + ":term-count",
-            "L7.1",
-            _status(rep["term_count"] == expected_terms),
+            rep["term_count"] == expected_terms,
             dims={"oracle": expected_terms, "generated": rep["term_count"]},
         ),
-        CheckRecord(
+        _record(
             base + ":corrected-convention",
-            "L7.1",
-            _status(rep["diff_corrected"].is_zero()),
+            rep["diff_corrected"].is_zero(),
             detail={"diff_terms": len(rep["diff_corrected"].terms)},
         ),
         _quoted(
             base + ":literal-convention",
-            "L7.1",
             literal_diff.is_zero(),
             "the stated recursion (zero base case, whole-matrix lower count per "
             "level, cubic constant) disagrees with the product expansion; the "
@@ -541,35 +520,22 @@ def run_t72(opts: ClaimOptions) -> list[CheckRecord]:
     records = []
     for kind in ("lower", "raise"):
         w = spe_constructive_element(family, k, kind)
-        inv = bool(w) and invariant(family, [w])
         base = f"T7.2:spe({n}|{n}):k{k}:{kind}"
-        records.append(
-            CheckRecord(
-                base + ":constructive-invariant",
-                "T7.2",
-                _status(inv),
-                detail={"terms": len(w.terms)},
-            )
-        )
         corrected = spe_closed_form_element(dims, k, kind, "corrected")
         printed = spe_closed_form_element(dims, k, kind, "printed")
-        records.append(
-            CheckRecord(
-                base + ":corrected-coefficients",
-                "T7.2",
-                _status(_ratio(w, corrected) is not None),
-            )
-        )
-        records.append(
+        records += [
+            _invariance(
+                base + ":constructive-invariant", family, [w], bool(w), {"terms": len(w.terms)}
+            ),
+            _record(base + ":corrected-coefficients", _ratio(w, corrected) is not None),
             _quoted(
                 base + ":printed-coefficients",
-                "T7.2",
                 _ratio(w, printed) is not None,
                 "the tail-dependent sign exponent does not match the "
                 "constructive element; replacing it with the plain row-sum "
                 "parity makes the coefficients exact",
-            )
-        )
+            ),
+        ]
     return records
 
 
@@ -599,22 +565,15 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     records = []
     for sign_k in (1, -1):
         fam = spe_ppf_polynomials(algebra, family, k, sign_k)
-        sound = invariant(family, fam)
         base = f"T7.3:spe({n}|{n}):W{opts.wdims}:k{sign_k * k:+d}"
         records.append(
-            CheckRecord(
-                base + ":family-invariance",
-                "T7.3",
-                _status(sound),
-                detail={"members": len(fam)},
-            )
+            _invariance(base + ":family-invariance", family, fam, detail={"members": len(fam)})
         )
         literal = spe_ppf_literal(algebra, k, sign_k)
         if literal and not invariant(family, literal):
             records.append(
                 _quoted(
                     base + ":literal-formula",
-                    "T7.3",
                     False,
                     "the quoted level-shifted coefficients fail invariance; the "
                     "canonical shadows of the constructive tensors are used "
@@ -625,17 +584,10 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     gens = [g for g in scalar_products("spe", tower_alg) if g]
     for level in range(0, k + 1):
         gens.extend(spe_ppf_polynomials(tower_alg, family, level, 1))
-    verdicts = check_generation(family, tower_alg, gens, degrees, opts.monomial_cap)
-    for v in verdicts:
-        records.append(
-            CheckRecord(
-                id=f"T7.3:spe({n}|{n}):W(0, {n}):tower:deg{v.degree}",
-                claim_ref="T7.3",
-                status=_status(v.equal),
-                dims={"oracle": v.oracle_dim, "generated": v.generated_dim},
-            )
-        )
-    return records
+    tower = f"T7.3:spe({n}|{n}):W(0, {n}):tower"
+    return records + _generation_records(
+        tower, family, tower_alg, gens, degrees, opts.monomial_cap
+    )
 
 
 @dataclass(frozen=True)
@@ -692,6 +644,10 @@ def claim_key(theorem_id: str) -> str:
     return key
 
 
+# the claims whose every record is built over the W letters
+_W_CLAIMS = ("T4.3", "T4.4", "T4.5", "T5.2", "T6.2", "T6.3.1", "T6.3.2")
+
+
 def validate_options(key: str, opts: ClaimOptions) -> None:
     """Raise InvalidOptions when the options lie outside the claim's range."""
     claim = CATALOG[key]
@@ -715,6 +671,14 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
         raise InvalidOptions(f"needs --n >= {claim.min_n}, got {opts.n}")
     if claim.min_k is not None and opts.k < claim.min_k:
         raise InvalidOptions(f"needs --k >= {claim.min_k}, got {opts.k}")
+    # with no U or W letter there is no generator and no filling, so every
+    # record would be vacuous
+    spaces = ("udims", "wdims") if key == "T2.2" else ("wdims",) if key in _W_CLAIMS else ()
+    for name in spaces:
+        if getattr(opts, name) == (0, 0):
+            raise InvalidOptions(
+                f"needs --{name} with a letter, got --{name} 0,0: no check would run"
+            )
     # each family pairs semistandard words of a split tableau, and a shape
     # has semistandard fillings over the (e|o) letters iff it fits that hook
     if key == "T3.6":

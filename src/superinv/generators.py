@@ -40,8 +40,7 @@ from .liealgebras import (
     t1_matrices,
     yminus_factors,
 )
-from .named_polynomials import Z_combination, Z_of
-from .permutations import symmetrize
+from .named_polynomials import P_t_rows, Z_combination, Z_of
 from .polynomials import AlgebraDescriptor, Polynomial
 from .tableaux import YoungTableau, enumerate_semistandard
 from .tensors import (
@@ -222,15 +221,10 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
     words_L = list(all_words(v_range, n * m))
     heads, tails = [Ik + L for L in words_L], [L + Jk for L in words_L]
 
-    def pairings(tableau, variant, sources, targets, family) -> list[list[Polynomial]]:
-        """P_t(source, target) for every pair, each source symmetrized once."""
-        moved = [symmetrize(tableau, variant, {tuple(src): 1}).items() for src in sources]
-        return [[Z_combination(algebra, w, tgt, family) for tgt in targets] for w in moved]
-
     plus: list[Polynomial] = []
     Js = list(enumerate_semistandard(t, w_range))
-    rights = pairings(t, "tilde", tails, Js, "vw")
-    for left_I in pairings(s, "tilde", enumerate_semistandard(s, u_range), heads, "uv"):
+    rights = list(P_t_rows(algebra, t, tails, Js, "tilde", "vw"))
+    for left_I in P_t_rows(algebra, s, enumerate_semistandard(s, u_range), heads, "tilde", "uv"):
         for j in range(len(Js)):
             acc: dict = {}
             for L, left, right_L in zip(words_L, left_I, rights):
@@ -241,8 +235,8 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
     minus: list[Polynomial] = []
     Ihats = list(enumerate_semistandard(t, u_range))
     Jhats = list(enumerate_semistandard(s, w_range))
-    lefts = pairings(s, "plain", heads, Jhats, "vw")
-    for Ihat, right_I in zip(Ihats, pairings(t, "plain", Ihats, tails, "uv")):
+    lefts = list(P_t_rows(algebra, s, heads, Jhats, "plain", "vw"))
+    for Ihat, right_I in zip(Ihats, P_t_rows(algebra, t, Ihats, tails, "plain", "uv")):
         p_ihat = parity_of_word(Ihat)
         for j, Jhat in enumerate(Jhats):
             p_jhat = parity_of_word(Jhat)

@@ -241,6 +241,8 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
             if r != c
         ]
         letters = dims.indices()
+        if not letters:
+            raise InvalidOptions("sl needs a letter, got --dims 0,0")
         last = letters[-1]
         s_last = -1 if last.parity else 1
         for a in letters[:-1]:

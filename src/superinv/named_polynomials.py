@@ -5,7 +5,7 @@ symmetrization moves its sequence one tableau block at a time
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .alphabet import SuperIndex, Word
 from .coefficients import Coeff
@@ -101,8 +101,23 @@ def P_t(
     the plain variant and g = tau sigma for the tilde variant."""
     if not (len(I) == len(J) == t.size):
         raise ValueError("sequence lengths must equal the tableau size")
+    return next(P_t_rows(algebra, t, [I], [J], variant, family))[0]
+
+
+def P_t_rows(
+    algebra: AlgebraDescriptor,
+    t: YoungTableau,
+    Is: Iterable[Sequence[SuperIndex]],
+    Js: Sequence[Sequence[SuperIndex]],
+    variant: str = "plain",
+    family: Optional[str] = None,
+) -> Iterator[list[Polynomial]]:
+    """One row per I, in order: P_t(I, J) for every J of `Js`.  Each I is
+    symmetrized once and its moved words are paired against every J."""
     fam = family or _pair_family(algebra)
-    return Z_combination(algebra, symmetrize(t, variant, {tuple(I): 1}).items(), J, fam)
+    for I in Is:
+        moved = symmetrize(t, variant, {tuple(I): 1}).items()
+        yield [Z_combination(algebra, moved, J, fam) for J in Js]
 
 
 def _square_term(algebra: AlgebraDescriptor, I: Sequence[SuperIndex], shifted: bool) -> Term:

@@ -88,3 +88,44 @@ def test_t73_builds_no_constructive_tensor(monkeypatch):
                 monkeypatch.setattr(module, name, forbidden)
     records = run_claim("T7.3")
     assert records and all(r.status in ("pass", "errata") for r in records)
+
+
+def test_t73_tower_gap_carries_a_witness(monkeypatch):
+    """A tower degree whose generated space is a strict subspace fails with
+    a witness, as every other generation record does: withhold the top
+    level, over the all-odd tower algebra only."""
+    from superinv import claims
+
+    top = claims.CATALOG["T7.3"].defaults.k
+    original = claims.spe_ppf_polynomials
+
+    def withheld(algebra, family, k, sign_k):
+        if algebra.w_range.even_count == 0 and k == top:
+            return []
+        return original(algebra, family, k, sign_k)
+
+    monkeypatch.setattr(claims, "spe_ppf_polynomials", withheld)
+    records = {r.id: r for r in run_claim("T7.3")}
+    # the level-k shadows have degree n(n + k) = 6 at n = 2, k = 1
+    record = records["T7.3:spe(2|2):W(0, 2):tower:deg6"]
+    assert record.status == "fail"
+    assert record.dims["generated"] < record.dims["oracle"]
+    assert record.witness
+    assert all(r.status != "fail" for rid, r in records.items() if rid != record.id)
+
+
+# a record over a family of size 0 checks nothing (ROADMAP open item 2);
+# the one such default left, T2.2's, waits for the benchmark change that
+# regenerates perfbench/reference.json, which pins every default's records
+_SIZE_KEYS = ("relations", "members", "generators", "plus", "minus", "words_compared")
+
+
+def test_catalog_defaults_have_no_new_vacuous_record():
+    vacuous = set()
+    for cid in KNOWN_CLAIMS:
+        for r in run_claim(cid):
+            if any((r.detail or {}).get(key) == 0 for key in _SIZE_KEYS):
+                vacuous.add(r.id)
+            if r.claim_ref in ("T4.4", "T6.3.1") and r.dims["oracle"] == 0:
+                vacuous.add(r.id)
+    assert vacuous == {"T2.2:gl(1, 1):U(1, 1):W(1, 1):substitution"}

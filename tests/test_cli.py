@@ -278,12 +278,21 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         # a level tableau of T7.3 misses the W hook, so a level family is empty
         *(("--theorem", "T7.3", "--wdims", w) for w in ("0,0", "1,0", "0,1", "1,1", "2,1")),
         ("--theorem", "T7.3", "--n", "3", "--k", "1"),
+        # with no W (or, for T2.2, no U) letter every record would be vacuous
+        *(
+            ("--theorem", claim, "--wdims", "0,0")
+            for claim in ("T4.3", "T4.4", "T4.5", "T5.2", "T6.2", "T6.3.1", "T6.3.2", "T2.2")
+        ),
+        ("--theorem", "T2.2", "--udims", "0,0"),
+        # sl(0|0) has no letter to build its diagonal from
+        ("--family", "sl", "--dims", "0,0", "--degree", "1"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
-    """Options outside a claim's range are a usage error: exit 2, one line
-    on stderr, no traceback and no report."""
-    code, out, err = run_cli(capsys, "verify", *argv, "--no-timing")
+    """Options outside a claim's range, or a family's, are a usage error:
+    exit 2, one line on stderr, no traceback and no report."""
+    command = "verify" if argv[0] == "--theorem" else "invariants"
+    code, out, err = run_cli(capsys, command, *argv, "--no-timing")
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
