@@ -35,8 +35,6 @@ from .permutations import (
     GroupAlgebraElement,
     Permutation,
     cocycle,
-    coset_representatives,
-    stabilizers,
     young_symmetrizer,
 )
 from .polynomials import (

@@ -299,7 +299,7 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     ratios: dict[str, dict[str, str]] = {"corrected": {}, "printed": {}}
     for L in all_words(dims, setup.m * (setup.n + 1)):
         w = TensorElement.from_word(dims, plain_word(L))
-        direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w), "direct")
+        direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w))
         key = "".join(str(x) for x in L)
         for convention, found in ratios.items():
             marked = marked_tableau_operator(setup, L, convention)

@@ -222,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report to a file")
         p.add_argument("--seed", type=int, default=0, help="seed echoed into the config")
         p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_MONOMIAL_CAP,
-            help="monomial basis cap",
-        )
-        p.add_argument(
             "--no-timing",
             action="store_true",
             help="omit wall-clock timing for byte-identical reports",
@@ -244,6 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="1,1", help="even,odd dimensions of the space")
     p.add_argument("--pqkl", default="1,0,0,0", help="w-even,w-odd,u-even,u-odd")
     p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--cap", type=int, default=DEFAULT_MONOMIAL_CAP, help="monomial basis cap")
     common(p)
     p.set_defaults(func=cmd_invariants)
 
@@ -256,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
+    p.add_argument("--cap", type=int, default=DEFAULT_MONOMIAL_CAP, help="monomial basis cap")
     common(p)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -1,5 +1,7 @@
-"""Permutations, the sign cocycle on super-words, and Young symmetrizers,
-expanded (`young_symmetrizer`) or applied to words block by block (`symmetrize`).
+"""Permutations, the sign cocycle on super-words, the one cocycle-weighted
+loop that lets permutations act on blocks of word dicts (`act_on_block`),
+and Young symmetrizers, expanded (`young_symmetrizer`) or applied to words
+block by block (`symmetrize`).
 
 Composition convention: (sigma * tau)(x) = sigma(tau(x)).  All formulas
 that permute words are validated against the cocycle identity
@@ -239,19 +241,6 @@ def column_group(t: YoungTableau) -> list[Permutation]:
     return _block_group(column_blocks(t), t.size)
 
 
-def stabilizers(t: YoungTableau) -> tuple[list[Permutation], list[Permutation]]:
-    """Generating transpositions for the row and column stabilizers."""
-
-    def gens(blocks: list[list[int]]) -> list[Permutation]:
-        out = []
-        for block in blocks:
-            for a, b in zip(block, block[1:]):
-                out.append(Permutation.transposition(t.size, a, b))
-        return out
-
-    return gens(row_blocks(t)), gens(column_blocks(t))
-
-
 def symmetrizer_term_count(t: YoungTableau) -> int:
     """Terms of the expanded symmetrizer: the orders of the row and column
     stabilizers, multiplied, since the two groups meet only in the identity."""
@@ -295,11 +284,9 @@ def young_symmetrizer(
 @functools.lru_cache(maxsize=16)
 def _block_plan(t: YoungTableau, variant: str) -> tuple:
     """The symmetrizer of t as commuting block sums in the order they act:
-    columns then rows ("plain"), or rows then columns ("tilde").  Each is
-    its (image tuple of pi^{-1}, eps(pi)) list and a dict of that list with
-    the cocycle folded in, per parity pattern of all of t's positions (a
-    column block interleaves with positions it fixes).  A dict entry is a
-    pure function of its key, so concurrent callers may both fill it."""
+    columns then rows ("plain"), or rows then columns ("tilde"), each an
+    `act_on_block` step over all of t's positions (a column block
+    interleaves with positions it fixes) with coefficient eps(pi)."""
     cols = [(_block_group([b], t.size), True) for b in column_blocks(t) if len(b) > 1]
     rows = [(_block_group([b], t.size), False) for b in row_blocks(t) if len(b) > 1]
     return tuple(
@@ -308,25 +295,25 @@ def _block_plan(t: YoungTableau, variant: str) -> tuple:
     )
 
 
-def symmetrize(
-    t: YoungTableau, variant: str, terms: dict, start: int = 0, *, slots: bool = False
+def act_on_block(
+    plan: Iterable[tuple[list, dict]], terms: dict, start: int, size: int, *, slots: bool = False
 ) -> dict:
-    """apply_group_algebra(young_symmetrizer(t, variant), x) on a raw
-    {word: coeff} dict of letter words, or of (letter, dual) slot words with
-    `slots`, t acting on the positions from `start`.  The word action is a
-    representation, so the block sums act one at a time, merging like words
-    and dropping zeros after each; the expanded size is checked first."""
-    if variant not in ("plain", "tilde"):
-        raise ValueError("variant must be 'plain' or 'tilde'")
-    check_symmetrizer_cap(t)
-    end, first = start + t.size, operator.itemgetter(0)
+    """Let each step of `plan` act in turn, by the cocycle-weighted word
+    action sigma . v_I = c(I, sigma^{-1}) v_{sigma I}, on positions
+    start .. start+size of a raw {word: coeff} dict of letter words, or of
+    (letter, dual) slot words with `slots`.  A step is its (image tuple of
+    pi^{-1}, coefficient) list and a dict of those coefficients with the
+    cocycle folded in, per parity pattern of the block; an entry is a pure
+    function of its key, so concurrent callers may both fill it.  Each step
+    walks its permutations outside and the words inside, merging like words
+    and dropping zeros."""
+    end, first = start + size, operator.itemgetter(0)
     if any(len(w) < end for w in terms):
         raise ValueError("length mismatch")
-    for perms, by_pattern in _block_plan(t, variant):
+    for perms, by_pattern in plan:
         if not terms:
             break
-        out: dict = {}
-        get = out.get
+        words = []
         for w, c in terms.items():
             block = w[start:end]
             # a letter is (parity, value); a slot is (letter, dual)
@@ -334,35 +321,27 @@ def symmetrize(
             signed = by_pattern.get(pattern)
             if signed is None:
                 signed = by_pattern[pattern] = [
-                    (inv, eps * cocycle_sign(pattern, inv)) for inv, eps in perms
+                    coeff * cocycle_sign(pattern, inv) for inv, coeff in perms
                 ]
-            head, tail, at = w[:start], w[end:], block.__getitem__
-            for inv, sign in signed:
+            words.append((w[:start], block.__getitem__, w[end:], c, signed))
+        out: dict = {}
+        get = out.get
+        for j, (inv, _) in enumerate(perms):
+            for head, at, tail, c, signed in words:
                 nw = head + tuple(map(at, inv)) + tail
-                out[nw] = get(nw, 0) + c * sign
+                out[nw] = get(nw, 0) + c * signed[j]
         terms = {w: c for w, c in out.items() if c}
-    return normalized(terms)
+    return terms
 
 
-def coset_representatives(
-    big: Sequence[Permutation], small: Sequence[Permutation], side: str = "right"
-) -> list[Permutation]:
-    """One representative per coset of `small` in `big`; for "right" the
-    cosets are H*g, for "left" they are g*H.  Representatives are the
-    lexicographically smallest members, listed in that order."""
-    big_set = set(big)
-    small_list = list(small)
-    for h in small_list:
-        if h not in big_set:
-            raise ValueError("small is not contained in big")
-    reps: list[Permutation] = []
-    covered: set[Permutation] = set()
-    for g in sorted(big_set):
-        if g in covered:
-            continue
-        reps.append(g)
-        for h in small_list:
-            covered.add(h * g if side == "right" else g * h)
-    if len(reps) * len(small_list) != len(big_set):
-        raise ValueError("small is not a subgroup of big")
-    return reps
+def symmetrize(
+    t: YoungTableau, variant: str, terms: dict, start: int = 0, *, slots: bool = False
+) -> dict:
+    """apply_group_algebra(young_symmetrizer(t, variant), x) on a raw
+    {word: coeff} dict, t acting on the positions from `start` (see
+    `act_on_block`).  The word action is a representation, so the block
+    sums act one at a time; the expanded size is checked first."""
+    if variant not in ("plain", "tilde"):
+        raise ValueError("variant must be 'plain' or 'tilde'")
+    check_symmetrizer_cap(t)
+    return normalized(act_on_block(_block_plan(t, variant), terms, start, t.size, slots=slots))

@@ -28,9 +28,14 @@ from .alphabet import (
 from .coefficients import Coeff, SparseElement, normalized
 from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights
 from .linalg import joint_kernel, nullspace, rank_rows
-from .permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
+from .permutations import (
+    GroupAlgebraElement,
+    Permutation,
+    act_on_block,
+    inverse_images,
+    symmetrize,
+)
 from .tableaux import Partition, YoungTableau
-from .permutations import column_group, coset_representatives, symmetrize
 
 Slot = tuple[SuperIndex, bool]
 TWord = tuple[Slot, ...]
@@ -168,17 +173,10 @@ def slot_permute(element: TensorElement, perm: Permutation) -> TensorElement:
     sign of the reordering (per word)."""
     if perm.degree != len(element.signature):
         raise ValueError("length mismatch")
-    out: dict[TWord, Coeff] = {}
-    sig = None
     inv = inverse_images(perm.images)
-    for w, c in element.terms.items():
-        sign = cocycle_sign([i.parity for i, _ in w], inv)
-        moved = tuple(map(w.__getitem__, inv))
-        sig = signature_of(moved)
-        out[moved] = out.get(moved, 0) + c * sign
-    if sig is None:
-        sig = element.signature
-    return TensorElement(element.dims, sig, out)
+    terms = act_on_block([([(inv, 1)], {})], element.terms, 0, perm.degree, slots=True)
+    signature = tuple(map(element.signature.__getitem__, inv))
+    return TensorElement._from_raw(element.dims, signature, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +197,11 @@ def apply_group_algebra(
 ) -> TensorElement:
     """Let a group-algebra element permute a contiguous block of slots via
     the cocycle-weighted word action."""
-    out: dict[TWord, Coeff] = {}
     k = g.degree
     if len(element.signature[start : start + k]) != k:
         raise ValueError("length mismatch")
-    # the cocycle depends on the block only through its parity pattern, so
-    # each term's signed coefficient is computed once per distinct pattern
-    patterns: dict[tuple[int, ...], int] = {}
-    words = []
-    for w, coeff in element.terms.items():
-        block = w[start : start + k]
-        parities = tuple(i.parity for i, _ in block)
-        slot = patterns.setdefault(parities, len(patterns))
-        words.append((w[:start], block.__getitem__, w[start + k :], slot, coeff))
-    # one pass over the group element: its inverses are never all held at once
-    for inv, gc in g.inverse_terms():
-        signed = [gc * cocycle_sign(parities, inv) for parities in patterns]
-        for head, at, tail, slot, coeff in words:
-            nw = head + tuple(map(at, inv)) + tail
-            out[nw] = out.get(nw, 0) + coeff * signed[slot]
-    return TensorElement(element.dims, element.signature, out)
+    terms = act_on_block([(list(g.inverse_terms()), {})], element.terms, start, k, slots=True)
+    return TensorElement(element.dims, element.signature, terms)
 
 
 def symmetrize_element(
@@ -355,35 +338,15 @@ def operator_setup(dims: IndexRange, k: int) -> OperatorSetup:
     )
 
 
-def invariant_operator(setup: OperatorSetup, w: TensorElement, route: str = "direct") -> TensorElement:
+def invariant_operator(setup: OperatorSetup, w: TensorElement) -> TensorElement:
     """The invariant operator applied to a purely covariant element of
-    degree m(n+k).
-
-    route "direct": symmetrize by the full row-split tableau, contract the
+    degree m(n+k): symmetrize by the full row-split tableau, contract the
     trailing block, prefix the repeated run, then symmetrize by the
-    column-split tableau.
-
-    route "coset": same with the row-split symmetrizer replaced by its
-    bottom-block part composed with signed coset representatives (the
-    factored form); agrees with "direct" up to one overall constant.
-    """
+    column-split tableau."""
     n, m, k = setup.n, setup.m, setup.k
     if len(w.signature) != m * (n + k) or any(w.signature):
         raise ValueError("argument must be covariant of degree m(n+k)")
-    if route == "direct":
-        inner = symmetrize_element(setup.t, "plain", w)
-    elif route == "coset":
-        bottom_rows = tuple(tuple(v - n * m for v in row) for row in setup.t.rows[n:])
-        bottom = YoungTableau(Partition((m,) * k), bottom_rows)
-        whole_cols = column_group(setup.t)
-        # the column stabilizer elements that preserve the top/bottom split
-        split_cols = [p for p in whole_cols if all(p(x) < n * m for x in range(n * m))]
-        reps = coset_representatives(whole_cols, split_cols, side="right")
-        signed_reps = GroupAlgebraElement(setup.t.size, {pi: pi.sign() for pi in reps})
-        acc = apply_group_algebra(signed_reps, w)
-        inner = symmetrize_element(bottom, "plain", acc, start=n * m)
-    else:
-        raise ValueError("route must be 'direct' or 'coset'")
+    inner = symmetrize_element(setup.t, "plain", w)
     contracted = contraction_D(setup.Jk, inner)
     prefixed = TensorElement.from_word(setup.dims, plain_word(setup.Ik)).tensor(contracted)
     return symmetrize_element(setup.s, "plain", prefixed)

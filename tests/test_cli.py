@@ -175,10 +175,12 @@ def test_report_determinism(tmp_path, capsys):
 
 def test_bad_flag_values(capsys):
     """A malformed value, a flag the command does not take (`verify` reads
-    no family: each claim fixes its own), a missing required flag or a bad
-    choice exits 2 with no report and one line on stderr."""
+    no family: each claim fixes its own; `tableaux` has no oracle to cap),
+    a missing required flag or a bad choice exits 2 with no report and one
+    line on stderr."""
     for argv in (
         ("tableaux", "--shape", "x,y"),
+        ("tableaux", "--shape", "2,1", "--cap", "1"),
         ("verify", "--theorem", "T2.1", "--family", "gl"),
         ("verify",),
         ("verify", "--theorem", "T2.1", "--format", "xml"),

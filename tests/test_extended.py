@@ -1,6 +1,5 @@
 """Wider spot checks beyond the acceptance sizes: second parameter sets for
-the operator machinery, bigger families for the generation oracle, and the
-split-rectangle coset counting."""
+the operator machinery and bigger families for the generation oracle."""
 
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from superinv.alphabet import IndexRange, all_words, ev
 from superinv.generators import scalar_products
 from superinv.invariants import algebra_for, check_generation
 from superinv.liealgebras import MatrixElement, build_family
-from superinv.permutations import column_group, coset_representatives
 from superinv.tensors import (
     TensorElement,
     act_on_tensor,
@@ -19,44 +17,8 @@ from superinv.tensors import (
     operator_setup,
     plain_word,
     sl_invariant_element,
-    split_rows_tableau,
 )
 from superinv.permutations import young_symmetrizer
-
-
-def test_split_rectangle_coset_counting():
-    """Index of the split column stabilizer in the full one equals the
-    order quotient; representatives tile the group."""
-    for n, m, k in [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1)]:
-        t = split_rows_tableau(n, m, k)
-        whole = column_group(t)
-        split = [
-            p for p in whole if all(p(x) < n * m for x in range(n * m))
-        ]
-        reps = coset_representatives(whole, split, side="right")
-        assert len(reps) == len(whole) // len(split)
-
-
-@pytest.mark.parametrize("dims,k", [((1, 1), 2), ((2, 1), 1)])
-def test_operator_routes_proportional_elsewhere(dims, k):
-    """The factored route equals the direct one up to a single constant
-    across all words (the absorbed symmetrizer constants)."""
-    V = IndexRange(*dims)
-    setup = operator_setup(V, k)
-    degree = setup.m * (setup.n + k)
-    ratios = set()
-    for L in all_words(V, degree):
-        w = TensorElement.from_word(V, plain_word(L))
-        a = invariant_operator(setup, w, "direct")
-        b = invariant_operator(setup, w, "coset")
-        if a.is_zero() and b.is_zero():
-            continue
-        assert a.is_zero() == b.is_zero()
-        wd = next(iter(a.terms))
-        r = Fraction(a.terms[wd], b.terms[wd])
-        assert b.scale(r) == a
-        ratios.add(r)
-    assert len(ratios) == 1
 
 
 def test_operator_constant_uniform_at_2_1():
@@ -66,8 +28,8 @@ def test_operator_constant_uniform_at_2_1():
     constants = set()
     for L in all_words(V, setup.m * (setup.n + 1)):
         w = TensorElement.from_word(V, plain_word(L))
-        rhs = invariant_operator(setup, w, "direct")
-        lhs = invariant_operator(setup, apply_group_algebra(et, w), "direct")
+        rhs = invariant_operator(setup, w)
+        lhs = invariant_operator(setup, apply_group_algebra(et, w))
         if rhs.is_zero():
             assert lhs.is_zero()
             continue

@@ -56,3 +56,13 @@ def test_t73_level_two_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / "options" / "T7.3_n2_k2.json").read_bytes()
+
+
+def test_t51_dims_2_2_report_matches_golden(capsys):
+    """T5.1 at --dims 2,2 passes; its row-paired inverse-form power moves
+    slots by (0,2,1,3,4,5), so the report covers a nontrivial slot
+    permutation (at (1|2) the rows are numbered in slot order)."""
+    code = main(["verify", "--theorem", "T5.1", "--dims", "2,2", "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / "T5.1_dims2,2.json").read_bytes()

@@ -14,9 +14,7 @@ from superinv.permutations import (
     act_on_word,
     cocycle,
     column_group,
-    coset_representatives,
     row_group,
-    stabilizers,
     young_symmetrizer,
 )
 from superinv.tableaux import Partition, enumerate_standard_tableaux, fill_rows
@@ -118,13 +116,6 @@ def test_stabilizers_match_preservation_oracle():
         oracle_cols = {p for p in all_perms(size) if preserves(p, col_cells)}
         assert set(row_group(t)) == oracle_rows
         assert set(column_group(t)) == oracle_cols
-
-
-def test_stabilizer_generators_generate():
-    t = fill_rows(Partition((2, 1)))
-    row_gens, col_gens = stabilizers(t)
-    assert len(row_gens) == 1 and len(col_gens) == 1
-    assert len(row_group(t)) == 2 and len(column_group(t)) == 2
 
 
 def test_symmetrizer_row_pair():
@@ -245,34 +236,6 @@ def test_apply_to_word_examples():
     row2 = fill_rows(Partition((2,)))
     e = young_symmetrizer(row2)
     assert e.apply_to_word((ev(1), ev(1))) == {(ev(1), ev(1)): Fraction(2)}
-
-
-def test_coset_representatives_trivial():
-    g = row_group(fill_rows(Partition((2,))))
-    assert coset_representatives(g, g) == [Permutation.identity(2)]
-    reps = coset_representatives(g, [Permutation.identity(2)])
-    assert len(reps) == 2
-
-
-def test_coset_representatives_counting():
-    # S3 over S2: three cosets, lexicographically minimal representatives
-    s3 = all_perms(3)
-    s2 = [Permutation.identity(3), Permutation.transposition(3, 0, 1)]
-    reps = coset_representatives(s3, s2, side="right")
-    assert len(reps) == 3
-    seen = set()
-    for rep in reps:
-        coset = frozenset(h * rep for h in s2)
-        assert min(coset) == rep
-        seen.add(coset)
-    assert len(seen) == 3
-
-
-def test_coset_representatives_not_subgroup():
-    s3 = all_perms(3)
-    bad = [Permutation.transposition(3, 0, 1)]
-    with pytest.raises(ValueError):
-        coset_representatives(s3, bad)
 
 
 def test_symmetrizer_image_independence():
