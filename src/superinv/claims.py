@@ -55,7 +55,6 @@ from .tensors import (
     nabla_closed_form_report,
     nabla_construct,
     operator_setup,
-    plain_word,
     sl_invariant_element,
     split_cols_tableau,
     split_rows_tableau,
@@ -298,7 +297,7 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     # for each word where either is nonzero
     ratios: dict[str, dict[str, str]] = {"corrected": {}, "printed": {}}
     for L in all_words(dims, setup.m * (setup.n + 1)):
-        w = TensorElement.from_word(dims, plain_word(L))
+        w = TensorElement.from_word(dims, L)
         direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w))
         key = "".join(str(x) for x in L)
         for convention, found in ratios.items():
@@ -688,6 +687,13 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
             raise InvalidOptions(
                 "needs --dims and --pqkl whose split tableaux fit both the u- and the w-hook,"
                 f" or an extra family is empty, got --dims {even},{odd} --pqkl {p},{q},{k},{l}"
+            )
+    if key == "T5.2":
+        p, q = opts.wdims
+        if not split_cols_tableau(even, odd, 1).shape.fits_hook(p, q):
+            raise InvalidOptions(
+                "needs --dims and --wdims whose column-split tableau fits the w-hook,"
+                f" or the relative family is empty, got --dims {even},{odd} --wdims {p},{q}"
             )
     if key == "T7.3":
         n, k = opts.n, opts.k

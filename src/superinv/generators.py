@@ -46,8 +46,6 @@ from .tableaux import YoungTableau, enumerate_semistandard
 from .tensors import (
     TensorElement,
     act_on_tensor,
-    dual_word,
-    letters_of,
     repeated_evens,
     blocked_odds,
     split_cols_tableau,
@@ -120,9 +118,10 @@ def mixed_shadow(
     have the dual block first, and moving the covariant block across it
     costs the Koszul sign of the two block parities."""
     acc: dict = {}
+    sig = element.signature
     for w, coeff in element.terms.items():
-        plain = tuple(i for i, d in w if not d)
-        dual = tuple(i for i, d in w if d)
+        plain = tuple(i for i, d in zip(w, sig) if not d)
+        dual = tuple(i for i, d in zip(w, sig) if d)
         if len(plain) != len(I) or len(dual) != len(J):
             raise ValueError("pairing lengths do not match the word blocks")
         if hat and parity_of_word(plain) and parity_of_word(dual):
@@ -140,7 +139,7 @@ def _dual_letters(element: TensorElement, length: int) -> list[tuple[Word, Coeff
         raise ValueError("element must be purely dual")
     if len(element.signature) != length:
         raise ValueError("sequences must have equal length")
-    return [(letters_of(w), c) for w, c in element.terms.items()]
+    return list(element.terms.items())
 
 
 def dual_shadow(algebra: AlgebraDescriptor, element: TensorElement, J: Word) -> Polynomial:
@@ -266,7 +265,7 @@ def _form_letters(
     form = invariant_form("osp", algebra.v_range)
     weighted = []
     for w, coeff in element.terms.items():
-        pairs = [form[i] for i, _ in w]
+        pairs = [form[i] for i in w]
         weighted.append((tuple(b for b, _ in pairs), coeff * math.prod(c for _, c in pairs)))
     return weighted
 
@@ -333,7 +332,7 @@ def _quoted_sum(
     terms = {}
     for datum in t2_tableaux(n):
         m_L, eps_exp, mult = _t2_weights(datum, n, level)
-        terms[dual_word(head + datum.word + tail)] = (-1) ** (m_times * m_L + eps_exp) * mult
+        terms[head + datum.word + tail] = (-1) ** (m_times * m_L + eps_exp) * mult
     return symmetrize_element(t, "plain", TensorElement(dims, (True,) * t.size, terms))
 
 
@@ -389,7 +388,7 @@ def _route(
         word, factors = repeated_evens(n, k) + repeated_evens(n, n), xplus_factors(dims)
     else:
         raise ValueError("kind must be 'lower' or 'raise'")
-    seed = symmetrize_element(t, "plain", TensorElement.from_word(dims, dual_word(word)))
+    seed = symmetrize_element(t, "plain", TensorElement(dims, (True,) * len(word), {word: 1}))
     return t, seed, factors
 
 

@@ -133,7 +133,7 @@ def invariant_space_bruteforce(
     basis = [
         Polynomial(algebra, terms)
         for key in sorted(blocks)
-        for terms in joint_kernel(blocks[key], [], maps, DEFAULT_ENTRY_CAP)
+        for terms in joint_kernel(blocks[key], maps, DEFAULT_ENTRY_CAP)
     ]
     if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")

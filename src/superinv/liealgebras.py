@@ -1,7 +1,7 @@
 """Matrix Lie superalgebras gl, sl, osp, pe, spe: bases, brackets, and the
-derivation action: one slot-image table per element
-(`MatrixElement.slot_images`), extended to slot words (`act_on_words`) and
-to polynomials (`generator_images`, `act_through_images`).
+derivation action: one letter-image table per dual flag for each element
+(`MatrixElement.slot_images`), extended to tensor words (`act_on_words`)
+and to polynomials (`generator_images`, `act_through_images`).
 
 Invariance is decided by one predicate, `invariant(family, items)`, for
 polynomials and tensors alike: weight zero under the diagonal basis, read
@@ -93,17 +93,21 @@ class MatrixElement(SparseElement):
     def is_diagonal(self) -> bool:
         return all(r == c for (r, c) in self.terms)
 
-    def slot_images(self) -> dict:
-        """The action on one slot, as a table from a slot (letter, dual) to
-        its image, a tuple of (slot, coefficient) pairs; slots without an
-        image are absent.  The vector e_c goes to the sum of X[r,c] e_r, and
-        the covector e_r^* to -(-1)^{p(X)p(r)} times the sum of X[r,c] e_c^*."""
-        table: dict = {}
+    def slot_images(self) -> tuple[dict, dict]:
+        """The action on one slot, as one table per dual flag, (vector,
+        covector), from a letter to its image, a tuple of (letter,
+        coefficient) pairs; letters without an image are absent.  The
+        vector e_c goes to the sum of X[r,c] e_r, and the covector e_r^* to
+        -(-1)^{p(X)p(r)} times the sum of X[r,c] e_c^*."""
+        vector: dict = {}
+        covector: dict = {}
         for (r, c), v in self.terms.items():
-            table.setdefault((c, False), []).append(((r, False), v))
+            vector.setdefault(c, []).append((r, v))
             sign = 1 if self.parity and r.parity else -1
-            table.setdefault((r, True), []).append(((c, True), v * sign))
-        return {slot: tuple(image) for slot, image in table.items()}
+            covector.setdefault(r, []).append((c, v * sign))
+        return tuple(
+            {a: tuple(image) for a, image in table.items()} for table in (vector, covector)
+        )
 
 
 @dataclass
@@ -253,10 +257,10 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
             basis.append(x)
         fam = AlgebraFamily("sl", dims, basis)
     elif tag in ("osp", "pe", "spe"):
-        words = {((a, True), (b, True)): c for a, (b, c) in invariant_form(tag, dims).items()}
+        words = {(a, b): c for a, (b, c) in invariant_form(tag, dims).items()}
 
         def cond(x: MatrixElement) -> dict:
-            out = act_on_words(x.slot_images(), x.parity, words)
+            out = act_on_words(x.slot_images(), x.parity, (True, True), words)
             if tag == "spe":
                 out["str"] = x.supertrace()
             return out
@@ -278,31 +282,35 @@ def _span_tracker(fam: AlgebraFamily) -> SpanTracker:
 
 
 # ---------------------------------------------------------------------------
-# the derivation action on slot words and on the polynomial algebras
+# the derivation action on tensor words and on the polynomial algebras
 
 
-def act_on_words(table: dict, parity: int, terms: dict) -> dict:
-    """An element of the given parity, with slot-image table `table`
-    (`MatrixElement.slot_images`), applied as a derivation to a dict of slot
-    words.
+def act_on_words(
+    tables: tuple[dict, dict], parity: int, signature: Sequence[bool], terms: dict
+) -> dict:
+    """An element of the given parity, with letter-image tables `tables`
+    (`MatrixElement.slot_images`), applied as a derivation to a dict of
+    letter words whose dual positions `signature` marks.
 
-    Each slot of a word is replaced in turn by its image, with the sign
-    (-1)^{parity * p(slots before it)}.  Returns raw sums: zeros are left
-    in, and coefficients are not made exact.
+    Each letter of a word is replaced in turn by its image in the table of
+    its position's dual flag, with the sign (-1)^{parity * p(letters before
+    it)}.  Returns raw sums: zeros are left in, and coefficients are not
+    made exact.
     """
+    row = [tables[d] for d in signature]
     out: dict = {}
     get = out.get
     for w, coeff in terms.items():
         odd = 0
-        for pos, slot in enumerate(w):
-            image = table.get(slot)
+        for pos, (letter, table) in enumerate(zip(w, row)):
+            image = table.get(letter)
             if image:
                 c = -coeff if parity and odd else coeff
                 head, tail = w[:pos], w[pos + 1 :]
                 for target, v in image:
                     key = head + (target,) + tail
                     out[key] = get(key, 0) + c * v
-            odd ^= slot[0].parity
+            odd ^= letter.parity
     return out
 
 
@@ -316,17 +324,17 @@ def generator_images(x: MatrixElement, algebra: AlgebraDescriptor) -> list:
     """
     if algebra.v_range is not None and algebra.v_range != x.dims:
         raise ValueError("matrix dimensions do not match the algebra's inner space")
-    table = x.slot_images()
+    vector, covector = x.slot_images()
     index = algebra.maybe_index
     out: list = []
     for g in algebra.generators:
         if g.family == "uv":
             sign = -1 if x.parity and g.row.parity else 1
-            image = table.get((g.col, False), ())
-            pairs = [(index("uv", g.row, a), v * sign) for (a, _), v in image]
+            image = vector.get(g.col, ())
+            pairs = [(index("uv", g.row, a), v * sign) for a, v in image]
         elif g.family == "vw":
-            image = table.get((g.row, True), ())
-            pairs = [(index("vw", b, g.col), v) for (b, _), v in image]
+            image = covector.get(g.row, ())
+            pairs = [(index("vw", b, g.col), v) for b, v in image]
         else:
             out.append(None)
             continue
@@ -418,11 +426,19 @@ def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[
     ]
 
 
-def slot_weights(x: MatrixElement) -> dict:
-    """The weight of each slot under a diagonal element x: the coefficient
-    of the slot in its own image; x multiplies a word by the sum of its
-    slots' weights."""
-    return {slot: dict(image)[slot] for slot, image in x.slot_images().items()}
+def slot_weights(x: MatrixElement) -> tuple[dict, dict]:
+    """The weight of each letter under a diagonal element x, one table per
+    dual flag (`slot_images`): the coefficient of the letter in its own
+    image."""
+    return tuple({a: dict(image)[a] for a, image in table.items()} for table in x.slot_images())
+
+
+def weighs_zero(weights: Iterable[tuple[dict, dict]], signature: Sequence[bool], w: tuple) -> bool:
+    """Whether the word w, with dual positions `signature`, has weight zero
+    under every diagonal element of the given `slot_weights`: x multiplies
+    a word by the sum of its letters' weights, each read from the table of
+    its position's dual flag."""
+    return not any(sum(t[d].get(a, 0) for a, d in zip(w, signature)) for t in weights)
 
 
 def invariant(family: AlgebraFamily, items: Iterable) -> bool:
@@ -445,16 +461,16 @@ def invariant(family: AlgebraFamily, items: Iterable) -> bool:
             weights[f.algebra] = diagonal_weights(family, f.algebra)
         if any(sum(w[g] for g in m) for m in f.terms for w in weights[f.algebra]):
             return False
-    slots = [slot_weights(x) for x in family.diagonal_basis()]
-    if any(sum(w.get(s, 0) for s in word) for t in tensors for word in t.terms for w in slots):
+    by_flag = [slot_weights(x) for x in family.diagonal_basis()]
+    if not all(weighs_zero(by_flag, t.signature, w) for t in tensors for w in t.terms):
         return False
     if not annihilates(family.generators, polys):
         return False
-    tables = [(x.slot_images(), x.parity) for x in family.generators]
+    actions = [(x.slot_images(), x.parity) for x in family.generators]
     return not any(
-        any(act_on_words(table, parity, t.terms).values())
+        any(act_on_words(tables, parity, t.signature, t.terms).values())
         for t in tensors
-        for table, parity in tables
+        for tables, parity in actions
     )
 
 

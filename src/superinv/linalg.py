@@ -62,21 +62,18 @@ def nullspace(rows: Sequence[Mapping | Sequence], ncols: int) -> list[dict[int, 
 
 def joint_kernel(
     keys: Iterable[tuple],
-    weights: Sequence[Mapping[Hashable, object]],
     maps: Sequence[Callable[[tuple], Mapping]],
     entry_cap: int | None = None,
 ) -> list[dict]:
     """Basis of the vectors on `keys` that every map sends to zero.
 
-    A key is a tuple of factors.  Each of `weights` is a diagonal map given
-    by its weight on each factor, a key's weight being the sum over its
-    factors; only keys of weight zero under all of them can appear in the
-    kernel, so the rest are dropped first.  Each of `maps` sends a key to its
-    sparse image.  The basis is `nullspace` of the stacked images on the kept
-    keys, as one dict per free key.  CapExceeded is raised, before any
+    The callers pass only keys of weight zero under the diagonal elements:
+    no other key can appear in the kernel.  Each of `maps` sends a key to
+    its sparse image.  The basis is `nullspace` of the stacked images on
+    the keys, as one dict per free key.  CapExceeded is raised, before any
     elimination, when the stacked matrix would exceed `entry_cap` entries.
     """
-    kept = [k for k in keys if all(sum(w.get(f, 0) for f in k) == 0 for w in weights)]
+    kept = list(keys)
     if not kept:
         return []
     rows: list[dict] = []

@@ -295,18 +295,16 @@ def _block_plan(t: YoungTableau, variant: str) -> tuple:
     )
 
 
-def act_on_block(
-    plan: Iterable[tuple[list, dict]], terms: dict, start: int, size: int, *, slots: bool = False
-) -> dict:
+def act_on_block(plan: Iterable[tuple[list, dict]], terms: dict, start: int, size: int) -> dict:
     """Let each step of `plan` act in turn, by the cocycle-weighted word
     action sigma . v_I = c(I, sigma^{-1}) v_{sigma I}, on positions
-    start .. start+size of a raw {word: coeff} dict of letter words, or of
-    (letter, dual) slot words with `slots`.  A step is its (image tuple of
-    pi^{-1}, coefficient) list and a dict of those coefficients with the
-    cocycle folded in, per parity pattern of the block; an entry is a pure
-    function of its key, so concurrent callers may both fill it.  Each step
-    walks its permutations outside and the words inside, merging like words
-    and dropping zeros."""
+    start .. start+size of a raw {word: coeff} dict of letter words; a
+    tensor's word is a letter word too, the element's `signature` marks the
+    dual positions.  A step is its (image tuple of pi^{-1}, coefficient)
+    list and a dict of those coefficients with the cocycle folded in, per
+    parity pattern of the block; an entry is a pure function of its key, so
+    concurrent callers may both fill it.  Each step walks its permutations
+    outside and the words inside, merging like words and dropping zeros."""
     end, first = start + size, operator.itemgetter(0)
     if any(len(w) < end for w in terms):
         raise ValueError("length mismatch")
@@ -316,8 +314,8 @@ def act_on_block(
         words = []
         for w, c in terms.items():
             block = w[start:end]
-            # a letter is (parity, value); a slot is (letter, dual)
-            pattern = tuple(map(first, map(first, block) if slots else block))
+            # a letter is (parity, value)
+            pattern = tuple(map(first, block))
             signed = by_pattern.get(pattern)
             if signed is None:
                 signed = by_pattern[pattern] = [
@@ -334,9 +332,7 @@ def act_on_block(
     return terms
 
 
-def symmetrize(
-    t: YoungTableau, variant: str, terms: dict, start: int = 0, *, slots: bool = False
-) -> dict:
+def symmetrize(t: YoungTableau, variant: str, terms: dict, start: int = 0) -> dict:
     """apply_group_algebra(young_symmetrizer(t, variant), x) on a raw
     {word: coeff} dict, t acting on the positions from `start` (see
     `act_on_block`).  The word action is a representation, so the block
@@ -344,4 +340,4 @@ def symmetrize(
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
     check_symmetrizer_cap(t)
-    return normalized(act_on_block(_block_plan(t, variant), terms, start, t.size, slots=slots))
+    return normalized(act_on_block(_block_plan(t, variant), terms, start, t.size))

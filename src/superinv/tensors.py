@@ -1,9 +1,10 @@
 """Mixed tensor spaces, the canonical invariant elements, block symmetrizer
 actions, contraction operators, and the constructive invariant operator.
 
-A tensor word is a tuple of slots (index, dual flag); elements are sparse
-exact combinations of words sharing one slot signature.  A matrix acts on
-them through its slot-image table, as a derivation across the slots
+A tensor word is a letter word, and the element's `signature` marks the
+dual positions; elements are sparse exact combinations of words of the
+signature's length.  A matrix acts on them through its letter-image
+tables, one per dual flag, as a derivation across the slots
 (`liealgebras.act_on_words`).  The inverse-form element and the relative
 invariant's closed form read the form table `liealgebras.invariant_form`.
 """
@@ -26,7 +27,7 @@ from .alphabet import (
     parity_of_word,
 )
 from .coefficients import Coeff, SparseElement, normalized
-from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights
+from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights, weighs_zero
 from .linalg import joint_kernel, nullspace, rank_rows
 from .permutations import (
     GroupAlgebraElement,
@@ -37,28 +38,8 @@ from .permutations import (
 )
 from .tableaux import Partition, YoungTableau
 
-Slot = tuple[SuperIndex, bool]
-TWord = tuple[Slot, ...]
-
-
-def word(indices: Sequence[SuperIndex], dual: Sequence[bool]) -> TWord:
-    return tuple(zip(indices, dual))
-
-
-def plain_word(indices: Sequence[SuperIndex]) -> TWord:
-    return tuple((i, False) for i in indices)
-
-
-def dual_word(indices: Sequence[SuperIndex]) -> TWord:
-    return tuple((i, True) for i in indices)
-
-
-def signature_of(w: TWord) -> tuple[bool, ...]:
-    return tuple(d for _, d in w)
-
-
-def letters_of(w: TWord) -> Word:
-    return tuple(i for i, _ in w)
+def plain_word(indices: Sequence[SuperIndex]) -> Word:
+    return tuple(indices)
 
 
 class TensorElement(SparseElement):
@@ -75,23 +56,23 @@ class TensorElement(SparseElement):
         self,
         dims: IndexRange,
         signature: tuple[bool, ...],
-        terms: dict[TWord, Coeff] | None = None,
+        terms: dict[Word, Coeff] | None = None,
     ):
         self.dims = dims
         self.signature = signature
-        self.terms: dict[TWord, Coeff] = {}
+        self.terms: dict[Word, Coeff] = {}
         if terms:
-            for w in terms:
-                if signature_of(w) != signature:
-                    raise ValueError("word signature mismatch")
+            if any(len(w) != len(signature) for w in terms):
+                raise ValueError("word length does not match the signature")
             self.terms = normalized(terms)
 
     @classmethod
     def _from_raw(
-        cls, dims: IndexRange, signature: tuple[bool, ...], terms: dict[TWord, Coeff]
+        cls, dims: IndexRange, signature: tuple[bool, ...], terms: dict[Word, Coeff]
     ) -> "TensorElement":
-        """Wrap a raw accumulation dict whose words are known to carry
-        `signature`: coefficients are normalised, no word is re-checked."""
+        """Wrap a raw accumulation dict whose words are known to have the
+        signature's length: coefficients are normalised, no word is
+        re-checked."""
         out = cls.__new__(cls)
         out.dims = dims
         out.signature = signature
@@ -99,8 +80,9 @@ class TensorElement(SparseElement):
         return out
 
     @staticmethod
-    def from_word(dims: IndexRange, w: TWord, coeff=1) -> "TensorElement":
-        return TensorElement(dims, signature_of(w), {w: coeff})
+    def from_word(dims: IndexRange, w: Word, coeff=1) -> "TensorElement":
+        """The covariant element coeff * v_w."""
+        return TensorElement(dims, (False,) * len(w), {w: coeff})
 
     def _space(self) -> tuple:
         return (self.dims, self.signature)
@@ -108,26 +90,17 @@ class TensorElement(SparseElement):
     def _wrap(self, terms: dict) -> "TensorElement":
         return TensorElement._from_raw(self.dims, self.signature, terms)
 
-    @staticmethod
-    def _label(w: TWord) -> str:
-        return "@".join(f"e*[{i}]" if d else f"e[{i}]" for i, d in w)
+    def _label(self, w: Word) -> str:
+        return "@".join(f"e*[{i}]" if d else f"e[{i}]" for i, d in zip(w, self.signature))
 
     def tensor(self, other: "TensorElement") -> "TensorElement":
         if other.dims != self.dims:
             raise ValueError("space mismatch")
-        out: dict[TWord, Coeff] = {}
+        out: dict[Word, Coeff] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
         return TensorElement(self.dims, self.signature + other.signature, out)
-
-
-def slot_parity(slot: Slot) -> int:
-    return slot[0].parity
-
-
-def word_parity(w: TWord) -> int:
-    return sum(slot_parity(s) for s in w) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +110,7 @@ def word_parity(w: TWord) -> int:
 def theta(dims: IndexRange, hat: bool = False) -> TensorElement:
     """The canonical pairing element: sum of e_i x e_i* (plain), or the
     signed transpose sum of (-1)^{p(i)} e_i* x e_i (hat)."""
-    terms: dict[TWord, Coeff] = {}
-    for i in dims:
-        if hat:
-            w = ((i, True), (i, False))
-            terms[w] = (-1) ** i.parity
-        else:
-            w = ((i, False), (i, True))
-            terms[w] = 1
+    terms = {(i, i): (-1) ** i.parity if hat else 1 for i in dims}
     return TensorElement(dims, (True, False) if hat else (False, True), terms)
 
 
@@ -157,14 +123,10 @@ def theta_power(dims: IndexRange, k: int, hat: bool = False) -> TensorElement:
     the plain block first, hat puts the dual block first).
     """
     sig = (True,) * k + (False,) * k if hat else (False,) * k + (True,) * k
-    terms: dict[TWord, Coeff] = {}
+    terms: dict[Word, Coeff] = {}
     for L in all_words(dims, k):
         expo = mutual_parity_count(L) + (parity_of_word(L) if hat else 0)
-        if hat:
-            w = dual_word(L) + plain_word(L)
-        else:
-            w = plain_word(L) + dual_word(L)
-        terms[w] = (-1) ** expo
+        terms[L + L] = (-1) ** expo
     return TensorElement(dims, sig, terms)
 
 
@@ -174,7 +136,7 @@ def slot_permute(element: TensorElement, perm: Permutation) -> TensorElement:
     if perm.degree != len(element.signature):
         raise ValueError("length mismatch")
     inv = inverse_images(perm.images)
-    terms = act_on_block([([(inv, 1)], {})], element.terms, 0, perm.degree, slots=True)
+    terms = act_on_block([([(inv, 1)], {})], element.terms, 0, perm.degree)
     signature = tuple(map(element.signature.__getitem__, inv))
     return TensorElement._from_raw(element.dims, signature, terms)
 
@@ -188,7 +150,7 @@ def act_on_tensor(x: MatrixElement, element: TensorElement) -> TensorElement:
     sign-twisted transpose action."""
     if x.dims != element.dims:
         raise ValueError("dimension mismatch")
-    acc = act_on_words(x.slot_images(), x.parity, element.terms)
+    acc = act_on_words(x.slot_images(), x.parity, element.signature, element.terms)
     return TensorElement._from_raw(element.dims, element.signature, acc)
 
 
@@ -196,11 +158,16 @@ def apply_group_algebra(
     g: GroupAlgebraElement, element: TensorElement, start: int = 0
 ) -> TensorElement:
     """Let a group-algebra element permute a contiguous block of slots via
-    the cocycle-weighted word action."""
+    the cocycle-weighted word action; no permutation may move a slot to a
+    position of the other dual flag."""
     k = g.degree
-    if len(element.signature[start : start + k]) != k:
+    block, perms = element.signature[start : start + k], list(g.inverse_terms())
+    if len(block) != k:
         raise ValueError("length mismatch")
-    terms = act_on_block([(list(g.inverse_terms()), {})], element.terms, start, k, slots=True)
+    crossed = (block[a] != block[b] for inv, _ in perms for a, b in enumerate(inv))
+    if len(set(block)) > 1 and any(crossed):
+        raise ValueError("a permutation moves a slot across dual flags")
+    terms = act_on_block([(perms, {})], element.terms, start, k)
     return TensorElement(element.dims, element.signature, terms)
 
 
@@ -208,7 +175,7 @@ def symmetrize_element(
     t: YoungTableau, variant: str, element: TensorElement, start: int = 0
 ) -> TensorElement:
     """The Young symmetrizer of t on the slots from `start`, block by block."""
-    terms = symmetrize(t, variant, element.terms, start, slots=True)
+    terms = symmetrize(t, variant, element.terms, start)
     return TensorElement._from_raw(element.dims, element.signature, terms)
 
 
@@ -235,13 +202,13 @@ def contraction_D(Jk: Word, element: TensorElement) -> TensorElement:
     if len(element.signature) < k:
         raise ValueError("word too short for the contraction")
     pj = parity_of_word(Jk)
-    out: dict[TWord, Coeff] = {}
+    out: dict[Word, Coeff] = {}
     for w, coeff in element.terms.items():
         head, tail = w[:-k] if k else w, w[len(w) - k :] if k else ()
-        val = pair_dual_against(Jk, letters_of(tail))
+        val = pair_dual_against(Jk, tail)
         if not val:
             continue
-        sign = (-1) ** (pj * word_parity(head))
+        sign = (-1) ** (pj * parity_of_word(head))
         out[head] = out.get(head, 0) + coeff * val * sign
     return TensorElement(element.dims, (False,) * (len(element.signature) - k), out)
 
@@ -301,11 +268,10 @@ def sl_invariant_element(dims: IndexRange, k: int, hat: bool) -> TensorElement:
     n, m = dims.even_count, dims.odd_count
     t = split_rows_tableau(n, m, k)
     s = split_cols_tableau(n, m, k)
-    head = (dual_word if hat else plain_word)(repeated_evens(n, k))
-    tail = (plain_word if hat else dual_word)(blocked_odds(m, k))
+    head, tail = repeated_evens(n, k), blocked_odds(m, k)
     theta_k = theta_power(dims, n * m, hat)
     terms = {head + w + tail: c for w, c in theta_k.terms.items()}
-    sig = signature_of(head) + theta_k.signature + signature_of(tail)
+    sig = (hat,) * len(head) + theta_k.signature + (not hat,) * len(tail)
     left = symmetrize_element(s, "plain", TensorElement(dims, sig, terms))
     return symmetrize_element(t, "tilde", left, start=s.size)
 
@@ -348,7 +314,7 @@ def invariant_operator(setup: OperatorSetup, w: TensorElement) -> TensorElement:
         raise ValueError("argument must be covariant of degree m(n+k)")
     inner = symmetrize_element(setup.t, "plain", w)
     contracted = contraction_D(setup.Jk, inner)
-    prefixed = TensorElement.from_word(setup.dims, plain_word(setup.Ik)).tensor(contracted)
+    prefixed = TensorElement.from_word(setup.dims, setup.Ik).tensor(contracted)
     return symmetrize_element(setup.s, "plain", prefixed)
 
 
@@ -389,7 +355,7 @@ def marked_tableau_operator(
     eps_L = (-1) ** eps_exp
     pJ = parity_of_word(setup.Jk)
 
-    terms: dict[TWord, Coeff] = {}
+    terms: dict[Word, Coeff] = {}
     odd_positions = [
         [r for r in range(n + 1) if columns[c][r].parity] for c in range(m)
     ]
@@ -418,7 +384,7 @@ def marked_tableau_operator(
         coeff = eps_l * (-1) ** q
         if convention == "corrected":
             coeff *= (-1) ** (pJ * parity_of_word(tuple(reduced)))
-        w = plain_word(setup.Ik + tuple(reduced))
+        w = setup.Ik + tuple(reduced)
         terms[w] = terms.get(w, 0) + coeff
     out = TensorElement(setup.dims, (False,) * (n * (m + 1)), terms)
     return symmetrize_element(setup.s, "plain", out).scale(eps_L)
@@ -439,7 +405,7 @@ def theta_tilde_2(dims: IndexRange) -> TensorElement:
     the claim runners).
     """
     form = invariant_form("osp", dims)
-    terms = {plain_word((a, b)): c for a, (b, c) in sorted(form.items())}
+    terms = {(a, b): c for a, (b, c) in sorted(form.items())}
     return TensorElement(dims, (False, False), terms)
 
 
@@ -562,7 +528,7 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
     s = split_cols_tableau(n, m, 1)
     I1 = repeated_evens(n, 1)
     images = [
-        symmetrize_element(s, "plain", TensorElement.from_word(dims, plain_word(I1 + I)))
+        symmetrize_element(s, "plain", TensorElement.from_word(dims, I1 + I))
         for I in support
     ]
     # one equation per word: sum_j x_j images[j] - x_last nabla = 0
@@ -610,18 +576,18 @@ def tensor_invariant_space(
 ) -> list[TensorElement]:
     """Exact basis of the joint kernel of the action of the given elements
     on the full word space: weight-filter by the diagonal elements
-    (`slot_weights`), then a stacked nullspace over the off-diagonal ones.
+    (`weighs_zero`), then a stacked nullspace over the off-diagonal ones.
     Every given element acts, with no generating subset, so the tests use
     it as a full-basis reference."""
-    words = [word(L, signature) for L in all_words(dims, len(signature))]
     weights = [slot_weights(x) for x in basis_elements if x.is_diagonal()]
+    words = [L for L in all_words(dims, len(signature)) if weighs_zero(weights, signature, L)]
     maps = [
-        lambda w, t=x.slot_images(), p=x.parity: normalized(act_on_words(t, p, {w: 1}))
+        lambda w, t=x.slot_images(), p=x.parity: normalized(act_on_words(t, p, signature, {w: 1}))
         for x in basis_elements
         if not x.is_diagonal()
     ]
     out = []
-    for terms in joint_kernel(words, weights, maps):
+    for terms in joint_kernel(words, maps):
         elt = TensorElement(dims, signature, terms)
         for x in basis_elements:
             assert act_on_tensor(x, elt).is_zero()

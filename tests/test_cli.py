@@ -288,6 +288,10 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T2.2", "--udims", "0,0"),
         # sl(0|0) has no letter to build its diagonal from
         ("--family", "sl", "--dims", "0,0", "--degree", "1"),
+        # the column-split tableau of T5.2 misses the W hook: no relative generator
+        ("--theorem", "T5.2", "--wdims", "0,1"),
+        ("--theorem", "T5.2", "--wdims", "0,2"),
+        ("--theorem", "T5.2", "--dims", "2,2"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):

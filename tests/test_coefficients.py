@@ -13,7 +13,7 @@ from superinv.invariants import algebra_for, invariant_space_bruteforce
 from superinv.liealgebras import MatrixElement, act_on_polynomial, build_family
 from superinv.polynomials import Polynomial, make_mixed_algebra
 from superinv.permutations import GroupAlgebraElement, Permutation
-from superinv.tensors import TensorElement, act_on_tensor, dual_word, plain_word, theta_power
+from superinv.tensors import TensorElement, act_on_tensor, plain_word, theta_power
 
 V = IndexRange(1, 1)
 
@@ -41,7 +41,7 @@ def _pairs_across_spaces():
     w = plain_word((ev(1), od(1)))
     perm = Permutation.identity
     yield a.gen(0), b.gen(0)
-    yield TensorElement.from_word(V, w), TensorElement.from_word(V, dual_word(w[:1]) + w[1:])
+    yield TensorElement.from_word(V, w), TensorElement(V, (True, False), {w: 1})
     yield TensorElement.from_word(V, w), TensorElement.from_word(IndexRange(2, 1), w)
     yield GroupAlgebraElement(2, {perm(2): 1}), GroupAlgebraElement(3, {perm(3): 1})
     yield MatrixElement.unit(V, ev(1), ev(1)), MatrixElement.unit(IndexRange(2, 0), ev(2), ev(2))

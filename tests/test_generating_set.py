@@ -187,7 +187,7 @@ def _cases():
         det = x(1, 1) * x(2, 2) - x(1, 2) * x(2, 1)
         out.append((fam, [det], tag == "sl"))
         wedge = TensorElement(fam.dims, (False, False), {
-            ((ev(1), False), (ev(2), False)): 1, ((ev(2), False), (ev(1), False)): -1,
+            (ev(1), ev(2)): 1, (ev(2), ev(1)): -1,
         })
         out.append((fam, [wedge], tag == "sl"))
     # only an off-diagonal element fails: one weight-zero term of a scalar
@@ -195,7 +195,7 @@ def _cases():
     gl11 = build_family("gl", IndexRange(1, 1))
     alg = algebra_for(gl11, 1, 0, 1, 0)
     out.append((gl11, [_gen(alg, "uv", ev(1), ev(1)) * _gen(alg, "vw", ev(1), ev(1))], False))
-    half = TensorElement(gl11.dims, (False, True), {((ev(1), False), (ev(1), True)): 1})
+    half = TensorElement(gl11.dims, (False, True), {(ev(1), ev(1)): 1})
     out.append((gl11, [half], False))
     out.append((gl11, [theta(gl11.dims)], True))
     return out
@@ -255,10 +255,10 @@ def test_invariant_matches_every_basis_element_on_random_tensors(family_dims, da
     fam = build_family(tag, IndexRange(*dims))
     letters = fam.dims.indices()
     signature = data.draw(st.sampled_from([(False, True), (True, False), (False, False)]))
-    slot = st.tuples(*[st.sampled_from(letters)] * len(signature))
-    words = data.draw(st.lists(slot, max_size=3, unique=True))
+    word = st.tuples(*[st.sampled_from(letters)] * len(signature))
+    words = data.draw(st.lists(word, max_size=3, unique=True))
     coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(words), max_size=len(words)))
-    terms = {tuple(zip(w, signature)): c for w, c in zip(words, coeffs)}
+    terms = dict(zip(words, coeffs))
     t = TensorElement(fam.dims, signature, terms)
     assert invariant(fam, [t]) == _full_basis_invariant(fam, [t])
 
@@ -287,9 +287,9 @@ def test_oracle_stacks_one_map_per_generator(monkeypatch):
     real = invariants_module.joint_kernel
     stacked = []
 
-    def counting(keys, weights, maps, entry_cap=None):
+    def counting(keys, maps, entry_cap=None):
         stacked.append(len(maps))
-        return real(keys, weights, maps, entry_cap)
+        return real(keys, maps, entry_cap)
 
     fam = build_family("gl", IndexRange(2, 1))
     alg = algebra_for(fam, 2, 1, 2, 1)

@@ -246,9 +246,9 @@ def test_verification_catches_a_non_invariant(monkeypatch):
     kernel vector that is not invariant raises AssertionError."""
     real = invariants_module.joint_kernel
 
-    def with_a_lone_monomial(keys, weights, maps, entry_cap=None):
+    def with_a_lone_monomial(keys, maps, entry_cap=None):
         keys = list(keys)
-        return real(keys, weights, maps, entry_cap) + [{keys[0]: 1}]
+        return real(keys, maps, entry_cap) + [{keys[0]: 1}]
 
     monkeypatch.setattr(invariants_module, "joint_kernel", with_a_lone_monomial)
     fam = build_family("gl", IndexRange(2, 0))

@@ -261,7 +261,7 @@ def test_form_annihilation_explicit():
         fam = build_family(tag, dims)
         acc = {}
         for a, (b, c) in invariant_form(tag, dims).items():
-            w = ((a, True), (b, True))
+            w = (a, b)
             acc[w] = acc.get(w, Fraction(0)) + c
         form = TensorElement(dims, (True, True), acc)
         for x in fam.basis:

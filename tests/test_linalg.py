@@ -155,11 +155,11 @@ def test_joint_kernel_without_weights_matches_nullspace(data):
         for part in (rows[:half], rows[half:])
     ]
     expected = [{keys[j]: x for j, x in v.items()} for v in nullspace(rows, ncols)]
-    assert joint_kernel(keys, [], maps) == expected
+    assert joint_kernel(keys, maps) == expected
 
 
 def test_joint_kernel_entry_cap():
     # two kept keys, one image row: 2 entries
     with pytest.raises(CapExceeded):
-        joint_kernel([(0,), (1,)], [], [lambda k: {"u": 1}], entry_cap=1)
-    assert len(joint_kernel([(0,), (1,)], [], [lambda k: {"u": 1}], entry_cap=2)) == 1
+        joint_kernel([(0,), (1,)], [lambda k: {"u": 1}], entry_cap=1)
+    assert len(joint_kernel([(0,), (1,)], [lambda k: {"u": 1}], entry_cap=2)) == 1

@@ -20,22 +20,16 @@ from superinv.tensors import (
     TensorElement,
     act_on_tensor,
     apply_group_algebra,
-    blocked_odds,
     contraction_D,
-    dual_word,
     invariant_operator,
-    letters_of,
     marked_tableau_operator,
     nabla_closed_form_report,
     nabla_construct,
     operator_setup,
     pair_dual_against,
     plain_word,
-    repeated_evens,
     sl_invariant_element,
     slot_permute,
-    split_cols_tableau,
-    split_rows_tableau,
     tensor_invariant_space,
     theta,
     theta_power,
@@ -47,14 +41,16 @@ V11 = IndexRange(1, 1)
 
 def test_theta_small():
     th = theta(IndexRange(1, 0))
-    assert th.terms == {((ev(1), False), (ev(1), True)): Fraction(1)}
+    assert th.signature == (False, True)
+    assert th.terms == {(ev(1), ev(1)): Fraction(1)}
 
 
 def test_theta_hat_signs():
     th = theta(V11, hat=True)
+    assert th.signature == (True, False)
     assert th.terms == {
-        ((ev(1), True), (ev(1), False)): Fraction(1),
-        ((od(1), True), (od(1), False)): Fraction(-1),
+        (ev(1), ev(1)): Fraction(1),
+        (od(1), od(1)): Fraction(-1),
     }
 
 
@@ -105,10 +101,10 @@ def test_gl_weight_action():
 def test_action_bracket_compatibility():
     rng = random.Random(7)
     gl = build_family("gl", V11)
-    words = [plain_word(L[:2]) + dual_word(L[2:]) for L in all_words(V11, 3)]
+    words = list(all_words(V11, 3))
     for _ in range(100):
         x, y = rng.choice(gl.basis), rng.choice(gl.basis)
-        w = TensorElement.from_word(V11, rng.choice(words))
+        w = TensorElement(V11, (False, False, True), {rng.choice(words): 1})
         sign = (-1) ** (x.parity * y.parity)
         lhs = act_on_tensor(x.bracket(y), w)
         rhs = act_on_tensor(x, act_on_tensor(y, w)) - act_on_tensor(
@@ -124,8 +120,8 @@ def reference_act_on_tensor(x, element):
     (-1)^{p(x) p(slots before it)}."""
     out = {}
     for w, coeff in element.terms.items():
-        for pos, (letter, dual) in enumerate(w):
-            sign = (-1) ** (x.parity * sum(i.parity for i, _ in w[:pos]))
+        for pos, (letter, dual) in enumerate(zip(w, element.signature)):
+            sign = (-1) ** (x.parity * sum(i.parity for i in w[:pos]))
             for (r, c), v in x.terms.items():
                 if dual and r == letter:
                     target, v = c, v * -((-1) ** (x.parity * r.parity))
@@ -133,7 +129,7 @@ def reference_act_on_tensor(x, element):
                     target = r
                 else:
                     continue
-                nw = w[:pos] + ((target, dual),) + w[pos + 1 :]
+                nw = w[:pos] + (target,) + w[pos + 1 :]
                 out[nw] = out.get(nw, 0) + coeff * v * sign
     return TensorElement(element.dims, element.signature, out)
 
@@ -156,9 +152,7 @@ def test_act_on_tensor_matches_the_per_slot_reference(family_dims, signature, da
     tag, dims = family_dims
     V = IndexRange(*dims)
     letters = st.sampled_from(V.indices())
-    words = st.lists(letters, min_size=len(signature), max_size=len(signature)).map(
-        lambda L: tuple(zip(L, signature))
-    )
+    words = st.lists(letters, min_size=len(signature), max_size=len(signature)).map(tuple)
     coeff = st.one_of(
         st.integers(-3, 3),
         st.fractions(min_value=-2, max_value=2, max_denominator=4),
@@ -177,6 +171,26 @@ def test_pair_dual_against():
     assert pair_dual_against((od(1),), (ev(1),)) == 0
 
 
+def test_word_length_must_match_the_signature():
+    """A tensor word is a letter word; the signature marks its dual
+    positions, so every word must have the signature's length."""
+    for signature, w in [((False, True), (ev(1),)), ((True,), (ev(1), od(1))), ((), (od(1),))]:
+        with pytest.raises(ValueError, match="signature"):
+            TensorElement(V11, signature, {w: 1})
+    assert TensorElement(V11, (False, True), {(ev(1), od(1)): 1})
+
+
+def test_group_algebra_keeps_each_slot_on_its_dual_flag():
+    """A permutation of a block that mixes vector and covector slots may
+    not move a slot to the other flag."""
+    swap = GroupAlgebraElement(2, {Permutation.transposition(2, 0, 1): 1})
+    mixed = theta(V11)
+    with pytest.raises(ValueError, match="dual flags"):
+        apply_group_algebra(swap, mixed)
+    both = TensorElement(V11, (False, True, True), {(ev(1), ev(1), od(1)): 1})
+    assert apply_group_algebra(swap, both, 1).terms == {(ev(1), od(1), ev(1)): 1}
+
+
 def operator_from_element(element, cov, contra):
     """Turn an element of V^{x cov} x V*^{x contra} into the operator
     V^{x contra} -> V^{x cov} by full evaluation of the dual block (no
@@ -187,9 +201,9 @@ def operator_from_element(element, cov, contra):
         assert arg.signature == (False,) * contra
         out = {}
         for w, c in element.terms.items():
-            head, tail = w[:cov], letters_of(w[cov:])
+            head, tail = w[:cov], w[cov:]
             for u, cu in arg.terms.items():
-                val = pair_dual_against(tail, letters_of(u))
+                val = pair_dual_against(tail, u)
                 if val:
                     out[head] = out.get(head, 0) + c * cu * val
         return TensorElement(element.dims, (False,) * cov, out)
@@ -211,12 +225,13 @@ def test_identity_resolution():
 def test_contraction_examples():
     w = TensorElement.from_word(V11, plain_word((ev(1), od(1))))
     out = contraction_D((od(1),), w)
-    assert out.terms == {((ev(1), False),): Fraction(1)}
+    assert out.signature == (False,)
+    assert out.terms == {(ev(1),): Fraction(1)}
     w2 = TensorElement.from_word(V11, plain_word((od(1), ev(1))))
     assert contraction_D((od(1),), w2).is_zero()
     # head parity sign: odd head times odd contraction word
     w3 = TensorElement.from_word(V11, plain_word((od(1), od(1))))
-    assert contraction_D((od(1),), w3).terms == {((od(1), False),): Fraction(-1)}
+    assert contraction_D((od(1),), w3).terms == {(od(1),): Fraction(-1)}
 
 
 def test_contraction_linearity():
@@ -247,12 +262,12 @@ def test_symmetrizer_pair_identity():
     equals the expanded symmetrizers applied in turn."""
     sig = (False, False, True)
     w = TensorElement(V11, sig, {
-        plain_word((ev(1), od(1))) + dual_word((ev(1),)): 2,
-        plain_word((od(1), od(1))) + dual_word((od(1),)): Fraction(-1, 3),
+        (ev(1), od(1), ev(1)): 2,
+        (od(1), od(1), od(1)): Fraction(-1, 3),
     })
     one, row2 = fill_rows(Partition((1,))), fill_rows(Partition((2,)))
-    assert symmetrize(one, "tilde", w.terms, 2, slots=True) == w.terms
-    got = symmetrize(one, "tilde", symmetrize(row2, "plain", w.terms, slots=True), 2, slots=True)
+    assert symmetrize(one, "tilde", w.terms, 2) == w.terms
+    got = symmetrize(one, "tilde", symmetrize(row2, "plain", w.terms), 2)
     left = apply_group_algebra(young_symmetrizer(row2), w, 0)
     want = apply_group_algebra(young_symmetrizer(one, "tilde"), left, 2)
     assert got == want.terms and got
@@ -265,7 +280,7 @@ def reference_apply(g, element, start=0):
     for inv, gc in g.inverse_terms():
         for w, coeff in element.terms.items():
             block = w[start : start + k]
-            parities = [i.parity for i, _ in block]
+            parities = [i.parity for i in block]
             nw = w[:start] + tuple(block[x] for x in inv) + w[start + k :]
             out[nw] = out.get(nw, 0) + coeff * gc * cocycle_sign(parities, inv)
     return TensorElement(element.dims, element.signature, out)
@@ -280,7 +295,7 @@ def test_apply_group_algebra_matches_per_word_reference(head, k):
     letters = V.indices()
     terms = {}
     for _ in range(12):
-        w = dual_word(rng.choices(letters, k=head)) + plain_word(rng.choices(letters, k=k + 1))
+        w = tuple(rng.choices(letters, k=head) + rng.choices(letters, k=k + 1))
         terms[w] = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)])
     element = TensorElement(V, (True,) * head + (False,) * (k + 1), terms)
     extra = GroupAlgebraElement(
@@ -362,7 +377,7 @@ def test_form_sign_printed_convention_fails():
     every term whose first letter is odd is flipped."""
     V = IndexRange(1, 2)
     osp = build_family("osp", V)
-    terms = {w: -c if w[0][0].parity else c for w, c in theta_tilde_2(V).terms.items()}
+    terms = {w: -c if w[0].parity else c for w, c in theta_tilde_2(V).terms.items()}
     tt = TensorElement(V, (False, False), terms)
     assert not all(act_on_tensor(x, tt).is_zero() for x in osp.basis)
 
@@ -443,9 +458,7 @@ def test_hom_dimension_bound():
                     e_mu = young_symmetrizer(fill_rows(mu))
                     projected = []
                     for L in all_words(V11, p + q):
-                        w = TensorElement.from_word(
-                            V11, plain_word(L[:p]) + dual_word(L[p:])
-                        )
+                        w = TensorElement(V11, sig, {L: 1})
                         projected.append(
                             apply_group_algebra(
                                 e_mu, apply_group_algebra(e_lam, w, 0), p
