@@ -26,13 +26,13 @@ from .liealgebras import (
     invariant,
     yminus_expansion,
 )
+from .linalg import rank_rows
 from .invariants import (
     DEFAULT_MONOMIAL_CAP,
     algebra_for,
     check_generation,
     check_monomial_cap,
     relation_kernel_check,
-    span_dimension,
 )
 from .generators import (
     osp_relative_generators,
@@ -58,7 +58,6 @@ from .tensors import (
     sl_invariant_element,
     split_cols_tableau,
     split_rows_tableau,
-    symmetrize_element,
     TensorElement,
 )
 from .permutations import check_symmetrizer_cap
@@ -134,7 +133,7 @@ def _relative(
 
 def _independence(rid: str, members: list[Polynomial]) -> CheckRecord:
     """The members are linearly independent: their span has full rank."""
-    rank = span_dimension(members)
+    rank = rank_rows(f.terms for f in members)
     return _record(rid, rank == len(members), dims={"oracle": len(members), "generated": rank})
 
 
@@ -297,8 +296,7 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     # for each word where either is nonzero
     ratios: dict[str, dict[str, str]] = {"corrected": {}, "printed": {}}
     for L in all_words(dims, setup.m * (setup.n + 1)):
-        w = TensorElement.from_word(dims, L)
-        direct = invariant_operator(setup, symmetrize_element(setup.t, "plain", w))
+        direct = invariant_operator(setup, TensorElement.from_word(dims, L))
         key = "".join(str(x) for x in L)
         for convention, found in ratios.items():
             marked = marked_tableau_operator(setup, L, convention)

@@ -94,11 +94,7 @@ def _finish(config: dict, checks: list[dict], args, started: float) -> int:
 
 def cmd_tableaux(args) -> int:
     started = time.time()
-    try:
-        parts = _parse_ints(args.shape, len(args.shape.split(",")), "--shape")
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    parts = _parse_ints(args.shape, len(args.shape.split(",")), "--shape")
     parts = tuple(p for p in parts if p > 0)
     if not parts:
         print(f"error: --shape needs a positive part, got {args.shape}", file=sys.stderr)

@@ -167,11 +167,8 @@ def nonzero_shadows(
 
 @dataclass
 class SlExtraGenerators:
-    """Both extra families at level k, with the tableaux they came from."""
+    """Both extra families at level k."""
 
-    k: int
-    s: YoungTableau
-    t: YoungTableau
     plus: list[Polynomial]
     minus: list[Polynomial]
 
@@ -202,7 +199,7 @@ def sl_extra_generators(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators
         )
         return [f for I, J in pairs if (f := mixed_shadow(algebra, element, I, J, hat))]
 
-    return SlExtraGenerators(k, s, t, shadows(s, t, False), shadows(t, s, True))
+    return SlExtraGenerators(shadows(s, t, False), shadows(t, s, True))
 
 
 def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
@@ -245,7 +242,7 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
                 add_scaled(acc, (left_L[j] * right).terms, (-1) ** expo)
             if f := Polynomial(algebra, acc):
                 minus.append(f)
-    return SlExtraGenerators(k, s, t, plus, minus)
+    return SlExtraGenerators(plus, minus)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .liealgebras import (
     diagonal_weights,
     generator_images,
 )
-from .linalg import SpanTracker, joint_kernel
+from .linalg import SpanTracker, joint_kernel, rank_rows
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -122,12 +122,10 @@ def invariant_space_bruteforce(
     blocks = blocked_monomials(
         algebra, degree, monomial_cap, diagonal_weights(family, algebra)
     )
-    # cancelled terms are dropped, so that the entry cap counts only the
-    # image monomials that occur
     maps = [
-        lambda m, t=generator_images(x, algebra), p=x.parity: {
-            u: c for u, c in act_through_images(t, p, algebra, {m: 1}).items() if c
-        }
+        lambda m, t=generator_images(x, algebra), p=x.parity: act_through_images(
+            t, p, algebra, {m: 1}
+        )
         for x in family.generators
     ]
     basis = [
@@ -138,13 +136,6 @@ def invariant_space_bruteforce(
     if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")
     return InvariantSpace(family.tag, degree, algebra, basis)
-
-
-def span_dimension(polys: Sequence[Polynomial]) -> int:
-    tracker = SpanTracker()
-    for f in polys:
-        tracker.add(f.terms)
-    return tracker.rank
 
 
 def generated_subspace(
@@ -337,5 +328,5 @@ def relation_kernel_check(
         if not subs.apply(f).is_zero():
             all_zero = False
     kernel_dim = kernel_dimension_at_degree(subs, degree, monomial_cap)
-    span_dim = span_dimension(list(relation_polys))
+    span_dim = rank_rows(f.terms for f in relation_polys)
     return RelationReport(degree, len(relation_polys), all_zero, kernel_dim, span_dim)

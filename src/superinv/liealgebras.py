@@ -13,8 +13,8 @@ stays the plain check against a given list of elements.
 
 Each preserved form is written once, as a table (`invariant_form`) that
 every layer reads.  Form-preserving families are not hand-coded; their bases
-are exact nullspaces of the annihilation condition on the gl basis,
-echelonized for determinism: the condition is the word action on the form's
+are exact kernels (`linalg.joint_kernel`) of the annihilation condition on
+the gl basis, echelonized for determinism: the condition is the word action on the form's
 dual-dual words.  `build_family` checks that a basis is linearly independent;
 bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 """
@@ -28,9 +28,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .alphabet import EVEN, IndexRange, SuperIndex, ev, od
-from .coefficients import Coeff, SparseElement, add_scaled, exact
+from .coefficients import Coeff, SparseElement, add_scaled, normalized
 from .errors import InvalidOptions
-from .linalg import SpanTracker, _primitive_terms, nullspace
+from .linalg import SpanTracker, _primitive_terms, joint_kernel, rank_rows
 from .polynomials import AlgebraDescriptor, Polynomial
 
 
@@ -46,15 +46,9 @@ class MatrixElement(SparseElement):
     parity: int
 
     def __post_init__(self):
-        clean = {}
-        for (r, c), v in self.terms.items():
-            v = exact(v)
-            if not v:
-                continue
-            if (r.parity + c.parity) % 2 != self.parity:
-                raise ValueError("entry off the declared parity block")
-            clean[(r, c)] = v
-        self.terms = clean
+        self.terms = normalized(self.terms)
+        if any((r.parity + c.parity) % 2 != self.parity for r, c in self.terms):
+            raise ValueError("entry off the declared parity block")
 
     @staticmethod
     def unit(dims: IndexRange, r: SuperIndex, c: SuperIndex) -> "MatrixElement":
@@ -188,16 +182,11 @@ def _solve_family(
     `conditions(X)` maps a MatrixElement to a dict of exact numbers that
     must all vanish.
     """
-    coords = _parity_block(dims, parity)
-    # each condition gives one linear equation over the coords
-    rows: dict = {}
-    for i, coord in enumerate(coords):
-        for key, v in conditions(MatrixElement.unit(dims, *coord)).items():
-            if v:
-                rows.setdefault(key, {})[i] = v
     return [
-        MatrixElement(dims, {coords[i]: v for i, v in _primitive_terms(vec).items()}, parity)
-        for vec in nullspace(list(rows.values()), len(coords))
+        MatrixElement(dims, _primitive_terms(vec), parity)
+        for vec in joint_kernel(
+            _parity_block(dims, parity), [lambda rc: conditions(MatrixElement.unit(dims, *rc))]
+        )
     ]
 
 
@@ -269,16 +258,9 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
         fam = AlgebraFamily(tag, dims, basis)
     else:
         raise ValueError(f"unknown family tag {tag!r}")
-    if _span_tracker(fam).rank != fam.dimension:
+    if rank_rows(b.terms for b in fam.basis) != fam.dimension:
         raise AssertionError("family basis is linearly dependent")
     return fam
-
-
-def _span_tracker(fam: AlgebraFamily) -> SpanTracker:
-    tracker = SpanTracker()
-    for b in fam.basis:
-        tracker.add(b.terms)
-    return tracker
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ integer rows, eliminated fraction-free (Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968);
 ranks and nullspaces are read off that form.  No dense matrix is built and
 no floating point is used.
+
+This module is the only place that turns images into equation rows, and
+each job has one entry point: a kernel comes from `joint_kernel`, a
+one-shot rank from `rank_rows`, and `SpanTracker` is used directly only
+where rows stream in or membership is tested incrementally.
 """
 
 from __future__ import annotations
@@ -61,17 +66,21 @@ def nullspace(rows: Sequence[Mapping | Sequence], ncols: int) -> list[dict[int, 
 
 
 def joint_kernel(
-    keys: Iterable[tuple],
-    maps: Sequence[Callable[[tuple], Mapping]],
+    keys: Iterable[Hashable],
+    maps: Sequence[Callable[[Hashable], Mapping]],
     entry_cap: int | None = None,
 ) -> list[dict]:
     """Basis of the vectors on `keys` that every map sends to zero.
 
-    The callers pass only keys of weight zero under the diagonal elements:
-    no other key can appear in the kernel.  Each of `maps` sends a key to
-    its sparse image.  The basis is `nullspace` of the stacked images on
-    the keys, as one dict per free key.  CapExceeded is raised, before any
-    elimination, when the stacked matrix would exceed `entry_cap` entries.
+    Each of `maps` sends a key to its sparse image; zero entries are
+    dropped, so an image coordinate becomes an equation row only where some
+    key reaches it.  The basis is `nullspace` of the stacked images on the
+    keys, as one dict per free key, in key order.  CapExceeded is raised,
+    before any elimination, when the stacked matrix would exceed
+    `entry_cap` entries.  Any finite keys work: the invariant oracles pass
+    the keys of weight zero under the diagonal elements, the family solve
+    the matrix units of one parity block, the closed-form fit the indices
+    of its support words.
     """
     kept = list(keys)
     if not kept:
@@ -81,7 +90,8 @@ def joint_kernel(
         images: dict = {}
         for i, k in enumerate(kept):
             for u, c in f(k).items():
-                images.setdefault(u, {})[i] = c
+                if c:
+                    images.setdefault(u, {})[i] = c
         rows.extend(images.values())
     ncols = len(kept)
     if entry_cap is not None and len(rows) * ncols > entry_cap:

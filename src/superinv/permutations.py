@@ -127,14 +127,9 @@ class GroupAlgebraElement(SparseElement):
 
     def __init__(self, degree: int, terms: dict[Permutation, Coeff] | None = None):
         self.degree = degree
-        self.terms: dict[Permutation, Coeff] = {}
-        if terms:
-            for perm, coeff in terms.items():
-                if perm.degree != degree:
-                    raise ValueError("degree mismatch")
-                coeff = exact(coeff)
-                if coeff:
-                    self.terms[perm] = coeff
+        if terms and any(perm.degree != degree for perm in terms):
+            raise ValueError("degree mismatch")
+        self.terms: dict[Permutation, Coeff] = normalized(terms) if terms else {}
 
     @classmethod
     def _adopt(

@@ -25,10 +25,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    @property
-    def nrows(self) -> int:
-        return len(self.parts)
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())
@@ -54,14 +50,12 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def enumerate_partitions(
-    size: int, max_rows: Optional[int] = None, max_cols: Optional[int] = None
-) -> list[Partition]:
-    """All partitions of `size` within the given bounds, largest-first order."""
+def enumerate_partitions(size: int, max_rows: Optional[int] = None) -> list[Partition]:
+    """All partitions of `size` with at most `max_rows` rows, largest-first
+    order."""
     if size < 0:
         raise ValueError("size must be nonnegative")
     rows = size if max_rows is None else max_rows
-    cols = size if max_cols is None else max_cols
     out: list[Partition] = []
 
     def rec(remaining: int, bound: int, prefix: list[int]):
@@ -75,7 +69,7 @@ def enumerate_partitions(
             rec(remaining - part, part, prefix)
             prefix.pop()
 
-    rec(size, cols, [])
+    rec(size, size, [])
     return out
 
 
@@ -96,9 +90,6 @@ class YoungTableau:
     @property
     def size(self) -> int:
         return self.shape.size
-
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r][c]
 
     def cells(self) -> Iterator[tuple[int, int]]:
         return self.shape.cells()

@@ -28,7 +28,7 @@ from .alphabet import (
 )
 from .coefficients import Coeff, SparseElement, normalized
 from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights, weighs_zero
-from .linalg import joint_kernel, nullspace, rank_rows
+from .linalg import joint_kernel
 from .permutations import (
     GroupAlgebraElement,
     Permutation,
@@ -232,17 +232,10 @@ def split_rows_tableau(n: int, m: int, k: int) -> YoungTableau:
 
 
 def split_cols_tableau(n: int, m: int, k: int) -> YoungTableau:
-    """n rows, k+m columns; the first k columns are numbered column-wise
-    first, then the remaining m columns."""
-    parts = Partition(((k + m),) * n)
-    grid = [[0] * (k + m) for _ in range(n)]
-    for j in range(k):
-        for i in range(n):
-            grid[i][j] = j * n + i + 1
-    for j in range(m):
-        for i in range(n):
-            grid[i][k + j] = k * n + j * n + i + 1
-    return YoungTableau(parts, tuple(tuple(r) for r in grid))
+    """n rows, k+m columns, numbered column by column: cell (i, j) holds
+    j*n + i + 1."""
+    rows = tuple(tuple(j * n + i + 1 for j in range(k + m)) for i in range(n))
+    return YoungTableau(Partition((k + m,) * n), rows)
 
 
 def repeated_evens(n: int, k: int) -> Word:
@@ -527,22 +520,20 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
     support = nabla_support_words(dims)
     s = split_cols_tableau(n, m, 1)
     I1 = repeated_evens(n, 1)
-    images = [
-        symmetrize_element(s, "plain", TensorElement.from_word(dims, I1 + I))
+    # the kernel of x -> sum_j x_j e_s(I1 + I_j) - x_last nabla; nabla's
+    # column is last, so it is free, and one kernel vector holds it, exactly
+    # when nabla lies in the span of the images
+    last = len(support)
+    columns = [
+        symmetrize_element(s, "plain", TensorElement.from_word(dims, I1 + I)).terms
         for I in support
     ]
-    # one equation per word: sum_j x_j images[j] - x_last nabla = 0
-    last = len(support)
-    rows: dict = {}
-    for j, img in enumerate(images):
-        for w, c in img.terms.items():
-            rows.setdefault(w, {})[j] = c
-    for w, c in nabla.terms.items():
-        rows.setdefault(w, {})[last] = -c
-    solutions = [v for v in nullspace(list(rows.values()), last + 1) if last in v]
+    columns.append(nabla.scale(-1).terms)
+    kernel = joint_kernel(range(last + 1), [lambda j: columns[j]])
+    solutions = [v for v in kernel if last in v]
     report: dict = {
         "support_size": len(support),
-        "support_rank": rank_rows(img.terms for img in images),
+        "support_rank": last - len(kernel) + len(solutions),
         "in_span": bool(solutions),
     }
     if solutions:
@@ -576,13 +567,13 @@ def tensor_invariant_space(
 ) -> list[TensorElement]:
     """Exact basis of the joint kernel of the action of the given elements
     on the full word space: weight-filter by the diagonal elements
-    (`weighs_zero`), then a stacked nullspace over the off-diagonal ones.
+    (`weighs_zero`), then the joint kernel of the off-diagonal ones.
     Every given element acts, with no generating subset, so the tests use
     it as a full-basis reference."""
     weights = [slot_weights(x) for x in basis_elements if x.is_diagonal()]
     words = [L for L in all_words(dims, len(signature)) if weighs_zero(weights, signature, L)]
     maps = [
-        lambda w, t=x.slot_images(), p=x.parity: normalized(act_on_words(t, p, signature, {w: 1}))
+        lambda w, t=x.slot_images(), p=x.parity: act_on_words(t, p, signature, {w: 1})
         for x in basis_elements
         if not x.is_diagonal()
     ]

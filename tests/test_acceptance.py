@@ -5,57 +5,29 @@ vectors, with no tolerances anywhere.  Run with `pytest tests/test_acceptance.py
 to see the per-criterion lines.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from superinv.alphabet import IndexRange, all_words, ev, od
+from superinv.alphabet import IndexRange
 from superinv.claims import ClaimOptions, run_claim
 from superinv.generators import (
-    osp_relative_generators,
     scalar_products,
-    sl_extra_generators,
     spe_closed_form_element,
     spe_constructive_element,
     t2_tableaux,
 )
-from superinv.invariants import (
-    algebra_for,
-    check_generation,
-    invariant_space_bruteforce,
-    span_dimension,
-)
-from superinv.liealgebras import (
-    MatrixElement,
-    act_on_polynomial,
-    build_family,
-    yminus_expansion,
-)
-from superinv.named_polynomials import Pf_t, PPf_t, ppf_tableau
+from superinv.invariants import algebra_for, check_generation
+from superinv.liealgebras import act_on_polynomial, build_family, yminus_expansion
 from superinv.permutations import (
     Permutation,
     act_on_word,
     cocycle,
     young_symmetrizer,
 )
-from superinv.polynomials import (
-    make_sym_square_algebra,
-    monomials_of_degree,
-    make_uw_algebra,
-    Polynomial,
-)
-from superinv.tableaux import (
-    Partition,
-    count_semistandard,
-    enumerate_partitions,
-    enumerate_semistandard,
-    enumerate_standard_tableaux,
-    fill_rows,
-)
-from superinv.tensors import act_on_tensor, nabla_closed_form_report, nabla_construct
+from superinv.polynomials import monomials_of_degree, make_uw_algebra, Polynomial
+from superinv.tableaux import count_semistandard, enumerate_partitions, enumerate_standard_tableaux
+from superinv.tensors import act_on_tensor, nabla_closed_form_report
 from test_generators import t2_filter_oracle
 
 

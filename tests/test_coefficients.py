@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superinv import coefficients, liealgebras, permutations, polynomials
+from superinv import coefficients, liealgebras, permutations, polynomials, tensors
 from superinv.alphabet import IndexRange, ev, od
 from superinv.coefficients import SparseElement, exact
 from superinv.generators import spe_ppf_polynomials
@@ -28,8 +28,11 @@ CORE = ("__add__", "__sub__", "scale", "__eq__", "__bool__", "is_zero", "__str__
 
 def test_one_core_shared_by_the_containers():
     assert not hasattr(permutations, "_exact")
-    for module in (permutations, polynomials, liealgebras):
+    for module in (permutations, polynomials):
         assert module.exact is coefficients.exact
+    # every container constructor normalizes through the one shared rule
+    for module in (permutations, polynomials, liealgebras, tensors):
+        assert module.normalized is coefficients.normalized
     for cls in CONTAINERS:
         assert issubclass(cls, SparseElement)
         assert not set(CORE) & set(vars(cls)), cls

@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superinv.alphabet import IndexRange, ev, od
+from superinv.alphabet import IndexRange, ev
 from superinv.liealgebras import (
     MatrixElement,
     abs_exponent,
-    _span_tracker,
     act_on_polynomial,
     build_family,
-    gl_basis,
     t1_matrices,
     yminus_expansion,
     yminus_factors,
 )
 from superinv.invariants import algebra_for
+from superinv.linalg import SpanTracker
 from superinv.generators import xplus_factors
 from superinv.polynomials import (
     Polynomial,
@@ -54,10 +53,17 @@ def test_invalid_dims():
         build_family("nope", IndexRange(1, 1))
 
 
+def basis_span(fam) -> SpanTracker:
+    tracker = SpanTracker()
+    for b in fam.basis:
+        tracker.add(b.terms)
+    return tracker
+
+
 def bracket_closed(fam) -> bool:
     """Closure reference: every bracket of two basis elements lies in the
     span of the basis."""
-    tracker = _span_tracker(fam)
+    tracker = basis_span(fam)
     return all(tracker.contains(x.bracket(y).terms) for x in fam.basis for y in fam.basis)
 
 
@@ -91,7 +97,7 @@ def test_block_factors_lie_in_the_family(tag, n):
     E[i,j'] + E[j,i'], with which T7.2 builds its constructive elements,
     are elements of pe(n|n) and of spe(n|n)."""
     dims = IndexRange(n, n)
-    tracker = _span_tracker(build_family(tag, dims))
+    tracker = basis_span(build_family(tag, dims))
     factors = yminus_factors(dims) + xplus_factors(dims)
     assert len(factors) == n * n
     assert all(tracker.contains(x.terms) for x in factors)

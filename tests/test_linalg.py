@@ -163,3 +163,5 @@ def test_joint_kernel_entry_cap():
     with pytest.raises(CapExceeded):
         joint_kernel([(0,), (1,)], [lambda k: {"u": 1}], entry_cap=1)
     assert len(joint_kernel([(0,), (1,)], [lambda k: {"u": 1}], entry_cap=2)) == 1
+    # an explicit zero entry makes no row, so it adds nothing to the count
+    assert len(joint_kernel([(0,), (1,)], [lambda k: {"u": 1, "z": 0}], entry_cap=2)) == 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superinv
-from superinv import invariants, named_polynomials, permutations
+from superinv import invariants, permutations
 from superinv.alphabet import IndexRange, ev, od
 from superinv.errors import CapExceeded
 from superinv.named_polynomials import PPf_t, P_t, Pf_t, Z_of

@@ -25,11 +25,15 @@ from superinv.tensors import (
     marked_tableau_operator,
     nabla_closed_form_report,
     nabla_construct,
+    nabla_support_words,
     operator_setup,
     pair_dual_against,
     plain_word,
+    repeated_evens,
     sl_invariant_element,
     slot_permute,
+    split_cols_tableau,
+    symmetrize_element,
     tensor_invariant_space,
     theta,
     theta_power,
@@ -393,10 +397,22 @@ def test_nabla_at_1_2():
 
 
 def test_nabla_closed_form_report():
+    from superinv.linalg import rank_rows
+
     report = nabla_closed_form_report(IndexRange(1, 2))
     assert report["in_span"] is True
     assert report["support_size"] == 3
     assert report["single_global_ratio"] is False  # documented divergence
+    # the support rank, read off the fit's kernel, is the rank of the
+    # e_s-images of the support words
+    for n, m in [(1, 2), (2, 2)]:
+        dims = IndexRange(n, m)
+        s, head = split_cols_tableau(n, m, 1), repeated_evens(n, 1)
+        images = [
+            symmetrize_element(s, "plain", TensorElement.from_word(dims, head + I)).terms
+            for I in nabla_support_words(dims)
+        ]
+        assert nabla_closed_form_report(dims)["support_rank"] == rank_rows(images), (n, m)
 
 
 def test_tensor_invariants_need_balance():
