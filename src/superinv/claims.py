@@ -368,17 +368,21 @@ def run_t44(opts: ClaimOptions) -> list[CheckRecord]:
     return records
 
 
+def _t45_shape(dims: tuple[int, int]) -> Partition:
+    """The rectangle (2r+2)^(n+1) of T4.5 at --dims n,m, with r = m // 2."""
+    n, m = dims
+    return Partition((2 * (m // 2) + 2,) * (n + 1))
+
+
 def run_t45(opts: ClaimOptions) -> list[CheckRecord]:
     """Rectangle Pfaffians generate the relation ideal of the
     orthosymplectic scalar products."""
-    n, m = opts.dims
-    r = m // 2
     family = build_family("osp", IndexRange(*opts.dims))
     W = IndexRange(*opts.wdims)
     target = algebra_for(family, W.even_count, W.odd_count, 0, 0)
     source = make_sym_square_algebra(W, twisted=False)
     subs = substitution_map("osp", source, target)
-    shape = Partition(((2 * r + 2),) * (n + 1))
+    shape = _t45_shape(opts.dims)
     t = fill_rows(shape)
     # each quadratic symbol absorbs two word letters
     check_monomial_cap(source, shape.size // 2, opts.monomial_cap)
@@ -455,6 +459,12 @@ def run_t631(opts: ClaimOptions) -> list[CheckRecord]:
     return records
 
 
+def _t632_tableau(n: int):
+    """The hook tableau of T6.3.2 at pe(n|n), a `YoungTableau`: alphas
+    n+1, n, ..., 1."""
+    return ppf_tableau(tuple(range(n + 1, 0, -1)))
+
+
 def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     """Rectangle periplectic Pfaffians generate the relation ideal."""
     n = opts.dims[0]
@@ -463,8 +473,7 @@ def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
     target = algebra_for(family, W.even_count, W.odd_count, 0, 0)
     source = make_sym_square_algebra(W, twisted=True)
     subs = substitution_map("pe", source, target)
-    alphas = tuple(n + 2 - i for i in range(1, n + 2))
-    t = ppf_tableau(alphas)
+    t = _t632_tableau(n)
     check_monomial_cap(source, t.size // 2, opts.monomial_cap)
     rels = [f for I in enumerate_semistandard(t, W) if (f := PPf_t(source, t, I))]
     rid = f"T6.3.2:pe({n}|{n}):W{opts.wdims}"
@@ -692,6 +701,14 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
             raise InvalidOptions(
                 "needs --dims and --wdims whose column-split tableau fits the w-hook,"
                 f" or the relative family is empty, got --dims {even},{odd} --wdims {p},{q}"
+            )
+    if key in ("T4.5", "T6.3.2"):
+        p, q = opts.wdims
+        shape = _t45_shape(opts.dims) if key == "T4.5" else _t632_tableau(even).shape
+        if not shape.fits_hook(p, q):
+            raise InvalidOptions(
+                f"needs --dims and --wdims whose relation tableau {shape} fits the w-hook,"
+                f" or the relation family is empty, got --dims {even},{odd} --wdims {p},{q}"
             )
     if key == "T7.3":
         n, k = opts.n, opts.k

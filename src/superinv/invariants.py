@@ -302,15 +302,9 @@ def kernel_dimension_at_degree(
     subs: SubstitutionMap, degree: int, monomial_cap: int = DEFAULT_MONOMIAL_CAP
 ) -> int:
     """Dimension of the kernel of the substitution map on the degree-d
-    source monomials, block by block in the outer multidegree."""
-    blocks = blocked_monomials(subs.source, degree, monomial_cap)
-    total = 0
-    for monos in blocks.values():
-        tracker = SpanTracker()
-        for m in monos:
-            tracker.add(subs.image(m).terms)
-        total += len(monos) - tracker.rank
-    return total
+    source monomials: the pass of `relation_kernel_check` with no
+    relations, one streamed pass per block in the outer multidegree."""
+    return relation_kernel_check(subs, (), degree, monomial_cap).kernel_dim
 
 
 def relation_kernel_check(
@@ -320,13 +314,39 @@ def relation_kernel_check(
     monomial_cap: int = DEFAULT_MONOMIAL_CAP,
 ) -> RelationReport:
     """(a) every relation polynomial substitutes to zero; (b) at the stated
-    degree the kernel dimension equals the rank of the relation family."""
-    all_zero = True
-    for f in relation_polys:
+    degree the kernel dimension equals the rank of the relation family.
+
+    One streamed pass per block of `blocked_monomials` (whose cap is checked
+    before any substitution) serves both: each source monomial's image is
+    built once, added to the block's SpanTracker and into the block slice of
+    every relation containing the monomial, then dropped, so no block's
+    images are held at once.  The substitution preserves the outer
+    multidegree, so a relation's image is zero exactly when every block
+    slice of it is."""
+    occurrences: dict[Monomial, list] = {}
+    for i, f in enumerate(relation_polys):
+        if f.algebra is not subs.source:
+            raise ValueError("polynomial not over the source algebra")
         if not f.is_homogeneous_degree(degree):
             raise ValueError("relation polynomial has the wrong degree")
-        if not subs.apply(f).is_zero():
-            all_zero = False
-    kernel_dim = kernel_dimension_at_degree(subs, degree, monomial_cap)
+        for mono, coeff in f.terms.items():
+            occurrences.setdefault(mono, []).append((i, coeff))
+    all_zero, kernel_dim = True, 0
+    for monos in blocked_monomials(subs.source, degree, monomial_cap).values():
+        tracker = SpanTracker()
+        slices: dict[int, dict] = {}
+        for m in monos:
+            image = subs.image(m).terms
+            tracker.add(image)
+            for i, coeff in occurrences.get(m, ()):
+                out = slices.setdefault(i, {})
+                for key, v in image.items():
+                    c = out.get(key, 0) + v * coeff
+                    if c:
+                        out[key] = c
+                    else:
+                        del out[key]
+        kernel_dim += len(monos) - tracker.rank
+        all_zero = all_zero and not any(slices.values())
     span_dim = rank_rows(f.terms for f in relation_polys)
     return RelationReport(degree, len(relation_polys), all_zero, kernel_dim, span_dim)

@@ -2,11 +2,11 @@
 ranks, nullspaces, joint kernels and span membership.
 
 Vectors are sparse, as dicts from coordinates to ints or Fractions.
-`SpanTracker` keeps their span as a reduced row echelon form of primitive
-integer rows, eliminated fraction-free (Bareiss, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968);
-ranks and nullspaces are read off that form.  No dense matrix is built and
-no floating point is used.
+`SpanTracker` keeps their span as a reduced row echelon form of integer
+rows, eliminated fraction-free (Bareiss, Math. Comp. 22, 1968): each row is
+renormalised by its gcd, and denominators are cleared only when a row
+arrives holding a Fraction.  Ranks and nullspaces are read off that form,
+with no dense matrix and no floating point.
 
 This module is the only place that turns images into equation rows, and
 each job has one entry point: a kernel comes from `joint_kernel`, a
@@ -33,7 +33,15 @@ def _primitive(values: Sequence) -> list[int]:
 
 
 def _primitive_terms(v: dict) -> dict:
-    return dict(zip(v, _primitive(list(v.values()))))
+    """The dict's values made coprime integers, as `_primitive` makes them.
+    An integer row is divided by its gcd, and is returned itself when that
+    is 1, so callers pass a dict they own or only read; a row that holds a
+    Fraction (which `gcd` refuses) has its denominators cleared first."""
+    try:
+        g = gcd(*v.values())
+    except TypeError:
+        return dict(zip(v, _primitive(list(v.values()))))
+    return {k: x // g for k, x in v.items()} if g > 1 else v
 
 
 def bareiss_echelon(rows: Sequence[Mapping | Sequence]) -> dict[Hashable, dict[Hashable, int]]:

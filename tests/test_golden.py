@@ -66,3 +66,14 @@ def test_t51_dims_2_2_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / "options" / "T5.1_dims2,2.json").read_bytes()
+
+
+def test_t22_relations_report_matches_golden(capsys):
+    """T2.2 at --udims 1,2 --wdims 1,2 substitutes its 16 rectangle
+    relations to zero, and they span the 16-dimensional kernel: unlike the
+    catalog default, the relation pass has relations to check."""
+    argv = ["verify", "--theorem", "T2.2", "--udims", "1,2", "--wdims", "1,2", "--no-timing"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / "T2.2_udims1,2_wdims1,2.json").read_bytes()

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -283,20 +284,23 @@ def reference_apply(subs, f):
 _CLAIM_MAPS: dict = {}
 
 
-def _claim_map(claim):
-    """The substitution map and degree of the claim's relation check at its
-    catalog defaults (gl for T2.2, osp for T4.5, pe for T6.3.2)."""
-    if claim not in _CLAIM_MAPS:
+def _claim_map(claim, **options):
+    """The substitution map, degree and relations of the claim's relation
+    check at its catalog defaults (gl for T2.2, osp for T4.5, pe for
+    T6.3.2), with `options` replaced."""
+    key = (claim, *sorted(options.items()))
+    if key not in _CLAIM_MAPS:
         seen = []
 
         def record(subs, rels, degree, monomial_cap):
-            seen.append((subs, degree))
+            seen.append((subs, degree, list(rels)))
             return relation_kernel_check(subs, rels, degree, monomial_cap)
 
+        opts = replace(claims_module.CATALOG[claim].defaults, **options)
         with mock.patch.object(claims_module, "relation_kernel_check", record):
-            claims_module.run_claim(claim)
-        _CLAIM_MAPS[claim] = seen[0]
-    return _CLAIM_MAPS[claim]
+            claims_module.run_claim(claim, opts)
+        _CLAIM_MAPS[key] = seen[0]
+    return _CLAIM_MAPS[key]
 
 
 def _fresh(subs):
@@ -310,7 +314,7 @@ def test_apply_matches_reference_apply(claim, fresh, data):
     term order and coefficient types included, on runs of consecutive
     monomials (which share prefixes) plus a few of other degrees, with the
     table empty or filled by earlier calls."""
-    subs, degree = _claim_map(claim)
+    subs, degree, _ = _claim_map(claim)
     if fresh:
         subs = _fresh(subs)
     monos = monomials_of_degree(subs.source, data.draw(st.integers(1, degree)))
@@ -333,7 +337,7 @@ def test_kernel_dimension_through_the_prefix_table(claim, kernel):
     `reference_apply`; afterwards the prefix table holds only proper
     prefixes, keys shorter than the degree, so full-degree images are never
     kept."""
-    subs, degree = _claim_map(claim)
+    subs, degree, _ = _claim_map(claim)
     subs = _fresh(subs)
     assert kernel_dimension_at_degree(subs, degree) == kernel
     expected = 0
@@ -343,3 +347,81 @@ def test_kernel_dimension_through_the_prefix_table(claim, kernel):
     assert expected == kernel
     assert subs._prefixes
     assert all(len(key) < degree for key in subs._prefixes)
+
+
+def _t22_relations():
+    """A fresh substitution map, the 16 relations and the degree of T2.2 at
+    --udims 1,2 --wdims 1,2, and the outer-multidegree block of each
+    degree-d source monomial."""
+    subs, degree, rels = _claim_map("T2.2", udims=(1, 2), wdims=(1, 2))
+    block_of = {
+        m: key for key, monos in blocked_monomials(subs.source, degree).items() for m in monos
+    }
+    return _fresh(subs), rels, degree, block_of
+
+
+def _surviving_monomial(subs, block_of, keep):
+    """A source monomial whose block satisfies `keep` and whose image is
+    nonzero."""
+    return next(m for m, key in sorted(block_of.items()) if keep(key) and subs.image(m))
+
+
+def _relation_blocks(rels, block_of):
+    """The one block each relation lies in, by relation."""
+    blocks = [{block_of[m] for m in f.terms} for f in rels]
+    assert all(len(b) == 1 for b in blocks)
+    return [b.pop() for b in blocks]
+
+
+def _substitutes_to_zero(subs, f, degree):
+    """The pass's verdict on one relation, checked against `apply`."""
+    rep = relation_kernel_check(subs, [f], degree)
+    assert rep.all_substitute_to_zero == subs.apply(f).is_zero()
+    return rep.all_substitute_to_zero
+
+
+def test_relation_with_a_surviving_monomial_fails():
+    """A relation plus a monomial of its own block whose image survives."""
+    subs, rels, degree, block_of = _t22_relations()
+    f = rels[0]
+    home = _relation_blocks([f], block_of)[0]
+    m = _surviving_monomial(subs, block_of, lambda key: key == home)
+    assert not _substitutes_to_zero(subs, f + Polynomial(subs.source, {m: 1}), degree)
+
+
+def test_relation_across_blocks_fails_when_one_part_survives():
+    """A relation whose parts lie in two blocks: one part vanishes, the
+    other survives, so the relation does not substitute to zero."""
+    subs, rels, degree, block_of = _t22_relations()
+    f = rels[0]
+    home = _relation_blocks([f], block_of)[0]
+    m = _surviving_monomial(subs, block_of, lambda key: key != home)
+    g = f + Polynomial(subs.source, {m: 3})
+    assert {block_of[x] for x in g.terms} == {home, block_of[m]}
+    assert not _substitutes_to_zero(subs, g, degree)
+
+
+def test_sum_of_relations_from_two_blocks_vanishes():
+    subs, rels, degree, block_of = _t22_relations()
+    blocks = _relation_blocks(rels, block_of)
+    i = next(i for i, key in enumerate(blocks) if key != blocks[0])
+    assert _substitutes_to_zero(subs, rels[0] + rels[i].scale(-2), degree)
+    rep = relation_kernel_check(subs, [rels[0], rels[0] + rels[i], rels[i]], degree)
+    assert rep.all_substitute_to_zero
+    assert rep.relation_span_dim == 2
+
+
+def test_relation_guards():
+    """A relation over another algebra or of the wrong degree is refused,
+    and the monomial cap is checked before any substitution."""
+    subs, rels, degree, _ = _t22_relations()
+    twin = make_uw_algebra(IndexRange(1, 2), IndexRange(1, 2))
+    assert twin is not subs.source
+    with pytest.raises(ValueError):
+        relation_kernel_check(subs, [rels[0], Polynomial(twin, rels[1].terms)], degree)
+    short = Polynomial(subs.source, {monomials_of_degree(subs.source, degree - 1)[0]: 1})
+    with pytest.raises(ValueError):
+        relation_kernel_check(subs, [rels[0], short], degree)
+    with pytest.raises(CapExceeded):
+        relation_kernel_check(subs, rels, degree, monomial_cap=1)
+    assert not subs._prefixes
