@@ -702,6 +702,13 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
                 "needs --dims and --wdims whose column-split tableau fits the w-hook,"
                 f" or the relative family is empty, got --dims {even},{odd} --wdims {p},{q}"
             )
+    # S^2 W spans the scalar products, and each T4.4 and T6.3.1 shape holds the row (2)
+    if key in ("T4.3", "T4.4", "T6.2", "T6.3.1") and not Partition((2,)).fits_hook(*opts.wdims):
+        p, q = opts.wdims
+        raise InvalidOptions(
+            "needs --wdims whose hook fits the row (2), or every family is empty,"
+            f" got --wdims {p},{q}"
+        )
     if key in ("T4.5", "T6.3.2"):
         p, q = opts.wdims
         shape = _t45_shape(opts.dims) if key == "T4.5" else _t632_tableau(even).shape

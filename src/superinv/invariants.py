@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .alphabet import IndexRange
-from .coefficients import Coeff
+from .coefficients import Coeff, add_scaled
 from .errors import CapExceeded
 from .liealgebras import (
     AlgebraFamily,
     act_through_images,
+    action_table,
     annihilates,
     diagonal_weights,
-    generator_images,
 )
 from .linalg import SpanTracker, joint_kernel, rank_rows
 from .polynomials import (
@@ -111,27 +111,24 @@ def invariant_space_bruteforce(
     weight zero under all of them can occur: the walk of
     `blocked_monomials` enumerates just those, pruning as it goes.  The
     monomial cap still counts the full degree-d basis.  The elements of
-    `family.generators` act through their generator-image tables
-    (`generator_images`), built once per call: the annihilator of a
-    polynomial is a Lie sub-superalgebra, so on weight-zero monomials their
-    joint kernel is the kernel of every off-diagonal element, and it is
-    read off the reduced echelon form.  Every basis polynomial is then
-    checked against every element of the family (`annihilates`),
-    independently of the generating subset.
+    `family.generators` share one `action_table`, built once per call, and
+    act on each monomial in one walk: the annihilator of a polynomial is a
+    Lie sub-superalgebra, so on weight-zero monomials their joint kernel is
+    the kernel of every off-diagonal element, and it is read off the
+    reduced echelon form.  Every basis polynomial is then checked against
+    every element of the family (`annihilates`), independently of the
+    generating subset.
     """
     blocks = blocked_monomials(
         algebra, degree, monomial_cap, diagonal_weights(family, algebra)
     )
-    maps = [
-        lambda m, t=generator_images(x, algebra), p=x.parity: act_through_images(
-            t, p, algebra, {m: 1}
-        )
-        for x in family.generators
-    ]
+    table = action_table(family.generators, algebra)
     basis = [
         Polynomial(algebra, terms)
         for key in sorted(blocks)
-        for terms in joint_kernel(blocks[key], maps, DEFAULT_ENTRY_CAP)
+        for terms in joint_kernel(
+            blocks[key], lambda m: act_through_images(table, algebra, {m: 1}), DEFAULT_ENTRY_CAP
+        )
     ]
     if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")
@@ -339,14 +336,8 @@ def relation_kernel_check(
             image = subs.image(m).terms
             tracker.add(image)
             for i, coeff in occurrences.get(m, ()):
-                out = slices.setdefault(i, {})
-                for key, v in image.items():
-                    c = out.get(key, 0) + v * coeff
-                    if c:
-                        out[key] = c
-                    else:
-                        del out[key]
+                add_scaled(slices.setdefault(i, {}), image, coeff)
         kernel_dim += len(monos) - tracker.rank
-        all_zero = all_zero and not any(slices.values())
+        all_zero = all_zero and not any(any(out.values()) for out in slices.values())
     span_dim = rank_rows(f.terms for f in relation_polys)
     return RelationReport(degree, len(relation_polys), all_zero, kernel_dim, span_dim)

@@ -1,15 +1,17 @@
 """Matrix Lie superalgebras gl, sl, osp, pe, spe: bases, brackets, and the
 derivation action: one letter-image table per dual flag for each element
 (`MatrixElement.slot_images`), extended to tensor words (`act_on_words`)
-and to polynomials (`generator_images`, `act_through_images`).
+and to polynomials, where a list of elements acts in one batched walk over
+the terms (`action_table`, `act_through_images`).
 
 Invariance is decided by one predicate, `invariant(family, items)`, for
 polynomials and tensors alike: weight zero under the diagonal basis, read
-off the elements' own image entries (`diagonal_weights`, `slot_weights`),
+off the elements' own diagonal entries (`diagonal_weights`, `slot_weights`),
 and annihilation by `AlgebraFamily.generators`, a subset of the
 off-diagonal basis that generates the family with the diagonal, certified
 once per family by an exact bracket span.  `annihilates(elements, polys)`
-stays the plain check against a given list of elements.
+stays the plain check against a given list of elements, all of them acting
+on a polynomial in one walk.
 
 Each preserved form is written once, as a table (`invariant_form`) that
 every layer reads.  Form-preserving families are not hand-coded; their bases
@@ -185,7 +187,7 @@ def _solve_family(
     return [
         MatrixElement(dims, _primitive_terms(vec), parity)
         for vec in joint_kernel(
-            _parity_block(dims, parity), [lambda rc: conditions(MatrixElement.unit(dims, *rc))]
+            _parity_block(dims, parity), lambda rc: [conditions(MatrixElement.unit(dims, *rc))]
         )
     ]
 
@@ -296,65 +298,73 @@ def act_on_words(
     return out
 
 
-def generator_images(x: MatrixElement, algebra: AlgebraDescriptor) -> list:
-    """The image of each generator under x, as a tuple of (generator index,
-    coefficient) pairs, or None for a generator without an inner action.
-
-    x[r,i] carries the vector slot i and x*[i,s] the covector slot i; each
-    goes to its slot's image, and x[r,i] takes the sign (-1)^{p(x)p(r)} of
-    crossing the u-factor first.
-    """
-    if algebra.v_range is not None and algebra.v_range != x.dims:
+def action_table(elements: Sequence[MatrixElement], algebra: AlgebraDescriptor) -> tuple:
+    """The generator images of all `elements` merged for one walk: (element
+    count, one row per generator, None without an inner action).  x[r,i]
+    and x*[i,s] go to the image of slot i (`slot_images`), and x[r,i] takes
+    the sign (-1)^{p(x)p(r)} of crossing the u-factor first.  A row holds,
+    for an even and then an odd parity of the factors before the generator,
+    its diagonal entries (slot, coefficient) and its other targets (target,
+    [(slot, coefficient), ...]), an odd element negated in the odd half."""
+    if algebra.v_range is not None and any(x.dims != algebra.v_range for x in elements):
         raise ValueError("matrix dimensions do not match the algebra's inner space")
-    vector, covector = x.slot_images()
+    tables = [(x.slot_images(), x.parity) for x in elements]
     index = algebra.maybe_index
-    out: list = []
-    for g in algebra.generators:
-        if g.family == "uv":
-            sign = -1 if x.parity and g.row.parity else 1
-            image = vector.get(g.col, ())
-            pairs = [(index("uv", g.row, a), v * sign) for a, v in image]
-        elif g.family == "vw":
-            image = covector.get(g.row, ())
-            pairs = [(index("vw", b, g.col), v) for b, v in image]
-        else:
-            out.append(None)
+    rows: list = []
+    for gen, g in enumerate(algebra.generators):
+        if g.family not in ("uv", "vw"):
+            rows.append(None)
             continue
-        out.append(tuple((i, v) for i, v in pairs if i is not None))
-    return out
+        halves = (([], {}), ([], {}))
+        for slot, ((vector, covector), parity) in enumerate(tables):
+            if g.family == "uv":
+                sign = -1 if parity and g.row.parity else 1
+                pairs = [(index("uv", g.row, a), v * sign) for a, v in vector.get(g.col, ())]
+            else:
+                pairs = [(index("vw", b, g.col), v) for b, v in covector.get(g.row, ())]
+            for idx, v in pairs:
+                for odd, (diagonal, moved) in enumerate(halves):
+                    entry = (slot, -v if odd and parity else v)
+                    if idx == gen:
+                        diagonal.append(entry)
+                    elif idx is not None:
+                        moved.setdefault(idx, []).append(entry)
+        rows.append([(diagonal, list(moved.items())) for diagonal, moved in halves])
+    return len(elements), rows
 
 
-def act_through_images(
-    images: list, parity: int, algebra: AlgebraDescriptor, terms: dict
-) -> dict:
-    """An element of the given parity, with generator images `images`,
-    applied as a super-derivation to a term dict.
+def act_through_images(table: tuple, algebra: AlgebraDescriptor, terms: dict) -> list[dict]:
+    """Every element of an `action_table` applied as a super-derivation to a
+    term dict in one walk: one raw image dict per element, zeros left in and
+    coefficients not made exact (wrap an image in `Polynomial` for that).
 
-    Each factor of a monomial is replaced in turn by its image, with the
-    sign (-1)^{parity * p(factors before it)}; the new factor goes back into
-    the sorted rest of the monomial by bisection, with the Koszul sign of
-    the odd factors it crosses, and the term is zero when an odd factor
-    repeats.  Returns raw sums: zeros are left in, and coefficients are not
-    made exact (wrap the result in `Polynomial` for that).
+    Each factor of a monomial is replaced in turn by its image; the new
+    factor goes back into the sorted rest of the monomial by bisection, with
+    the Koszul sign of the odd factors it crosses, and the term is zero when
+    an odd factor repeats.  The odd-factor prefix and each rest are built
+    once for all elements; a diagonal entry adds to the monomial itself.
     """
+    size, rows = table
     parities = algebra.parities
-    out: dict = {}
-    get = out.get
+    outs: list[dict] = [{} for _ in range(size)]
     for mono, coeff in terms.items():
         odd_before = [0]
         for g in mono:
             odd_before.append(odd_before[-1] + parities[g])
         for pos, gen in enumerate(mono):
-            image = images[gen]
-            if image is None:
+            if (row := rows[gen]) is None:
                 family = algebra.generators[gen].family
                 raise ValueError(f"family {family!r} carries no inner action")
-            if not image:
+            diagonal, moved = row[odd_before[pos] & 1]
+            for slot, v in diagonal:
+                out = outs[slot]
+                out[mono] = out.get(mono, 0) + coeff * v
+            if not moved:
                 continue
             rest = mono[:pos] + mono[pos + 1 :]
-            c = -coeff if parity and odd_before[pos] % 2 else coeff
-            for idx, v in image:
+            for idx, entries in moved:
                 k = bisect_left(rest, idx)
+                c = coeff
                 if parities[idx]:
                     if k < len(rest) and rest[k] == idx:
                         continue
@@ -363,48 +373,47 @@ def act_through_images(
                         crossed = odd_before[pos] - odd_before[k]
                     else:
                         crossed = odd_before[k + 1] - odd_before[pos + 1]
-                    if crossed % 2:
-                        v = -v
+                    if crossed & 1:
+                        c = -coeff
                 key = rest[:k] + (idx,) + rest[k:]
-                out[key] = get(key, 0) + c * v
-    return out
+                for slot, v in entries:
+                    out = outs[slot]
+                    out[key] = out.get(key, 0) + c * v
+    return outs
 
 
 def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     """Super-derivation extension of the generator action."""
-    algebra = f.algebra
-    images = generator_images(x, algebra)
-    return Polynomial(algebra, act_through_images(images, x.parity, algebra, f.terms))
+    (image,) = act_through_images(action_table([x], f.algebra), f.algebra, f.terms)
+    return Polynomial(f.algebra, image)
 
 
 def annihilates(basis: Sequence[MatrixElement], polys: Iterable[Polynomial]) -> bool:
     """Whether every element of `basis` kills every polynomial of `polys`.
 
-    Generator images are built once per algebra.  The action is linear, so
-    each polynomial's primitive integer multiple is acted on, and the check
-    stops at the first nonzero image.
-    """
+    All the elements act on each polynomial's primitive integer multiple in
+    one walk, through one action table per algebra; the check stops at the
+    first polynomial with a nonzero image."""
     tables: dict = {}
     for f in polys:
-        algebra = f.algebra
-        if algebra not in tables:
-            tables[algebra] = [(generator_images(x, algebra), x.parity) for x in basis]
-        terms = _primitive_terms(f.terms)
-        for images, parity in tables[algebra]:
-            if any(act_through_images(images, parity, algebra, terms).values()):
-                return False
+        if f.algebra not in tables:
+            tables[f.algebra] = action_table(basis, f.algebra)
+        images = act_through_images(tables[f.algebra], f.algebra, _primitive_terms(f.terms))
+        if any(any(image.values()) for image in images):
+            return False
     return True
 
 
 def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
-    """One weight per generator for each diagonal basis element x: the
-    coefficient of the generator in its own image, which is its inner
-    slot's own entry (x[c, c] on a uv generator of column c, -x[r, r] on a
-    vw generator of row r), and 0 on generators without an inner action.
+    """One weight per generator for each diagonal basis element x: its
+    `action_table` diagonal entry, the coefficient of the generator in its
+    own image (x[c, c] on a uv generator of column c, -x[r, r] on a vw
+    generator of row r), and 0 on generators without an inner action.
     x multiplies a monomial by the sum of its factors' weights."""
+    size, rows = action_table(family.diagonal_basis(), algebra)
     return [
-        tuple(dict(image or ()).get(g, 0) for g, image in enumerate(generator_images(x, algebra)))
-        for x in family.diagonal_basis()
+        tuple(sum(v for s, v in row[0][0] if s == slot) if row else 0 for row in rows)
+        for slot in range(size)
     ]
 
 

@@ -75,32 +75,30 @@ def nullspace(rows: Sequence[Mapping | Sequence], ncols: int) -> list[dict[int, 
 
 def joint_kernel(
     keys: Iterable[Hashable],
-    maps: Sequence[Callable[[Hashable], Mapping]],
+    images: Callable[[Hashable], Sequence[Mapping]],
     entry_cap: int | None = None,
 ) -> list[dict]:
-    """Basis of the vectors on `keys` that every map sends to zero.
+    """Basis of the vectors on `keys` that every condition sends to zero.
 
-    Each of `maps` sends a key to its sparse image; zero entries are
-    dropped, so an image coordinate becomes an equation row only where some
-    key reaches it.  The basis is `nullspace` of the stacked images on the
-    keys, as one dict per free key, in key order.  CapExceeded is raised,
-    before any elimination, when the stacked matrix would exceed
-    `entry_cap` entries.  Any finite keys work: the invariant oracles pass
-    the keys of weight zero under the diagonal elements, the family solve
-    the matrix units of one parity block, the closed-form fit the indices
-    of its support words.
+    `images(key)` returns the key's sparse image under each condition, in
+    one fixed order, so a batched action builds them all in one walk.  The
+    images are stacked condition by condition with zero entries dropped, so
+    a coordinate becomes an equation row only where some key reaches it;
+    the basis is `nullspace` of that matrix, one dict per free key, in key
+    order.  CapExceeded is raised, before any elimination, when the matrix
+    would exceed `entry_cap` entries.  Any finite keys work: weight-zero
+    monomials or words, the matrix units of a parity block, support indices.
     """
     kept = list(keys)
     if not kept:
         return []
-    rows: list[dict] = []
-    for f in maps:
-        images: dict = {}
-        for i, k in enumerate(kept):
-            for u, c in f(k).items():
+    conditions: dict = {}
+    for i, k in enumerate(kept):
+        for j, image in enumerate(images(k)):
+            for u, c in image.items():
                 if c:
-                    images.setdefault(u, {})[i] = c
-        rows.extend(images.values())
+                    conditions.setdefault(j, {}).setdefault(u, {})[i] = c
+    rows = [row for j in sorted(conditions) for row in conditions[j].values()]
     ncols = len(kept)
     if entry_cap is not None and len(rows) * ncols > entry_cap:
         raise CapExceeded("action matrix", len(rows) * ncols, entry_cap)

@@ -202,7 +202,8 @@ def is_semistandard(t: YoungTableau, word: Sequence[SuperIndex]) -> bool:
         grid[r][c] = word[num - 1]
     for r, row in enumerate(grid):
         for c, val in enumerate(row):
-            assert val is not None
+            if val is None:
+                raise AssertionError("the tableau's numbering misses a cell")
             if not _check_filling(grid, r, c, val):
                 return False
     return True

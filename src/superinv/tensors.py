@@ -529,7 +529,7 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
         for I in support
     ]
     columns.append(nabla.scale(-1).terms)
-    kernel = joint_kernel(range(last + 1), [lambda j: columns[j]])
+    kernel = joint_kernel(range(last + 1), lambda j: [columns[j]])
     solutions = [v for v in kernel if last in v]
     report: dict = {
         "support_size": len(support),
@@ -572,15 +572,9 @@ def tensor_invariant_space(
     it as a full-basis reference."""
     weights = [slot_weights(x) for x in basis_elements if x.is_diagonal()]
     words = [L for L in all_words(dims, len(signature)) if weighs_zero(weights, signature, L)]
-    maps = [
-        lambda w, t=x.slot_images(), p=x.parity: act_on_words(t, p, signature, {w: 1})
-        for x in basis_elements
-        if not x.is_diagonal()
-    ]
-    out = []
-    for terms in joint_kernel(words, maps):
-        elt = TensorElement(dims, signature, terms)
-        for x in basis_elements:
-            assert act_on_tensor(x, elt).is_zero()
-        out.append(elt)
+    actions = [(x.slot_images(), x.parity) for x in basis_elements if not x.is_diagonal()]
+    kernel = joint_kernel(words, lambda w: [act_on_words(*a, signature, {w: 1}) for a in actions])
+    out = [TensorElement(dims, signature, terms) for terms in kernel]
+    if not all(act_on_tensor(x, t).is_zero() for t in out for x in basis_elements):
+        raise AssertionError("tensor oracle produced a non-invariant")
     return out

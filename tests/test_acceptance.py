@@ -147,11 +147,14 @@ def test_ac6_osp():
     rectangle relations."""
     t0 = time.time()
     fam = build_family("osp", IndexRange(1, 2))
-    for wdims in [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]:
+    for wdims in [(1, 0), (0, 2), (1, 1), (2, 0), (2, 1)]:
         records = run_claim(
             "T4.3", ClaimOptions(dims=(1, 2), wdims=wdims, max_degree=4)
         )
         assert all(r.status == "pass" for r in records), wdims
+    # one odd W letter has no scalar product, so every record would be vacuous
+    with pytest.raises(InvalidOptions, match="--wdims"):
+        run_claim("T4.3", ClaimOptions(dims=(1, 2), wdims=(0, 1), max_degree=4))
     records = run_claim("T4.4", ClaimOptions(wdims=(2, 1), max_degree=4))
     assert all(r.status == "pass" for r in records)
     records = run_claim("T4.5", ClaimOptions(dims=(1, 2), wdims=(2, 1)))

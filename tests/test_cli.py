@@ -1,14 +1,16 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superinv.claims import KNOWN_CLAIMS
+from superinv.claims import CATALOG, KNOWN_CLAIMS
 from superinv.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -301,6 +303,8 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T4.5", "--wdims", "0,3"),
         ("--theorem", "T6.3.2", "--wdims", "0,2"),
         ("--theorem", "T4.5", "--dims", "2,2", "--wdims", "2,1"),
+        # the row (2) misses the W hook: no scalar product, every family empty
+        *(("--theorem", claim, "--wdims", "0,1") for claim in ("T4.3", "T4.4", "T6.2", "T6.3.1")),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):
@@ -493,3 +497,63 @@ def test_verify_random_small_options_keep_exit_contract(claim, n, k, dims, udims
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     elif code != EXIT_CAP:
         assert json.loads(out.getvalue())["checks"]
+
+
+# ---------------------------------------------------------------------------
+# the verdict map: exit code and non-pass records of every small vector
+
+VERDICTS = Path(__file__).parent / "golden" / "verdicts.json"
+
+
+def _verdict_vectors():
+    """Every claim with --dims, then --wdims, over {0,1,2}^2 and the other
+    options at the claim's defaults, leaving out the `_slow` vectors."""
+    pairs = list(itertools.product(range(3), repeat=2))
+    for claim in KNOWN_CLAIMS:
+        d = CATALOG[claim].defaults
+        for flag, pair in itertools.product(("dims", "wdims"), pairs):
+            dims, wdims = (pair, d.wdims) if flag == "dims" else (d.dims, pair)
+            if not _slow(claim, d.n, d.k, dims, d.udims, wdims):
+                yield claim, f"--{flag}", f"{pair[0]},{pair[1]}"
+
+
+def verdict_map() -> dict:
+    """For each vector, run in process: its exit code and the sorted ids of
+    its non-pass records (none when it writes no report)."""
+    out = {}
+    for argv in _verdict_vectors():
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--theorem", *argv, "--no-timing"])
+        checks = json.loads(report.getvalue())["checks"] if report.getvalue() else []
+        out[" ".join(argv)] = {
+            "exit": code,
+            "non_pass": sorted(c["id"] for c in checks if c["status"] != "pass"),
+        }
+    return out
+
+
+def test_verdict_map_is_unchanged():
+    """Every small vector keeps its exit code and its non-pass records
+    (about 2 s on a 2-core machine); a vector that fails a check (exit 1)
+    names the ROADMAP item that tracks it.  Regenerate with
+    `PYTHONPATH=src python tests/test_cli.py`, which keeps those item
+    numbers."""
+    golden = json.loads(VERDICTS.read_text())
+    got = verdict_map()
+    verdicts = {
+        v: {k: x for k, x in entry.items() if k != "roadmap_item"} for v, entry in golden.items()
+    }
+    changed = sorted(v for v in got.keys() | verdicts.keys() if got.get(v) != verdicts.get(v))
+    assert not changed, changed
+    failing = [entry for entry in golden.values() if entry["exit"] == EXIT_CHECK_FAILED]
+    assert all(isinstance(entry.get("roadmap_item"), int) for entry in failing)
+
+
+if __name__ == "__main__":
+    old = json.loads(VERDICTS.read_text()) if VERDICTS.exists() else {}
+    new = verdict_map()
+    for vector, entry in new.items():
+        if "roadmap_item" in old.get(vector, {}):
+            entry["roadmap_item"] = old[vector]["roadmap_item"]
+    VERDICTS.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

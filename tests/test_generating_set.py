@@ -282,14 +282,18 @@ def test_reports_do_not_depend_on_the_generating_subset(monkeypatch, capsys):
 
 
 def test_oracle_stacks_one_map_per_generator(monkeypatch):
-    """gl(2|1) stacks 4 kernel maps per block, not its 6 off-diagonal
+    """gl(2|1) stacks 4 kernel conditions per key, not its 6 off-diagonal
     elements, and the basis is unchanged."""
     real = invariants_module.joint_kernel
     stacked = []
 
-    def counting(keys, maps, entry_cap=None):
-        stacked.append(len(maps))
-        return real(keys, maps, entry_cap)
+    def counting(keys, images, entry_cap=None):
+        def counted(key):
+            out = images(key)
+            stacked.append(len(out))
+            return out
+
+        return real(keys, counted, entry_cap)
 
     fam = build_family("gl", IndexRange(2, 1))
     alg = algebra_for(fam, 2, 1, 2, 1)
@@ -309,20 +313,20 @@ def test_t73_acts_with_the_generators_on_each_polynomial(monkeypatch):
     elements: dict = {}
     acted: dict = {}
     checking = []
-    real_images = liealgebras_module.generator_images
+    real_table = liealgebras_module.action_table
     real_act = liealgebras_module.act_through_images
     real_invariant = liealgebras_module.invariant
 
-    def images(x, algebra):
-        out = real_images(x, algebra)
-        elements[id(out)] = (str(x), out)  # keep `out` alive so ids stay unique
+    def table(xs, algebra):
+        out = real_table(xs, algebra)
+        elements[id(out)] = ([str(x) for x in xs], out)  # keep `out` alive so ids stay unique
         return out
 
-    def act(table, parity, algebra, terms):
+    def act(table, algebra, terms):
         if checking and algebra.w_range == IndexRange(2, 2):
             key = frozenset(terms.items())
-            acted.setdefault(key, []).append(elements[id(table)][0])
-        return real_act(table, parity, algebra, terms)
+            acted.setdefault(key, []).extend(elements[id(table)][0])
+        return real_act(table, algebra, terms)
 
     def counted_invariant(family, items):
         checking.append(True)
@@ -331,7 +335,7 @@ def test_t73_acts_with_the_generators_on_each_polynomial(monkeypatch):
         finally:
             checking.pop()
 
-    monkeypatch.setattr(liealgebras_module, "generator_images", images)
+    monkeypatch.setattr(liealgebras_module, "action_table", table)
     monkeypatch.setattr(liealgebras_module, "act_through_images", act)
     monkeypatch.setattr(claims, "invariant", counted_invariant)
     assert main(["verify", "--theorem", "T7.3", "--no-timing"]) == EXIT_OK

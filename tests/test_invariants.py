@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superinv.alphabet import IndexRange, ev
+from superinv.alphabet import IndexRange, ev, od
 import superinv.claims as claims_module
 import superinv.invariants as invariants_module
 from superinv.invariants import (
@@ -21,7 +21,7 @@ from superinv.invariants import (
     kernel_dimension_at_degree,
     relation_kernel_check,
 )
-from superinv.liealgebras import build_family, diagonal_weights
+from superinv.liealgebras import AlgebraFamily, MatrixElement, build_family, diagonal_weights
 from superinv.linalg import rank_rows
 from superinv.generators import scalar_products, substitution_map
 from superinv.named_polynomials import P_t
@@ -245,13 +245,26 @@ def test_verification_catches_a_non_invariant(monkeypatch):
     kernel vector that is not invariant raises AssertionError."""
     real = invariants_module.joint_kernel
 
-    def with_a_lone_monomial(keys, maps, entry_cap=None):
+    def with_a_lone_monomial(keys, images, entry_cap=None):
         keys = list(keys)
-        return real(keys, maps, entry_cap) + [{keys[0]: 1}]
+        return real(keys, images, entry_cap) + [{keys[0]: 1}]
 
     monkeypatch.setattr(invariants_module, "joint_kernel", with_a_lone_monomial)
     fam = build_family("gl", IndexRange(2, 0))
     alg = algebra_for(fam, 1, 0, 1, 0)
+    with pytest.raises(AssertionError, match="non-invariant"):
+        invariant_space_bruteforce(fam, alg, 2)
+
+
+def test_verification_catches_a_wrong_generating_subset(monkeypatch):
+    """The re-check acts with every basis element, not with the generating
+    subset the kernel was built from: with E[1,1'] alone as the generators
+    of gl(2|1), its kernel holds non-invariants, and the oracle raises."""
+    dims = IndexRange(2, 1)
+    lone = [MatrixElement.unit(dims, ev(1), od(1))]
+    monkeypatch.setattr(AlgebraFamily, "generators", property(lambda fam: lone))
+    fam = build_family("gl", dims)
+    alg = algebra_for(fam, 2, 1, 2, 1)
     with pytest.raises(AssertionError, match="non-invariant"):
         invariant_space_bruteforce(fam, alg, 2)
 

@@ -10,6 +10,8 @@ from superinv.liealgebras import (
     MatrixElement,
     abs_exponent,
     act_on_polynomial,
+    act_through_images,
+    action_table,
     build_family,
     t1_matrices,
     yminus_expansion,
@@ -325,17 +327,24 @@ _ACTION_FAMILIES = [
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_ACTION_FAMILIES), st.tuples(*[st.integers(0, 2)] * 4), st.data())
 def test_action_matches_the_per_term_reference(family_dims, pqkl, data):
-    """act_on_polynomial equals the per-term reference on random
-    polynomials with int and Fraction coefficients, for even and odd
-    elements, and keeps every integral coefficient an int."""
+    """act_on_polynomial, and the batched walk of 1 to 3 elements of mixed
+    parity (`action_table`), equal the per-term reference slot by slot on
+    random polynomials with int and Fraction coefficients, and keep every
+    integral coefficient an int."""
     tag, dims = family_dims
     fam = build_family(tag, IndexRange(*dims))
     alg = algebra_for(fam, *pqkl)
-    parity = data.draw(st.sampled_from(sorted({b.parity for b in fam.basis})))
-    same = [b for b in fam.basis if b.parity == parity]
-    x = same[0]
-    for b in same[1:]:
-        x = x + b.scale(data.draw(st.integers(-2, 2)))
+    parities = sorted({b.parity for b in fam.basis})
+    xs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        # a combination of the basis elements of one parity, diagonal ones included
+        parity = data.draw(st.sampled_from(parities))
+        same = [b for b in fam.basis if b.parity == parity]
+        x = same[0]
+        for b in same[1:]:
+            x = x + b.scale(data.draw(st.integers(-2, 2)))
+        xs.append(x)
+    x = xs[0]
     # an algebra without generators has only the constant monomial
     monos = monomials_of_degree(alg, data.draw(st.integers(0, 3))) or [()]
     coeff = st.one_of(
@@ -347,6 +356,10 @@ def test_action_matches_the_per_term_reference(family_dims, pqkl, data):
     got = act_on_polynomial(x, f)
     assert got == reference_act(x, f)
     assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+    images = act_through_images(action_table(xs, alg), alg, f.terms)
+    batched = [Polynomial(alg, image) for image in images]
+    assert batched == [reference_act(y, f) for y in xs]
+    assert all(type(c) is int for g in batched for c in g.terms.values() if c.denominator == 1)
 
 
 def test_action_needs_an_inner_action():
@@ -357,3 +370,5 @@ def test_action_needs_an_inner_action():
     assert act_on_polynomial(x, alg.zero()).is_zero()
     with pytest.raises(ValueError, match="inner action"):
         act_on_polynomial(x, alg.gen(0))
+    with pytest.raises(ValueError, match="inner action"):
+        act_through_images(action_table([x, x], alg), alg, alg.gen(0).terms)

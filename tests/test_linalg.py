@@ -150,18 +150,25 @@ def test_joint_kernel_without_weights_matches_nullspace(data):
     ncols = len(rows[0])
     keys = [(j,) for j in range(ncols)]
     half = len(rows) // 2
-    maps = [
-        lambda k, part=part: {i: r[k[0]] for i, r in enumerate(part) if r[k[0]]}
-        for part in (rows[:half], rows[half:])
-    ]
+
+    def images(k):
+        # two conditions, each the column of k in one half of the rows
+        return [
+            {i: r[k[0]] for i, r in enumerate(part) if r[k[0]]}
+            for part in (rows[:half], rows[half:])
+        ]
+
     expected = [{keys[j]: x for j, x in v.items()} for v in nullspace(rows, ncols)]
-    assert joint_kernel(keys, maps) == expected
+    assert joint_kernel(keys, images) == expected
 
 
 def test_joint_kernel_entry_cap():
     # two kept keys, one image row: 2 entries
     with pytest.raises(CapExceeded):
-        joint_kernel([(0,), (1,)], [lambda k: {"u": 1}], entry_cap=1)
-    assert len(joint_kernel([(0,), (1,)], [lambda k: {"u": 1}], entry_cap=2)) == 1
+        joint_kernel([(0,), (1,)], lambda k: [{"u": 1}], entry_cap=1)
+    assert len(joint_kernel([(0,), (1,)], lambda k: [{"u": 1}], entry_cap=2)) == 1
     # an explicit zero entry makes no row, so it adds nothing to the count
-    assert len(joint_kernel([(0,), (1,)], [lambda k: {"u": 1, "z": 0}], entry_cap=2)) == 1
+    assert len(joint_kernel([(0,), (1,)], lambda k: [{"u": 1, "z": 0}], entry_cap=2)) == 1
+    # rows are stacked condition by condition: two conditions, two rows
+    with pytest.raises(CapExceeded):
+        joint_kernel([(0,), (1,)], lambda k: [{"u": 1}, {"u": 1}], entry_cap=3)
