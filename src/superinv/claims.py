@@ -354,13 +354,14 @@ def run_t43(opts: ClaimOptions) -> list[CheckRecord]:
 
 
 def run_t44(opts: ClaimOptions) -> list[CheckRecord]:
-    """Even-Pfaffian families over even-row shapes are linearly independent."""
+    """Even-Pfaffian families over even-row shapes are linearly independent;
+    a shape that misses the W hook has no member and no record."""
     W = IndexRange(*opts.wdims)
     sq = make_sym_square_algebra(W, twisted=False)
     records = []
     for size in range(2, opts.max_degree + 1, 2):
         for shape in enumerate_partitions(size):
-            if any(part % 2 for part in shape.parts):
+            if any(part % 2 for part in shape.parts) or not shape.fits_hook(*opts.wdims):
                 continue
             t = fill_rows(shape)
             fam = [Pf_t(sq, t, I) for I in enumerate_semistandard(t, W)]
@@ -448,12 +449,15 @@ def run_t62(opts: ClaimOptions) -> list[CheckRecord]:
 
 def run_t631(opts: ClaimOptions) -> list[CheckRecord]:
     """Periplectic Pfaffian families over the smallest hook shapes are
-    linearly independent."""
+    linearly independent; a shape that misses the W hook has no member and
+    no record."""
     W = IndexRange(*opts.wdims)
     esq = make_sym_square_algebra(W, twisted=True)
     records = []
     for alphas in [(1,), (2,)]:
         t = ppf_tableau(alphas)
+        if not t.shape.fits_hook(*opts.wdims):
+            continue
         fam = [PPf_t(esq, t, I) for I in enumerate_semistandard(t, W)]
         records.append(_independence(f"T6.3.1:W{opts.wdims}:shape{t.shape}", fam))
     return records

@@ -26,12 +26,22 @@ from .invariants import (
     invariant_space_bruteforce,
 )
 from .liealgebras import build_family
-from .tableaux import Partition, count_semistandard, enumerate_standard_tableaux
+from .tableaux import (
+    Partition,
+    count_semistandard,
+    count_standard_tableaux,
+    enumerate_standard_tableaux,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+
+# `tableaux` lists every standard tableau, about 30 µs each to enumerate,
+# and both of its enumerations recurse once per cell
+STANDARD_TABLEAU_CAP = 50_000
+TABLEAU_CELL_CAP = 500
 
 
 def _parse_ints(text: str, count: int, what: str) -> tuple[int, ...]:
@@ -107,6 +117,11 @@ def cmd_tableaux(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rng = IndexRange(n, m)
+    if shape.size > TABLEAU_CELL_CAP:
+        raise CapExceeded("tableau cells", shape.size, TABLEAU_CELL_CAP)
+    count = count_standard_tableaux(shape)
+    if count > STANDARD_TABLEAU_CAP:
+        raise CapExceeded("standard tableaux", count, STANDARD_TABLEAU_CAP)
     standard = enumerate_standard_tableaux(shape)
     checks = [
         {
@@ -141,13 +156,7 @@ def cmd_invariants(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     algebra = algebra_for(family, p, q, k, l)
-    try:
-        space = invariant_space_bruteforce(
-            family, algebra, args.degree, monomial_cap=args.cap
-        )
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    space = invariant_space_bruteforce(family, algebra, args.degree, monomial_cap=args.cap)
     checks = [
         {
             "id": f"invariants:{args.family}{dims}:deg{args.degree}",
@@ -191,9 +200,6 @@ def cmd_verify(args) -> int:
     except InvalidOptions as exc:
         print(f"error: {key}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
     return _finish(config, [r.as_dict() for r in records], args, started)
 
 
@@ -270,6 +276,10 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CapExceeded as exc:
+        # every cap is checked before the work it bounds
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -3,6 +3,11 @@ loop that lets permutations act on blocks of word dicts (`act_on_block`),
 and Young symmetrizers, expanded (`young_symmetrizer`) or applied to words
 block by block (`symmetrize`).
 
+A product `a * e` whose right factor came from `young_symmetrizer` is
+taken one block sum at a time (`_times_symmetrizer`): the terms of `a` are
+merged into cosets of the row or column group, and each surviving coset is
+expanded once, so it never forms the |a|·|e| pairs of the generic product.
+
 Composition convention: (sigma * tau)(x) = sigma(tau(x)).  All formulas
 that permute words are validated against the cocycle identity
 c(I, sigma tau) = c(sigma^{-1} I, tau) c(I, sigma).
@@ -24,7 +29,8 @@ from .errors import CapExceeded
 from .tableaux import YoungTableau
 
 SYMMETRIZER_TERM_CAP = 5_000_000
-# group-algebra products compose images through bytes.translate's 256-entry table
+# the generic group-algebra product composes images through bytes.translate's
+# 256-entry table; a product with a symmetrizer on the right has no such bound
 GROUP_ALGEBRA_MAX_DEGREE = 256
 
 
@@ -121,24 +127,33 @@ class GroupAlgebraElement(SparseElement):
 
     Coefficients are exact: `int` while they are integral, `Fraction` only
     after a real division (such as `scale(Fraction(1, c))`), never `float`.
+
+    `symmetrizer` is the (tableau, variant) of an element built by
+    `young_symmetrizer` and None on every other element, the results of
+    `scale`, `+` and `-` included; equality ignores it.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "symmetrizer")
 
     def __init__(self, degree: int, terms: dict[Permutation, Coeff] | None = None):
         self.degree = degree
         if terms and any(perm.degree != degree for perm in terms):
             raise ValueError("degree mismatch")
         self.terms: dict[Permutation, Coeff] = normalized(terms) if terms else {}
+        self.symmetrizer: tuple[YoungTableau, str] | None = None
 
     @classmethod
     def _adopt(
-        cls, degree: int, terms: dict[Permutation, Coeff]
+        cls,
+        degree: int,
+        terms: dict[Permutation, Coeff],
+        symmetrizer: tuple[YoungTableau, str] | None = None,
     ) -> "GroupAlgebraElement":
         """Wrap a dict of nonzero exact coefficients without copying it."""
         out = cls.__new__(cls)
         out.degree = degree
         out.terms = terms
+        out.symmetrizer = symmetrizer
         return out
 
     @staticmethod
@@ -163,6 +178,8 @@ class GroupAlgebraElement(SparseElement):
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
         k = self.degree
+        if other.symmetrizer is not None:
+            return GroupAlgebraElement._adopt(k, _times_symmetrizer(self.terms, *other.symmetrizer))
         if k > GROUP_ALGEBRA_MAX_DEGREE:
             raise ValueError(
                 f"group-algebra products need degree <= {GROUP_ALGEBRA_MAX_DEGREE}, got {k}"
@@ -255,25 +272,73 @@ def young_symmetrizer(
     t: YoungTableau, variant: str = "plain", cap: int = SYMMETRIZER_TERM_CAP
 ) -> GroupAlgebraElement:
     """Fully expanded symmetrizer: sum of eps(tau) sigma tau over the row and
-    column stabilizers ("plain"), or with the factors reversed ("tilde").
-    The term count is checked against `cap` before any group is built."""
+    column stabilizers ("plain"), or with the factors reversed ("tilde"),
+    built as the identity times its block sums.  The term count is checked
+    against `cap` before any group is built."""
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
     check_symmetrizer_cap(t, cap)
-    rows = [sigma.images for sigma in row_group(t)]
-    terms: dict[tuple[int, ...], int] = {}
-    for tau in column_group(t):
-        eps = tau.sign()
-        col = tau.images
-        for row in rows:
-            if variant == "plain":
-                prod = tuple(map(row.__getitem__, col))
-            else:
-                prod = tuple(map(col.__getitem__, row))
-            terms[prod] = terms.get(prod, 0) + eps
-    return GroupAlgebraElement._adopt(
-        t.size, {Permutation(im): c for im, c in terms.items() if c}
-    )
+    unit = {Permutation.identity(t.size): 1}
+    return GroupAlgebraElement._adopt(t.size, _times_symmetrizer(unit, t, variant), (t, variant))
+
+
+# a step holds its whole group, 40,320 itemgetters for the row (8): a small cache
+@functools.lru_cache(maxsize=4)
+def _coset_steps(t: YoungTableau, variant: str) -> tuple:
+    """The symmetrizer of t as the group sums a right factor multiplies by,
+    in order: rows then columns ("plain"), or columns then rows ("tilde").
+    A step is its blocks of size > 1 (sorted positions and an itemgetter of
+    them), whether it is signed, and the group's elements as itemgetters
+    split by sign: `g(images)` composes images with g."""
+    rows = ([sorted(b) for b in row_blocks(t)], False, row_group(t))
+    cols = ([sorted(b) for b in column_blocks(t)], True, column_group(t))
+    steps = []
+    for blocks, signed, group in (rows, cols) if variant == "plain" else (cols, rows):
+        blocks = [(b, operator.itemgetter(*b)) for b in blocks if len(b) > 1]
+        if not blocks:
+            continue
+        signs = [p.sign() if signed else 1 for p in group]
+        plus = [operator.itemgetter(*p.images) for p, s in zip(group, signs) if s > 0]
+        minus = [operator.itemgetter(*p.images) for p, s in zip(group, signs) if s < 0]
+        steps.append((blocks, signed, plus, minus))
+    return tuple(steps)
+
+
+def _odd_order(values: Sequence[int]) -> bool:
+    """Whether the permutation that sorts `values` is odd."""
+    return sum(a > b for i, a in enumerate(values) for b in values[i + 1 :]) % 2 == 1
+
+
+def _times_symmetrizer(
+    terms: dict[Permutation, Coeff], t: YoungTableau, variant: str
+) -> dict[Permutation, Coeff]:
+    """a * young_symmetrizer(t, variant) on a's raw terms, one group sum S
+    at a time.  p * S depends only on p's coset pG: with p = q rho, where q
+    is the coset's member whose images on each block are sorted and rho is
+    in G, p * S = eps(rho) q * S (eps = 1 for rows).  So a step merges each
+    term into its coset's q, drops zero sums and expands each q once."""
+    current = {p.images: c for p, c in terms.items()}
+    for blocks, signed, plus, minus in _coset_steps(t, variant):
+        cosets: dict[tuple[int, ...], Coeff] = {}
+        get = cosets.get
+        for im, c in current.items():
+            rep = list(im)
+            for block, at in blocks:
+                values = at(im)
+                if signed and _odd_order(values):
+                    c = -c
+                for x, v in zip(block, sorted(values)):
+                    rep[x] = v
+            rep = tuple(rep)
+            cosets[rep] = get(rep, 0) + c
+        # distinct cosets and distinct group elements give distinct products
+        current = {}
+        for rep, c in cosets.items():
+            if c:
+                current.update(dict.fromkeys([g(rep) for g in plus], c))
+                if minus:
+                    current.update(dict.fromkeys([g(rep) for g in minus], -c))
+    return {Permutation(im): exact(c) for im, c in current.items()}
 
 
 @functools.lru_cache(maxsize=16)

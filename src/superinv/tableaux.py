@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -134,6 +135,14 @@ def fill_rows(shape: Partition) -> YoungTableau:
         rows.append(tuple(range(n, n + length)))
         n += length
     return YoungTableau(shape, tuple(rows))
+
+
+def count_standard_tableaux(shape: Partition) -> int:
+    """f^lambda, the number of standard tableaux of the shape, by the
+    hook-length formula: n! over the product of the hook lengths."""
+    conj = shape.conjugate().parts
+    hooks = math.prod(shape.parts[r] - c + conj[c] - r - 1 for r, c in shape.cells())
+    return math.factorial(shape.size) // hooks
 
 
 def enumerate_standard_tableaux(shape: Partition) -> list[YoungTableau]:

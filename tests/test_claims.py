@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from superinv.claims import ClaimOptions, KNOWN_CLAIMS, run_claim
+from superinv.claims import CATALOG, ClaimOptions, KNOWN_CLAIMS, run_claim
 
 ERRATA_TARGETS = {"T3.6", "T3.8", "T5.1", "L7.1", "T7.2", "T7.3"}
 
@@ -129,3 +131,15 @@ def test_catalog_defaults_have_no_new_vacuous_record():
             if r.claim_ref in ("T4.4", "T6.3.1") and r.dims["oracle"] == 0:
                 vacuous.add(r.id)
     assert vacuous == {"T2.2:gl(1, 1):U(1, 1):W(1, 1):substitution"}
+
+
+@pytest.mark.parametrize(
+    "cid, wdims",
+    [("T4.4", (0, 2)), ("T4.4", (1, 0)), ("T4.4", (1, 1)), ("T6.3.1", (0, 2)), ("T6.3.1", (1, 0))],
+)
+def test_pfaffian_families_skip_shapes_off_the_w_hook(cid, wdims):
+    """Next to shapes that fit the W hook, a shape that misses it would
+    hold an empty family; it gets no record instead."""
+    records = run_claim(cid, replace(CATALOG[cid].defaults, wdims=wdims))
+    assert records
+    assert all(r.dims["oracle"] > 0 for r in records)

@@ -42,6 +42,18 @@ def test_tableaux_empty_shape(capsys):
         assert err == f"error: --shape needs a positive part, got {shape}\n"
 
 
+def test_tableaux_cap_is_checked_before_enumerating(capsys):
+    """f^lambda comes from the hook-length formula first: (12,12,12) has
+    2,861,142,656,400 standard tableaux and exits 3 at once, as does a
+    shape with more cells than the enumerations can recurse through."""
+    for shape, what in (("12,12,12", "standard tableaux would need 2861142656400"),
+                        ("100000000", "tableau cells would need 100000000")):
+        code, out, err = run_cli(capsys, "tableaux", "--shape", shape, "--no-timing")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert err.startswith(f"error: {what}, above the cap") and err.count("\n") == 1
+
+
 def test_tableaux_semistandard_dimension(capsys):
     code, out, _ = run_cli(
         capsys, "tableaux", "--shape", "2,1", "--range", "2,1", "--no-timing"

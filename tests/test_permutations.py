@@ -17,7 +17,7 @@ from superinv.permutations import (
     row_group,
     young_symmetrizer,
 )
-from superinv.tableaux import Partition, enumerate_standard_tableaux, fill_rows
+from superinv.tableaux import Partition, enumerate_partitions, enumerate_standard_tableaux, fill_rows
 
 
 def all_perms(k):
@@ -212,6 +212,50 @@ def test_product_integral_coefficients_are_int():
     assert all(type(c) is int for c in prod.terms.values())
     e = young_symmetrizer(fill_rows(Partition((2, 1))))
     assert all(type(c) is int for c in (e * e).terms.values())
+
+
+def _route_tableaux():
+    """Every standard tableau up to 5 cells and one per 6-cell shape."""
+    rng = random.Random(6)
+    for size in range(1, 7):
+        for shape in enumerate_partitions(size):
+            tableaux = enumerate_standard_tableaux(shape)
+            yield from [rng.choice(tableaux)] if size == 6 else tableaux
+
+
+@pytest.mark.parametrize("variant", ["plain", "tilde"])
+def test_product_with_symmetrizer_matches_generic_product(variant):
+    """A right factor from young_symmetrizer multiplies block sum by block
+    sum; an element with the same terms and no record takes the generic
+    product, which is the reference."""
+    rng = random.Random(25)
+    other_variant = "tilde" if variant == "plain" else "plain"
+    for t in _route_tableaux():
+        e = young_symmetrizer(t, variant)
+        assert e.symmetrizer == (t, variant)
+        generic = GroupAlgebraElement(e.degree, e.terms)
+        assert generic.symmetrizer is None and e == generic
+        perms = list(itertools.permutations(range(t.size)))
+        random_left = GroupAlgebraElement(t.size, {
+            Permutation(p): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for p in rng.sample(perms, min(len(perms), 8))
+        })
+        lefts = (e, young_symmetrizer(t, other_variant), GroupAlgebraElement.unit(t.size), random_left)
+        for a in lefts:
+            got = a * e
+            assert got == a * generic, (t, variant)
+            assert got.symmetrizer is None
+            assert _exact_types(got)
+
+
+def test_arithmetic_drops_the_symmetrizer_record():
+    t = enumerate_standard_tableaux(Partition((2, 1)))[0]
+    e = young_symmetrizer(t)
+    assert e.symmetrizer == (t, "plain")
+    for derived in (e.scale(2), e.scale(1), e + e, e - GroupAlgebraElement.unit(3)):
+        assert derived.symmetrizer is None
+    # the record routes the product; a scaled copy takes the generic path
+    assert e * e.scale(3) == (e * e).scale(3)
 
 
 def test_product_degree_checks():

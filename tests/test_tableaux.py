@@ -7,6 +7,7 @@ from superinv.tableaux import (
     Partition,
     YoungTableau,
     count_semistandard,
+    count_standard_tableaux,
     enumerate_partitions,
     enumerate_semistandard,
     enumerate_standard_tableaux,
@@ -86,7 +87,7 @@ def test_standard_against_bruteforce_all_shapes_up_to_six():
         for shape in enumerate_partitions(size):
             mine = enumerate_standard_tableaux(shape)
             oracle = brute_force_standard(shape)
-            assert len(mine) == len(oracle), shape
+            assert len(mine) == len(oracle) == count_standard_tableaux(shape), shape
             assert {t.rows for t in mine} == {t.rows for t in oracle}
             assert all(t.is_standard() for t in mine)
 
