@@ -35,7 +35,8 @@ from .liealgebras import (
     AlgebraFamily,
     MatrixElement,
     abs_exponent,
-    act_on_polynomial,
+    act_through_images,
+    action_table,
     invariant_form,
     t1_matrices,
     yminus_factors,
@@ -415,7 +416,8 @@ def spe_ppf_polynomials(
     its symmetrized seed.  The seed (70 words for the raise route at
     n = 2, k = 2, against 1,920 once the factors act) is paired against
     each J, and the factors then act on each polynomial, the leftmost
-    last; the constructive tensor is never built.
+    last, each through one `action_table` built for all the polynomials;
+    the constructive tensor is never built.
 
     Level +0 is the shadow of the bare lower element; the quoted generator
     list starts at level one and misses it, but the oracle requires it (the
@@ -429,7 +431,10 @@ def spe_ppf_polynomials(
         t, seed, factors = _route(family.dims, k + 1, "raise")
     shadows = nonzero_shadows(algebra, _dual_letters(seed, t.size), t)
     for x in reversed(factors):
-        shadows = [act_on_polynomial(x, f) for f in shadows]
+        table = action_table([x], algebra)
+        shadows = [
+            Polynomial(algebra, act_through_images(table, algebra, f.terms)[0]) for f in shadows
+        ]
     return [f for f in shadows if f]
 
 

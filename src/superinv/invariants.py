@@ -5,11 +5,20 @@ witnesses, and relation-ideal kernel checks.
 The oracle walks the monomials of weight zero under the diagonal basis and
 stacks the kernel maps of the family's certified generating subset
 (`AlgebraFamily.generators`) only; its re-check of the result acts with
-every basis element."""
+every basis element.
+
+The outer letters are a symmetry of every inner action: a permutation of
+the u letters of one parity, or of the w letters of one parity, is an even
+automorphism of the algebra that commutes with gl(V), so it maps each
+outer-multidegree block, and its kernel, onto another block's (super
+Schur-Weyl duality: Sergeev, Math. USSR Sb. 51, 1985; Berele-Regev, Adv.
+Math. 64, 1987).  The oracle solves one block per orbit of these
+permutations and carries the kernel to the others by relabeling."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alphabet import IndexRange
@@ -22,7 +31,7 @@ from .liealgebras import (
     annihilates,
     diagonal_weights,
 )
-from .linalg import SpanTracker, joint_kernel, rank_rows
+from .linalg import SpanTracker, _primitive_terms, joint_kernel, rank_rows
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -30,6 +39,7 @@ from .polynomials import (
     count_monomials_of_degree,
     make_mixed_algebra,
     monomials_of_degree,
+    normalize_product,
 )
 
 DEFAULT_MONOMIAL_CAP = 20_000
@@ -85,6 +95,86 @@ def blocked_monomials(
     return blocks
 
 
+class BlockOrbits:
+    """The orbits of the outer-multidegree blocks under the permutations of
+    the outer letters that commute with the inner action: the u letters and
+    the w letters, each split by parity into a class.  An algebra that does
+    not record its inner, u and w ranges has no classes, and each of its
+    blocks is its own orbit."""
+
+    def __init__(self, algebra: AlgebraDescriptor) -> None:
+        letters: list[tuple] = []
+        spans: list[range] = []
+        if None not in (algebra.v_range, algebra.u_range, algebra.w_range):
+            for tag, letter_range in (("u", algebra.u_range), ("w", algebra.w_range)):
+                # a range lists its even letters, then its odd ones
+                split = len(letters) + letter_range.even_count
+                spans += [range(len(letters), split), range(split, split + letter_range.odd_count)]
+                letters += [(tag, a) for a in letter_range]
+        self.spans = [span for span in spans if span]
+        self.index = index = {a: n for n, a in enumerate(letters)}
+        # each generator as its outer letter (a uv row, a vw column) and
+        # its inner one, and back
+        self.slots = [
+            (index["u", g.row], g.col) if g.family == "uv" else (index["w", g.col], g.row)
+            for g in algebra.generators
+        ] if self.spans else []
+        self.at = {slot: i for i, slot in enumerate(self.slots)}
+
+    def orbit(self, key: tuple) -> tuple[tuple, list[int]]:
+        """A block key's orbit and its letters (by their place in the
+        classes) in rank order: in each class by decreasing multiplicity in
+        the key, ties in letter order.  The orbit's canonical key puts the
+        ranked letters on the class's letters in order, so the
+        multiplicities in rank order name it."""
+        if not self.spans:
+            return key, []
+        counts = [0] * len(self.index)
+        for a in key:
+            counts[self.index[a]] += 1
+        ranked = [
+            n for span in self.spans for n in sorted(span, key=counts.__getitem__, reverse=True)
+        ]
+        return tuple(map(counts.__getitem__, ranked)), ranked
+
+    def generator_map(self, solved: list[int], ranked: list[int]) -> list[int]:
+        """Each generator's image under the letter map that sends the ranked
+        letters of a solved block to the same ranks of another block."""
+        moves = dict(zip(solved, ranked))
+        return [self.at[moves[n], inner] for n, inner in self.slots]
+
+
+def _relabeled(
+    kernel: list[dict], gens: list[int], parities: Sequence[int], monomials: list[Monomial]
+) -> list[dict]:
+    """A block's kernel from the `kernel`, as primitive integer vectors, of
+    another block of its orbit, in `nullspace`'s form: one vector per free
+    monomial, in increasing order, that is 1 there and 0 on the other free
+    monomials, the free monomials being the vectors' greatest.
+
+    `gens` sends each generator to its image under the letter map from the
+    solved block to this one; each monomial's factors go through it and are
+    re-sorted with their Koszul sign.  One SpanTracker pass, keyed by each
+    monomial negated so that a row's pivot is its greatest monomial, brings
+    the images to that form; each vector is divided by its pivot at the
+    end.  The vectors are keyed by the block's own `monomials`, so the
+    basis shares their tuples."""
+    # the monomials of a block share a degree, so negation reverses their order
+    negated = {tuple(-g for g in m): m for m in monomials}
+    tracker = SpanTracker()
+    for vec in kernel:
+        image = {}
+        for mono, c in vec.items():
+            sign, key = normalize_product([gens[g] for g in mono], parities)
+            image[tuple(-g for g in key)] = sign * c
+        tracker.add(image)
+    out = []
+    for pivot, row in sorted(tracker.rows.items(), reverse=True):
+        d = row[pivot]
+        out.append({negated[k]: Fraction(x, d) for k, x in sorted(row.items(), reverse=True)})
+    return out
+
+
 @dataclass
 class InvariantSpace:
     family_tag: str
@@ -106,9 +196,12 @@ def invariant_space_bruteforce(
     """Exact joint kernel of the family action on the degree-d monomials.
 
     Works block by block in the outer multidegree (the action only touches
-    the inner letters).  The diagonal elements act on a monomial by a
-    scalar, its weight (see `diagonal_weights`), so only the monomials of
-    weight zero under all of them can occur: the walk of
+    the inner letters), one `joint_kernel` per orbit of blocks under the
+    outer letter permutations (`BlockOrbits`): the first block of an orbit,
+    in sorted order, is solved, and each later one relabels its kernel.
+    The diagonal elements act on a monomial by a scalar, its weight (see
+    `diagonal_weights`), so only the monomials of weight zero under all of
+    them can occur: the walk of
     `blocked_monomials` enumerates just those, pruning as it goes.  The
     monomial cap still counts the full degree-d basis.  The elements of
     `family.generators` share one `action_table`, built once per call, and
@@ -123,13 +216,25 @@ def invariant_space_bruteforce(
         algebra, degree, monomial_cap, diagonal_weights(family, algebra)
     )
     table = action_table(family.generators, algebra)
-    basis = [
-        Polynomial(algebra, terms)
-        for key in sorted(blocks)
-        for terms in joint_kernel(
-            blocks[key], lambda m: act_through_images(table, algebra, {m: 1}), DEFAULT_ENTRY_CAP
-        )
-    ]
+    orbits = BlockOrbits(algebra)
+    solved: dict = {}
+    basis = []
+    for key in sorted(blocks):
+        orbit, ranked = orbits.orbit(key)
+        if orbit in solved:
+            kernel, ranked_there = solved[orbit]
+            if kernel:
+                gens = orbits.generator_map(ranked_there, ranked)
+                kernel = _relabeled(kernel, gens, algebra.parities, blocks[key])
+                basis.extend(Polynomial(algebra, terms) for terms in kernel)
+        else:
+            kernel = joint_kernel(
+                blocks[key], lambda m: act_through_images(table, algebra, {m: 1}), DEFAULT_ENTRY_CAP
+            )
+            polys = [Polynomial(algebra, terms) for terms in kernel]
+            # an integral vector's primitive form is its own term dict
+            solved[orbit] = [_primitive_terms(f.terms) for f in polys], ranked
+            basis.extend(polys)
     if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")
     return InvariantSpace(family.tag, degree, algebra, basis)

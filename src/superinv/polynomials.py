@@ -106,10 +106,15 @@ def normalize_product(mono: Sequence[int], parities: Sequence[int]) -> Optional[
     repeats.
     """
     odd = [g for g in mono if parities[g]]
-    if len(set(odd)) < len(odd):
-        return None
-    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :])
-    return -1 if inversions & 1 else 1, tuple(sorted(mono))
+    sign = 1
+    if len(odd) > 1:
+        if len(set(odd)) < len(odd):
+            return None
+        for i, a in enumerate(odd):
+            for b in odd[i + 1 :]:
+                if a > b:
+                    sign = -sign
+    return sign, tuple(sorted(mono))
 
 
 def _odd_crossings(left: list[int], right: list[int]) -> int:

@@ -137,12 +137,15 @@ def fill_rows(shape: Partition) -> YoungTableau:
     return YoungTableau(shape, tuple(rows))
 
 
+def _hook_product(shape: Partition) -> int:
+    conj = shape.conjugate().parts
+    return math.prod(shape.parts[r] - c + conj[c] - r - 1 for r, c in shape.cells())
+
+
 def count_standard_tableaux(shape: Partition) -> int:
     """f^lambda, the number of standard tableaux of the shape, by the
     hook-length formula: n! over the product of the hook lengths."""
-    conj = shape.conjugate().parts
-    hooks = math.prod(shape.parts[r] - c + conj[c] - r - 1 for r, c in shape.cells())
-    return math.factorial(shape.size) // hooks
+    return math.factorial(shape.size) // _hook_product(shape)
 
 
 def enumerate_standard_tableaux(shape: Partition) -> list[YoungTableau]:
@@ -251,7 +254,18 @@ def enumerate_semistandard(t: YoungTableau, index_range: IndexRange) -> list[Wor
 
 def count_semistandard(shape: Partition, index_range: IndexRange) -> int:
     """Number of semistandard fillings of the shape; independent of the
-    numbering used to read them off."""
+    numbering used to read them off.
+
+    Over m even letters alone this is the hook-content formula, the product
+    over the cells of (m + c)/h with content c = column - row and hook
+    length h.  Odd letters are strict along rows and weak down columns, so
+    n odd letters alone fill the conjugate shape: the product of (n - c)/h.
+    A mixed range is counted by enumeration."""
     if shape.size == 0:
         return 1
+    even, odd = index_range.even_count, index_range.odd_count
+    if not (even and odd):
+        letters, sign = (odd, -1) if odd else (even, 1)
+        contents = math.prod(letters + sign * (c - r) for r, c in shape.cells())
+        return contents // _hook_product(shape)
     return len(enumerate_semistandard(fill_rows(shape), index_range))

@@ -78,3 +78,26 @@ def test_t22_relations_report_matches_golden(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out.encode("utf-8") == (GOLDEN / "options" / "T2.2_udims1,2_wdims1,2.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ["--family", "gl", "--dims", "1,1", "--pqkl", "2,2,2,2", "--degree", "4"],
+            "invariants_gl_dims1,1_pqkl2,2,2,2_deg4.json",
+        ),
+        (
+            ["--family", "pe", "--dims", "1,1", "--pqkl", "3,2,0,0", "--degree", "6"],
+            "invariants_pe_dims1,1_pqkl3,2,0,0_deg6.json",
+        ),
+    ],
+)
+def test_oracle_basis_report_matches_golden(argv, golden, capsys):
+    """The oracle's printed basis, polynomial by polynomial: most blocks of
+    these cases take their kernel from another block of their orbit, and
+    the odd-letter swaps of both cases relabel with Koszul signs."""
+    code = main(["invariants", *argv, "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / golden).read_bytes()

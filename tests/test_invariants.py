@@ -10,6 +10,7 @@ from superinv.alphabet import IndexRange, ev, od
 import superinv.claims as claims_module
 import superinv.invariants as invariants_module
 from superinv.invariants import (
+    BlockOrbits,
     CapExceeded,
     DEFAULT_MONOMIAL_CAP,
     SubstitutionMap,
@@ -21,8 +22,15 @@ from superinv.invariants import (
     kernel_dimension_at_degree,
     relation_kernel_check,
 )
-from superinv.liealgebras import AlgebraFamily, MatrixElement, build_family, diagonal_weights
-from superinv.linalg import rank_rows
+from superinv.liealgebras import (
+    AlgebraFamily,
+    MatrixElement,
+    act_through_images,
+    action_table,
+    build_family,
+    diagonal_weights,
+)
+from superinv.linalg import joint_kernel, rank_rows
 from superinv.generators import scalar_products, substitution_map
 from superinv.named_polynomials import P_t
 from superinv.polynomials import (
@@ -59,6 +67,77 @@ def test_oracle_order_independence():
     shuffled = build_family("gl", IndexRange(1, 1))
     shuffled.basis.reverse()
     assert invariant_space_bruteforce(shuffled, alg, 2).dimension == dim
+
+
+def blockwise_reference(family, algebra, degree):
+    """The oracle's basis with no orbits: one `joint_kernel` on every block,
+    in sorted block order."""
+    blocks = blocked_monomials(algebra, degree, 60_000, diagonal_weights(family, algebra))
+    table = action_table(family.generators, algebra)
+    return [
+        Polynomial(algebra, terms)
+        for key in sorted(blocks)
+        for terms in joint_kernel(blocks[key], lambda m: act_through_images(table, algebra, {m: 1}))
+    ]
+
+
+def test_orbit_oracle_matches_blockwise_reference():
+    """Solving one block per orbit and relabeling it for the others gives
+    the blockwise basis exactly: the same polynomials, terms in the same
+    order, coefficients of the same types.  gl(1|1) and pe(1|1) swap odd
+    letters, so their relabeled monomials pick up Koszul signs."""
+    cases = [
+        ("gl", (1, 1), (2, 2, 2, 2), 4),
+        ("pe", (1, 1), (3, 2, 0, 0), 6),
+        ("spe", (2, 2), (0, 2, 0, 0), 8),
+        ("osp", (1, 2), (3, 1, 0, 0), 4),
+        ("sl", (2, 1), (2, 1, 2, 1), 6),
+    ]
+    for tag, dims, pqkl, degree in cases:
+        fam = build_family(tag, IndexRange(*dims))
+        alg = algebra_for(fam, *pqkl)
+        got = invariant_space_bruteforce(fam, alg, degree, monomial_cap=60_000).basis
+        want = blockwise_reference(fam, alg, degree)
+        assert [[(m, type(c), c) for m, c in f.terms.items()] for f in got] == [
+            [(m, type(c), c) for m, c in f.terms.items()] for f in want
+        ], tag
+
+    # gl(2|1) at degree 6: 100 blocks in 36 orbits, one elimination each
+    fam = build_family("gl", IndexRange(2, 1))
+    alg = algebra_for(fam, 2, 1, 2, 1)
+    blocks = blocked_monomials(alg, 6, 60_000, diagonal_weights(fam, alg))
+    orbits = BlockOrbits(alg)
+    assert len(blocks) == 100
+    assert len({orbits.orbit(key)[0] for key in blocks}) == 36
+    with mock.patch.object(
+        invariants_module, "joint_kernel", wraps=invariants_module.joint_kernel
+    ) as solve:
+        invariant_space_bruteforce(fam, alg, 6, monomial_cap=60_000)
+    assert solve.call_count == 36
+
+
+def test_block_orbits_permute_letters_of_one_class():
+    """Blocks lie in one orbit when a permutation of the u letters of one
+    parity, or of the w letters of one parity, maps one key onto the other;
+    an algebra without an inner range keeps every block apart."""
+    fam = build_family("gl", IndexRange(1, 1))
+    orbits = BlockOrbits(algebra_for(fam, 2, 1, 2, 1))
+    u1, u2, w1, w2, wodd = ("u", ev(1)), ("u", ev(2)), ("w", ev(1)), ("w", ev(2)), ("w", od(1))
+    assert orbits.orbit((u1, u1, w2))[0] == orbits.orbit((u2, u2, w1))[0]
+    assert orbits.orbit((u1, u1, w2))[0] != orbits.orbit((u1, u2, w2))[0]
+    assert orbits.orbit((u1, w1))[0] != orbits.orbit((u1, wodd))[0]
+    # the u letters ranked (2, 1) in one key and (1, 2) in the other: the
+    # map swaps them, moving every generator with a u row
+    solved, ranked = orbits.orbit((u2, u2, w1))[1], orbits.orbit((u1, u1, w1))[1]
+    alg = algebra_for(fam, 2, 1, 2, 1)
+    moved = [alg.generator(i) for i in orbits.generator_map(solved, ranked)]
+    swap = {ev(1): ev(2), ev(2): ev(1)}
+    assert [(g.family, g.row, g.col) for g in moved] == [
+        (g.family, swap.get(g.row, g.row) if g.family == "uv" else g.row, g.col)
+        for g in alg.generators
+    ]
+    plain = BlockOrbits(make_uw_algebra(IndexRange(1, 0), IndexRange(1, 0)))
+    assert plain.orbit((w1, w1, w2)) == ((w1, w1, w2), [])
 
 
 def test_generated_subspace_simple():

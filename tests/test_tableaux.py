@@ -172,3 +172,26 @@ def test_emptiness_criterion():
             empty = count_semistandard(shape, IndexRange(n, m)) == 0
             assert empty == (shape.part(n + 1) > m)
             assert shape.fits_hook(n, m) == (not empty)
+
+
+def test_pure_range_counts_match_enumeration_up_to_six_cells():
+    """Over even letters alone the count is the hook-content formula, over
+    odd letters alone the formula for the conjugate shape; both agree with
+    the enumeration for every shape up to six cells, including the ranges
+    the shape does not fit."""
+    for size in range(1, 7):
+        for shape in enumerate_partitions(size):
+            t = fill_rows(shape)
+            for k in range(4):
+                for r in (IndexRange(k, 0), IndexRange(0, k)):
+                    assert count_semistandard(shape, r) == len(enumerate_semistandard(t, r)), (
+                        shape,
+                        r,
+                    )
+
+
+def test_one_row_of_forty_over_ten_even_letters_is_a_binomial():
+    """A row of 40 over ten even letters is a multiset: C(49, 9) fillings,
+    counted without enumerating them."""
+    assert count_semistandard(Partition((40,)), IndexRange(10, 0)) == 2_054_455_634
+    assert count_semistandard(Partition((1,) * 40), IndexRange(0, 10)) == 2_054_455_634
