@@ -13,10 +13,17 @@ automorphism of the algebra that commutes with gl(V), so it maps each
 outer-multidegree block, and its kernel, onto another block's (super
 Schur-Weyl duality: Sergeev, Math. USSR Sb. 51, 1985; Berele-Regev, Adv.
 Math. 64, 1987).  The oracle solves one block per orbit of these
-permutations and carries the kernel to the others by relabeling."""
+permutations and carries the kernel to the others by relabeling.
+
+The relation check uses the same orbits on the source of a substitution
+map, S(U x W), whose generators z[r,s] each name a u letter and a w letter.
+It trusts no construction: it checks once per call, on the generators,
+that the map commutes with each swap of adjacent letters in a class, and
+then ranks one block per orbit; a map that fails keeps every block apart."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -98,14 +105,17 @@ def blocked_monomials(
 class BlockOrbits:
     """The orbits of the outer-multidegree blocks under the permutations of
     the outer letters that commute with the inner action: the u letters and
-    the w letters, each split by parity into a class.  An algebra that does
-    not record its inner, u and w ranges has no classes, and each of its
-    blocks is its own orbit."""
+    the w letters, each split by parity into a class.  The mixed algebras
+    (`algebra_for`) and the `zuw` algebras of U x W have these classes; an
+    algebra that does not record its u and w ranges has none, and each of
+    its blocks is its own orbit."""
 
     def __init__(self, algebra: AlgebraDescriptor) -> None:
         letters: list[tuple] = []
         spans: list[range] = []
-        if None not in (algebra.v_range, algebra.u_range, algebra.w_range):
+        self.pairs = {g.family for g in algebra.generators} == {"zuw"}
+        outer = None not in (algebra.u_range, algebra.w_range)
+        if outer and (self.pairs or algebra.v_range is not None):
             for tag, letter_range in (("u", algebra.u_range), ("w", algebra.w_range)):
                 # a range lists its even letters, then its odd ones
                 split = len(letters) + letter_range.even_count
@@ -113,10 +123,13 @@ class BlockOrbits:
                 letters += [(tag, a) for a in letter_range]
         self.spans = [span for span in spans if span]
         self.index = index = {a: n for n, a in enumerate(letters)}
-        # each generator as its outer letter (a uv row, a vw column) and
-        # its inner one, and back
+        # each generator as its two letters, the first outer (a uv row, a
+        # vw column, a zuw row) and the second inner, or outer for zuw,
+        # and back
         self.slots = [
-            (index["u", g.row], g.col) if g.family == "uv" else (index["w", g.col], g.row)
+            (index["u", g.row], index["w", g.col]) if self.pairs
+            else (index["u", g.row], g.col) if g.family == "uv"
+            else (index["w", g.col], g.row)
             for g in algebra.generators
         ] if self.spans else []
         self.at = {slot: i for i, slot in enumerate(self.slots)}
@@ -141,7 +154,21 @@ class BlockOrbits:
         """Each generator's image under the letter map that sends the ranked
         letters of a solved block to the same ranks of another block."""
         moves = dict(zip(solved, ranked))
+        if self.pairs:
+            return [self.at[moves[n], moves[x]] for n, x in self.slots]
         return [self.at[moves[n], inner] for n, inner in self.slots]
+
+    def transpositions(self) -> list[list[int]]:
+        """The generator maps of the swaps of adjacent letters inside each
+        class, which generate every class's symmetric group."""
+        order = range(len(self.index))
+        out = []
+        for span in self.spans:
+            for n in span[:-1]:
+                swapped = list(order)
+                swapped[n : n + 2] = n + 1, n
+                out.append(self.generator_map(order, swapped))
+        return out
 
 
 def _relabeled(
@@ -217,12 +244,17 @@ def invariant_space_bruteforce(
     )
     table = action_table(family.generators, algebra)
     orbits = BlockOrbits(algebra)
+    keys = sorted(blocks)
+    placed = [orbits.orbit(key) for key in keys]
+    # blocks of each orbit still to come: a solved kernel is dropped after
+    # its orbit's last block
+    left = Counter(orbit for orbit, _ in placed)
     solved: dict = {}
     basis = []
-    for key in sorted(blocks):
-        orbit, ranked = orbits.orbit(key)
+    for key, (orbit, ranked) in zip(keys, placed):
+        left[orbit] -= 1
         if orbit in solved:
-            kernel, ranked_there = solved[orbit]
+            kernel, ranked_there = solved[orbit] if left[orbit] else solved.pop(orbit)
             if kernel:
                 gens = orbits.generator_map(ranked_there, ranked)
                 kernel = _relabeled(kernel, gens, algebra.parities, blocks[key])
@@ -232,8 +264,9 @@ def invariant_space_bruteforce(
                 blocks[key], lambda m: act_through_images(table, algebra, {m: 1}), DEFAULT_ENTRY_CAP
             )
             polys = [Polynomial(algebra, terms) for terms in kernel]
-            # an integral vector's primitive form is its own term dict
-            solved[orbit] = [_primitive_terms(f.terms) for f in polys], ranked
+            if left[orbit]:
+                # an integral vector's primitive form is its own term dict
+                solved[orbit] = [_primitive_terms(f.terms) for f in polys], ranked
             basis.extend(polys)
     if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")
@@ -405,8 +438,33 @@ def kernel_dimension_at_degree(
 ) -> int:
     """Dimension of the kernel of the substitution map on the degree-d
     source monomials: the pass of `relation_kernel_check` with no
-    relations, one streamed pass per block in the outer multidegree."""
+    relations, one streamed pass per orbit of blocks in the outer
+    multidegree."""
     return relation_kernel_check(subs, (), degree, monomial_cap).kernel_dim
+
+
+def _commutes_with_letters(subs: SubstitutionMap, orbits: BlockOrbits) -> bool:
+    """Whether the substitution commutes with the letter permutations of the
+    source's classes (`orbits`), checked on the generators: for each swap
+    of adjacent letters in a class, the image of each generator's swap is
+    the swap of its image, each target monomial re-sorted with its Koszul
+    sign.  The swaps generate every class's symmetric group and both sides
+    are algebra homomorphisms, so the map then commutes with every such
+    permutation.  A target whose u and w letters differ from the source's
+    fails."""
+    target = BlockOrbits(subs.target)
+    if target.index != orbits.index:
+        return False
+    parities = subs.target.parities
+    for src, tgt in zip(orbits.transpositions(), target.transpositions()):
+        for i, img in subs.images.items():
+            moved = {}
+            for mono, c in img.terms.items():
+                sign, key = normalize_product([tgt[g] for g in mono], parities)
+                moved[key] = sign * c
+            if subs.images.get(src[i]) != Polynomial(subs.target, moved):
+                return False
+    return True
 
 
 def relation_kernel_check(
@@ -418,13 +476,22 @@ def relation_kernel_check(
     """(a) every relation polynomial substitutes to zero; (b) at the stated
     degree the kernel dimension equals the rank of the relation family.
 
-    One streamed pass per block of `blocked_monomials` (whose cap is checked
-    before any substitution) serves both: each source monomial's image is
-    built once, added to the block's SpanTracker and into the block slice of
-    every relation containing the monomial, then dropped, so no block's
-    images are held at once.  The substitution preserves the outer
-    multidegree, so a relation's image is zero exactly when every block
-    slice of it is."""
+    One streamed pass per orbit of the blocks of `blocked_monomials` (whose
+    cap is checked before any substitution) serves both: each source
+    monomial's image is built once, added to the block's SpanTracker and
+    into the block slice of every relation containing the monomial, then
+    dropped, so no block's images are held at once.  The substitution
+    preserves the outer multidegree, so a relation's image is zero exactly
+    when every block slice of it is.
+
+    When the map commutes with the letter permutations of the source's
+    classes (`BlockOrbits`), certified on the generators by
+    `_commutes_with_letters`, a permutation carries each block's kernel
+    onto another block's: the first block of an orbit records its kernel
+    dimension, and every later one adds it and substitutes only the
+    monomials some relation contains, for its relation slices.  Otherwise
+    (the certificate fails, or a symmetric-square source, whose classes
+    relabel with a sign) every block is its own orbit."""
     occurrences: dict[Monomial, list] = {}
     for i, f in enumerate(relation_polys):
         if f.algebra is not subs.source:
@@ -433,16 +500,25 @@ def relation_kernel_check(
             raise ValueError("relation polynomial has the wrong degree")
         for mono, coeff in f.terms.items():
             occurrences.setdefault(mono, []).append((i, coeff))
-    all_zero, kernel_dim = True, 0
-    for monos in blocked_monomials(subs.source, degree, monomial_cap).values():
-        tracker = SpanTracker()
+    blocks = blocked_monomials(subs.source, degree, monomial_cap)
+    orbits = BlockOrbits(subs.source)
+    certified = _commutes_with_letters(subs, orbits)
+    all_zero, kernel_dim, nullity = True, 0, {}
+    for key, monos in blocks.items():
+        orbit = orbits.orbit(key)[0] if certified else key
+        first = orbit not in nullity
+        tracker = SpanTracker() if first else None
         slices: dict[int, dict] = {}
-        for m in monos:
+        # a later block of an orbit substitutes only the relations' monomials
+        for m in monos if first else filter(occurrences.__contains__, monos):
             image = subs.image(m).terms
-            tracker.add(image)
+            if first:
+                tracker.add(image)
             for i, coeff in occurrences.get(m, ()):
                 add_scaled(slices.setdefault(i, {}), image, coeff)
-        kernel_dim += len(monos) - tracker.rank
+        if first:
+            nullity[orbit] = len(monos) - tracker.rank
+        kernel_dim += nullity[orbit]
         all_zero = all_zero and not any(any(out.values()) for out in slices.values())
     span_dim = rank_rows(f.terms for f in relation_polys)
     return RelationReport(degree, len(relation_polys), all_zero, kernel_dim, span_dim)

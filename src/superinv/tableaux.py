@@ -252,20 +252,63 @@ def enumerate_semistandard(t: YoungTableau, index_range: IndexRange) -> list[Wor
     return out
 
 
+def _determinant(matrix: list[list[int]]) -> int:
+    """An integer determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
+
+
+def _inner_shapes(parts: Sequence[int], rows: int, strip: int, bound: int) -> Iterator[tuple]:
+    """The shapes mu inside `parts`, below `bound` in their first row, with
+    at most `rows` rows and at most `strip` cells of each row outside mu."""
+    if not rows or not parts:
+        if all(p <= strip for p in parts):
+            yield ()
+        return
+    for first in range(min(parts[0], bound), max(parts[0] - strip, 0) - 1, -1):
+        for rest in _inner_shapes(parts[1:], rows - 1 if first else 0, strip, first):
+            yield (first, *rest) if first else ()
+
+
 def count_semistandard(shape: Partition, index_range: IndexRange) -> int:
     """Number of semistandard fillings of the shape; independent of the
-    numbering used to read them off.
+    numbering used to read them off.  Nothing is enumerated.
 
-    Over m even letters alone this is the hook-content formula, the product
-    over the cells of (m + c)/h with content c = column - row and hook
-    length h.  Odd letters are strict along rows and weak down columns, so
-    n odd letters alone fill the conjugate shape: the product of (n - c)/h.
-    A mixed range is counted by enumeration."""
+    The m even letters fill a shape mu inside the shape, counted by the
+    hook-content formula: the product over the cells of (m + c)/h, with
+    content c = column - row and hook length h.  The n odd letters fill the
+    skew shape outside mu, strict along rows and weak down columns, so they
+    fill the conjugate skew shape semistandardly, counted by Jacobi-Trudi:
+    det[C(n, lambda_i - mu_j - i + j)] over the rows, or, when the shape
+    has more rows than columns, det[C(n + k - 1, k)] with
+    k = lambda'_i - mu'_j - i + j over the columns.  The count sums the
+    products over mu; a range of one parity has a single mu."""
     if shape.size == 0:
         return 1
     even, odd = index_range.even_count, index_range.odd_count
-    if not (even and odd):
-        letters, sign = (odd, -1) if odd else (even, 1)
-        contents = math.prod(letters + sign * (c - r) for r, c in shape.cells())
-        return contents // _hook_product(shape)
-    return len(enumerate_semistandard(fill_rows(shape), index_range))
+    outer, conj = shape.parts, shape.conjugate().parts
+    by_rows = len(outer) <= len(conj)
+    if by_rows:
+        lam, entry = outer, lambda k: math.comb(odd, k) if k >= 0 else 0
+    else:
+        lam, entry = conj, lambda k: math.comb(odd + k - 1, k) if k > 0 else int(k == 0)
+    total = 0
+    for inner in _inner_shapes(outer, even, odd, outer[0]):
+        mu = Partition(inner)
+        nu = inner if by_rows else mu.conjugate().parts
+        nu += (0,) * (len(lam) - len(nu))
+        skew = [[entry(lam[i] - nu[j] - i + j) for j in range(len(lam))] for i in range(len(lam))]
+        evens = math.prod(even + c - r for r, c in mu.cells()) // _hook_product(mu)
+        total += evens * _determinant(skew)
+    return total

@@ -80,6 +80,18 @@ def test_t22_relations_report_matches_golden(capsys):
     assert out.encode("utf-8") == (GOLDEN / "options" / "T2.2_udims1,2_wdims1,2.json").read_bytes()
 
 
+def test_t22_relation_orbits_report_matches_golden(capsys):
+    """T2.2 at --udims 2,2 --wdims 2,2: 256 relations and a 256-dimensional
+    kernel over 985 blocks in 154 orbits of the letter permutations, so
+    most blocks take their kernel dimension from another block of their
+    orbit."""
+    argv = ["verify", "--theorem", "T2.2", "--udims", "2,2", "--wdims", "2,2", "--no-timing"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (GOLDEN / "options" / "T2.2_udims2,2_wdims2,2.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [

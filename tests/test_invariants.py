@@ -36,6 +36,7 @@ from superinv.named_polynomials import P_t
 from superinv.polynomials import (
     Polynomial,
     count_monomials_of_degree,
+    make_sym_square_algebra,
     make_uw_algebra,
     monomials_of_degree,
 )
@@ -119,7 +120,7 @@ def test_orbit_oracle_matches_blockwise_reference():
 def test_block_orbits_permute_letters_of_one_class():
     """Blocks lie in one orbit when a permutation of the u letters of one
     parity, or of the w letters of one parity, maps one key onto the other;
-    an algebra without an inner range keeps every block apart."""
+    an algebra without u and w ranges keeps every block apart."""
     fam = build_family("gl", IndexRange(1, 1))
     orbits = BlockOrbits(algebra_for(fam, 2, 1, 2, 1))
     u1, u2, w1, w2, wodd = ("u", ev(1)), ("u", ev(2)), ("w", ev(1)), ("w", ev(2)), ("w", od(1))
@@ -136,7 +137,7 @@ def test_block_orbits_permute_letters_of_one_class():
         (g.family, swap.get(g.row, g.row) if g.family == "uv" else g.row, g.col)
         for g in alg.generators
     ]
-    plain = BlockOrbits(make_uw_algebra(IndexRange(1, 0), IndexRange(1, 0)))
+    plain = BlockOrbits(make_sym_square_algebra(IndexRange(2, 0)))
     assert plain.orbit((w1, w1, w2)) == ((w1, w1, w2), [])
 
 
@@ -517,3 +518,101 @@ def test_relation_guards():
     with pytest.raises(CapExceeded):
         relation_kernel_check(subs, rels, degree, monomial_cap=1)
     assert not subs._prefixes
+
+
+def blockwise_relation_reference(subs, rels, degree):
+    """The relation pass with no orbits, as (kernel dimension, verdict,
+    nullity by block): every block's images go into its own SpanTracker and
+    into the relation slices."""
+    occurrences = {}
+    for i, f in enumerate(rels):
+        for mono, coeff in f.terms.items():
+            occurrences.setdefault(mono, []).append((i, coeff))
+    all_zero, nullity = True, {}
+    for key, monos in blocked_monomials(subs.source, degree).items():
+        images = [subs.image(m).terms for m in monos]
+        nullity[key] = len(monos) - rank_rows(images)
+        slices = {}
+        for m, image in zip(monos, images):
+            for i, coeff in occurrences.get(m, ()):
+                part = slices.setdefault(i, {})
+                for k, v in image.items():
+                    part[k] = part.get(k, 0) + v * coeff
+        all_zero = all_zero and not any(any(out.values()) for out in slices.values())
+    return sum(nullity.values()), all_zero, nullity
+
+
+@pytest.mark.parametrize(
+    "dims, blocks, orbits, relations, images",
+    [((2, 2), 985, 154, 256, 1_492), ((1, 2), 163, 57, 16, 154)],
+)
+def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relations, images):
+    """T2.2 at --udims/--wdims `dims`: one SpanTracker per orbit of blocks,
+    and only the monomials of the first block of an orbit or of some
+    relation substituted, give the blockwise kernel dimension and verdict."""
+    subs, degree, rels = _claim_map("T2.2", udims=dims, wdims=dims)
+    kernel, all_zero, nullity = blockwise_relation_reference(_fresh(subs), rels, degree)
+    assert (len(rels), kernel, all_zero) == (relations, relations, True)
+    block_orbits = BlockOrbits(subs.source)
+    assert len(nullity) == blocks
+    assert len({block_orbits.orbit(key)[0] for key in nullity}) == orbits
+    subs = _fresh(subs)
+    with mock.patch.object(
+        invariants_module, "SpanTracker", wraps=invariants_module.SpanTracker
+    ) as trackers, mock.patch.object(subs, "image", wraps=subs.image) as built:
+        rep = relation_kernel_check(subs, rels, degree)
+    assert (rep.kernel_dim, rep.all_substitute_to_zero) == (kernel, all_zero)
+    assert rep.relation_span_dim == relations
+    assert (trackers.call_count, built.call_count) == (orbits, images)
+
+
+def test_relation_check_refuses_a_map_that_breaks_the_letter_symmetry():
+    """Zeroing one generator's image, or doubling it, breaks the commutation
+    with the odd u-letter swap.  The certificate refuses both maps, so every
+    block is its own orbit; with the zero image the blocks of one orbit
+    have different kernel dimensions, which orbits would have hidden."""
+    subs, degree, rels = _claim_map("T2.2", udims=(1, 2), wdims=(1, 2))
+    source, target = subs.source, subs.target
+    z = source.index("zuw", od(1), ev(1))
+    block_orbits = BlockOrbits(source)
+    assert invariants_module._commutes_with_letters(_fresh(subs), block_orbits)
+    for image in (target.zero(), subs.images[z].scale(2)):
+        broken = SubstitutionMap(source, target, {**subs.images, z: image})
+        assert not invariants_module._commutes_with_letters(broken, block_orbits)
+        kernel, all_zero, nullity = blockwise_relation_reference(broken, rels, degree)
+        with mock.patch.object(
+            invariants_module, "SpanTracker", wraps=invariants_module.SpanTracker
+        ) as trackers:
+            rep = relation_kernel_check(broken, rels, degree)
+        assert (rep.kernel_dim, rep.all_substitute_to_zero) == (kernel, all_zero)
+        assert trackers.call_count == len(nullity)
+    by_orbit = {}
+    for key, dim in blockwise_relation_reference(
+        SubstitutionMap(source, target, {**subs.images, z: target.zero()}), rels, degree
+    )[2].items():
+        by_orbit.setdefault(block_orbits.orbit(key)[0], set()).add(dim)
+    assert any(len(dims) > 1 for dims in by_orbit.values())
+
+
+def test_block_orbits_of_a_uw_algebra():
+    """A zuw generator names a u letter and a w letter: a swap inside a
+    class moves both kinds of generator, blocks related by such a swap
+    share an orbit, and an even letter never trades places with an odd
+    one."""
+    alg = make_uw_algebra(IndexRange(2, 1), IndexRange(1, 2))
+    orbits = BlockOrbits(alg)
+    u1, u2, uodd = ("u", ev(1)), ("u", ev(2)), ("u", od(1))
+    w1, wodd1, wodd2 = ("w", ev(1)), ("w", od(1)), ("w", od(2))
+    assert orbits.orbit((u1, u1, w1, wodd1))[0] == orbits.orbit((u2, u2, w1, wodd2))[0]
+    assert orbits.orbit((u1, w1))[0] != orbits.orbit((uodd, w1))[0]
+    assert orbits.orbit((u1, wodd1))[0] != orbits.orbit((u1, w1))[0]
+    blocks = blocked_monomials(alg, 3)
+    assert len({orbits.orbit(key)[0] for key in blocks}) < len(blocks)
+    # one swap per adjacent pair inside a class: u 1,2 and w 1',2'
+    swaps = {ev(1): ev(2), ev(2): ev(1)}, {od(1): od(2), od(2): od(1)}
+    moved = orbits.transpositions()
+    assert len(moved) == 2
+    for gens, (row_swap, col_swap) in zip(moved, [(swaps[0], {}), ({}, swaps[1])]):
+        assert [(alg.generator(i).row, alg.generator(i).col) for i in gens] == [
+            (row_swap.get(g.row, g.row), col_swap.get(g.col, g.col)) for g in alg.generators
+        ]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -195,3 +196,39 @@ def test_one_row_of_forty_over_ten_even_letters_is_a_binomial():
     counted without enumerating them."""
     assert count_semistandard(Partition((40,)), IndexRange(10, 0)) == 2_054_455_634
     assert count_semistandard(Partition((1,) * 40), IndexRange(0, 10)) == 2_054_455_634
+
+
+def test_mixed_range_counts_match_enumeration():
+    """Over even and odd letters the count sums, over the shapes mu the even
+    letters fill, the hook-content count of mu times the Jacobi-Trudi count
+    of the odd letters outside it; it agrees with the enumeration for every
+    shape up to six cells over at most two letters of each parity (shapes
+    with more rows than columns take the conjugate determinant), and on
+    (20) and (12,2) over (3|3)."""
+    for size in range(1, 7):
+        for shape in enumerate_partitions(size):
+            t = fill_rows(shape)
+            for r in itertools.starmap(IndexRange, itertools.product(range(3), repeat=2)):
+                assert count_semistandard(shape, r) == len(enumerate_semistandard(t, r)), (shape, r)
+    for parts, count in [((20,), 1_602), ((12, 2), 6_336)]:
+        shape = Partition(parts)
+        assert count_semistandard(shape, IndexRange(3, 3)) == count
+        assert len(enumerate_semistandard(fill_rows(shape), IndexRange(3, 3))) == count
+
+
+def test_mixed_range_counts_are_not_enumerated(monkeypatch):
+    """A row of 40 over (5|5): j odd letters, each at most once, and 40 - j
+    even ones, sum_j C(5, j) C(44 - j, 4) fillings; a column of 500 over
+    (5|5): k even letters, each at most once, and 500 - k odd ones, counted
+    through the conjugate determinant.  Nothing is enumerated."""
+    import superinv.tableaux as tableaux_module
+
+    def fail(*args):
+        raise AssertionError("enumerate_semistandard must not run")
+
+    monkeypatch.setattr(tableaux_module, "enumerate_semistandard", fail)
+    row = sum(math.comb(5, j) * math.comb(44 - j, 4) for j in range(6))
+    assert row == 3_424_002
+    assert count_semistandard(Partition((40,)), IndexRange(5, 5)) == row
+    column = sum(math.comb(5, k) * math.comb(504 - k, 4) for k in range(6))
+    assert count_semistandard(Partition((1,) * 500), IndexRange(5, 5)) == column
