@@ -19,7 +19,9 @@ The relation check uses the same orbits on the source of a substitution
 map, S(U x W), whose generators z[r,s] each name a u letter and a w letter.
 It trusts no construction: it checks once per call, on the generators,
 that the map commutes with each swap of adjacent letters in a class, and
-then ranks one block per orbit; a map that fails keeps every block apart."""
+then substitutes and ranks the first block of each orbit only: a later
+block's relation slices relabel the first block's images.  A map that
+fails keeps every block apart."""
 
 from __future__ import annotations
 
@@ -274,10 +276,12 @@ def invariant_space_bruteforce(
 
 
 def generated_subspace(
-    generators: Sequence[Polynomial], degree: int
+    generators: Sequence[Polynomial], degree: int, *, _tracker: Optional[SpanTracker] = None
 ) -> list[Polynomial]:
     """Products of the generators of total degree exactly `degree`,
-    deduplicated to a basis.  Generators must be homogeneous."""
+    deduplicated to a basis.  Generators must be homogeneous.  The products
+    are reduced in `_tracker` when given (`check_generation` goes on adding
+    to it), else in a tracker of their own."""
     if degree == 0:
         raise ValueError("degree must be positive")
     gens = [g for g in generators if g]
@@ -304,7 +308,7 @@ def generated_subspace(
                 rec(i, total + degrees[i], nxt)
 
     rec(0, 0, algebra.one())
-    tracker = SpanTracker()
+    tracker = SpanTracker() if _tracker is None else _tracker
     return [f for f in products if tracker.add(f.terms)]
 
 
@@ -335,8 +339,7 @@ def check_generation(
     for d in degrees:
         oracle = invariant_space_bruteforce(family, algebra, d, monomial_cap=monomial_cap)
         tracker = SpanTracker()
-        for f in generated_subspace(generators, d):
-            tracker.add(f.terms)
+        generated_subspace(generators, d, _tracker=tracker)
         gen_dim = tracker.rank
         # the first oracle vector outside the generated span is the witness
         witness = None
@@ -480,18 +483,23 @@ def relation_kernel_check(
     cap is checked before any substitution) serves both: each source
     monomial's image is built once, added to the block's SpanTracker and
     into the block slice of every relation containing the monomial, then
-    dropped, so no block's images are held at once.  The substitution
-    preserves the outer multidegree, so a relation's image is zero exactly
-    when every block slice of it is.
+    dropped unless a later block of the orbit needs it (below).  The
+    substitution preserves the outer multidegree, so a relation's image is
+    zero exactly when every block slice of it is.
 
     When the map commutes with the letter permutations of the source's
     classes (`BlockOrbits`), certified on the generators by
-    `_commutes_with_letters`, a permutation carries each block's kernel
-    onto another block's: the first block of an orbit records its kernel
-    dimension, and every later one adds it and substitutes only the
-    monomials some relation contains, for its relation slices.  Otherwise
-    (the certificate fails, or a symmetric-square source, whose classes
-    relabel with a sign) every block is its own orbit."""
+    `_commutes_with_letters`, the blocks go orbit by orbit and only the
+    first block of an orbit is substituted; its kernel dimension counts for
+    each block of the orbit.  The letter map τ from a later block onto the
+    first sends each relation monomial to a first-block monomial with a
+    Koszul sign, and the later block's relation slice adds the first
+    block's image of it (kept until the orbit's last block) times the sign.
+    As subs∘τ = τ∘subs and τ is an automorphism of the target, that is τ
+    of the real slice, zero exactly when it is: the certificate covers the
+    verdict too, which is no longer read from fresh images in every block.
+    Otherwise (the certificate fails, or a symmetric-square source, whose
+    classes relabel with a sign) every block is its own orbit."""
     occurrences: dict[Monomial, list] = {}
     for i, f in enumerate(relation_polys):
         if f.algebra is not subs.source:
@@ -503,22 +511,43 @@ def relation_kernel_check(
     blocks = blocked_monomials(subs.source, degree, monomial_cap)
     orbits = BlockOrbits(subs.source)
     certified = _commutes_with_letters(subs, orbits)
-    all_zero, kernel_dim, nullity = True, 0, {}
+    by_orbit: dict = {}
     for key, monos in blocks.items():
-        orbit = orbits.orbit(key)[0] if certified else key
-        first = orbit not in nullity
-        tracker = SpanTracker() if first else None
-        slices: dict[int, dict] = {}
-        # a later block of an orbit substitutes only the relations' monomials
-        for m in monos if first else filter(occurrences.__contains__, monos):
+        orbit, ranked = orbits.orbit(key) if certified else (key, [])
+        by_orbit.setdefault(orbit, []).append((monos, ranked))
+    parities = subs.source.parities
+    all_zero, kernel_dim = True, 0
+
+    def vanish(slices: dict) -> bool:
+        return not any(any(out.values()) for out in slices.values())
+
+    for (monos, ranked), *later in by_orbit.values():
+        # each later block's relation monomials, carried onto the first
+        # block with their Koszul signs; only their images are kept
+        moved = []
+        for there, ranked_there in later:
+            gens = orbits.generator_map(ranked_there, ranked)
+            moved.append([
+                (normalize_product([gens[g] for g in m], parities), occurrences[m])
+                for m in there
+                if m in occurrences
+            ])
+        wanted = {key for part in moved for (_, key), _ in part}
+        kept, tracker, slices = {}, SpanTracker(), {}
+        for m in monos:
             image = subs.image(m).terms
-            if first:
-                tracker.add(image)
+            tracker.add(image)
+            if m in wanted:
+                kept[m] = image
             for i, coeff in occurrences.get(m, ()):
                 add_scaled(slices.setdefault(i, {}), image, coeff)
-        if first:
-            nullity[orbit] = len(monos) - tracker.rank
-        kernel_dim += nullity[orbit]
-        all_zero = all_zero and not any(any(out.values()) for out in slices.values())
+        kernel_dim += (len(monos) - tracker.rank) * (1 + len(later))
+        all_zero = all_zero and vanish(slices)
+        for part in moved:
+            slices = {}
+            for (sign, key), occurs in part:
+                for i, coeff in occurs:
+                    add_scaled(slices.setdefault(i, {}), kept[key], sign * coeff)
+            all_zero = all_zero and vanish(slices)
     span_dim = rank_rows(f.terms for f in relation_polys)
     return RelationReport(degree, len(relation_polys), all_zero, kernel_dim, span_dim)

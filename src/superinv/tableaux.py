@@ -155,27 +155,22 @@ def enumerate_standard_tableaux(shape: Partition) -> list[YoungTableau]:
         raise ValueError("shape must be nonempty")
     parts = shape.parts
     out: list[YoungTableau] = []
-    filled: dict[tuple[int, int], int] = {}
-
-    def corners() -> list[tuple[int, int]]:
-        spots = []
-        for r, length in enumerate(parts):
-            c = sum(1 for (rr, _) in filled if rr == r)
-            if c < length and (r == 0 or sum(1 for (rr, _) in filled if rr == r - 1) > c):
-                spots.append((r, c))
-        return spots
+    grid = [[0] * length for length in parts]
+    # cells filled in each row; a cell (r, c) is addable when row r is
+    # shorter than its part and than the row above
+    lengths = [0] * len(parts)
 
     def rec(n: int):
         if n > shape.size:
-            grid = [[0] * length for length in parts]
-            for (r, c), v in filled.items():
-                grid[r][c] = v
-            out.append(YoungTableau(shape, tuple(tuple(row) for row in grid)))
+            out.append(YoungTableau(shape, tuple(map(tuple, grid))))
             return
-        for r, c in corners():
-            filled[(r, c)] = n
-            rec(n + 1)
-            del filled[(r, c)]
+        for r, length in enumerate(parts):
+            c = lengths[r]
+            if c < length and (r == 0 or lengths[r - 1] > c):
+                grid[r][c] = n
+                lengths[r] += 1
+                rec(n + 1)
+                lengths[r] -= 1
 
     rec(1)
     return out

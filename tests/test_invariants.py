@@ -30,7 +30,7 @@ from superinv.liealgebras import (
     build_family,
     diagonal_weights,
 )
-from superinv.linalg import joint_kernel, rank_rows
+from superinv.linalg import SpanTracker, joint_kernel, rank_rows
 from superinv.generators import scalar_products, substitution_map
 from superinv.named_polynomials import P_t
 from superinv.polynomials import (
@@ -39,6 +39,7 @@ from superinv.polynomials import (
     make_sym_square_algebra,
     make_uw_algebra,
     monomials_of_degree,
+    normalize_product,
 )
 from superinv.tableaux import Partition, fill_rows, enumerate_semistandard
 
@@ -166,6 +167,63 @@ def test_check_generation_gl_small():
     gens = scalar_products("gl", alg)
     verdicts = check_generation(fam, alg, gens, [2])
     assert verdicts[0].equal and verdicts[0].oracle_dim == 4
+
+
+def two_tracker_generation(family, algebra, generators, degree):
+    """`check_generation` at one degree with the products eliminated twice,
+    once in `generated_subspace` and again, from its basis, in the tracker
+    that meets the oracle basis, as (verdict, oracle and generated
+    dimensions, witness)."""
+    oracle = invariant_space_bruteforce(family, algebra, degree)
+    tracker = SpanTracker()
+    for f in generated_subspace(generators, degree):
+        tracker.add(f.terms)
+    gen_dim = tracker.rank
+    witness = None
+    for f in oracle.basis:
+        if tracker.add(f.terms) and witness is None:
+            witness = f
+    assert tracker.rank == oracle.dimension
+    verdict = "equal" if gen_dim == oracle.dimension and witness is None else "strict-subspace"
+    return verdict, oracle.dimension, gen_dim, witness
+
+
+# the five check_generation cases of the benchmark's generation workload
+GENERATION_CASES = [
+    ("pe", (1, 1), (3, 2, 0, 0), 4),
+    ("pe", (1, 1), (3, 2, 0, 0), 6),
+    ("osp", (1, 2), (3, 1, 0, 0), 4),
+    ("osp", (1, 2), (3, 1, 0, 0), 6),
+    ("gl", (1, 1), (2, 2, 2, 2), 4),
+]
+
+
+@pytest.mark.parametrize("skip", [0, 1])
+@pytest.mark.parametrize("tag, dims, pqkl, degree", GENERATION_CASES)
+def test_check_generation_eliminates_the_products_once(tag, dims, pqkl, degree, skip):
+    """The oracle basis meets the tracker that reduced the products, so the
+    verdict, dimensions and witness are the two-tracker reference's, with
+    `generated_dim` fewer `SpanTracker.add` calls.  Without the first
+    scalar product (`skip`) every case is a strict subspace with a
+    witness."""
+    fam = build_family(tag, IndexRange(*dims))
+    alg = algebra_for(fam, *pqkl)
+    gens = [g for g in scalar_products(tag, alg) if g][skip:]
+    fam.generators  # computed once per family, through a SpanTracker of its own
+    adds = []
+    add = SpanTracker.add
+
+    def counted(tracker, vec):
+        adds.append(vec)
+        return add(tracker, vec)
+
+    with mock.patch.object(SpanTracker, "add", counted):
+        want = two_tracker_generation(fam, alg, gens, degree)
+        reference_adds = len(adds)
+        (got,) = check_generation(fam, alg, gens, [degree])
+    assert (got.verdict, got.oracle_dim, got.generated_dim, got.witness) == want
+    assert (got.witness is not None) == bool(skip)
+    assert len(adds) - reference_adds == reference_adds - got.generated_dim
 
 
 def test_blocked_monomials_partition():
@@ -544,12 +602,13 @@ def blockwise_relation_reference(subs, rels, degree):
 
 @pytest.mark.parametrize(
     "dims, blocks, orbits, relations, images",
-    [((2, 2), 985, 154, 256, 1_492), ((1, 2), 163, 57, 16, 154)],
+    [((2, 2), 985, 154, 256, 500), ((1, 2), 163, 57, 16, 117)],
 )
 def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relations, images):
     """T2.2 at --udims/--wdims `dims`: one SpanTracker per orbit of blocks,
-    and only the monomials of the first block of an orbit or of some
-    relation substituted, give the blockwise kernel dimension and verdict."""
+    and only the monomials of the first block of an orbit substituted (a
+    later block's relation slices relabel those images), give the blockwise
+    kernel dimension and verdict."""
     subs, degree, rels = _claim_map("T2.2", udims=dims, wdims=dims)
     kernel, all_zero, nullity = blockwise_relation_reference(_fresh(subs), rels, degree)
     assert (len(rels), kernel, all_zero) == (relations, relations, True)
@@ -564,6 +623,49 @@ def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relatio
     assert (rep.kernel_dim, rep.all_substitute_to_zero) == (kernel, all_zero)
     assert rep.relation_span_dim == relations
     assert (trackers.call_count, built.call_count) == (orbits, images)
+
+
+def _later_blocks(subs, degree):
+    """The blocks that are not the first of their orbit, in block order,
+    each as its monomials and the Koszul sign of each under the letter map
+    onto the orbit's first block."""
+    orbits, firsts, out = BlockOrbits(subs.source), {}, []
+    for key, monos in blocked_monomials(subs.source, degree).items():
+        orbit, ranked = orbits.orbit(key)
+        if orbit not in firsts:
+            firsts[orbit] = ranked
+            continue
+        gens = orbits.generator_map(ranked, firsts[orbit])
+        signs = [normalize_product([gens[g] for g in m], subs.source.parities)[0] for m in monos]
+        out.append((monos, signs))
+    return out
+
+
+def test_relations_on_a_later_block_are_read_from_the_first_block():
+    """A relation supported on one later block of an orbit gets its slices
+    from the first block's images, relabeled with their Koszul signs, and
+    none of its own monomials is substituted.  A single monomial with a
+    nonzero image does not substitute to zero; a kernel vector of a block
+    whose letter map flips the sign of one of its monomials does.  Both
+    verdicts agree with the blockwise reference and with `apply`."""
+    subs, _, degree, _ = _t22_relations()
+    later = _later_blocks(subs, degree)
+    bogus = next(m for monos, _ in later for m in monos if subs.image(m))
+    genuine = next(
+        vec
+        for monos, signs in later
+        for vec in joint_kernel(monos, lambda m: [subs.image(m).terms])
+        if any(sign < 0 and m in vec for m, sign in zip(monos, signs))
+    )
+    for terms, vanishes in (({bogus: 1}, False), (genuine, True)):
+        f = Polynomial(subs.source, terms)
+        assert subs.apply(f).is_zero() == vanishes
+        assert blockwise_relation_reference(_fresh(subs), [f], degree)[1] == vanishes
+        fresh = _fresh(subs)
+        with mock.patch.object(fresh, "image", wraps=fresh.image) as built:
+            rep = relation_kernel_check(fresh, [f], degree)
+        assert rep.all_substitute_to_zero == vanishes
+        assert not {call.args[0] for call in built.call_args_list} & set(terms)
 
 
 def test_relation_check_refuses_a_map_that_breaks_the_letter_symmetry():

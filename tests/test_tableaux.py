@@ -93,6 +93,44 @@ def test_standard_against_bruteforce_all_shapes_up_to_six():
             assert all(t.is_standard() for t in mine)
 
 
+def rescanning_standard_tableaux(shape):
+    """The enumeration that finds each row's fill count by rescanning every
+    filled cell at every step: the same recursion, in O(cells^3)."""
+    parts = shape.parts
+    out = []
+    filled = {}
+
+    def corners():
+        spots = []
+        for r, length in enumerate(parts):
+            c = sum(1 for (rr, _) in filled if rr == r)
+            if c < length and (r == 0 or sum(1 for (rr, _) in filled if rr == r - 1) > c):
+                spots.append((r, c))
+        return spots
+
+    def rec(n):
+        if n > shape.size:
+            grid = [[0] * length for length in parts]
+            for (r, c), v in filled.items():
+                grid[r][c] = v
+            out.append(YoungTableau(shape, tuple(tuple(row) for row in grid)))
+            return
+        for r, c in corners():
+            filled[(r, c)] = n
+            rec(n + 1)
+            del filled[(r, c)]
+
+    rec(1)
+    return out
+
+
+def test_standard_tableaux_in_the_rescanning_order_up_to_seven_cells():
+    """Per-row fill counts give the same tableaux in the same order."""
+    for size in range(1, 8):
+        for shape in enumerate_partitions(size):
+            assert enumerate_standard_tableaux(shape) == rescanning_standard_tableaux(shape)
+
+
 def fill_columns(shape):
     """Number the cells consecutively down columns, left to right (no caller
     in the package)."""
