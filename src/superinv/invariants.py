@@ -94,14 +94,21 @@ def blocked_monomials(
     when there are none), grouped by outer multidegree: the sorted multiset
     of the block keys of their factors, which the inner action and the
     substitution maps both preserve.  Each block lists its monomials in
-    increasing order.  CapExceeded is raised, before any monomial is built,
-    when the full degree-d basis exceeds `cap`."""
+    increasing order, the blocks in the order of their first monomials.  A
+    monomial is grouped by its letter counts packed into one integer, with
+    room for 2d in each field (a symmetric-square factor may carry one w
+    letter twice); a block's key is sorted from its first monomial only.
+    CapExceeded is raised, before any monomial is built, when the full
+    degree-d basis exceeds `cap`."""
     check_monomial_cap(algebra, degree, cap)
     keys = [_factor_keys(algebra, i) for i in range(len(algebra))]
-    blocks: dict = {}
+    width = (2 * degree + 1).bit_length()
+    fields: dict = {}
+    packed = [sum(1 << width * fields.setdefault(k, len(fields)) for k in ks) for ks in keys]
+    groups: dict[int, list[Monomial]] = {}
     for m in monomials_of_degree(algebra, degree, weights):
-        blocks.setdefault(tuple(sorted(k for g in m for k in keys[g])), []).append(m)
-    return blocks
+        groups.setdefault(sum(map(packed.__getitem__, m)), []).append(m)
+    return {tuple(sorted(k for g in ms[0] for k in keys[g])): ms for ms in groups.values()}
 
 
 class BlockOrbits:

@@ -328,22 +328,29 @@ def monomials_of_degree(
     running weight.  It cuts a branch only when the r letters still to come,
     taken from the current index on, cannot bring some coordinate back to
     zero: r times the suffix minimum and maximum of that coordinate bound
-    what they can add.
+    what they can add.  The last two letters are one lookup, by the weight
+    they must cancel, in a table of every admissible pair built once per
+    call (meet in the middle: Horowitz-Sahni, J. ACM 21, 1974).
     """
     if degree <= 0:
         return [()] if degree == 0 else []
     parities = algebra.parities
     n = len(parities)
     vecs = list(zip(*weights)) if weights else [()] * n
+    if degree == 1:
+        return [(i,) for i, vec in enumerate(vecs) if not any(vec)]
     # per coordinate, the least and greatest weight from each index on
     lo, hi = vecs[:], vecs[:]
     for i in reversed(range(n - 1)):
         lo[i] = tuple(map(min, vecs[i], lo[i + 1]))
         hi[i] = tuple(map(max, vecs[i], hi[i + 1]))
-    # the last letter must cancel the running weight exactly
-    ends: dict[tuple, list[int]] = {}
-    for i, vec in enumerate(vecs):
-        ends.setdefault(vec, []).append(i)
+    # the last two letters must cancel the running weight exactly
+    ends: dict[tuple, tuple[list[int], list[Monomial]]] = {}
+    for i in range(n):
+        for j in range(i + parities[i], n):
+            firsts, pairs = ends.setdefault(tuple(map(add, vecs[i], vecs[j])), ([], []))
+            firsts.append(i)
+            pairs.append((i, j))
 
     def feasible(start: int, r: int, acc: tuple) -> bool:
         return start < n and all(
@@ -353,9 +360,9 @@ def monomials_of_degree(
     out: list[Monomial] = []
 
     def walk(start: int, r: int, prefix: Monomial, acc: tuple) -> None:
-        if r == 1:
-            last = ends.get(tuple(-w for w in acc), ())
-            out.extend(prefix + (j,) for j in last[bisect_left(last, start):])
+        if r == 2:
+            firsts, pairs = ends.get(tuple(-w for w in acc), ((), ()))
+            out.extend(prefix + pair for pair in pairs[bisect_left(firsts, start):])
             return
         for j in range(start, n):
             nxt = j + parities[j]
@@ -367,4 +374,3 @@ def monomials_of_degree(
     if feasible(0, degree, zero):
         walk(0, degree, (), zero)
     return out
-

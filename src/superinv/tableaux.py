@@ -264,16 +264,24 @@ def _determinant(matrix: list[list[int]]) -> int:
     return sign * a[-1][-1] if a else 1
 
 
-def _inner_shapes(parts: Sequence[int], rows: int, strip: int, bound: int) -> Iterator[tuple]:
+def _inner_shapes(parts: Sequence[int], rows: int, strip: int, bound: int) -> list[tuple]:
     """The shapes mu inside `parts`, below `bound` in their first row, with
-    at most `rows` rows and at most `strip` cells of each row outside mu."""
-    if not rows or not parts:
-        if all(p <= strip for p in parts):
-            yield ()
-        return
-    for first in range(min(parts[0], bound), max(parts[0] - strip, 0) - 1, -1):
-        for rest in _inner_shapes(parts[1:], rows - 1 if first else 0, strip, first):
-            yield (first, *rest) if first else ()
+    at most `rows` rows and at most `strip` cells of each row outside mu,
+    in decreasing lexicographic order.  Each shape is built once, at its
+    leaf."""
+    out: list[tuple] = []
+
+    def grow(at: int, rows: int, bound: int, prefix: tuple) -> None:
+        if not rows or at == len(parts):
+            # the parts do not increase, so the first one left is the longest
+            if at == len(parts) or parts[at] <= strip:
+                out.append(prefix)
+            return
+        for first in range(min(parts[at], bound), max(parts[at] - strip, 0) - 1, -1):
+            grow(at + 1, rows - 1 if first else 0, first, prefix + (first,) if first else prefix)
+
+    grow(0, rows, bound, ())
+    return out
 
 
 def count_semistandard(shape: Partition, index_range: IndexRange) -> int:

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -231,6 +232,55 @@ def test_blocked_monomials_partition():
     blocks = blocked_monomials(alg, 3)
     total = sum(len(v) for v in blocks.values())
     assert total == len(monomials_of_degree(alg, 3))
+
+
+def sorted_key_blocks(alg, degree, weights=()):
+    """The blocks keyed by each monomial's sorted tuple of letter keys, in
+    the order of their first monomials: the reference for the packed
+    integer grouping."""
+    keys = [invariants_module._factor_keys(alg, i) for i in range(len(alg))]
+    blocks = {}
+    for m in monomials_of_degree(alg, degree, weights):
+        blocks.setdefault(tuple(sorted(k for g in m for k in keys[g])), []).append(m)
+    return blocks
+
+
+_ORACLE_STYLE_CASES = [("gl", (2, 1), (2, 1, 2, 1), d) for d in (2, 3, 4, 5, 6)] + [
+    ("spe", (2, 2), (0, 2, 0, 0), 8),
+    ("spe", (2, 2), (0, 2, 0, 0), 10),
+    ("sl", (1, 1), (2, 1, 2, 1), 4),
+]
+
+
+@pytest.mark.parametrize("tag, dims, pqkl, degree", _ORACLE_STYLE_CASES)
+def test_packed_blocks_match_sorted_key_blocks(tag, dims, pqkl, degree):
+    """Grouping by packed letter counts gives the blocks of the sorted
+    letter keys, with the same keys, monomials and insertion order."""
+    fam = _family(tag, dims)
+    alg = algebra_for(fam, *pqkl)
+    weights = diagonal_weights(fam, alg)
+    got = blocked_monomials(alg, degree, DEFAULT_MONOMIAL_CAP * 10, weights)
+    assert list(got.items()) == list(sorted_key_blocks(alg, degree, weights).items())
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda: _claim_map("T2.2", udims=(2, 2), wdims=(2, 2)),
+        lambda: _claim_map("T4.5"),
+        lambda: _claim_map("T6.3.2"),
+        # q[1,1]^4 carries the w letter 1 eight times, twice the degree
+        lambda: (SimpleNamespace(source=make_sym_square_algebra(IndexRange(1, 1))), 4, None),
+    ],
+    ids=["T2.2-udims-2,2-wdims-2,2", "T4.5", "T6.3.2", "sym-square-degree-4"],
+)
+def test_packed_blocks_of_relation_sources(source):
+    """The same on the sources of substitution maps, whose generators carry
+    two outer letters each, the same w letter twice on a symmetric-square
+    diagonal."""
+    subs, degree, _ = source()
+    got = blocked_monomials(subs.source, degree)
+    assert list(got.items()) == list(sorted_key_blocks(subs.source, degree).items())
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
 import itertools
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from operator import add
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, ev, od
+from superinv.invariants import algebra_for
+from superinv.liealgebras import build_family
 from superinv.polynomials import (
     AlgebraDescriptor,
     Generator,
@@ -251,3 +255,81 @@ def test_power_and_parity():
     z_eo = alg.gen(alg.index("zuw", ev(1), od(1)))  # odd generator
     assert (z_eo * z_eo).is_zero()
     assert (z_oo + z_eo).parity() is None
+
+
+def depth_first_walk(algebra, degree, weights=()):
+    """The weight-zero walk letter by letter down to the last one, looked up
+    by the weight it must cancel: the reference for the pair table."""
+    if degree <= 0:
+        return [()] if degree == 0 else []
+    parities = algebra.parities
+    n = len(parities)
+    vecs = list(zip(*weights)) if weights else [()] * n
+    lo, hi = vecs[:], vecs[:]
+    for i in reversed(range(n - 1)):
+        lo[i] = tuple(map(min, vecs[i], lo[i + 1]))
+        hi[i] = tuple(map(max, vecs[i], hi[i + 1]))
+    ends = {}
+    for i, vec in enumerate(vecs):
+        ends.setdefault(vec, []).append(i)
+
+    def feasible(start, r, acc):
+        return start < n and all(
+            r * a <= -w <= r * b for w, a, b in zip(acc, lo[start], hi[start])
+        )
+
+    out = []
+
+    def walk(start, r, prefix, acc):
+        if r == 1:
+            last = ends.get(tuple(-w for w in acc), ())
+            out.extend(prefix + (j,) for j in last[bisect_left(last, start):])
+            return
+        for j in range(start, n):
+            nxt = j + parities[j]
+            step = tuple(map(add, acc, vecs[j]))
+            if feasible(nxt, r - 1, step):
+                walk(nxt, r - 1, prefix + (j,), step)
+
+    zero = (0,) * len(weights)
+    if feasible(0, degree, zero):
+        walk(0, degree, (), zero)
+    return out
+
+
+_WALK_DIMS = [("gl", (1, 1)), ("sl", (2, 1)), ("osp", (1, 2)), ("pe", (1, 1)), ("spe", (2, 2))]
+_WALK_ALGEBRAS: dict = {}
+
+
+def _walk_algebra(tag, dims, pqkl):
+    if (tag, dims) not in _WALK_ALGEBRAS:
+        _WALK_ALGEBRAS[tag, dims] = build_family(tag, IndexRange(*dims))
+    return algebra_for(_WALK_ALGEBRAS[tag, dims], *pqkl)
+
+
+@st.composite
+def _weight_rows(draw, n):
+    """No rows, one or several; a row may be all zeros, and entries may be."""
+    row = st.one_of(
+        st.just([0] * n), st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    )
+    return draw(st.lists(row, max_size=3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(_WALK_DIMS),
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    st.integers(0, 7),
+    st.data(),
+)
+def test_pair_table_walk_matches_the_depth_first_walk(tag_dims, pqkl, degree, data):
+    """The walk that takes its last two letters from the pair table lists
+    the same monomials, in the same order, as the letter-by-letter walk,
+    for any integer weight rows."""
+    alg = _walk_algebra(*tag_dims, pqkl)
+    assume(any(alg.parities))
+    weights = data.draw(_weight_rows(len(alg)))
+    expected = depth_first_walk(alg, degree, weights)
+    assume(len(expected) <= 4000)
+    assert monomials_of_degree(alg, degree, weights) == expected

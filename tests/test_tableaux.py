@@ -7,6 +7,7 @@ from superinv.alphabet import IndexRange, ev, od
 from superinv.tableaux import (
     Partition,
     YoungTableau,
+    _inner_shapes,
     count_semistandard,
     count_standard_tableaux,
     enumerate_partitions,
@@ -129,6 +130,29 @@ def test_standard_tableaux_in_the_rescanning_order_up_to_seven_cells():
     for size in range(1, 8):
         for shape in enumerate_partitions(size):
             assert enumerate_standard_tableaux(shape) == rescanning_standard_tableaux(shape)
+
+
+def recursive_inner_shapes(parts, rows, strip, bound):
+    """The inner-shape generator that builds each shape on the way back up,
+    one level at a time: the reference for the leaf-built list."""
+    if not rows or not parts:
+        if all(p <= strip for p in parts):
+            yield ()
+        return
+    for first in range(min(parts[0], bound), max(parts[0] - strip, 0) - 1, -1):
+        for rest in recursive_inner_shapes(parts[1:], rows - 1 if first else 0, strip, first):
+            yield (first, *rest) if first else ()
+
+
+def test_inner_shapes_match_the_recursive_generator_up_to_eight_cells():
+    for size in range(9):
+        for shape in enumerate_partitions(size):
+            parts = shape.parts
+            for rows, strip in itertools.product(range(5), repeat=2):
+                for bound in {parts[0] if parts else 0, max(size - 1, 0)}:
+                    assert _inner_shapes(parts, rows, strip, bound) == list(
+                        recursive_inner_shapes(parts, rows, strip, bound)
+                    )
 
 
 def fill_columns(shape):
