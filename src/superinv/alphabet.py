@@ -4,7 +4,7 @@ positive integers, with every even index smaller than every odd one."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 EVEN = 0
 ODD = 1
@@ -71,6 +71,18 @@ def parity_of_word(items: Iterable[SuperIndex]) -> int:
     for idx in items:
         p ^= idx.parity
     return p
+
+
+def sort_is_odd(values: Sequence) -> bool:
+    """Whether the permutation that sorts `values`, distinct and comparable,
+    is odd: the parity of its inversion count, the one sort sign behind
+    permutation signs, cocycles and Koszul signs."""
+    odd = False
+    for i, a in enumerate(values):
+        for b in values[i + 1 :]:
+            if a > b:
+                odd = not odd
+    return odd
 
 
 def mutual_parity_count(items: Iterable[SuperIndex]) -> int:

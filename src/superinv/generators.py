@@ -49,6 +49,7 @@ from .tensors import (
     act_on_tensor,
     repeated_evens,
     blocked_odds,
+    sl_invariant_element,
     split_cols_tableau,
     split_rows_tableau,
     symmetrize_element,
@@ -143,12 +144,6 @@ def _dual_letters(element: TensorElement, length: int) -> list[tuple[Word, Coeff
     return list(element.terms.items())
 
 
-def dual_shadow(algebra: AlgebraDescriptor, element: TensorElement, J: Word) -> Polynomial:
-    """Projection of a purely dual tensor against a w-word: the sum of
-    c * Z(letters, J) over its words."""
-    return Z_combination(algebra, _dual_letters(element, len(J)), J, "vw")
-
-
 def nonzero_shadows(
     algebra: AlgebraDescriptor, weighted: list[tuple[Word, Coeff]], t: YoungTableau
 ) -> list[Polynomial]:
@@ -184,8 +179,6 @@ def sl_extra_generators(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators
     the hat element with the tableau roles swapped, as the block sizes
     force.
     """
-    from .tensors import sl_invariant_element
-
     v_range = algebra.v_range
     u_range = algebra.u_range
     w_range = algebra.w_range

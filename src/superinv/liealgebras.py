@@ -14,10 +14,11 @@ stays the plain check against a given list of elements, all of them acting
 on a polynomial in one walk.
 
 Each preserved form is written once, as a table (`invariant_form`) that
-every layer reads.  Form-preserving families are not hand-coded; their bases
-are exact kernels (`linalg.joint_kernel`) of the annihilation condition on
-the gl basis, echelonized for determinism: the condition is the word action on the form's
-dual-dual words.  `build_family` checks that a basis is linearly independent;
+every layer reads.  No family but gl is hand-coded: the bases of sl, osp, pe
+and spe are exact kernels (`linalg.joint_kernel`) of their conditions on the
+gl basis, echelonized for determinism.  The condition is the supertrace for
+sl, the word action on the form's dual-dual words for osp and pe, and both
+for spe.  `build_family` checks that a basis is linearly independent;
 bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 """
 
@@ -33,7 +34,7 @@ from .alphabet import EVEN, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, SparseElement, add_scaled, normalized
 from .errors import InvalidOptions
 from .linalg import SpanTracker, _primitive_terms, joint_kernel, rank_rows
-from .polynomials import AlgebraDescriptor, Polynomial
+from .polynomials import AlgebraDescriptor, Generator, Polynomial
 
 
 @dataclass(eq=False, repr=False)
@@ -228,31 +229,15 @@ def build_family(tag: str, dims: IndexRange) -> AlgebraFamily:
     independence (bracket closure is left to the test suite)."""
     if tag == "gl":
         fam = AlgebraFamily("gl", dims, gl_basis(dims))
-    elif tag == "sl":
-        basis = [
-            MatrixElement.unit(dims, r, c)
-            for r in dims
-            for c in dims
-            if r != c
-        ]
-        letters = dims.indices()
-        if not letters:
+    elif tag in ("sl", "osp", "pe", "spe"):
+        if tag == "sl" and not dims.size:
             raise InvalidOptions("sl needs a letter, got --dims 0,0")
-        last = letters[-1]
-        s_last = -1 if last.parity else 1
-        for a in letters[:-1]:
-            s_a = -1 if a.parity else 1
-            x = MatrixElement.unit(dims, a, a) + MatrixElement.unit(dims, last, last).scale(
-                -s_a * s_last
-            )
-            basis.append(x)
-        fam = AlgebraFamily("sl", dims, basis)
-    elif tag in ("osp", "pe", "spe"):
-        words = {(a, b): c for a, (b, c) in invariant_form(tag, dims).items()}
+        form = {} if tag == "sl" else invariant_form(tag, dims)
+        words = {(a, b): c for a, (b, c) in form.items()}
 
         def cond(x: MatrixElement) -> dict:
             out = act_on_words(x.slot_images(), x.parity, (True, True), words)
-            if tag == "spe":
+            if tag in ("sl", "spe"):
                 out["str"] = x.supertrace()
             return out
 
@@ -540,8 +525,6 @@ def abs_exponent(a: dict[tuple[int, int], int], n: int, convention: str = "corre
 def _gm_algebra(n: int) -> AlgebraDescriptor:
     """Exterior algebra on the odd abelian lower block: one odd generator
     per off-diagonal pair, ordered row-major."""
-    from .polynomials import Generator
-
     gens = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):

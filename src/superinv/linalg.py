@@ -165,9 +165,3 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self.rows)
 
-
-def intersect_dims(
-    basis_a: Sequence[Mapping | Sequence], basis_b: Sequence[Mapping | Sequence]
-) -> int:
-    """Dimension of the intersection of two spans."""
-    return rank_rows(basis_a) + rank_rows(basis_b) - rank_rows([*basis_a, *basis_b])

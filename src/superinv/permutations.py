@@ -23,7 +23,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import SuperIndex, Word
+from .alphabet import SuperIndex, Word, sort_is_odd
 from .coefficients import Coeff, SparseElement, exact, normalized
 from .errors import CapExceeded
 from .tableaux import YoungTableau
@@ -70,13 +70,7 @@ class Permutation:
         return Permutation(inverse_images(self.images))
 
     def sign(self) -> int:
-        inv = 0
-        im = self.images
-        for a in range(len(im)):
-            for b in range(a + 1, len(im)):
-                if im[a] > im[b]:
-                    inv += 1
-        return -1 if inv % 2 else 1
+        return -1 if sort_is_odd(self.images) else 1
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
@@ -96,13 +90,7 @@ def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
 def cocycle_sign(parities: Sequence[int], images: Sequence[int]) -> int:
     """cocycle() on raw data: `parities[x]` is the parity of the word's
     letter at position x and `images` is the image tuple of sigma."""
-    odd = [y for y in images if parities[y]]
-    count = 0
-    for a, y in enumerate(odd):
-        for z in odd[a + 1 :]:
-            if y > z:
-                count += 1
-    return -1 if count % 2 else 1
+    return -1 if sort_is_odd([y for y in images if parities[y]]) else 1
 
 
 def act_on_word(sigma: Permutation, word: Word) -> Word:
@@ -304,11 +292,6 @@ def _coset_steps(t: YoungTableau, variant: str) -> tuple:
     return tuple(steps)
 
 
-def _odd_order(values: Sequence[int]) -> bool:
-    """Whether the permutation that sorts `values` is odd."""
-    return sum(a > b for i, a in enumerate(values) for b in values[i + 1 :]) % 2 == 1
-
-
 def _times_symmetrizer(
     terms: dict[Permutation, Coeff], t: YoungTableau, variant: str
 ) -> dict[Permutation, Coeff]:
@@ -325,7 +308,7 @@ def _times_symmetrizer(
             rep = list(im)
             for block, at in blocks:
                 values = at(im)
-                if signed and _odd_order(values):
+                if signed and sort_is_odd(values):
                     c = -c
                 for x, v in zip(block, sorted(values)):
                     rep[x] = v

@@ -14,7 +14,7 @@ from math import comb
 from operator import add
 from typing import Optional, Sequence
 
-from .alphabet import IndexRange, SuperIndex
+from .alphabet import IndexRange, SuperIndex, sort_is_odd
 from .coefficients import Coeff, SparseElement, exact, normalized
 
 Monomial = tuple[int, ...]
@@ -106,15 +106,11 @@ def normalize_product(mono: Sequence[int], parities: Sequence[int]) -> Optional[
     repeats.
     """
     odd = [g for g in mono if parities[g]]
-    sign = 1
-    if len(odd) > 1:
-        if len(set(odd)) < len(odd):
-            return None
-        for i, a in enumerate(odd):
-            for b in odd[i + 1 :]:
-                if a > b:
-                    sign = -sign
-    return sign, tuple(sorted(mono))
+    if len(odd) < 2:
+        return 1, tuple(sorted(mono))
+    if len(set(odd)) < len(odd):
+        return None
+    return -1 if sort_is_odd(odd) else 1, tuple(sorted(mono))
 
 
 def _odd_crossings(left: list[int], right: list[int]) -> int:
@@ -204,13 +200,6 @@ class Polynomial(SparseElement):
 
     def is_homogeneous_degree(self, d: int) -> bool:
         return all(len(m) == d for m in self.terms)
-
-
-def power(p: Polynomial, n: int) -> Polynomial:
-    out = p.algebra.one()
-    for _ in range(n):
-        out = out * p
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import factorial
 from typing import Sequence
 
 from .alphabet import (
@@ -25,6 +26,7 @@ from .alphabet import (
     mutual_parity_count,
     od,
     parity_of_word,
+    sort_is_odd,
 )
 from .coefficients import Coeff, SparseElement, normalized
 from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights, weighs_zero
@@ -359,13 +361,7 @@ def marked_tableau_operator(
         if sorted(letters) != [od(j) for j in range(1, m + 1)]:
             continue
         # sign of the arrangement of the marked letters
-        inv = sum(
-            1
-            for a in range(m)
-            for b in range(a + 1, m)
-            if letters[a] > letters[b]
-        )
-        eps_l = (-1) ** inv
+        eps_l = -1 if sort_is_odd(letters) else 1
         q = 0
         for c in range(m):
             below = columns[c][marks[c] + 1 :]
@@ -476,8 +472,6 @@ def nabla_support_words(dims: IndexRange) -> list[Word]:
 def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> int:
     """Predicted coefficient d(I) K(I), reading the undefined lower summation
     bound as zero and the undefined exclusion set as empty."""
-    from math import factorial
-
     n, m = dims.even_count, dims.odd_count
     r = m // 2
     grid = [[I[j * n + i] for j in range(m)] for i in range(n)]

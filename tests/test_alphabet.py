@@ -1,3 +1,6 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from superinv.alphabet import (
     IndexRange,
     SuperIndex,
@@ -7,6 +10,7 @@ from superinv.alphabet import (
     mutual_parity_count,
     od,
     parity_of_word,
+    sort_is_odd,
 )
 
 
@@ -59,3 +63,29 @@ def test_cross_parity_count_matches_bruteforce():
 
 def test_all_words_count():
     assert len(list(all_words(IndexRange(1, 1), 3))) == 8
+
+
+def bubble_swaps(values) -> int:
+    """Adjacent swaps a bubble sort makes to sort `values`."""
+    items, swaps = list(values), 0
+    for end in range(len(items) - 1, 0, -1):
+        for i in range(end):
+            if items[i] > items[i + 1]:
+                items[i], items[i + 1] = items[i + 1], items[i]
+                swaps += 1
+    return swaps
+
+
+@given(st.lists(st.integers(-20, 20), max_size=8, unique=True))
+def test_sort_is_odd_is_the_bubble_sort_parity_on_ints(values):
+    assert sort_is_odd(values) == (bubble_swaps(values) % 2 == 1)
+    assert sort_is_odd(tuple(values)) == sort_is_odd(values)
+
+
+@given(
+    st.lists(
+        st.builds(SuperIndex, st.integers(0, 1), st.integers(1, 5)), max_size=8, unique=True
+    )
+)
+def test_sort_is_odd_is_the_bubble_sort_parity_on_letters(letters):
+    assert sort_is_odd(letters) == (bubble_swaps(letters) % 2 == 1)

@@ -8,12 +8,11 @@ from superinv.alphabet import IndexRange, all_words, ev, od
 from superinv.invariants import algebra_for
 from superinv.liealgebras import act_on_polynomial, build_family
 from superinv.linalg import rank_rows
-from superinv.named_polynomials import P_t
+from superinv.named_polynomials import P_t, Z_combination
 from superinv.tableaux import enumerate_semistandard
 from superinv.generators import (
     _dual_letters,
     _t2_weights,
-    dual_shadow,
     mixed_shadow,
     nonzero_shadows,
     osp_relative_generators,
@@ -310,7 +309,7 @@ def test_symmetrized_combination_pairs_like_p_t():
         expected = alg.zero()
         for I, c in zip(words, coeffs):
             expected = expected + P_t(alg, t, I, J, variant="plain", family="vw").scale(c)
-        assert dual_shadow(alg, symmetrized, J) == expected
+        assert Z_combination(alg, _dual_letters(symmetrized, len(J)), J, "vw") == expected
         nonzero += bool(expected)
     assert nonzero
 
@@ -338,10 +337,11 @@ def test_dual_shadow_guards():
     V = IndexRange(2, 2)
     covariant = TensorElement.from_word(V, plain_word((ev(1), od(1))))
     with pytest.raises(ValueError):
-        dual_shadow(alg, covariant, (ev(1), ev(1)))
+        _dual_letters(covariant, 2)
     dual = TensorElement(V, (True, True), {(ev(1), od(1)): 1})
     with pytest.raises(ValueError):
-        dual_shadow(alg, dual, (ev(1),))
-    assert dual_shadow(alg, dual, (ev(1), ev(2))) == named_polynomials.Z_of(
+        _dual_letters(dual, 1)
+    J = (ev(1), ev(2))
+    assert Z_combination(alg, _dual_letters(dual, len(J)), J, "vw") == named_polynomials.Z_of(
         alg, (ev(1), od(1)), (ev(1), ev(2)), family="vw"
     )

@@ -18,7 +18,7 @@ from superinv.liealgebras import (
     yminus_factors,
 )
 from superinv.invariants import algebra_for
-from superinv.linalg import SpanTracker
+from superinv.linalg import SpanTracker, rank_rows
 from superinv.generators import xplus_factors
 from superinv.polynomials import (
     Polynomial,
@@ -90,6 +90,48 @@ def test_supertrace_conditions():
         dims = IndexRange(1, 1) if tag == "sl" else IndexRange(2, 2)
         fam = build_family(tag, dims)
         assert all(b.supertrace() == 0 for b in fam.basis)
+
+
+def hand_built_sl_basis(dims: IndexRange) -> list[MatrixElement]:
+    """A hand-built sl(V) basis, the reference for the solved one: the
+    off-diagonal units, then E[a,a] - (-1)^{p(a)+p(last)} E[last,last] for
+    every letter a but the last."""
+    letters = dims.indices()
+    basis = [MatrixElement.unit(dims, r, c) for r in letters for c in letters if r != c]
+    last = letters[-1]
+    for a in letters[:-1]:
+        sign = -1 if (a.parity + last.parity) % 2 else 1
+        tail = MatrixElement.unit(dims, last, last).scale(-sign)
+        basis.append(MatrixElement.unit(dims, a, a) + tail)
+    return basis
+
+
+def same_span(xs: list[MatrixElement], ys: list[MatrixElement]) -> bool:
+    ranks = [rank_rows(z.terms for z in zs) for zs in (xs, ys, [*xs, *ys])]
+    return ranks[0] == ranks[1] == ranks[2]
+
+
+@pytest.mark.parametrize("dims", [(n, m) for n in range(4) for m in range(4) if n or m])
+def test_solved_sl_is_the_supertrace_zero_part_of_gl(dims):
+    """sl(V) solved from the supertrace alone: |V|^2 - 1 elements, all of
+    supertrace zero, so they span exactly the supertrace-zero matrices of
+    gl(V) (a hyperplane there); the same span, and the same diagonal span,
+    as the hand-built basis."""
+    V = IndexRange(*dims)
+    fam = build_family("sl", V)
+    assert fam.dimension == V.size**2 - 1
+    assert all(b.dims == V and b.supertrace() == 0 for b in fam.basis)
+    hand = hand_built_sl_basis(V)
+    assert same_span(fam.basis, hand)
+    assert same_span(fam.diagonal_basis(), [b for b in hand if b.is_diagonal()])
+
+
+def test_sl22_generating_subset():
+    """The greedy generating subset of the solved sl(2|2): 4 of its 12
+    off-diagonal elements."""
+    fam = build_family("sl", IndexRange(2, 2))
+    assert len([b for b in fam.basis if not b.is_diagonal()]) == 12
+    assert len(fam.generators) == 4
 
 
 @pytest.mark.parametrize("tag", ["pe", "spe"])

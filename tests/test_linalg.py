@@ -11,7 +11,6 @@ from superinv.errors import CapExceeded
 from superinv.linalg import (
     SpanTracker,
     bareiss_echelon,
-    intersect_dims,
     joint_kernel,
     nullspace,
     rank_rows,
@@ -73,13 +72,6 @@ def test_span_tracker():
     assert t.contains([3, Fraction(3, 2), 3])
     assert not t.contains([0, 0, 1])
     assert t.rank == 2
-
-
-def test_intersect_dims():
-    a = [[1, 0, 0], [0, 1, 0]]
-    b = [[0, 1, 0], [0, 0, 1]]
-    assert intersect_dims(a, b) == 1
-    assert intersect_dims(a, []) == 0
 
 
 # small rationals, zero a third of the time so zero rows and sparse rows occur
