@@ -5,7 +5,9 @@ witnesses, and relation-ideal kernel checks.
 The oracle walks the monomials of weight zero under the diagonal basis and
 stacks the kernel maps of the family's certified generating subset
 (`AlgebraFamily.generators`) only; its re-check of the result acts with
-every basis element.
+every basis element.  `check_generation` builds that basis only when it
+needs a witness: an `equal` verdict is read from ranks alone
+(`oracle_dimension`), once every basis element kills the generators.
 
 The outer letters are a symmetry of every inner action: a permutation of
 the u letters of one parity, or of the w letters of one parity, is an even
@@ -40,7 +42,7 @@ from .liealgebras import (
     annihilates,
     diagonal_weights,
 )
-from .linalg import SpanTracker, _primitive_terms, joint_kernel, rank_rows
+from .linalg import SpanTracker, _primitive_terms, joint_kernel, joint_kernel_dimension, rank_rows
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -223,6 +225,20 @@ class InvariantSpace:
         return len(self.basis)
 
 
+def _orbit_blocks(
+    family: AlgebraFamily, algebra: AlgebraDescriptor, degree: int, monomial_cap: int
+) -> tuple:
+    """The `BlockOrbits`, the oracle's weight-zero blocks in sorted key
+    order as (monomials, orbit, ranked letters), the number of blocks in
+    each orbit, and the images of a monomial under `family.generators`."""
+    blocks = blocked_monomials(algebra, degree, monomial_cap, diagonal_weights(family, algebra))
+    orbits = BlockOrbits(algebra)
+    placed = [(blocks[key], *orbits.orbit(key)) for key in sorted(blocks)]
+    table = action_table(family.generators, algebra)
+    sizes = Counter(orbit for _, orbit, _ in placed)
+    return orbits, placed, sizes, lambda m: act_through_images(table, algebra, {m: 1})
+
+
 def invariant_space_bruteforce(
     family: AlgebraFamily,
     algebra: AlgebraDescriptor,
@@ -248,30 +264,21 @@ def invariant_space_bruteforce(
     every element of the family (`annihilates`), independently of the
     generating subset.
     """
-    blocks = blocked_monomials(
-        algebra, degree, monomial_cap, diagonal_weights(family, algebra)
-    )
-    table = action_table(family.generators, algebra)
-    orbits = BlockOrbits(algebra)
-    keys = sorted(blocks)
-    placed = [orbits.orbit(key) for key in keys]
-    # blocks of each orbit still to come: a solved kernel is dropped after
-    # its orbit's last block
-    left = Counter(orbit for orbit, _ in placed)
+    orbits, placed, left, action = _orbit_blocks(family, algebra, degree, monomial_cap)
+    # `left` counts the blocks of each orbit still to come: a solved kernel
+    # is dropped after its orbit's last block
     solved: dict = {}
     basis = []
-    for key, (orbit, ranked) in zip(keys, placed):
+    for monos, orbit, ranked in placed:
         left[orbit] -= 1
         if orbit in solved:
             kernel, ranked_there = solved[orbit] if left[orbit] else solved.pop(orbit)
             if kernel:
                 gens = orbits.generator_map(ranked_there, ranked)
-                kernel = _relabeled(kernel, gens, algebra.parities, blocks[key])
+                kernel = _relabeled(kernel, gens, algebra.parities, monos)
                 basis.extend(Polynomial(algebra, terms) for terms in kernel)
         else:
-            kernel = joint_kernel(
-                blocks[key], lambda m: act_through_images(table, algebra, {m: 1}), DEFAULT_ENTRY_CAP
-            )
+            kernel = joint_kernel(monos, action, DEFAULT_ENTRY_CAP)
             polys = [Polynomial(algebra, terms) for terms in kernel]
             if left[orbit]:
                 # an integral vector's primitive form is its own term dict
@@ -280,6 +287,22 @@ def invariant_space_bruteforce(
     if not annihilates(family.basis, basis):
         raise AssertionError("oracle produced a non-invariant")
     return InvariantSpace(family.tag, degree, algebra, basis)
+
+
+def oracle_dimension(
+    family: AlgebraFamily, algebra: AlgebraDescriptor, degree: int, monomial_cap: int
+) -> int:
+    """The dimension of `invariant_space_bruteforce`'s kernel, under the
+    same caps, from ranks alone: the sum over orbits of the orbit's size
+    times its first block's `joint_kernel_dimension`.  With no basis there
+    is no re-check: it bounds the invariants' dimension from above."""
+    _, placed, sizes, action = _orbit_blocks(family, algebra, degree, monomial_cap)
+    # an orbit is counted at its first block, which pops it
+    return sum(
+        sizes.pop(orbit) * joint_kernel_dimension(monos, action, DEFAULT_ENTRY_CAP)
+        for monos, orbit, _ in placed
+        if orbit in sizes
+    )
 
 
 def generated_subspace(
@@ -341,26 +364,34 @@ def check_generation(
     monomial_cap: int = DEFAULT_MONOMIAL_CAP,
 ) -> list[GenerationVerdict]:
     """Per-degree comparison of the generated subspace with the brute-force
-    oracle, with a witness polynomial on strict inclusion."""
+    oracle, with a witness polynomial on strict inclusion.
+
+    The elements act as derivations, so when all of `family.basis` kill
+    the generators (`annihilates`, once per call) every product is
+    invariant: generated rank <= dim Inv <= K = `oracle_dimension`, which
+    comes first, its caps checked before any product.  A degree whose
+    products reach rank K is `equal` with no basis built.  Any other
+    builds (and re-checks) the oracle basis and adds it to the products'
+    tracker: the first oracle vector outside their span is the witness."""
+    invariant_generators = annihilates(family.basis, generators)
     out = []
     for d in degrees:
-        oracle = invariant_space_bruteforce(family, algebra, d, monomial_cap=monomial_cap)
+        oracle_dim = oracle_dimension(family, algebra, d, monomial_cap)
         tracker = SpanTracker()
         generated_subspace(generators, d, _tracker=tracker)
-        gen_dim = tracker.rank
-        # the first oracle vector outside the generated span is the witness
-        witness = None
-        for f in oracle.basis:
-            if tracker.add(f.terms) and witness is None:
-                witness = f
-        # soundness: the oracle basis is independent, so the joint span has
-        # its dimension only when the generated space sits inside it
-        if tracker.rank != oracle.dimension:
-            raise AssertionError("generated subspace escapes the oracle")
-        verdict = "equal" if (gen_dim == oracle.dimension and witness is None) else "strict-subspace"
-        out.append(
-            GenerationVerdict(family.tag, d, oracle.dimension, gen_dim, verdict, witness)
-        )
+        gen_dim, witness = tracker.rank, None
+        if not invariant_generators or gen_dim != oracle_dim:
+            oracle = invariant_space_bruteforce(family, algebra, d, monomial_cap=monomial_cap)
+            for f in oracle.basis:
+                if tracker.add(f.terms) and witness is None:
+                    witness = f
+            # soundness: the oracle basis is independent, so the joint span
+            # has its dimension only when the generated space sits inside it
+            oracle_dim = oracle.dimension
+            if tracker.rank != oracle_dim:
+                raise AssertionError("generated subspace escapes the oracle")
+        verdict = "equal" if witness is None else "strict-subspace"
+        out.append(GenerationVerdict(family.tag, d, oracle_dim, gen_dim, verdict, witness))
     return out
 
 

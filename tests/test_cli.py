@@ -466,14 +466,14 @@ def _slow(claim, n, k, dims, udims, wdims):
     every cap (measured on a 2-core machine, 6 s limit): T2.2 with more
     than 8 letters in all and a monomial basis within the default cap
     (above it, the run exits 3 before building a relation), the
-    split-tableau claims at --dims 2,2 (T3.3 and T3.4 12 and 15 s at
-    --k 1, T3.8 10 to 12 s with each operator image built once per word;
-    T3.6 exits 2 there: at the default --pqkl its split tableaux do not
-    fit the u-hook), and T7.2 at --n 3 --k 0 (6 s).  With
+    split-tableau claims at --dims 2,2 (T3.3 and T3.4 6 to 8 s at --k 1,
+    T3.8 4 to 5 s with each operator image built once per word; T3.6
+    exits 2 there: at the default --pqkl its split tableaux do not fit
+    the u-hook), and T7.2 at --n 3 --k 0 (about 4 s).  With
     the symmetrizers applied block by block, T7.3 at --n 2 --k 2 takes
-    0.4 to 0.55 s (it pairs each route's seed and acts on the shadows;
+    0.4 to 0.45 s (it pairs each route's seed and acts on the shadows;
     1.7 to 2.4 s when it paired the constructive tensor), T7.2 at
-    --n 2 --k 3 1.9 s, and the split-tableau claims at
+    --n 2 --k 3 1.4 to 1.6 s, and the split-tableau claims at
     --k 3 and smaller --dims at most 1.6 s (T7.3 at --k 3 exits 3 before
     any symmetrization).  Every other vector finishes within about 2 s."""
     if claim == "T2.2":

@@ -21,6 +21,7 @@ from superinv.invariants import (
     generated_subspace,
     invariant_space_bruteforce,
     kernel_dimension_at_degree,
+    oracle_dimension,
     relation_kernel_check,
 )
 from superinv.liealgebras import (
@@ -199,32 +200,53 @@ GENERATION_CASES = [
 ]
 
 
+def adds_during(run):
+    """The number of `SpanTracker.add` calls that `run()` makes, and its
+    result."""
+    add = SpanTracker.add
+    calls = []
+
+    def counted(tracker, vec):
+        calls.append(vec)
+        return add(tracker, vec)
+
+    with mock.patch.object(SpanTracker, "add", counted):
+        out = run()
+    return len(calls), out
+
+
 @pytest.mark.parametrize("skip", [0, 1])
 @pytest.mark.parametrize("tag, dims, pqkl, degree", GENERATION_CASES)
-def test_check_generation_eliminates_the_products_once(tag, dims, pqkl, degree, skip):
-    """The oracle basis meets the tracker that reduced the products, so the
-    verdict, dimensions and witness are the two-tracker reference's, with
-    `generated_dim` fewer `SpanTracker.add` calls.  Without the first
-    scalar product (`skip`) every case is a strict subspace with a
-    witness."""
+def test_check_generation_eliminates_the_products_once(tag, dims, pqkl, degree, skip, monkeypatch):
+    """The verdict, dimensions and witness are the two-tracker reference's.
+    With every scalar product the products reach the oracle's rank: the
+    verdict is `equal`, and the oracle basis is never built.  Without the
+    first one (`skip`) every case is a strict subspace with a witness: the
+    oracle basis is built once, and added to the tracker that reduced the
+    products, so the adds are the rank route's, the products' once, the
+    oracle's own and its basis."""
     fam = build_family(tag, IndexRange(*dims))
     alg = algebra_for(fam, *pqkl)
     gens = [g for g in scalar_products(tag, alg) if g][skip:]
     fam.generators  # computed once per family, through a SpanTracker of its own
-    adds = []
-    add = SpanTracker.add
+    want = two_tracker_generation(fam, alg, gens, degree)
+    rank_adds, _ = adds_during(lambda: oracle_dimension(fam, alg, degree, DEFAULT_MONOMIAL_CAP))
+    product_adds, _ = adds_during(lambda: generated_subspace(gens, degree))
+    oracle_adds, _ = adds_during(lambda: invariant_space_bruteforce(fam, alg, degree))
+    built = []
 
-    def counted(tracker, vec):
-        adds.append(vec)
-        return add(tracker, vec)
+    def oracle(*args, **kwargs):
+        if not skip:
+            raise AssertionError("the oracle basis must not be built")
+        built.append(args)
+        return invariant_space_bruteforce(*args, **kwargs)
 
-    with mock.patch.object(SpanTracker, "add", counted):
-        want = two_tracker_generation(fam, alg, gens, degree)
-        reference_adds = len(adds)
-        (got,) = check_generation(fam, alg, gens, [degree])
+    monkeypatch.setattr(invariants_module, "invariant_space_bruteforce", oracle)
+    adds, (got,) = adds_during(lambda: check_generation(fam, alg, gens, [degree]))
     assert (got.verdict, got.oracle_dim, got.generated_dim, got.witness) == want
     assert (got.witness is not None) == bool(skip)
-    assert len(adds) - reference_adds == reference_adds - got.generated_dim
+    assert len(built) == skip
+    assert adds == rank_adds + product_adds + skip * (oracle_adds + got.oracle_dim)
 
 
 def test_blocked_monomials_partition():
@@ -455,6 +477,67 @@ def test_verification_catches_a_wrong_generating_subset(monkeypatch):
     alg = algebra_for(fam, 2, 1, 2, 1)
     with pytest.raises(AssertionError, match="non-invariant"):
         invariant_space_bruteforce(fam, alg, 2)
+
+
+def test_rank_route_falls_back_on_a_wrong_generating_subset(monkeypatch):
+    """With E[1,1'] alone as the generators of gl(2|1), the rank-only bound
+    counts non-invariants too and exceeds the products' rank, so
+    `check_generation` does not read `equal` from it: it builds the oracle
+    basis, whose re-check raises."""
+    dims = IndexRange(2, 1)
+    lone = [MatrixElement.unit(dims, ev(1), od(1))]
+    monkeypatch.setattr(AlgebraFamily, "generators", property(lambda fam: lone))
+    fam = build_family("gl", dims)
+    alg = algebra_for(fam, 2, 1, 2, 1)
+    gens = scalar_products("gl", alg)
+    assert oracle_dimension(fam, alg, 2, DEFAULT_MONOMIAL_CAP) > len(generated_subspace(gens, 2))
+    with pytest.raises(AssertionError, match="non-invariant"):
+        check_generation(fam, alg, gens, [2])
+
+
+def test_generation_checks_the_cap_before_any_product(monkeypatch):
+    """A degree above the monomial cap raises the oracle's CapExceeded
+    before a single product of the generators is formed."""
+    fam = build_family("gl", IndexRange(2, 1))
+    alg = algebra_for(fam, 2, 1, 2, 1)
+    gens = scalar_products("gl", alg)
+    with pytest.raises(CapExceeded) as oracle_cap:
+        invariant_space_bruteforce(fam, alg, 6)
+
+    def no_products(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_products)
+    with pytest.raises(CapExceeded) as generation_cap:
+        check_generation(fam, alg, gens, [6])
+    assert str(generation_cap.value) == str(oracle_cap.value)
+
+
+@pytest.mark.parametrize("tag, dims, pqkl, degree", _ORACLE_STYLE_CASES)
+def test_rank_only_dimension_is_the_oracle_dimension(tag, dims, pqkl, degree):
+    """The oracle's dimension read from ranks alone, one block per orbit,
+    is the dimension of the basis it builds."""
+    fam = _family(tag, dims)
+    alg = algebra_for(fam, *pqkl)
+    cap = DEFAULT_MONOMIAL_CAP * 10
+    want = invariant_space_bruteforce(fam, alg, degree, monomial_cap=cap).dimension
+    assert oracle_dimension(fam, alg, degree, cap) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(_WALK_FAMILIES),
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.integers(0, 6),
+)
+def test_rank_only_dimension_on_random_draws(family_dims, pqkl, degree):
+    fam = _family(*family_dims)
+    alg = algebra_for(fam, *pqkl)
+    # keep the oracle small: lower the degree until it is
+    while degree and count_monomials_of_degree(alg, degree) > 5000:
+        degree -= 1
+    want = invariant_space_bruteforce(fam, alg, degree).dimension
+    assert oracle_dimension(fam, alg, degree, DEFAULT_MONOMIAL_CAP) == want
 
 
 def test_cap_counts_the_full_basis():
