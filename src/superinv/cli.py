@@ -78,8 +78,14 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
             )
         text = buf.getvalue()
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a path that cannot be written is a usage error
+            raise argparse.ArgumentTypeError(
+                f"cannot write --output {output}: {exc.strerror or exc}"
+            ) from exc
     else:
         try:
             sys.stdout.write(text if text.endswith("\n") else text + "\n")

@@ -5,9 +5,11 @@ witnesses, and relation-ideal kernel checks.
 The oracle walks the monomials of weight zero under the diagonal basis and
 stacks the kernel maps of the family's certified generating subset
 (`AlgebraFamily.generators`) only; its re-check of the result acts with
-every basis element.  `check_generation` builds that basis only when it
-needs a witness: an `equal` verdict is read from ranks alone
-(`oracle_dimension`), once every basis element kills the generators.
+every basis element.  `check_generation` solves each degree once and
+reads the oracle's dimension from its first-block kernels; it relabels
+them into the basis, and re-checks it, only when it needs a witness: an
+`equal` verdict needs none, once every basis element kills the
+generators.
 
 The outer letters are a symmetry of every inner action: a permutation of
 the u letters of one parity, or of the w letters of one parity, is an even
@@ -27,7 +29,6 @@ fails keeps every block apart."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,7 +43,7 @@ from .liealgebras import (
     annihilates,
     diagonal_weights,
 )
-from .linalg import SpanTracker, _primitive_terms, joint_kernel, joint_kernel_dimension, rank_rows
+from .linalg import SpanTracker, _primitive_terms, joint_kernel, rank_rows
 from .polynomials import (
     AlgebraDescriptor,
     Monomial,
@@ -225,18 +226,49 @@ class InvariantSpace:
         return len(self.basis)
 
 
-def _orbit_blocks(
+def _solve_orbits(
     family: AlgebraFamily, algebra: AlgebraDescriptor, degree: int, monomial_cap: int
 ) -> tuple:
-    """The `BlockOrbits`, the oracle's weight-zero blocks in sorted key
-    order as (monomials, orbit, ranked letters), the number of blocks in
-    each orbit, and the images of a monomial under `family.generators`."""
+    """One solve of the oracle at a degree: the `BlockOrbits`, the blocks
+    of `blocked_monomials` in sorted key order as (monomials, orbit, ranked
+    letters), and each orbit's first-block `joint_kernel`, with that
+    block's ranked letters.  The oracle's dimension is the sum, over the
+    blocks, of their orbit's kernel size."""
     blocks = blocked_monomials(algebra, degree, monomial_cap, diagonal_weights(family, algebra))
     orbits = BlockOrbits(algebra)
-    placed = [(blocks[key], *orbits.orbit(key)) for key in sorted(blocks)]
     table = action_table(family.generators, algebra)
-    sizes = Counter(orbit for _, orbit, _ in placed)
-    return orbits, placed, sizes, lambda m: act_through_images(table, algebra, {m: 1})
+    placed, solved = [], {}
+    for key in sorted(blocks):
+        monos, (orbit, ranked) = blocks[key], orbits.orbit(key)
+        if orbit not in solved:
+            kernel = joint_kernel(
+                monos, lambda m: act_through_images(table, algebra, {m: 1}), DEFAULT_ENTRY_CAP
+            )
+            solved[orbit] = kernel, ranked
+        placed.append((monos, orbit, ranked))
+    return orbits, placed, solved
+
+
+def _oracle_basis(family: AlgebraFamily, algebra: AlgebraDescriptor, solve: tuple) -> list:
+    """The basis of a `_solve_orbits` solve, block by block: an orbit's
+    first block gives its kernel, each later one relabels it; `annihilates`
+    then re-checks every polynomial with every element of the family."""
+    orbits, placed, solved = solve
+    basis, integral = [], {}
+    for monos, orbit, ranked in placed:
+        kernel, ranked_there = solved[orbit]
+        if orbit not in integral:
+            polys = [Polynomial(algebra, terms) for terms in kernel]
+            # an integral vector's primitive form is its own term dict
+            integral[orbit] = [_primitive_terms(f.terms) for f in polys]
+            basis.extend(polys)
+        elif kernel:
+            gens = orbits.generator_map(ranked_there, ranked)
+            relabeled = _relabeled(integral[orbit], gens, algebra.parities, monos)
+            basis.extend(Polynomial(algebra, terms) for terms in relabeled)
+    if not annihilates(family.basis, basis):
+        raise AssertionError("oracle produced a non-invariant")
+    return basis
 
 
 def invariant_space_bruteforce(
@@ -253,56 +285,18 @@ def invariant_space_bruteforce(
     in sorted order, is solved, and each later one relabels its kernel.
     The diagonal elements act on a monomial by a scalar, its weight (see
     `diagonal_weights`), so only the monomials of weight zero under all of
-    them can occur: the walk of
-    `blocked_monomials` enumerates just those, pruning as it goes.  The
-    monomial cap still counts the full degree-d basis.  The elements of
-    `family.generators` share one `action_table`, built once per call, and
-    act on each monomial in one walk: the annihilator of a polynomial is a
-    Lie sub-superalgebra, so on weight-zero monomials their joint kernel is
-    the kernel of every off-diagonal element, and it is read off the
-    reduced echelon form.  Every basis polynomial is then checked against
-    every element of the family (`annihilates`), independently of the
-    generating subset.
+    them can occur: the walk of `blocked_monomials` enumerates just those,
+    pruning as it goes.  The monomial cap still counts the full degree-d
+    basis.  The elements of `family.generators` share one `action_table`
+    and act on each monomial in one walk: the annihilator of a polynomial
+    is a Lie sub-superalgebra, so on weight-zero monomials their joint
+    kernel is the kernel of every off-diagonal element, and it is read off
+    the reduced echelon form.  Every basis polynomial is then checked
+    against every element of the family (`annihilates`), independently of
+    the generating subset.
     """
-    orbits, placed, left, action = _orbit_blocks(family, algebra, degree, monomial_cap)
-    # `left` counts the blocks of each orbit still to come: a solved kernel
-    # is dropped after its orbit's last block
-    solved: dict = {}
-    basis = []
-    for monos, orbit, ranked in placed:
-        left[orbit] -= 1
-        if orbit in solved:
-            kernel, ranked_there = solved[orbit] if left[orbit] else solved.pop(orbit)
-            if kernel:
-                gens = orbits.generator_map(ranked_there, ranked)
-                kernel = _relabeled(kernel, gens, algebra.parities, monos)
-                basis.extend(Polynomial(algebra, terms) for terms in kernel)
-        else:
-            kernel = joint_kernel(monos, action, DEFAULT_ENTRY_CAP)
-            polys = [Polynomial(algebra, terms) for terms in kernel]
-            if left[orbit]:
-                # an integral vector's primitive form is its own term dict
-                solved[orbit] = [_primitive_terms(f.terms) for f in polys], ranked
-            basis.extend(polys)
-    if not annihilates(family.basis, basis):
-        raise AssertionError("oracle produced a non-invariant")
-    return InvariantSpace(family.tag, degree, algebra, basis)
-
-
-def oracle_dimension(
-    family: AlgebraFamily, algebra: AlgebraDescriptor, degree: int, monomial_cap: int
-) -> int:
-    """The dimension of `invariant_space_bruteforce`'s kernel, under the
-    same caps, from ranks alone: the sum over orbits of the orbit's size
-    times its first block's `joint_kernel_dimension`.  With no basis there
-    is no re-check: it bounds the invariants' dimension from above."""
-    _, placed, sizes, action = _orbit_blocks(family, algebra, degree, monomial_cap)
-    # an orbit is counted at its first block, which pops it
-    return sum(
-        sizes.pop(orbit) * joint_kernel_dimension(monos, action, DEFAULT_ENTRY_CAP)
-        for monos, orbit, _ in placed
-        if orbit in sizes
-    )
+    solve = _solve_orbits(family, algebra, degree, monomial_cap)
+    return InvariantSpace(family.tag, degree, algebra, _oracle_basis(family, algebra, solve))
 
 
 def generated_subspace(
@@ -366,28 +360,30 @@ def check_generation(
     """Per-degree comparison of the generated subspace with the brute-force
     oracle, with a witness polynomial on strict inclusion.
 
-    The elements act as derivations, so when all of `family.basis` kill
-    the generators (`annihilates`, once per call) every product is
-    invariant: generated rank <= dim Inv <= K = `oracle_dimension`, which
-    comes first, its caps checked before any product.  A degree whose
-    products reach rank K is `equal` with no basis built.  Any other
-    builds (and re-checks) the oracle basis and adds it to the products'
-    tracker: the first oracle vector outside their span is the witness."""
+    Each degree is solved once (`_solve_orbits`), its caps checked before
+    any product: K, the oracle's dimension, is read from the orbits'
+    first-block kernels.  The elements act as derivations, so when all of
+    `family.basis` kill the generators (`annihilates`, once per call)
+    every product is invariant: generated rank <= dim Inv <= K.  A degree
+    whose products reach rank K is `equal`, its basis neither relabeled nor
+    re-checked.  Any other builds (and re-checks) the oracle basis from the
+    same kernels and adds it to the products' tracker: the first oracle
+    vector outside their span is the witness."""
     invariant_generators = annihilates(family.basis, generators)
     out = []
     for d in degrees:
-        oracle_dim = oracle_dimension(family, algebra, d, monomial_cap)
+        solve = _solve_orbits(family, algebra, d, monomial_cap)
+        _, placed, solved = solve
+        oracle_dim = sum(len(solved[orbit][0]) for _, orbit, _ in placed)
         tracker = SpanTracker()
         generated_subspace(generators, d, _tracker=tracker)
         gen_dim, witness = tracker.rank, None
         if not invariant_generators or gen_dim != oracle_dim:
-            oracle = invariant_space_bruteforce(family, algebra, d, monomial_cap=monomial_cap)
-            for f in oracle.basis:
+            for f in _oracle_basis(family, algebra, solve):
                 if tracker.add(f.terms) and witness is None:
                     witness = f
             # soundness: the oracle basis is independent, so the joint span
             # has its dimension only when the generated space sits inside it
-            oracle_dim = oracle.dimension
             if tracker.rank != oracle_dim:
                 raise AssertionError("generated subspace escapes the oracle")
         verdict = "equal" if witness is None else "strict-subspace"

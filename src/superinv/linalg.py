@@ -9,11 +9,9 @@ arrives holding a Fraction.  Ranks and nullspaces are read off that form,
 with no dense matrix and no floating point.
 
 This module is the only place that turns images into equation rows, and
-each job has one entry point: a kernel comes from `joint_kernel`, its
-dimension alone from `joint_kernel_dimension` (the same rows, ranked, with
-no basis built), a one-shot rank from `rank_rows`, and `SpanTracker` is
-used directly only where rows stream in or membership is tested
-incrementally.
+each job has one entry point: a kernel comes from `joint_kernel`, a
+one-shot rank from `rank_rows`, and `SpanTracker` is used directly only
+where rows stream in or membership is tested incrementally.
 """
 
 from __future__ import annotations
@@ -75,20 +73,6 @@ def nullspace(rows: Sequence[Mapping | Sequence], ncols: int) -> list[dict[int, 
     return list(basis.values())
 
 
-def _stacked_rows(kept: list, images: Callable, entry_cap: int | None) -> list[dict]:
-    """The equation rows of `joint_kernel` on `kept`, keyed by position."""
-    conditions: dict = {}
-    for i, k in enumerate(kept):
-        for j, image in enumerate(images(k)):
-            for u, c in image.items():
-                if c:
-                    conditions.setdefault(j, {}).setdefault(u, {})[i] = c
-    rows = [row for j in sorted(conditions) for row in conditions[j].values()]
-    if entry_cap is not None and len(rows) * len(kept) > entry_cap:
-        raise CapExceeded("action matrix", len(rows) * len(kept), entry_cap)
-    return rows
-
-
 def joint_kernel(
     keys: Iterable[Hashable],
     images: Callable[[Hashable], Sequence[Mapping]],
@@ -106,17 +90,16 @@ def joint_kernel(
     monomials or words, the matrix units of a parity block, support indices.
     """
     kept = list(keys)
-    rows = _stacked_rows(kept, images, entry_cap)
+    conditions: dict = {}
+    for i, k in enumerate(kept):
+        for j, image in enumerate(images(k)):
+            for u, c in image.items():
+                if c:
+                    conditions.setdefault(j, {}).setdefault(u, {})[i] = c
+    rows = [row for j in sorted(conditions) for row in conditions[j].values()]
+    if entry_cap is not None and len(rows) * len(kept) > entry_cap:
+        raise CapExceeded("action matrix", len(rows) * len(kept), entry_cap)
     return [{kept[i]: x for i, x in vec.items()} for vec in nullspace(rows, len(kept))]
-
-
-def joint_kernel_dimension(
-    keys: Iterable[Hashable], images: Callable, entry_cap: int | None = None
-) -> int:
-    """The dimension of `joint_kernel(keys, images, entry_cap)`, from the
-    rank of the same rows under the same cap, with no basis built."""
-    kept = list(keys)
-    return len(kept) - rank_rows(_stacked_rows(kept, images, entry_cap))
 
 
 def _cancel(v: dict, row: dict, p) -> None:

@@ -187,6 +187,24 @@ def test_report_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--theorem", "T2.1", "--output", "/nonexistent/dir/x.json"),
+        ("tableaux", "--shape", "2", "--output", "/"),
+    ],
+    ids=["verify-missing-dir", "tableaux-directory"],
+)
+def test_unwritable_output_is_a_usage_error(capsys, argv):
+    """An --output path that cannot be opened exits 2 with one line on
+    stderr, naming the path, and no traceback."""
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write --output {argv[-1]}: ")
+    assert err.count("\n") == 1
+
+
 def test_bad_flag_values(capsys):
     """A malformed value, a flag the command does not take (`verify` reads
     no family: each claim fixes its own; `tableaux` has no oracle to cap),

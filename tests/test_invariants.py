@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -21,7 +22,6 @@ from superinv.invariants import (
     generated_subspace,
     invariant_space_bruteforce,
     kernel_dimension_at_degree,
-    oracle_dimension,
     relation_kernel_check,
 )
 from superinv.liealgebras import (
@@ -215,38 +215,72 @@ def adds_during(run):
     return len(calls), out
 
 
+def counted_calls(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def forbid_oracle_basis(*args):
+    raise AssertionError("the oracle basis must not be built")
+
+
 @pytest.mark.parametrize("skip", [0, 1])
 @pytest.mark.parametrize("tag, dims, pqkl, degree", GENERATION_CASES)
 def test_check_generation_eliminates_the_products_once(tag, dims, pqkl, degree, skip, monkeypatch):
     """The verdict, dimensions and witness are the two-tracker reference's.
-    With every scalar product the products reach the oracle's rank: the
-    verdict is `equal`, and the oracle basis is never built.  Without the
-    first one (`skip`) every case is a strict subspace with a witness: the
-    oracle basis is built once, and added to the tracker that reduced the
-    products, so the adds are the rank route's, the products' once, the
-    oracle's own and its basis."""
+    With every scalar product the products reach the oracle's dimension:
+    the verdict is `equal`, and the oracle basis is never built.  Without
+    the first one (`skip`) every case is a strict subspace with a witness:
+    the basis is built once, from the same solve, and added to the tracker
+    that reduced the products, so the adds are the first blocks' kernels,
+    the products' once, and at `skip` the relabelings' and the basis."""
     fam = build_family(tag, IndexRange(*dims))
     alg = algebra_for(fam, *pqkl)
     gens = [g for g in scalar_products(tag, alg) if g][skip:]
     fam.generators  # computed once per family, through a SpanTracker of its own
     want = two_tracker_generation(fam, alg, gens, degree)
-    rank_adds, _ = adds_during(lambda: oracle_dimension(fam, alg, degree, DEFAULT_MONOMIAL_CAP))
+    oracle_basis = invariants_module._oracle_basis
+    solve_adds, solve = adds_during(
+        lambda: invariants_module._solve_orbits(fam, alg, degree, DEFAULT_MONOMIAL_CAP)
+    )
     product_adds, _ = adds_during(lambda: generated_subspace(gens, degree))
-    oracle_adds, _ = adds_during(lambda: invariant_space_bruteforce(fam, alg, degree))
-    built = []
-
-    def oracle(*args, **kwargs):
-        if not skip:
-            raise AssertionError("the oracle basis must not be built")
-        built.append(args)
-        return invariant_space_bruteforce(*args, **kwargs)
-
-    monkeypatch.setattr(invariants_module, "invariant_space_bruteforce", oracle)
+    relabel_adds, _ = adds_during(lambda: oracle_basis(fam, alg, solve))
+    calls = Counter()
+    monkeypatch.setattr(
+        invariants_module,
+        "_oracle_basis",
+        counted_calls(calls, "bases", oracle_basis) if skip else forbid_oracle_basis,
+    )
     adds, (got,) = adds_during(lambda: check_generation(fam, alg, gens, [degree]))
     assert (got.verdict, got.oracle_dim, got.generated_dim, got.witness) == want
     assert (got.witness is not None) == bool(skip)
-    assert len(built) == skip
-    assert adds == rank_adds + product_adds + skip * (oracle_adds + got.oracle_dim)
+    assert calls["bases"] == skip
+    assert adds == solve_adds + product_adds + skip * (relabel_adds + got.oracle_dim)
+
+
+@pytest.mark.parametrize("tag, dims, pqkl, degree", GENERATION_CASES)
+def test_generation_walks_and_solves_once(tag, dims, pqkl, degree, monkeypatch):
+    """A strict-subspace degree reads its dimension and builds its witness
+    from one solve: one `blocked_monomials` walk, and one `joint_kernel` per
+    orbit of blocks."""
+    fam = build_family(tag, IndexRange(*dims))
+    alg = algebra_for(fam, *pqkl)
+    gens = [g for g in scalar_products(tag, alg) if g][1:]
+    blocks = blocked_monomials(alg, degree, DEFAULT_MONOMIAL_CAP, diagonal_weights(fam, alg))
+    orbits = BlockOrbits(alg)
+    calls = Counter()
+    monkeypatch.setattr(
+        invariants_module, "blocked_monomials", counted_calls(calls, "walks", blocked_monomials)
+    )
+    monkeypatch.setattr(
+        invariants_module, "joint_kernel", counted_calls(calls, "solves", joint_kernel)
+    )
+    (got,) = check_generation(fam, alg, gens, [degree])
+    assert got.verdict == "strict-subspace"
+    assert calls == {"walks": 1, "solves": len({orbits.orbit(key)[0] for key in blocks})}
 
 
 def test_blocked_monomials_partition():
@@ -480,17 +514,17 @@ def test_verification_catches_a_wrong_generating_subset(monkeypatch):
 
 
 def test_rank_route_falls_back_on_a_wrong_generating_subset(monkeypatch):
-    """With E[1,1'] alone as the generators of gl(2|1), the rank-only bound
-    counts non-invariants too and exceeds the products' rank, so
-    `check_generation` does not read `equal` from it: it builds the oracle
-    basis, whose re-check raises."""
+    """With E[1,1'] alone as the generators of gl(2|1), the first-block
+    kernels hold non-invariants too, so the oracle's dimension read from
+    them exceeds the products' rank and `check_generation` does not read
+    `equal`: it builds the oracle basis from the same solve, and the
+    basis's re-check raises."""
     dims = IndexRange(2, 1)
     lone = [MatrixElement.unit(dims, ev(1), od(1))]
     monkeypatch.setattr(AlgebraFamily, "generators", property(lambda fam: lone))
     fam = build_family("gl", dims)
     alg = algebra_for(fam, 2, 1, 2, 1)
     gens = scalar_products("gl", alg)
-    assert oracle_dimension(fam, alg, 2, DEFAULT_MONOMIAL_CAP) > len(generated_subspace(gens, 2))
     with pytest.raises(AssertionError, match="non-invariant"):
         check_generation(fam, alg, gens, [2])
 
@@ -513,31 +547,42 @@ def test_generation_checks_the_cap_before_any_product(monkeypatch):
     assert str(generation_cap.value) == str(oracle_cap.value)
 
 
+def equal_degree_dimensions(fam, alg, degree, cap):
+    """The dimension `check_generation` reads at an `equal` degree, and
+    the oracle's: the oracle basis itself, as the generators, makes the
+    degree `equal`, and the basis must not be built again."""
+    basis = invariant_space_bruteforce(fam, alg, degree, monomial_cap=cap).basis
+    with mock.patch.object(invariants_module, "_oracle_basis", forbid_oracle_basis):
+        (got,) = check_generation(fam, alg, basis, [degree], cap)
+    assert (got.verdict, got.generated_dim) == ("equal", len(basis))
+    return got.oracle_dim, len(basis)
+
+
 @pytest.mark.parametrize("tag, dims, pqkl, degree", _ORACLE_STYLE_CASES)
 def test_rank_only_dimension_is_the_oracle_dimension(tag, dims, pqkl, degree):
-    """The oracle's dimension read from ranks alone, one block per orbit,
-    is the dimension of the basis it builds."""
+    """On an `equal` degree, the dimension `check_generation` reads from
+    the first-block kernels, with no basis relabeled, is the dimension of
+    the basis the oracle builds."""
     fam = _family(tag, dims)
     alg = algebra_for(fam, *pqkl)
-    cap = DEFAULT_MONOMIAL_CAP * 10
-    want = invariant_space_bruteforce(fam, alg, degree, monomial_cap=cap).dimension
-    assert oracle_dimension(fam, alg, degree, cap) == want
+    got, want = equal_degree_dimensions(fam, alg, degree, DEFAULT_MONOMIAL_CAP * 10)
+    assert got == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(_WALK_FAMILIES),
     st.tuples(*[st.integers(0, 2)] * 4),
-    st.integers(0, 6),
+    st.integers(1, 6),
 )
 def test_rank_only_dimension_on_random_draws(family_dims, pqkl, degree):
     fam = _family(*family_dims)
     alg = algebra_for(fam, *pqkl)
     # keep the oracle small: lower the degree until it is
-    while degree and count_monomials_of_degree(alg, degree) > 5000:
+    while degree > 1 and count_monomials_of_degree(alg, degree) > 5000:
         degree -= 1
-    want = invariant_space_bruteforce(fam, alg, degree).dimension
-    assert oracle_dimension(fam, alg, degree, DEFAULT_MONOMIAL_CAP) == want
+    got, want = equal_degree_dimensions(fam, alg, degree, DEFAULT_MONOMIAL_CAP)
+    assert got == want
 
 
 def test_cap_counts_the_full_basis():
