@@ -58,7 +58,6 @@ from .tensors import (
     contraction_D,
     invariant_operator,
     nabla_construct,
-    tensor_invariant_space,
     theta,
 )
 

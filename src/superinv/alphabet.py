@@ -97,22 +97,6 @@ def mutual_parity_count(items: Iterable[SuperIndex]) -> int:
     return total
 
 
-def cross_parity_count(left: Word, right: Word) -> int:
-    """Exponent sum p(left_a) * p(right_b) over pairs with a > b.
-
-    This is the sign exponent attached to an interleaving where the a-th
-    left letter passes the first a-1 right letters.
-    """
-    total = 0
-    odd_right_before = 0
-    for a in range(len(left)):
-        if a > 0 and right[a - 1].parity:
-            odd_right_before += 1
-        if left[a].parity:
-            total += odd_right_before
-    return total
-
-
 def all_words(index_range: IndexRange, length: int) -> Iterator[Word]:
     """All length-`length` words over the range, in alphabet order."""
     yield from itertools.product(index_range.indices(), repeat=length)

@@ -654,10 +654,6 @@ def claim_key(theorem_id: str) -> str:
     return key
 
 
-# the claims whose every record is built over the W letters
-_W_CLAIMS = ("T4.3", "T4.4", "T4.5", "T5.2", "T6.2", "T6.3.1", "T6.3.2")
-
-
 def validate_options(key: str, opts: ClaimOptions) -> None:
     """Raise InvalidOptions when the options lie outside the claim's range."""
     claim = CATALOG[key]
@@ -682,13 +678,14 @@ def validate_options(key: str, opts: ClaimOptions) -> None:
     if claim.min_k is not None and opts.k < claim.min_k:
         raise InvalidOptions(f"needs --k >= {claim.min_k}, got {opts.k}")
     # with no U or W letter there is no generator and no filling, so every
-    # record would be vacuous
-    spaces = ("udims", "wdims") if key == "T2.2" else ("wdims",) if key in _W_CLAIMS else ()
-    for name in spaces:
-        if getattr(opts, name) == (0, 0):
-            raise InvalidOptions(
-                f"needs --{name} with a letter, got --{name} 0,0: no check would run"
-            )
+    # record would be vacuous; the W-letter claims below refuse 0,0 through
+    # their hook checks
+    if key == "T2.2":
+        for name in ("udims", "wdims"):
+            if getattr(opts, name) == (0, 0):
+                raise InvalidOptions(
+                    f"needs --{name} with a letter, got --{name} 0,0: no check would run"
+                )
     # each family pairs semistandard words of a split tableau, and a shape
     # has semistandard fillings over the (e|o) letters iff it fits that hook
     if key == "T3.6":

@@ -23,7 +23,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .alphabet import SuperIndex, Word, sort_is_odd
+from .alphabet import SuperIndex, sort_is_odd
 from .coefficients import Coeff, SparseElement, exact, normalized
 from .errors import CapExceeded
 from .tableaux import YoungTableau
@@ -91,14 +91,6 @@ def cocycle_sign(parities: Sequence[int], images: Sequence[int]) -> int:
     """cocycle() on raw data: `parities[x]` is the parity of the word's
     letter at position x and `images` is the image tuple of sigma."""
     return -1 if sort_is_odd([y for y in images if parities[y]]) else 1
-
-
-def act_on_word(sigma: Permutation, word: Word) -> Word:
-    """(sigma I)_a = I_{sigma^{-1}(a)}: the letter at position a moves to
-    position sigma(a)."""
-    if sigma.degree != len(word):
-        raise ValueError("length mismatch")
-    return tuple(map(word.__getitem__, inverse_images(sigma.images)))
 
 
 def cocycle(word: Sequence[SuperIndex], sigma: Permutation) -> int:
@@ -195,19 +187,6 @@ class GroupAlgebraElement(SparseElement):
         one inverse that both the cocycle and the moved word need."""
         return ((inverse_images(p.images), c) for p, c in self.terms.items())
 
-    def apply_to_word(self, word: Word) -> dict[Word, Coeff]:
-        """Action on tensor words: sigma . v_I = c(I, sigma^{-1}) v_{sigma I},
-        extended linearly with like-term collection."""
-        if len(word) != self.degree:
-            raise ValueError("length mismatch")
-        parities = [x.parity for x in word]
-        at = word.__getitem__
-        out: dict[Word, Coeff] = {}
-        for inv, coeff in self.inverse_terms():
-            target = tuple(map(at, inv))
-            out[target] = out.get(target, 0) + coeff * cocycle_sign(parities, inv)
-        return {w: c for w, c in out.items() if c}
-
 
 def _block_group(blocks: Iterable[Sequence[int]], degree: int) -> list[Permutation]:
     """Direct product of symmetric groups on disjoint position blocks."""
@@ -249,23 +228,22 @@ def symmetrizer_term_count(t: YoungTableau) -> int:
     )
 
 
-def check_symmetrizer_cap(t: YoungTableau, cap: int = SYMMETRIZER_TERM_CAP) -> None:
-    """Raise CapExceeded when the expanded symmetrizer of t exceeds `cap`."""
+def check_symmetrizer_cap(t: YoungTableau) -> None:
+    """Raise CapExceeded when the expanded symmetrizer of t exceeds
+    SYMMETRIZER_TERM_CAP."""
     size = symmetrizer_term_count(t)
-    if size > cap:
-        raise CapExceeded("symmetrizer terms", size, cap)
+    if size > SYMMETRIZER_TERM_CAP:
+        raise CapExceeded("symmetrizer terms", size, SYMMETRIZER_TERM_CAP)
 
 
-def young_symmetrizer(
-    t: YoungTableau, variant: str = "plain", cap: int = SYMMETRIZER_TERM_CAP
-) -> GroupAlgebraElement:
+def young_symmetrizer(t: YoungTableau, variant: str = "plain") -> GroupAlgebraElement:
     """Fully expanded symmetrizer: sum of eps(tau) sigma tau over the row and
     column stabilizers ("plain"), or with the factors reversed ("tilde"),
     built as the identity times its block sums.  The term count is checked
-    against `cap` before any group is built."""
+    against SYMMETRIZER_TERM_CAP before any group is built."""
     if variant not in ("plain", "tilde"):
         raise ValueError("variant must be 'plain' or 'tilde'")
-    check_symmetrizer_cap(t, cap)
+    check_symmetrizer_cap(t)
     unit = {Permutation.identity(t.size): 1}
     return GroupAlgebraElement._adopt(t.size, _times_symmetrizer(unit, t, variant), (t, variant))
 

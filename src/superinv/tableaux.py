@@ -99,29 +99,12 @@ class YoungTableau:
         """Map cell number -> (row, col)."""
         return {self.rows[r][c]: (r, c) for r, c in self.cells()}
 
-    def is_standard(self) -> bool:
-        for r, row in enumerate(self.rows):
-            for c, val in enumerate(row):
-                if c + 1 < len(row) and row[c + 1] <= val:
-                    return False
-                if r + 1 < len(self.rows) and c < len(self.rows[r + 1]) and self.rows[r + 1][c] <= val:
-                    return False
-        return True
-
     def column(self, c: int) -> tuple[int, ...]:
         return tuple(row[c] for row in self.rows if c < len(row))
 
     def columns(self) -> list[tuple[int, ...]]:
         ncols = self.shape.parts[0] if self.shape.parts else 0
         return [self.column(c) for c in range(ncols)]
-
-    def relabel(self, images: Sequence[int]) -> "YoungTableau":
-        """Apply a permutation to the entries: number a becomes images[a-1]+1
-        (0-indexed permutation of 0..size-1)."""
-        return YoungTableau(
-            self.shape,
-            tuple(tuple(images[v - 1] + 1 for v in row) for row in self.rows),
-        )
 
     def __str__(self) -> str:
         return " / ".join(",".join(map(str, row)) for row in self.rows)

