@@ -35,9 +35,9 @@ from .liealgebras import (
     AlgebraFamily,
     MatrixElement,
     abs_exponent,
-    act_through_images,
     action_table,
     invariant_form,
+    polynomial_images,
     t1_matrices,
     yminus_factors,
 )
@@ -425,9 +425,7 @@ def spe_ppf_polynomials(
     shadows = nonzero_shadows(algebra, _dual_letters(seed, t.size), t)
     for x in reversed(factors):
         table = action_table([x], algebra)
-        shadows = [
-            Polynomial(algebra, act_through_images(table, algebra, f.terms)[0]) for f in shadows
-        ]
+        shadows = [polynomial_images(table, f)[0] for f in shadows]
     return [f for f in shadows if f]
 
 

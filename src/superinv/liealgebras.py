@@ -2,7 +2,8 @@
 derivation action: one letter-image table per dual flag for each element
 (`MatrixElement.slot_images`), extended to tensor words (`act_on_words`)
 and to polynomials, where a list of elements acts in one batched walk over
-the terms (`action_table`, `act_through_images`).
+the terms, each monomial packed into exponent fields of one integer
+(`action_table`, `act_through_images`).
 
 Invariance is decided by one predicate, `invariant(family, items)`, for
 polynomials and tensors alike: weight zero under the diagonal basis, read
@@ -25,9 +26,8 @@ bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .alphabet import EVEN, IndexRange, SuperIndex, ev, od
@@ -285,12 +285,13 @@ def act_on_words(
 
 def action_table(elements: Sequence[MatrixElement], algebra: AlgebraDescriptor) -> tuple:
     """The generator images of all `elements` merged for one walk: (element
-    count, one row per generator, None without an inner action).  x[r,i]
-    and x*[i,s] go to the image of slot i (`slot_images`), and x[r,i] takes
-    the sign (-1)^{p(x)p(r)} of crossing the u-factor first.  A row holds,
-    for an even and then an odd parity of the factors before the generator,
-    its diagonal entries (slot, coefficient) and its other targets (target,
-    [(slot, coefficient), ...]), an odd element negated in the odd half."""
+    count, one row per generator, None without an inner action, a cache of
+    each width's `_packed_row`s, packed on first use).  x[r,i] and x*[i,s]
+    go to the image of slot i (`slot_images`); x[r,i] takes the sign
+    (-1)^{p(x)p(r)} of crossing the u-factor first.  A row holds, for an
+    even and an odd parity of the factors before the generator, its
+    diagonal entries (slot, coeff) and other targets (target, [(slot,
+    coeff), ...]), odd elements negated in the odd half."""
     if algebra.v_range is not None and any(x.dims != algebra.v_range for x in elements):
         raise ValueError("matrix dimensions do not match the algebra's inner space")
     tables = [(x.slot_images(), x.parity) for x in elements]
@@ -315,62 +316,100 @@ def action_table(elements: Sequence[MatrixElement], algebra: AlgebraDescriptor) 
                     elif idx is not None:
                         moved.setdefault(idx, []).append(entry)
         rows.append([(diagonal, list(moved.items())) for diagonal, moved in halves])
-    return len(elements), rows
+    return len(elements), rows, {}
+
+
+def field_width(terms: Iterable[tuple]) -> int:
+    """Bits per exponent field of a packed monomial: the bit length of the
+    highest degree in `terms`, which no exponent of their images exceeds."""
+    return max(map(len, terms), default=0).bit_length() or 1
+
+
+def _packed_row(algebra: AlgebraDescriptor, rows: list, g: int, width: int) -> tuple:
+    """Row g of an `action_table` on monomials packed at `width`: its unit
+    field, its odd-mask bit, the mask of the generators below it, and per
+    half its diagonal entries and its moves to idx (delta, bit of an odd
+    idx, mask strictly between g and an odd idx, entries)."""
+    if (row := rows[g]) is None:
+        raise ValueError(f"family {algebra.generators[g].family!r} carries no inner action")
+    parities = algebra.parities
+
+    def move(idx: int, entries: list) -> tuple:
+        between = parities[idx] * ((1 << max(g, idx)) - (1 << min(g, idx) + 1))
+        return (1 << width * idx) - (1 << width * g), parities[idx] << idx, between, entries
+
+    halves = [(diagonal, [move(*m) for m in moved]) for diagonal, moved in row]
+    return 1 << width * g, parities[g] << g, (1 << g) - 1, halves
 
 
 def act_through_images(table: tuple, algebra: AlgebraDescriptor, terms: dict) -> list[dict]:
     """Every element of an `action_table` applied as a super-derivation to a
-    term dict in one walk: one raw image dict per element, zeros left in and
-    coefficients not made exact (wrap an image in `Polynomial` for that).
+    term dict in one walk: one raw image dict per element, keyed by packed
+    monomials (`polynomial_images` unpacks them), zeros left in.
 
-    Each factor of a monomial is replaced in turn by its image; the new
-    factor goes back into the sorted rest of the monomial by bisection, with
-    the Koszul sign of the odd factors it crosses, and the term is zero when
-    an odd factor repeats.  The odd-factor prefix and each rest are built
-    once for all elements; a diagonal entry adds to the monomial itself.
-    """
-    size, rows = table
-    parities = algebra.parities
+    A monomial is packed once: the exponent of generator g in the field at
+    bit g*`field_width(terms)`, and its odd factors as a mask with bit g.
+    Each distinct factor g is replaced once, an even one times its exponent,
+    with the derivation sign of the odd factors below g; a move adds its
+    delta to the key, is zero onto an odd factor present, and takes the
+    Koszul sign of the odd factors strictly between g and an odd target."""
+    size, rows, packed = table
+    width = field_width(terms)
+    if (steps := packed.get(width)) is None:
+        steps = packed[width] = [None] * len(rows)
+    full = (1 << width) - 1
     outs: list[dict] = [{} for _ in range(size)]
     for mono, coeff in terms.items():
-        odd_before = [0]
-        for g in mono:
-            odd_before.append(odd_before[-1] + parities[g])
-        for pos, gen in enumerate(mono):
-            if (row := rows[gen]) is None:
-                family = algebra.generators[gen].family
-                raise ValueError(f"family {family!r} carries no inner action")
-            diagonal, moved = row[odd_before[pos] & 1]
+        key = odd = 0
+        for gen in mono:
+            if (step := steps[gen]) is None:
+                step = steps[gen] = _packed_row(algebra, rows, gen, width)
+            key += step[0]
+            odd |= step[1]
+        prev = -1
+        for gen in mono:
+            if gen == prev:
+                continue
+            prev = gen
+            _, _, below, halves = steps[gen]
+            diagonal, moves = halves[(odd & below).bit_count() & 1]
+            c = coeff * (key >> width * gen & full)
             for slot, v in diagonal:
                 out = outs[slot]
-                out[mono] = out.get(mono, 0) + coeff * v
-            if not moved:
-                continue
-            rest = mono[:pos] + mono[pos + 1 :]
-            for idx, entries in moved:
-                k = bisect_left(rest, idx)
-                c = coeff
-                if parities[idx]:
-                    if k < len(rest) and rest[k] == idx:
-                        continue
-                    # odd factors between slot pos and slot k of the rest
-                    if k <= pos:
-                        crossed = odd_before[pos] - odd_before[k]
-                    else:
-                        crossed = odd_before[k + 1] - odd_before[pos + 1]
-                    if crossed & 1:
-                        c = -coeff
-                key = rest[:k] + (idx,) + rest[k:]
+                out[key] = out.get(key, 0) + c * v
+            for delta, bit, between, entries in moves:
+                if odd & bit:
+                    continue
+                target = key + delta
+                s = -c if (odd & between).bit_count() & 1 else c
                 for slot, v in entries:
                     out = outs[slot]
-                    out[key] = out.get(key, 0) + c * v
+                    out[target] = out.get(target, 0) + s * v
     return outs
+
+
+@lru_cache(maxsize=1 << 14)
+def unpacked(key: int, width: int) -> tuple:
+    """The sorted generator tuple of a monomial packed at `width`, cached:
+    images share far fewer low and high halves of fields than keys."""
+    fields = range(key.bit_length() // width + 1)
+    return tuple(g for g in fields for _ in range(key >> width * g & (1 << width) - 1))
+
+
+def polynomial_images(table: tuple, f: Polynomial) -> list[Polynomial]:
+    """Every element of an `action_table` applied to f, each distinct key of
+    the images unpacked once, as its low and its high half of fields."""
+    w = field_width(f.terms)
+    high = -1 << w * (len(f.algebra.generators) // 2)
+    images = act_through_images(table, f.algebra, f.terms)
+    monos = {k: unpacked(k & ~high, w) + unpacked(k & high, w) for image in images for k in image}
+    return [Polynomial(f.algebra, {monos[k]: c for k, c in image.items()}) for image in images]
 
 
 def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     """Super-derivation extension of the generator action."""
-    (image,) = act_through_images(action_table([x], f.algebra), f.algebra, f.terms)
-    return Polynomial(f.algebra, image)
+    (image,) = polynomial_images(action_table([x], f.algebra), f)
+    return image
 
 
 def annihilates(basis: Sequence[MatrixElement], polys: Iterable[Polynomial]) -> bool:
@@ -395,7 +434,7 @@ def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[
     own image (x[c, c] on a uv generator of column c, -x[r, r] on a vw
     generator of row r), and 0 on generators without an inner action.
     x multiplies a monomial by the sum of its factors' weights."""
-    size, rows = action_table(family.diagonal_basis(), algebra)
+    size, rows, _ = action_table(family.diagonal_basis(), algebra)
     return [
         tuple(sum(v for s, v in row[0][0] if s == slot) if row else 0 for row in rows)
         for slot in range(size)

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superinv.alphabet import IndexRange, ev
+from superinv.alphabet import IndexRange, ev, od
 from superinv.liealgebras import (
     MatrixElement,
     abs_exponent,
     act_on_polynomial,
     act_through_images,
     action_table,
+    annihilates,
     build_family,
+    polynomial_images,
     t1_matrices,
     yminus_expansion,
     yminus_factors,
@@ -369,10 +371,12 @@ _ACTION_FAMILIES = [
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_ACTION_FAMILIES), st.tuples(*[st.integers(0, 2)] * 4), st.data())
 def test_action_matches_the_per_term_reference(family_dims, pqkl, data):
-    """act_on_polynomial, and the batched walk of 1 to 3 elements of mixed
-    parity (`action_table`), equal the per-term reference slot by slot on
-    random polynomials with int and Fraction coefficients, and keep every
-    integral coefficient an int."""
+    """act_on_polynomial, and the batched packed walk of 1 to 3 elements of
+    mixed parity (`action_table`), equal the per-term reference slot by slot
+    on random polynomials of degree up to 6, with repeated even factors and
+    runs of odd ones, and int and Fraction coefficients; every integral
+    coefficient stays an int, and `annihilates` reads the packed images as
+    zero exactly when every unpacked one is."""
     tag, dims = family_dims
     fam = build_family(tag, IndexRange(*dims))
     alg = algebra_for(fam, *pqkl)
@@ -388,7 +392,7 @@ def test_action_matches_the_per_term_reference(family_dims, pqkl, data):
         xs.append(x)
     x = xs[0]
     # an algebra without generators has only the constant monomial
-    monos = monomials_of_degree(alg, data.draw(st.integers(0, 3))) or [()]
+    monos = monomials_of_degree(alg, data.draw(st.integers(0, 6))) or [()]
     coeff = st.one_of(
         st.integers(-3, 3),
         st.fractions(min_value=-2, max_value=2, max_denominator=4),
@@ -398,10 +402,10 @@ def test_action_matches_the_per_term_reference(family_dims, pqkl, data):
     got = act_on_polynomial(x, f)
     assert got == reference_act(x, f)
     assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
-    images = act_through_images(action_table(xs, alg), alg, f.terms)
-    batched = [Polynomial(alg, image) for image in images]
+    batched = polynomial_images(action_table(xs, alg), f)
     assert batched == [reference_act(y, f) for y in xs]
     assert all(type(c) is int for g in batched for c in g.terms.values() if c.denominator == 1)
+    assert annihilates(xs, [f]) == all(g.is_zero() for g in batched)
 
 
 def test_action_needs_an_inner_action():
@@ -414,3 +418,44 @@ def test_action_needs_an_inner_action():
         act_on_polynomial(x, alg.gen(0))
     with pytest.raises(ValueError, match="inner action"):
         act_through_images(action_table([x, x], alg), alg, alg.gen(0).terms)
+
+
+def _high_power(alg, factors):
+    """The monomial of the given (family, row, col, exponent) factors."""
+    mono = []
+    for family, row, col, e in factors:
+        mono += [alg.index(family, row, col)] * e
+    return Polynomial(alg, {tuple(sorted(mono)): 1})
+
+
+@pytest.mark.parametrize(
+    "tag, dims, pqkl, factors",
+    [
+        # x[1,1]^300 x*[2,1]: degree 301, exponents past one byte
+        ("gl", (2, 0), (1, 0, 1, 0), [("uv", ev(1), ev(1), 300), ("vw", ev(2), ev(1), 1)]),
+        # even exponents 300 and 256 between odd factors, degree 558
+        (
+            "gl",
+            (1, 1),
+            (1, 0, 1, 1),
+            [
+                ("uv", ev(1), ev(1), 300),
+                ("uv", ev(1), od(1), 1),
+                ("uv", od(1), ev(1), 1),
+                ("vw", ev(1), ev(1), 256),
+                ("vw", od(1), ev(1), 1),
+            ],
+        ),
+    ],
+)
+def test_action_on_exponents_past_one_byte(tag, dims, pqkl, factors):
+    """The packed field is as wide as the degree needs: every basis element
+    acts on a monomial with exponents of 256 and more as the per-term
+    reference does, one at a time and all in one walk."""
+    fam = build_family(tag, IndexRange(*dims))
+    alg = algebra_for(fam, *pqkl)
+    f = _high_power(alg, factors)
+    expected = [reference_act(x, f) for x in fam.basis]
+    assert any(not g.is_zero() for g in expected)
+    assert [act_on_polynomial(x, f) for x in fam.basis] == expected
+    assert polynomial_images(action_table(fam.basis, alg), f) == expected
