@@ -22,10 +22,10 @@ permutations and carries the kernel to the others by relabeling.
 The relation check uses the same orbits on the source of a substitution
 map, S(U x W), whose generators z[r,s] each name a u letter and a w letter.
 It trusts no construction: it checks once per call, on the generators,
-that the map commutes with each swap of adjacent letters in a class, and
-then substitutes and ranks the first block of each orbit only: a later
-block's relation slices relabel the first block's images.  A map that
-fails keeps every block apart."""
+that the map commutes with each swap of adjacent letters in a class.  It
+then carries each relation's slice on each block of an orbit onto the
+orbit's first block, its least key as in the oracle, and substitutes and
+ranks that block only.  A map that fails keeps every block apart."""
 
 from __future__ import annotations
 
@@ -183,6 +183,15 @@ class BlockOrbits:
         return out
 
 
+def _relabel(terms: dict, gens: list[int], parities: Sequence[int]):
+    """Each monomial of a term dict with its factors sent through `gens`, a
+    generator map of a letter permutation, and re-sorted: (monomial, Koszul
+    sign, coefficient)."""
+    for mono, c in terms.items():
+        sign, key = normalize_product([gens[g] for g in mono], parities)
+        yield key, sign, c
+
+
 def _relabeled(
     kernel: list[dict], gens: list[int], parities: Sequence[int], monomials: list[Monomial]
 ) -> list[dict]:
@@ -192,21 +201,16 @@ def _relabeled(
     monomials, the free monomials being the vectors' greatest.
 
     `gens` sends each generator to its image under the letter map from the
-    solved block to this one; each monomial's factors go through it and are
-    re-sorted with their Koszul sign.  One SpanTracker pass, keyed by each
-    monomial negated so that a row's pivot is its greatest monomial, brings
-    the images to that form; each vector is divided by its pivot at the
-    end.  The vectors are keyed by the block's own `monomials`, so the
+    solved block to this one (`_relabel`).  One SpanTracker pass, keyed by
+    each monomial negated so that a row's pivot is its greatest monomial,
+    brings the images to that form; each vector is divided by its pivot at
+    the end.  The vectors are keyed by the block's own `monomials`, so the
     basis shares their tuples."""
     # the monomials of a block share a degree, so negation reverses their order
     negated = {tuple(-g for g in m): m for m in monomials}
     tracker = SpanTracker()
     for vec in kernel:
-        image = {}
-        for mono, c in vec.items():
-            sign, key = normalize_product([gens[g] for g in mono], parities)
-            image[tuple(-g for g in key)] = sign * c
-        tracker.add(image)
+        tracker.add({tuple(-g for g in k): s * c for k, s, c in _relabel(vec, gens, parities)})
     out = []
     for pivot, row in sorted(tracker.rows.items(), reverse=True):
         d = row[pivot]
@@ -495,10 +499,7 @@ def _commutes_with_letters(subs: SubstitutionMap, orbits: BlockOrbits) -> bool:
     parities = subs.target.parities
     for src, tgt in zip(orbits.transpositions(), target.transpositions()):
         for i, img in subs.images.items():
-            moved = {}
-            for mono, c in img.terms.items():
-                sign, key = normalize_product([tgt[g] for g in mono], parities)
-                moved[key] = sign * c
+            moved = {k: s * c for k, s, c in _relabel(img.terms, tgt, parities)}
             if subs.images.get(src[i]) != Polynomial(subs.target, moved):
                 return False
     return True
@@ -514,26 +515,25 @@ def relation_kernel_check(
     degree the kernel dimension equals the rank of the relation family.
 
     One streamed pass per orbit of the blocks of `blocked_monomials` (whose
-    cap is checked before any substitution) serves both: each source
-    monomial's image is built once, added to the block's SpanTracker and
-    into the block slice of every relation containing the monomial, then
-    dropped unless a later block of the orbit needs it (below).  The
-    substitution preserves the outer multidegree, so a relation's image is
-    zero exactly when every block slice of it is.
+    cap is checked before any substitution) serves both.  An orbit's blocks
+    go in sorted key order, so its first block is its least key, as in the
+    oracle.  Each relation's slice on each block of the orbit is carried
+    onto the first block, keyed by (block, relation): the letter map τ from
+    its block sends each of its monomials to a first-block monomial with a
+    Koszul sign (`_relabel`).  Then each first-block monomial's image is
+    built once, added to the orbit's SpanTracker and into every carried
+    slice containing the monomial, and dropped; the first block's kernel
+    dimension counts for each block of the orbit.  The substitution
+    preserves the outer multidegree, so a relation's image is zero exactly
+    when every block slice of it is.
 
-    When the map commutes with the letter permutations of the source's
-    classes (`BlockOrbits`), certified on the generators by
-    `_commutes_with_letters`, the blocks go orbit by orbit and only the
-    first block of an orbit is substituted; its kernel dimension counts for
-    each block of the orbit.  The letter map τ from a later block onto the
-    first sends each relation monomial to a first-block monomial with a
-    Koszul sign, and the later block's relation slice adds the first
-    block's image of it (kept until the orbit's last block) times the sign.
-    As subs∘τ = τ∘subs and τ is an automorphism of the target, that is τ
-    of the real slice, zero exactly when it is: the certificate covers the
-    verdict too, which is no longer read from fresh images in every block.
-    Otherwise (the certificate fails, or a symmetric-square source, whose
-    classes relabel with a sign) every block is its own orbit."""
+    The orbits are those of the letter permutations of the source's classes
+    (`BlockOrbits`) once `_commutes_with_letters` certifies, on the
+    generators, that the map commutes with them: as subs∘τ = τ∘subs and τ
+    is an automorphism of the target, a carried slice is τ of the real
+    slice, zero exactly when it is.  Otherwise (the certificate fails, or a
+    symmetric-square source, whose classes relabel with a sign) every block
+    is its own orbit."""
     occurrences: dict[Monomial, list] = {}
     for i, f in enumerate(relation_polys):
         if f.algebra is not subs.source:
@@ -548,40 +548,27 @@ def relation_kernel_check(
     by_orbit: dict = {}
     for key, monos in blocks.items():
         orbit, ranked = orbits.orbit(key) if certified else (key, [])
-        by_orbit.setdefault(orbit, []).append((monos, ranked))
+        by_orbit.setdefault(orbit, []).append((key, monos, ranked))
     parities = subs.source.parities
     all_zero, kernel_dim = True, 0
-
-    def vanish(slices: dict) -> bool:
-        return not any(any(out.values()) for out in slices.values())
-
-    for (monos, ranked), *later in by_orbit.values():
-        # each later block's relation monomials, carried onto the first
-        # block with their Koszul signs; only their images are kept
-        moved = []
-        for there, ranked_there in later:
+    for group in by_orbit.values():
+        group.sort()
+        _, monos, ranked = group[0]
+        # every relation's slice on every block, carried onto the first
+        # block with its Koszul signs and keyed by (block, relation)
+        carried = {m: [((0, i), c) for i, c in occurrences[m]] for m in monos if m in occurrences}
+        for b, (_, there, ranked_there) in enumerate(group[1:], 1):
             gens = orbits.generator_map(ranked_there, ranked)
-            moved.append([
-                (normalize_product([gens[g] for g in m], parities), occurrences[m])
-                for m in there
-                if m in occurrences
-            ])
-        wanted = {key for part in moved for (_, key), _ in part}
-        kept, tracker, slices = {}, SpanTracker(), {}
+            mine = {m: occurrences[m] for m in there if m in occurrences}
+            for key, sign, occurs in _relabel(mine, gens, parities):
+                carried.setdefault(key, []).extend([((b, i), sign * c) for i, c in occurs])
+        tracker, slices = SpanTracker(), {}
         for m in monos:
             image = subs.image(m).terms
             tracker.add(image)
-            if m in wanted:
-                kept[m] = image
-            for i, coeff in occurrences.get(m, ()):
-                add_scaled(slices.setdefault(i, {}), image, coeff)
-        kernel_dim += (len(monos) - tracker.rank) * (1 + len(later))
-        all_zero = all_zero and vanish(slices)
-        for part in moved:
-            slices = {}
-            for (sign, key), occurs in part:
-                for i, coeff in occurs:
-                    add_scaled(slices.setdefault(i, {}), kept[key], sign * coeff)
-            all_zero = all_zero and vanish(slices)
+            for at, coeff in carried.get(m, ()):
+                add_scaled(slices.setdefault(at, {}), image, coeff)
+        kernel_dim += (len(monos) - tracker.rank) * len(group)
+        all_zero = all_zero and not any(any(out.values()) for out in slices.values())
     span_dim = rank_rows(f.terms for f in relation_polys)
     return RelationReport(degree, len(relation_polys), all_zero, kernel_dim, span_dim)

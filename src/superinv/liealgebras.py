@@ -429,15 +429,27 @@ def annihilates(basis: Sequence[MatrixElement], polys: Iterable[Polynomial]) -> 
 
 
 def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
-    """One weight per generator for each diagonal basis element x: its
-    `action_table` diagonal entry, the coefficient of the generator in its
-    own image (x[c, c] on a uv generator of column c, -x[r, r] on a vw
-    generator of row r), and 0 on generators without an inner action.
-    x multiplies a monomial by the sum of its factors' weights."""
-    size, rows, _ = action_table(family.diagonal_basis(), algebra)
+    """One weight per generator for each diagonal basis element x
+    (`_generator_weights` of their `slot_weights`).  x multiplies a monomial
+    by the sum of its factors' weights."""
+    return _generator_weights(family, [slot_weights(x) for x in family.diagonal_basis()], algebra)
+
+
+def _generator_weights(family: AlgebraFamily, by_flag: list, algebra: AlgebraDescriptor) -> list:
+    """For each of the family's diagonal elements, given by its
+    `slot_weights`, one weight per generator: a uv generator takes the
+    vector weight of its column letter, a vw generator the covector weight
+    of its row letter, any other 0."""
+    if algebra.v_range is not None and family.dims != algebra.v_range:
+        raise ValueError("matrix dimensions do not match the algebra's inner space")
     return [
-        tuple(sum(v for s, v in row[0][0] if s == slot) if row else 0 for row in rows)
-        for slot in range(size)
+        tuple(
+            vector.get(g.col, 0) if g.family == "uv"
+            else covector.get(g.row, 0) if g.family == "vw"
+            else 0
+            for g in algebra.generators
+        )
+        for vector, covector in by_flag
     ]
 
 
@@ -470,13 +482,13 @@ def invariant(family: AlgebraFamily, items: Iterable) -> bool:
     tensors = [t for t in items if not isinstance(t, Polynomial)]
     if any(t.dims != family.dims for t in tensors):
         raise ValueError("dimension mismatch")
+    by_flag = [slot_weights(x) for x in family.diagonal_basis()]
     weights: dict = {}
     for f in polys:
         if f.algebra not in weights:
-            weights[f.algebra] = diagonal_weights(family, f.algebra)
+            weights[f.algebra] = _generator_weights(family, by_flag, f.algebra)
         if any(sum(w[g] for g in m) for m in f.terms for w in weights[f.algebra]):
             return False
-    by_flag = [slot_weights(x) for x in family.diagonal_basis()]
     if not all(weighs_zero(by_flag, t.signature, w) for t in tensors for w in t.terms):
         return False
     if not annihilates(family.generators, polys):

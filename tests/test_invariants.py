@@ -785,7 +785,7 @@ def blockwise_relation_reference(subs, rels, degree):
 def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relations, images):
     """T2.2 at --udims/--wdims `dims`: one SpanTracker per orbit of blocks,
     and only the monomials of the first block of an orbit substituted (a
-    later block's relation slices relabel those images), give the blockwise
+    later block's relation slices are carried onto it), give the blockwise
     kernel dimension and verdict."""
     subs, degree, rels = _claim_map("T2.2", udims=dims, wdims=dims)
     kernel, all_zero, nullity = blockwise_relation_reference(_fresh(subs), rels, degree)
@@ -803,20 +803,29 @@ def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relatio
     assert (trackers.call_count, built.call_count) == (orbits, images)
 
 
-def _later_blocks(subs, degree):
-    """The blocks that are not the first of their orbit, in block order,
-    each as its monomials and the Koszul sign of each under the letter map
-    onto the orbit's first block."""
-    orbits, firsts, out = BlockOrbits(subs.source), {}, []
-    for key, monos in blocked_monomials(subs.source, degree).items():
+def _orbit_blocks(subs, degree):
+    """The blocks of each orbit in sorted key order, so the first is the
+    least key, each as its monomials and, for each monomial, the Koszul sign
+    and the first-block monomial of the letter map onto the first block."""
+    orbits, firsts, out = BlockOrbits(subs.source), {}, {}
+    blocks = blocked_monomials(subs.source, degree)
+    for key in sorted(blocks):
         orbit, ranked = orbits.orbit(key)
-        if orbit not in firsts:
-            firsts[orbit] = ranked
-            continue
-        gens = orbits.generator_map(ranked, firsts[orbit])
-        signs = [normalize_product([gens[g] for g in m], subs.source.parities)[0] for m in monos]
-        out.append((monos, signs))
-    return out
+        gens = orbits.generator_map(ranked, firsts.setdefault(orbit, ranked))
+        moved = [normalize_product([gens[g] for g in m], subs.source.parities) for m in blocks[key]]
+        out.setdefault(orbit, []).append((blocks[key], moved))
+    return list(out.values())
+
+
+def _later_blocks(subs, degree):
+    """The blocks that are not the first of their orbit, each as its
+    monomials and the Koszul sign of each under the letter map onto the
+    orbit's first block."""
+    return [
+        (monos, [sign for sign, _ in moved])
+        for _, *later in _orbit_blocks(subs, degree)
+        for monos, moved in later
+    ]
 
 
 def test_relations_on_a_later_block_are_read_from_the_first_block():
@@ -844,6 +853,24 @@ def test_relations_on_a_later_block_are_read_from_the_first_block():
             rep = relation_kernel_check(fresh, [f], degree)
         assert rep.all_substitute_to_zero == vanishes
         assert not {call.args[0] for call in built.call_args_list} & set(terms)
+
+
+def test_relation_slices_are_kept_apart_by_block():
+    """m1 and m2, of two later blocks of a 4-block orbit, relabel onto the
+    same first-block monomial m0 with signs s1 and s2.  Keyed by relation
+    alone, the carried slices of s2*m1 - s1*m2 would cancel on m0; keyed by
+    (block, relation), each is the image of m0, which is nonzero, so the
+    relation does not substitute to zero."""
+    subs, _, degree, _ = _t22_relations()
+    (first, _), *later = next(g for g in _orbit_blocks(subs, degree) if len(g) == 4)
+    m0 = next(m for m in first if subs.image(m))
+    (m1, s1), (m2, s2) = [
+        next((m, sign) for m, (sign, key) in zip(monos, moved) if key == m0)
+        for monos, moved in later[:2]
+    ]
+    f = Polynomial(subs.source, {m1: s2, m2: -s1})
+    assert not blockwise_relation_reference(_fresh(subs), [f], degree)[1]
+    assert not _substitutes_to_zero(_fresh(subs), f, degree)
 
 
 def test_relation_check_refuses_a_map_that_breaks_the_letter_symmetry():

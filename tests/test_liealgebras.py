@@ -14,6 +14,8 @@ from superinv.liealgebras import (
     action_table,
     annihilates,
     build_family,
+    diagonal_weights,
+    invariant,
     polynomial_images,
     t1_matrices,
     yminus_expansion,
@@ -295,6 +297,12 @@ def test_action_dims_guard():
     wrong = MatrixElement.unit(IndexRange(1, 1), ev(1), ev(1))
     with pytest.raises(ValueError):
         act_on_polynomial(wrong, alg.gen(0))
+    # the weights are read from the same letters, so they refuse it too
+    other = build_family("gl", IndexRange(1, 1))
+    with pytest.raises(ValueError):
+        diagonal_weights(other, alg)
+    with pytest.raises(ValueError):
+        invariant(other, [alg.gen(0)])
 
 
 def test_form_annihilation_explicit():

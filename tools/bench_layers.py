@@ -1,5 +1,5 @@
-"""Per-layer timings of the derivation action, appended as one row to a
-`BENCH_<date>.json` trajectory file.
+"""Per-layer timings of the derivation action and the relation check,
+appended as one row to a `BENCH_<date>.json` trajectory file.
 
 Run from the repository root:
 
@@ -14,7 +14,11 @@ in-process runs, in milliseconds, after one untimed warm-up run:
 - solve_images: the generating subset's images of each weight-zero
   monomial, one `act_through_images` call per monomial, as the oracle's
   solve builds them for `joint_kernel`;
-- oracle: the whole `invariant_space_bruteforce` at that degree.
+- oracle: the whole `invariant_space_bruteforce` at that degree;
+- relations: `relation_kernel_check` of T2.2 at its catalog defaults with
+  --udims 2,2 --wdims 2,2 (gl(1|1), 256 relations at degree 4, 985 blocks
+  in 154 orbits), each run on a fresh `SubstitutionMap`, so that no run
+  reuses the prefix table of another.
 
 The file records the Python version and `os.cpu_count()` of the machine
 that wrote it; a run on another machine or Python starts a new file.  To
@@ -30,10 +34,19 @@ import json
 import os
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
+from superinv import claims
 from superinv.alphabet import IndexRange
-from superinv.invariants import algebra_for, blocked_monomials, invariant_space_bruteforce
+from superinv.invariants import (
+    SubstitutionMap,
+    algebra_for,
+    blocked_monomials,
+    invariant_space_bruteforce,
+    relation_kernel_check,
+)
 from superinv.liealgebras import act_through_images, action_table, annihilates, build_family, diagonal_weights
 
 RUNS = 15
@@ -53,6 +66,21 @@ def best_ms(work) -> float:
     return round(min(times) * 1000, 2)
 
 
+def t22_relation_check() -> tuple:
+    """The substitution map, relations and degree that T2.2 checks at
+    --udims 2,2 --wdims 2,2, caught on their way to `relation_kernel_check`."""
+    seen = []
+
+    def record(subs, rels, degree, monomial_cap):
+        seen.append((subs, rels, degree))
+        return relation_kernel_check(subs, rels, degree, monomial_cap)
+
+    opts = replace(claims.CATALOG["T2.2"].defaults, udims=(2, 2), wdims=(2, 2))
+    with mock.patch.object(claims, "relation_kernel_check", record):
+        claims.run_claim("T2.2", opts)
+    return seen[0]
+
+
 def measure() -> dict:
     family = build_family("gl", IndexRange(2, 1))
     algebra = algebra_for(family, 2, 1, 2, 1)
@@ -63,6 +91,13 @@ def measure() -> dict:
     def recheck():
         if not annihilates(family.basis, basis):
             raise AssertionError("the oracle basis is not invariant")
+
+    subs, rels, degree = t22_relation_check()
+
+    def relations():
+        fresh = SubstitutionMap(subs.source, subs.target, subs.images)
+        if not relation_kernel_check(fresh, rels, degree).kernel_matches_span:
+            raise AssertionError("the T2.2 relations do not span the kernel")
 
     def solve_images():
         table = action_table(family.generators, algebra)
@@ -77,6 +112,9 @@ def measure() -> dict:
         "recheck_ms": best_ms(recheck),
         "solve_images_ms": best_ms(solve_images),
         "oracle_ms": best_ms(lambda: invariant_space_bruteforce(family, algebra, DEGREE, CAP)),
+        "relations_case": "T2.2, gl(1|1), U = W = (2|2), degree 4",
+        "relations": len(rels),
+        "relations_ms": best_ms(relations),
     }
 
 
