@@ -13,7 +13,7 @@ subalgebra, moved by `gl`), `_independence`, `_generation_records` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -88,6 +88,11 @@ class ClaimOptions:
     n: int = 2
     k: int = 1
     monomial_cap: int = DEFAULT_MONOMIAL_CAP
+
+
+def flag(name: str) -> str:
+    """The `verify` flag that sets the `ClaimOptions` field `name`."""
+    return "--cap" if name == "monomial_cap" else "--" + name.replace("_", "-")
 
 
 def _record(rid: str, ok: bool, **found) -> CheckRecord:
@@ -186,6 +191,11 @@ def run_t21(opts: ClaimOptions) -> list[CheckRecord]:
     )
 
 
+def _premise_t22(opts: ClaimOptions) -> list:
+    # with no U or W letter there is no generator and no filling
+    return [("one-box tableau", Partition((1,)), hook) for hook in (opts.udims, opts.wdims)]
+
+
 def run_t22(opts: ClaimOptions) -> list[CheckRecord]:
     """Rectangle relations span the kernel of the scalar-product map."""
     n, m = opts.dims
@@ -221,21 +231,26 @@ def run_t34(opts: ClaimOptions) -> list[CheckRecord]:
     return _tensor_invariance_records("T3.4", opts, hat=False)
 
 
+def _premise_t36(opts: ClaimOptions) -> list:
+    # each extra family pairs u- and w-words of both split tableaux
+    (even, odd), (p, q, k, l) = opts.dims, opts.pqkl
+    shapes = [f(even, odd, opts.k).shape for f in (split_cols_tableau, split_rows_tableau)]
+    return [("split tableau", shape, hook) for shape in shapes for hook in ((k, l), (p, q))]
+
+
 def run_t36(opts: ClaimOptions) -> list[CheckRecord]:
     """Scalar products alone must leave a gap at the extra generators'
     degree; adding both extra families closes every degree up to the bound."""
-    p, q, k, l = opts.pqkl
-    vdims = opts.dims
-    family = build_family("sl", IndexRange(*vdims))
-    algebra = algebra_for(family, p, q, k, l)
-    n, m = vdims
+    n, m = opts.dims
+    family = build_family("sl", IndexRange(n, m))
+    algebra = algebra_for(family, *opts.pqkl)
     f_degree = n * (opts.k + m) + m * (n + opts.k)
     degrees = range(1, opts.max_degree + 1)
     for d in [f_degree, *degrees]:
         check_monomial_cap(algebra, d, opts.monomial_cap)
     base = [g for g in scalar_products("sl", algebra) if g]
     extra = sl_extra_generators(algebra, opts.k)
-    prefix, cap = f"T3.6:sl{vdims}", opts.monomial_cap
+    prefix, cap = f"T3.6:sl{opts.dims}", opts.monomial_cap
     records = _generation_records(
         prefix + ":scalars-only", family, algebra, base, [f_degree], cap, gap=True
     )
@@ -328,6 +343,11 @@ def run_t38(opts: ClaimOptions) -> list[CheckRecord]:
     ]
 
 
+def _premise_row_two(opts: ClaimOptions) -> list:
+    # S^2 W spans the scalar products, and each T4.4 and T6.3.1 shape holds the row (2)
+    return [("row", Partition((2,)), opts.wdims)]
+
+
 def _scalar_product_records(
     claim: str, tag: str, opts: ClaimOptions, degrees
 ) -> list[CheckRecord]:
@@ -344,6 +364,18 @@ def _scalar_product_records(
     return [invariance] + _generation_records(
         prefix, family, algebra, gens, degrees, opts.monomial_cap
     )
+
+
+def _premise_t43(opts: ClaimOptions) -> list:
+    # osp(2r|0) = so(2r) contains -1, so its determinant-type invariants
+    # have even degree 2r and are not polynomials in the scalar products
+    even, odd = opts.dims
+    if odd == 0 and even >= 2 and even % 2 == 0:
+        raise InvalidOptions(
+            f"needs --dims n,m with m > 0 or n odd: osp({even}|0) = so({even}) has"
+            f" determinant-type invariants beyond the scalar products, got --dims {even},{odd}"
+        )
+    return _premise_row_two(opts)
 
 
 def run_t43(opts: ClaimOptions) -> list[CheckRecord]:
@@ -373,6 +405,10 @@ def _t45_shape(dims: tuple[int, int]) -> Partition:
     """The rectangle (2r+2)^(n+1) of T4.5 at --dims n,m, with r = m // 2."""
     n, m = dims
     return Partition((2 * (m // 2) + 2,) * (n + 1))
+
+
+def _premise_t45(opts: ClaimOptions) -> list:
+    return [("relation tableau", _t45_shape(opts.dims), opts.wdims)]
 
 
 def run_t45(opts: ClaimOptions) -> list[CheckRecord]:
@@ -412,6 +448,10 @@ def run_t51(opts: ClaimOptions) -> list[CheckRecord]:
         )
     )
     return records
+
+
+def _premise_t52(opts: ClaimOptions) -> list:
+    return [("column-split tableau", split_cols_tableau(*opts.dims, 1).shape, opts.wdims)]
 
 
 def run_t52(opts: ClaimOptions) -> list[CheckRecord]:
@@ -469,10 +509,16 @@ def _t632_tableau(n: int):
     return ppf_tableau(tuple(range(n + 1, 0, -1)))
 
 
+def _premise_t632(opts: ClaimOptions) -> list:
+    # at m != n the pe family refuses --dims n,m, first thing in the runner
+    n, m = opts.dims
+    return [("relation tableau", _t632_tableau(n).shape, opts.wdims)] if m == n else []
+
+
 def run_t632(opts: ClaimOptions) -> list[CheckRecord]:
-    """Rectangle periplectic Pfaffians generate the relation ideal."""
+    """Rectangle periplectic Pfaffians generate the relation ideal of pe(n|n)."""
     n = opts.dims[0]
-    family = build_family("pe", IndexRange(n, n))
+    family = build_family("pe", IndexRange(*opts.dims))
     W = IndexRange(*opts.wdims)
     target = algebra_for(family, W.even_count, W.odd_count, 0, 0)
     source = make_sym_square_algebra(W, twisted=True)
@@ -549,6 +595,15 @@ def run_t72(opts: ClaimOptions) -> list[CheckRecord]:
     return records
 
 
+def _t73_levels(n: int, k: int) -> list:
+    """The tableaux of T7.3's level +k and level -k families."""
+    return [split_rows_tableau(n, n, k), split_cols_tableau(n, n, k + 1)]
+
+
+def _premise_t73(opts: ClaimOptions) -> list:
+    return [("level tableau", t.shape, opts.wdims) for t in _t73_levels(opts.n, opts.k)]
+
+
 def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     """Polynomial shadows of the special-periplectic invariants are
     invariant; the level tower closes the graded gaps over the all-odd
@@ -561,7 +616,7 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
     # every symmetrizer the run expands, before the first one and in the
     # run's order: level +k, level -k (the seed, then the literal
     # family), then the tower's levels below k
-    expanded = [split_rows_tableau(n, n, k), split_cols_tableau(n, n, k + 1)]
+    expanded = _t73_levels(n, k)
     expanded += [split_rows_tableau(n, n, level) for level in [k + 1, *range(k)]]
     for t in expanded:
         check_symmetrizer_cap(t)
@@ -602,15 +657,17 @@ def run_t73(opts: ClaimOptions) -> list[CheckRecord]:
 
 @dataclass(frozen=True)
 class Claim:
-    """A catalog entry: the runner, its default options, and the least
-    options the claim is defined on (None: the runner does not read it)."""
+    """A catalog entry: the runner, the `ClaimOptions` fields it reads, its
+    defaults, its premise and the least values it is defined on.  The
+    premise lists (what, shape, hook) for each family the runner fills from
+    a tableau: a shape has fillings over (e|o) letters iff it fits their
+    hook.  It raises InvalidOptions for a premise of any other kind."""
 
     run: Callable[[ClaimOptions], list[CheckRecord]]
+    reads: tuple[str, ...]
     defaults: ClaimOptions = ClaimOptions()
-    min_dims: tuple[int, int] = (0, 0)
-    min_n: Optional[int] = None
-    min_k: Optional[int] = None
-    min_max_degree: int = 0
+    premise: Callable[[ClaimOptions], list] = lambda opts: []
+    least: dict = field(default_factory=dict)
 
 
 # Each record gives the defaults that differ from ClaimOptions'.  The
@@ -622,24 +679,41 @@ class Claim:
 # with the diagonal unit on the first even letter.  Every record of T2.1
 # and T4.4 is one degree's, so below their least --max-degree they would
 # check nothing.
+# the options of the scalar-product claims over W, and of the relation claims
+_OVER_W = ("dims", "wdims", "max_degree", "monomial_cap")
+_RELATIONS = ("dims", "wdims", "monomial_cap")
 CATALOG: dict[str, Claim] = {
-    "T2.1": Claim(run_t21, ClaimOptions(max_degree=3), min_max_degree=1),
-    "T2.2": Claim(run_t22),
-    "T3.3": Claim(run_t33, min_dims=(1, 1), min_k=1),
-    "T3.4": Claim(run_t34, min_dims=(1, 1), min_k=1),
-    "T3.6": Claim(run_t36, min_dims=(0, 1), min_k=1),
-    "T3.8": Claim(run_t38, min_dims=(0, 1)),
-    "T4.3": Claim(run_t43, ClaimOptions(dims=(1, 2), wdims=(2, 1))),
-    "T4.4": Claim(run_t44, ClaimOptions(wdims=(2, 1)), min_max_degree=2),
-    "T4.5": Claim(run_t45, ClaimOptions(dims=(1, 2), wdims=(2, 1))),
-    "T5.1": Claim(run_t51, ClaimOptions(dims=(1, 2)), min_dims=(1, 1)),
-    "T5.2": Claim(run_t52, ClaimOptions(dims=(1, 2), wdims=(1, 0)), min_dims=(1, 1)),
-    "T6.2": Claim(run_t62, ClaimOptions(wdims=(2, 1))),
-    "T6.3.1": Claim(run_t631, ClaimOptions(wdims=(2, 1))),
-    "T6.3.2": Claim(run_t632, ClaimOptions(wdims=(2, 1))),
-    "L7.1": Claim(run_l71, min_n=2),
-    "T7.2": Claim(run_t72, min_n=2, min_k=0),
-    "T7.3": Claim(run_t73, ClaimOptions(wdims=(2, 2)), min_n=2, min_k=1),
+    "T2.1": Claim(
+        run_t21, ("dims", "pqkl", "max_degree", "monomial_cap"), ClaimOptions(max_degree=3),
+        least={"max_degree": 1},
+    ),
+    "T2.2": Claim(run_t22, ("dims", "udims", "wdims", "monomial_cap"), premise=_premise_t22),
+    "T3.3": Claim(run_t33, ("dims", "k"), least={"dims": (1, 1), "k": 1}),
+    "T3.4": Claim(run_t34, ("dims", "k"), least={"dims": (1, 1), "k": 1}),
+    "T3.6": Claim(
+        run_t36, ("dims", "pqkl", "max_degree", "k", "monomial_cap"), premise=_premise_t36,
+        least={"dims": (0, 1), "k": 1},
+    ),
+    "T3.8": Claim(run_t38, ("dims",), least={"dims": (0, 1)}),
+    "T4.3": Claim(run_t43, _OVER_W, ClaimOptions(dims=(1, 2), wdims=(2, 1)), _premise_t43),
+    "T4.4": Claim(
+        run_t44, ("wdims", "max_degree"), ClaimOptions(wdims=(2, 1)), _premise_row_two,
+        {"max_degree": 2},
+    ),
+    "T4.5": Claim(run_t45, _RELATIONS, ClaimOptions(dims=(1, 2), wdims=(2, 1)), _premise_t45),
+    "T5.1": Claim(run_t51, ("dims",), ClaimOptions(dims=(1, 2)), least={"dims": (1, 1)}),
+    "T5.2": Claim(
+        run_t52, _OVER_W, ClaimOptions(dims=(1, 2), wdims=(1, 0)), _premise_t52, {"dims": (1, 1)}
+    ),
+    "T6.2": Claim(run_t62, _OVER_W, ClaimOptions(wdims=(2, 1)), _premise_row_two),
+    "T6.3.1": Claim(run_t631, ("wdims",), ClaimOptions(wdims=(2, 1)), _premise_row_two),
+    "T6.3.2": Claim(run_t632, _RELATIONS, ClaimOptions(wdims=(2, 1)), _premise_t632),
+    "L7.1": Claim(run_l71, ("n",), least={"n": 2}),
+    "T7.2": Claim(run_t72, ("n", "k"), least={"n": 2, "k": 0}),
+    "T7.3": Claim(
+        run_t73, ("wdims", "n", "k", "monomial_cap"), ClaimOptions(wdims=(2, 2)), _premise_t73,
+        {"n": 2, "k": 1},
+    ),
 }
 
 KNOWN_CLAIMS = list(CATALOG)
@@ -655,78 +729,17 @@ def claim_key(theorem_id: str) -> str:
 
 
 def validate_options(key: str, opts: ClaimOptions) -> None:
-    """Raise InvalidOptions when the options lie outside the claim's range."""
+    """Raise InvalidOptions when an option lies below its floor or misses the premise."""
     claim = CATALOG[key]
-    if opts.max_degree < claim.min_max_degree:
-        raise InvalidOptions(
-            f"needs --max-degree >= {claim.min_max_degree}, got {opts.max_degree}:"
-            " no check would run"
-        )
-    even, odd = opts.dims
-    even_min, odd_min = claim.min_dims
-    if even < even_min or odd < odd_min:
-        raise InvalidOptions(f"needs --dims of at least {even_min},{odd_min}, got --dims {even},{odd}")
-    # osp(2r|0) = so(2r) contains -1, so its determinant-type invariants
-    # have even degree 2r and are not polynomials in the scalar products
-    if key == "T4.3" and odd == 0 and even >= 2 and even % 2 == 0:
-        raise InvalidOptions(
-            f"needs --dims n,m with m > 0 or n odd: osp({even}|0) = so({even}) has"
-            f" determinant-type invariants beyond the scalar products, got --dims {even},{odd}"
-        )
-    if claim.min_n is not None and opts.n < claim.min_n:
-        raise InvalidOptions(f"needs --n >= {claim.min_n}, got {opts.n}")
-    if claim.min_k is not None and opts.k < claim.min_k:
-        raise InvalidOptions(f"needs --k >= {claim.min_k}, got {opts.k}")
-    # with no U or W letter there is no generator and no filling, so every
-    # record would be vacuous; the W-letter claims below refuse 0,0 through
-    # their hook checks
-    if key == "T2.2":
-        for name in ("udims", "wdims"):
-            if getattr(opts, name) == (0, 0):
-                raise InvalidOptions(
-                    f"needs --{name} with a letter, got --{name} 0,0: no check would run"
-                )
-    # each family pairs semistandard words of a split tableau, and a shape
-    # has semistandard fillings over the (e|o) letters iff it fits that hook
-    if key == "T3.6":
-        p, q, k, l = opts.pqkl
-        shapes = [f(even, odd, opts.k).shape for f in (split_cols_tableau, split_rows_tableau)]
-        if not all(shape.fits_hook(e, o) for shape in shapes for e, o in ((k, l), (p, q))):
-            raise InvalidOptions(
-                "needs --dims and --pqkl whose split tableaux fit both the u- and the w-hook,"
-                f" or an extra family is empty, got --dims {even},{odd} --pqkl {p},{q},{k},{l}"
-            )
-    if key == "T5.2":
-        p, q = opts.wdims
-        if not split_cols_tableau(even, odd, 1).shape.fits_hook(p, q):
-            raise InvalidOptions(
-                "needs --dims and --wdims whose column-split tableau fits the w-hook,"
-                f" or the relative family is empty, got --dims {even},{odd} --wdims {p},{q}"
-            )
-    # S^2 W spans the scalar products, and each T4.4 and T6.3.1 shape holds the row (2)
-    if key in ("T4.3", "T4.4", "T6.2", "T6.3.1") and not Partition((2,)).fits_hook(*opts.wdims):
-        p, q = opts.wdims
-        raise InvalidOptions(
-            "needs --wdims whose hook fits the row (2), or every family is empty,"
-            f" got --wdims {p},{q}"
-        )
-    if key in ("T4.5", "T6.3.2"):
-        p, q = opts.wdims
-        shape = _t45_shape(opts.dims) if key == "T4.5" else _t632_tableau(even).shape
-        if not shape.fits_hook(p, q):
-            raise InvalidOptions(
-                f"needs --dims and --wdims whose relation tableau {shape} fits the w-hook,"
-                f" or the relation family is empty, got --dims {even},{odd} --wdims {p},{q}"
-            )
-    if key == "T7.3":
-        n, k = opts.n, opts.k
-        p, q = opts.wdims
-        shapes = [split_rows_tableau(n, n, k).shape, split_cols_tableau(n, n, k + 1).shape]
-        if not all(shape.fits_hook(p, q) for shape in shapes):
-            raise InvalidOptions(
-                "needs --wdims whose hook fits the level +k and -k tableaux of --n and --k,"
-                f" or a level family is empty, got --wdims {p},{q} --n {n} --k {k}"
-            )
+    for name, least in claim.least.items():
+        value = getattr(opts, name)
+        pairs = zip(value, least) if isinstance(least, tuple) else [(value, least)]
+        if any(v < m for v, m in pairs):
+            raise InvalidOptions(f"needs {flag(name)} >= {least}, got {value}")
+    for what, shape, (e, o) in claim.premise(opts):
+        if not shape.fits_hook(e, o):
+            given = " ".join(f"{flag(name)} {getattr(opts, name)}" for name in claim.reads)
+            raise InvalidOptions(f"the {what} {shape} misses the ({e}|{o}) hook, got {given}")
 
 
 def run_claim(theorem_id: str, opts: Optional[ClaimOptions] = None) -> list[CheckRecord]:

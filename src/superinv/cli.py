@@ -17,7 +17,7 @@ import time
 from dataclasses import fields, replace
 
 from .alphabet import IndexRange
-from .claims import CATALOG, ClaimOptions, KNOWN_CLAIMS, claim_key, run_claim
+from .claims import CATALOG, ClaimOptions, KNOWN_CLAIMS, claim_key, flag, run_claim
 from .errors import InvalidOptions
 from .invariants import (
     DEFAULT_MONOMIAL_CAP,
@@ -113,15 +113,13 @@ def cmd_tableaux(args) -> int:
     parts = _parse_ints(args.shape, len(args.shape.split(",")), "--shape")
     parts = tuple(p for p in parts if p > 0)
     if not parts:
-        print(f"error: --shape needs a positive part, got {args.shape}", file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError(f"--shape needs a positive part, got {args.shape}")
     n, m = _parse_ints(args.range, 2, "--range")
     config = {"command": "tableaux", "shape": list(parts), "range": [n, m], "seed": args.seed}
     try:
         shape = Partition(parts)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     rng = IndexRange(n, m)
     if shape.size > TABLEAU_CELL_CAP:
         raise CapExceeded("tableau cells", shape.size, TABLEAU_CELL_CAP)
@@ -156,11 +154,8 @@ def cmd_invariants(args) -> int:
         "degree": args.degree,
         "seed": args.seed,
     }
-    try:
-        family = build_family(args.family, IndexRange(*dims))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # sl(0|0) raises InvalidOptions: no letter to build its diagonal from
+    family = build_family(args.family, IndexRange(*dims))
     algebra = algebra_for(family, p, q, k, l)
     space = invariant_space_bruteforce(family, algebra, args.degree, monomial_cap=args.cap)
     checks = [
@@ -180,19 +175,23 @@ def cmd_verify(args) -> int:
     try:
         key = claim_key(args.theorem)
     except KeyError:
-        print(
-            f"error: unknown claim id {args.theorem!r}; known ids: {', '.join(KNOWN_CLAIMS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    given = {"monomial_cap": args.cap}
+        raise argparse.ArgumentTypeError(
+            f"unknown claim id {args.theorem!r}; known ids: {', '.join(KNOWN_CLAIMS)}"
+        ) from None
+    reads = CATALOG[key].reads
+    given = {}
     for f in fields(ClaimOptions):
-        value = getattr(args, f.name, None)
+        if (value := getattr(args, f.name)) is None:
+            continue
+        if f.name not in reads:
+            # the claim's theorem has no slot for the option
+            raise argparse.ArgumentTypeError(
+                f"{key} does not read {flag(f.name)}; it reads {', '.join(map(flag, reads))}"
+            )
         if isinstance(value, str):
             # a tuple option has as many entries as its default
-            value = _parse_ints(value, len(f.default), "--" + f.name)
-        if value is not None:
-            given[f.name] = value
+            value = _parse_ints(value, len(f.default), flag(f.name))
+        given[f.name] = value
     opts = replace(CATALOG[key].defaults, **given)
     config = {
         "command": "verify",
@@ -204,8 +203,7 @@ def cmd_verify(args) -> int:
         # options outside the claim's range raise before any check runs
         records = run_claim(key, opts)
     except InvalidOptions as exc:
-        print(f"error: {key}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise argparse.ArgumentTypeError(f"{key}: {exc}") from exc
     return _finish(config, [r.as_dict() for r in records], args, started)
 
 
@@ -252,14 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a claim from the catalog")
     p.add_argument("--theorem", required=True, help="claim id, e.g. T2.1")
-    p.add_argument("--dims", default=None)
-    p.add_argument("--pqkl", default=None)
-    p.add_argument("--udims", default=None)
-    p.add_argument("--wdims", default=None)
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_MONOMIAL_CAP, help="monomial basis cap")
+    for f in fields(ClaimOptions):
+        # one flag per option; a tuple one is parsed against its default
+        kind = str if isinstance(f.default, tuple) else int
+        p.add_argument(flag(f.name), dest=f.name, metavar=flag(f.name)[2:].upper(), type=kind)
     common(p)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -271,15 +265,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    for name in ("cap", "degree", "max_degree"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} must be nonnegative, got {value}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        for name in ("cap", "monomial_cap", "degree", "max_degree"):
+            if (value := getattr(args, name, None)) is not None and value < 0:
+                raise argparse.ArgumentTypeError(f"{flag(name)} must be nonnegative, got {value}")
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, InvalidOptions) as exc:
+        # every usage error: one line, no report
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

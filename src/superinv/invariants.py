@@ -39,7 +39,6 @@ from .errors import CapExceeded
 from .liealgebras import (
     AlgebraFamily,
     act_through_images,
-    action_table,
     annihilates,
     diagonal_weights,
 )
@@ -240,7 +239,7 @@ def _solve_orbits(
     blocks, of their orbit's kernel size."""
     blocks = blocked_monomials(algebra, degree, monomial_cap, diagonal_weights(family, algebra))
     orbits = BlockOrbits(algebra)
-    table = action_table(family.generators, algebra)
+    table = family.table(algebra)
     placed, solved = [], {}
     for key in sorted(blocks):
         monos, (orbit, ranked) = blocks[key], orbits.orbit(key)
@@ -270,7 +269,7 @@ def _oracle_basis(family: AlgebraFamily, algebra: AlgebraDescriptor, solve: tupl
             gens = orbits.generator_map(ranked_there, ranked)
             relabeled = _relabeled(integral[orbit], gens, algebra.parities, monos)
             basis.extend(Polynomial(algebra, terms) for terms in relabeled)
-    if not annihilates(family.basis, basis):
+    if not annihilates(family, basis):
         raise AssertionError("oracle produced a non-invariant")
     return basis
 
@@ -291,13 +290,13 @@ def invariant_space_bruteforce(
     `diagonal_weights`), so only the monomials of weight zero under all of
     them can occur: the walk of `blocked_monomials` enumerates just those,
     pruning as it goes.  The monomial cap still counts the full degree-d
-    basis.  The elements of `family.generators` share one `action_table`
-    and act on each monomial in one walk: the annihilator of a polynomial
-    is a Lie sub-superalgebra, so on weight-zero monomials their joint
-    kernel is the kernel of every off-diagonal element, and it is read off
-    the reduced echelon form.  Every basis polynomial is then checked
-    against every element of the family (`annihilates`), independently of
-    the generating subset.
+    basis.  The elements of `family.generators` share the family's table
+    (`AlgebraFamily.table`) and act on each monomial in one walk: the
+    annihilator of a polynomial is a Lie sub-superalgebra, so on
+    weight-zero monomials their joint kernel is the kernel of every
+    off-diagonal element, and it is read off the reduced echelon form.
+    Every basis polynomial is then checked against every element of the
+    family (`annihilates`), independently of the generating subset.
     """
     solve = _solve_orbits(family, algebra, degree, monomial_cap)
     return InvariantSpace(family.tag, degree, algebra, _oracle_basis(family, algebra, solve))
@@ -373,7 +372,7 @@ def check_generation(
     re-checked.  Any other builds (and re-checks) the oracle basis from the
     same kernels and adds it to the products' tracker: the first oracle
     vector outside their span is the witness."""
-    invariant_generators = annihilates(family.basis, generators)
+    invariant_generators = annihilates(family, generators)
     out = []
     for d in degrees:
         solve = _solve_orbits(family, algebra, d, monomial_cap)

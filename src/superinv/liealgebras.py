@@ -26,7 +26,7 @@ bracket closure is checked by `tests/test_liealgebras.py::test_bracket_closure`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -112,6 +112,7 @@ class AlgebraFamily:
     tag: str
     dims: IndexRange
     basis: list[MatrixElement]
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -139,6 +140,13 @@ class AlgebraFamily:
             if _generates(self, diagonal + rest):
                 chosen = rest
         return chosen
+
+    def table(self, algebra: AlgebraDescriptor, elements: str = "generators") -> tuple:
+        """The `action_table` of `generators`, or of `basis`, on `algebra`,
+        built once per instance: its packed rows carry across degrees."""
+        if (key := (elements, algebra)) not in self._tables:
+            self._tables[key] = action_table(getattr(self, elements), algebra)
+        return self._tables[key]
 
 
 def _generates(family: AlgebraFamily, elements: list[MatrixElement]) -> bool:
@@ -412,34 +420,25 @@ def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
     return image
 
 
-def annihilates(basis: Sequence[MatrixElement], polys: Iterable[Polynomial]) -> bool:
-    """Whether every element of `basis` kills every polynomial of `polys`.
-
-    All the elements act on each polynomial's primitive integer multiple in
-    one walk, through one action table per algebra; the check stops at the
-    first polynomial with a nonzero image."""
-    tables: dict = {}
+def annihilates(family: AlgebraFamily, polys: Iterable[Polynomial], elements="basis") -> bool:
+    """Whether every element of `family.basis`, or of `family.generators`,
+    kills every polynomial of `polys`: all act on each one's primitive
+    integer multiple in one walk, through the family's `table`; the check
+    stops at the first polynomial with a nonzero image."""
     for f in polys:
-        if f.algebra not in tables:
-            tables[f.algebra] = action_table(basis, f.algebra)
-        images = act_through_images(tables[f.algebra], f.algebra, _primitive_terms(f.terms))
+        table = family.table(f.algebra, elements)
+        images = act_through_images(table, f.algebra, _primitive_terms(f.terms))
         if any(any(image.values()) for image in images):
             return False
     return True
 
 
 def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
-    """One weight per generator for each diagonal basis element x
-    (`_generator_weights` of their `slot_weights`).  x multiplies a monomial
-    by the sum of its factors' weights."""
-    return _generator_weights(family, [slot_weights(x) for x in family.diagonal_basis()], algebra)
-
-
-def _generator_weights(family: AlgebraFamily, by_flag: list, algebra: AlgebraDescriptor) -> list:
-    """For each of the family's diagonal elements, given by its
-    `slot_weights`, one weight per generator: a uv generator takes the
-    vector weight of its column letter, a vw generator the covector weight
-    of its row letter, any other 0."""
+    """For each diagonal basis element x, one weight per generator, read
+    from its `slot_weights`: a uv generator takes the vector weight of its
+    column letter, a vw generator the covector weight of its row letter,
+    any other 0.  x multiplies a monomial by the sum of its factors'
+    weights."""
     if algebra.v_range is not None and family.dims != algebra.v_range:
         raise ValueError("matrix dimensions do not match the algebra's inner space")
     return [
@@ -449,7 +448,7 @@ def _generator_weights(family: AlgebraFamily, by_flag: list, algebra: AlgebraDes
             else 0
             for g in algebra.generators
         )
-        for vector, covector in by_flag
+        for vector, covector in map(slot_weights, family.diagonal_basis())
     ]
 
 
@@ -482,16 +481,13 @@ def invariant(family: AlgebraFamily, items: Iterable) -> bool:
     tensors = [t for t in items if not isinstance(t, Polynomial)]
     if any(t.dims != family.dims for t in tensors):
         raise ValueError("dimension mismatch")
+    weights = {a: diagonal_weights(family, a) for a in {f.algebra for f in polys}}
+    if any(sum(w[g] for g in m) for f in polys for m in f.terms for w in weights[f.algebra]):
+        return False
     by_flag = [slot_weights(x) for x in family.diagonal_basis()]
-    weights: dict = {}
-    for f in polys:
-        if f.algebra not in weights:
-            weights[f.algebra] = _generator_weights(family, by_flag, f.algebra)
-        if any(sum(w[g] for g in m) for m in f.terms for w in weights[f.algebra]):
-            return False
     if not all(weighs_zero(by_flag, t.signature, w) for t in tensors for w in t.terms):
         return False
-    if not annihilates(family.generators, polys):
+    if not annihilates(family, polys, "generators"):
         return False
     actions = [(x.slot_images(), x.parity) for x in family.generators]
     return not any(

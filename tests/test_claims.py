@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -32,6 +32,51 @@ def test_t73_claim():
     records = run_claim("T7.3")
     assert all(r.status in ("pass", "errata") for r in records)
     assert any(r.status == "errata" for r in records)
+
+
+@pytest.mark.parametrize("cid", KNOWN_CLAIMS)
+def test_reads_lists_what_the_claim_reads(cid):
+    """At its defaults, the claim's premise and runner read exactly the
+    options that `Claim.reads` lists: the flags `verify` accepts."""
+    names = {f.name for f in fields(ClaimOptions)}
+    read = set()
+
+    class Recording(ClaimOptions):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    claim = CATALOG[cid]
+    opts = Recording(**{name: getattr(claim.defaults, name) for name in names})
+    claim.premise(opts)
+    assert claim.run(opts)
+    assert read == set(claim.reads)
+    assert set(claim.least) <= read
+
+
+@pytest.mark.parametrize(
+    "cid, tables", [("T2.1", 2), ("T3.6", 2), ("T4.3", 2), ("T5.2", 2), ("T6.2", 2), ("T7.3", 9)]
+)
+def test_a_family_builds_each_action_table_once(monkeypatch, cid, tables):
+    """A cold run builds the action table of the family's generators, and
+    of its basis, once per algebra (`AlgebraFamily.table`): every degree of
+    the oracle and every invariance check reuses it.  T7.3 also has its
+    tower's algebra, and `spe_ppf_polynomials` builds one table per route
+    factor: 3 tables of the family and 6 of factors."""
+    from superinv import generators, liealgebras
+
+    built = []
+    real = liealgebras.action_table
+
+    def counting(elements, algebra):
+        built.append(algebra)
+        return real(elements, algebra)
+
+    for module in (generators, liealgebras):
+        monkeypatch.setattr(module, "action_table", counting)
+    assert run_claim(cid)
+    assert len(built) == tables
 
 
 def test_record_serialization():

@@ -4,13 +4,15 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from superinv.claims import CATALOG, KNOWN_CLAIMS
+import superinv.cli as cli_module
+from superinv.claims import CATALOG, ClaimOptions, KNOWN_CLAIMS
 from superinv.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 
 
@@ -466,20 +468,43 @@ def test_caps_checked_before_the_work(capsys, monkeypatch, claim, options, forbi
     assert err == f"error: {message}\n"
 
 
-_PAIR = st.tuples(st.integers(0, 2), st.integers(0, 2))
+def _option_argv(name: str, value) -> list[str]:
+    """The verify flag and value that set the `ClaimOptions` field `name`."""
+    flag = "--cap" if name == "monomial_cap" else "--" + name.replace("_", "-")
+    return [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
 
 
-def _t22_monomials(dims, udims, wdims):
+@pytest.mark.parametrize("claim", KNOWN_CLAIMS)
+def test_verify_refuses_a_flag_the_claim_does_not_read(capsys, monkeypatch, claim):
+    """A flag the claim's theorem has no slot for, even at its default
+    value, is a usage error before any work: exit 2, one line on stderr
+    naming the flag and the ones the claim reads, no report."""
+
+    def forbidden(*args):
+        raise AssertionError("the claim ran")
+
+    monkeypatch.setattr(cli_module, "run_claim", forbidden)
+    reads = CATALOG[claim].reads
+    unread = next(f for f in fields(ClaimOptions) if f.name not in reads)
+    argv = _option_argv(unread.name, unread.default)
+    code, out, err = run_cli(capsys, "verify", "--theorem", claim, *argv, "--no-timing")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {claim} does not read {argv[0]}; it reads --")
+    assert err.count("\n") == 1
+
+
+def _t22_monomials(opts):
     """The size of the T2.2 relation-degree monomial basis, in closed form."""
     from superinv.alphabet import IndexRange
     from superinv.polynomials import count_monomials_of_degree, make_uw_algebra
 
-    n, m = dims
-    source = make_uw_algebra(IndexRange(*udims), IndexRange(*wdims))
+    n, m = opts.dims
+    source = make_uw_algebra(IndexRange(*opts.udims), IndexRange(*opts.wdims))
     return count_monomials_of_degree(source, (n + 1) * (m + 1))
 
 
-def _slow(claim, n, k, dims, udims, wdims):
+def _slow(claim, opts):
     """Option vectors in these ranges that run for seconds to minutes below
     every cap (measured on a 2-core machine, 6 s limit): T2.2 with more
     than 8 letters in all and a monomial basis within the default cap
@@ -487,37 +512,46 @@ def _slow(claim, n, k, dims, udims, wdims):
     split-tableau claims at --dims 2,2 (T3.3 and T3.4 6 to 8 s at --k 1,
     T3.8 4 to 5 s with each operator image built once per word; T3.6
     exits 2 there: at the default --pqkl its split tableaux do not fit
-    the u-hook), and T7.2 at --n 3 --k 0 (about 4 s).  With
-    the symmetrizers applied block by block, T7.3 at --n 2 --k 2 takes
-    0.4 to 0.45 s (it pairs each route's seed and acts on the shadows;
-    1.7 to 2.4 s when it paired the constructive tensor), T7.2 at
-    --n 2 --k 3 1.4 to 1.6 s, and the split-tableau claims at
-    --k 3 and smaller --dims at most 1.6 s (T7.3 at --k 3 exits 3 before
-    any symmetrization).  Every other vector finishes within about 2 s."""
+    the u-hook), and T7.2 at --n 3 --k 0 (about 4 s) and at --n 2 --k 3
+    (1.2 to 1.6 s, which a CI step runs).  With the symmetrizers applied
+    block by block, T7.3 at --n 2 --k 2 takes 0.2 to 0.45 s (it pairs
+    each route's seed and acts on the shadows; 1.7 to 2.4 s when it paired
+    the constructive tensor), and the split-tableau claims at --k 3 and
+    smaller --dims at most 1.6 s (T7.3 at --k 3 exits 3 before any
+    symmetrization).  Every other vector finishes within about 2 s."""
     if claim == "T2.2":
-        return sum(dims + udims + wdims) > 8 and _t22_monomials(dims, udims, wdims) <= 20_000
+        letters = sum(opts.dims + opts.udims + opts.wdims)
+        return letters > 8 and _t22_monomials(opts) <= 20_000
     if claim in ("T3.3", "T3.4", "T3.8"):
-        return dims == (2, 2)
-    return claim == "T7.2" and (n, k) == (3, 0)
+        return opts.dims == (2, 2)
+    return claim == "T7.2" and (opts.n, opts.k) in ((3, 0), (2, 3))
+
+
+_PAIR = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_DRAWN = {
+    "dims": _PAIR,
+    "pqkl": st.tuples(*[st.integers(0, 2)] * 4),
+    "udims": _PAIR,
+    "wdims": _PAIR,
+    "max_degree": st.integers(0, 5),
+    "n": st.integers(0, 3),
+    "k": st.integers(0, 3),
+}
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.sampled_from(KNOWN_CLAIMS),
-    st.integers(0, 3),
-    st.integers(0, 3),
-    _PAIR,
-    _PAIR,
-    _PAIR,
-)
-def test_verify_random_small_options_keep_exit_contract(claim, n, k, dims, udims, wdims):
-    """Small random verify option vectors: no exception escapes, the exit
-    code is 0, 1, 2 or 3, a usage error is exactly one line on stderr with
-    no report, and a report lists at least one check."""
-    assume(not _slow(claim, n, k, dims, udims, wdims))
-    argv = ["verify", "--theorem", claim, "--n", str(n), "--k", str(k), "--no-timing"]
-    for flag, pair in (("--dims", dims), ("--udims", udims), ("--wdims", wdims)):
-        argv += [flag, f"{pair[0]},{pair[1]}"]
+@given(st.sampled_from(KNOWN_CLAIMS), st.data())
+def test_verify_random_small_options_keep_exit_contract(claim, data):
+    """Small random values of the flags the claim reads (all but --cap): no
+    exception escapes, the exit code is 0, 1, 2 or 3, a usage error is
+    exactly one line on stderr with no report, and a report lists at least
+    one check."""
+    reads = CATALOG[claim].reads
+    drawn = {name: data.draw(_DRAWN[name], label=name) for name in reads if name in _DRAWN}
+    assume(not _slow(claim, replace(CATALOG[claim].defaults, **drawn)))
+    argv = ["verify", "--theorem", claim, "--no-timing"]
+    for name, value in drawn.items():
+        argv += _option_argv(name, value)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -536,15 +570,24 @@ VERDICTS = Path(__file__).parent / "golden" / "verdicts.json"
 
 
 def _verdict_vectors():
-    """Every claim with --dims, then --wdims, over {0,1,2}^2 and the other
-    options at the claim's defaults, leaving out the `_slow` vectors."""
+    """Every claim with each flag it reads but --cap varied alone, the
+    others at the claim's defaults: --dims, --udims and --wdims over
+    {0,1,2}^2, --pqkl over {0,1}^4, and --n, --k and --max-degree from the
+    claim's floor to two above its default, leaving out the `_slow`
+    vectors."""
     pairs = list(itertools.product(range(3), repeat=2))
+    grids = {"dims": pairs, "udims": pairs, "wdims": pairs}
+    grids["pqkl"] = list(itertools.product(range(2), repeat=4))
     for claim in KNOWN_CLAIMS:
-        d = CATALOG[claim].defaults
-        for flag, pair in itertools.product(("dims", "wdims"), pairs):
-            dims, wdims = (pair, d.wdims) if flag == "dims" else (d.dims, pair)
-            if not _slow(claim, d.n, d.k, dims, d.udims, wdims):
-                yield claim, f"--{flag}", f"{pair[0]},{pair[1]}"
+        c = CATALOG[claim]
+        for name in c.reads:
+            if name in ("n", "k", "max_degree"):
+                values = range(c.least.get(name, 0), getattr(c.defaults, name) + 3)
+            else:
+                values = grids.get(name, ())
+            for value in values:
+                if not _slow(claim, replace(c.defaults, **{name: value})):
+                    yield (claim, *_option_argv(name, value))
 
 
 def verdict_map() -> dict:

@@ -9,12 +9,14 @@ The case is the oracle's heaviest: gl(2|1) acting on U = W = (2|1) at
 degree 6, 2,031 weight-zero monomials.  Each time is the minimum of 15
 in-process runs, in milliseconds, after one untimed warm-up run:
 
-- recheck: `annihilates(family.basis, basis)` on the oracle's basis, every
-  basis element on every basis polynomial;
+- recheck: `annihilates(family, basis)` on the oracle's basis, every
+  basis element on every basis polynomial, through the family's table
+  (`AlgebraFamily.table`), which the warm-up run builds;
 - solve_images: the generating subset's images of each weight-zero
   monomial, one `act_through_images` call per monomial, as the oracle's
   solve builds them for `joint_kernel`;
-- oracle: the whole `invariant_space_bruteforce` at that degree;
+- oracle: the whole `invariant_space_bruteforce` at that degree, which
+  also finds the family's tables built;
 - relations: `relation_kernel_check` of T2.2 at its catalog defaults with
   --udims 2,2 --wdims 2,2 (gl(1|1), 256 relations at degree 4, 985 blocks
   in 154 orbits), each run on a fresh `SubstitutionMap`, so that no run
@@ -89,7 +91,7 @@ def measure() -> dict:
     monomials = [m for monos in blocks.values() for m in monos]
 
     def recheck():
-        if not annihilates(family.basis, basis):
+        if not annihilates(family, basis):
             raise AssertionError("the oracle basis is not invariant")
 
     subs, rels, degree = t22_relation_check()
