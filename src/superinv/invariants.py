@@ -29,7 +29,7 @@ ranks that block only.  A map that fails keeps every block apart."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -48,9 +48,13 @@ from .polynomials import (
     Monomial,
     Polynomial,
     count_monomials_of_degree,
+    field_width,
     make_mixed_algebra,
     monomials_of_degree,
     normalize_product,
+    pack,
+    packed_product,
+    unpack,
 )
 
 DEFAULT_MONOMIAL_CAP = 20_000
@@ -104,7 +108,7 @@ def blocked_monomials(
     degree-d basis exceeds `cap`."""
     check_monomial_cap(algebra, degree, cap)
     keys = [_factor_keys(algebra, i) for i in range(len(algebra))]
-    width = (2 * degree + 1).bit_length()
+    width = field_width(2 * degree)
     fields: dict = {}
     packed = [sum(1 << width * fields.setdefault(k, len(fields)) for k in ks) for ks in keys]
     groups: dict[int, list[Monomial]] = {}
@@ -307,36 +311,32 @@ def generated_subspace(
 ) -> list[Polynomial]:
     """Products of the generators of total degree exactly `degree`,
     deduplicated to a basis.  Generators must be homogeneous.  The products
-    are reduced in `_tracker` when given (`check_generation` goes on adding
-    to it), else in a tracker of their own."""
-    if degree == 0:
+    are packed at `field_width(degree)` and reduced in `_tracker`, returning
+    nothing, when given (`check_generation` goes on adding to it), else in
+    a tracker of their own, and the basis is unpacked."""
+    if degree < 1:
         raise ValueError("degree must be positive")
-    gens = [g for g in generators if g]
-    if not gens:
-        return []
-    algebra = gens[0].algebra
-    degrees = []
-    for g in gens:
-        d = {len(m) for m in g.terms}
-        if len(d) != 1:
+    width, gens = field_width(degree), []
+    for g in generators:
+        if len(d := {len(m) for m in g.terms}) > 1:
             raise ValueError("generators must be homogeneous")
-        degrees.append(d.pop())
-    products: list[Polynomial] = []
+        if g and (d := d.pop()) <= degree:
+            algebra = g.algebra
+            gens.append((d, pack(g.terms, width, algebra.parities)))
+    tracker, basis = SpanTracker() if _tracker is None else _tracker, []
 
-    def rec(start: int, total: int, current: Polynomial):
+    def rec(start: int, total: int, current: dict):
         if total == degree:
-            products.append(current)
+            if tracker.add(current) and _tracker is None:
+                basis.append(Polynomial(algebra, unpack(current, width, len(algebra))))
             return
         for i in range(start, len(gens)):
-            if total + degrees[i] > degree:
-                continue
-            nxt = current * gens[i]
-            if nxt:
-                rec(i, total + degrees[i], nxt)
+            d, g = gens[i]
+            if total + d <= degree and (nxt := packed_product(current, g, len(algebra))):
+                rec(i, total + d, nxt)
 
-    rec(0, 0, algebra.one())
-    tracker = SpanTracker() if _tracker is None else _tracker
-    return [f for f in products if tracker.add(f.terms)]
+    rec(0, 0, {0: 1})
+    return basis
 
 
 @dataclass
@@ -370,8 +370,8 @@ def check_generation(
     every product is invariant: generated rank <= dim Inv <= K.  A degree
     whose products reach rank K is `equal`, its basis neither relabeled nor
     re-checked.  Any other builds (and re-checks) the oracle basis from the
-    same kernels and adds it to the products' tracker: the first oracle
-    vector outside their span is the witness."""
+    same kernels and adds it, packed as the products are, to their tracker:
+    the first oracle vector outside their span is the witness."""
     invariant_generators = annihilates(family, generators)
     out = []
     for d in degrees:
@@ -383,7 +383,7 @@ def check_generation(
         gen_dim, witness = tracker.rank, None
         if not invariant_generators or gen_dim != oracle_dim:
             for f in _oracle_basis(family, algebra, solve):
-                if tracker.add(f.terms) and witness is None:
+                if tracker.add(pack(f.terms, field_width(d), algebra.parities)) and witness is None:
                     witness = f
             # soundness: the oracle basis is independent, so the joint span
             # has its dimension only when the generated space sits inside it
@@ -402,32 +402,37 @@ def check_generation(
 class SubstitutionMap:
     """Algebra homomorphism given by generator images; parities must match.
 
-    Monomial images are built through `image`, which keeps the images of the
-    proper prefixes it builds, so monomials that share a prefix share its
+    The images are kept packed (`pack`), at a width that fits the highest
+    degree substituted so far, with the images of the proper prefixes that
+    `_packed_image` builds, so monomials that share a prefix share its
     products."""
 
     source: AlgebraDescriptor
     target: AlgebraDescriptor
     images: dict[int, Polynomial]
-    _prefixes: dict[Monomial, Polynomial] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for i, img in self.images.items():
             p = img.parity()
             if img and p != self.source.parities[i]:
                 raise ValueError("image parity differs from generator parity")
+        self._degree = max((img.degree() for img in self.images.values()), default=0)
+        self._width, self._prefixes = 0, {}
 
-    def image(self, mono: Monomial) -> Polynomial:
-        """The image of a normal-form source monomial, which callers must not
-        modify: the image of its longest proper prefix already built, times
-        the images of the remaining factors.  Every proper prefix built on the
-        way is stored; the monomial itself is not, so after a degree-d pass
-        the table holds only keys shorter than d."""
+    def _packed_image(self, mono: Monomial, degree: int = 0) -> dict:
+        """The packed image of a normal-form source monomial, which callers
+        must not modify: the image of its longest proper prefix already
+        built, times the images of the remaining factors.  Every proper
+        prefix built on the way is stored; the monomial itself is not, so
+        after a degree-d pass the table holds only keys shorter than d.  A
+        `degree`, or monomial, too high for the width widens it first."""
+        if (width := field_width(max(len(mono), degree, 1) * self._degree)) > self._width:
+            self._width, parities = width, self.target.parities
+            self._packed = {i: pack(f.terms, width, parities) for i, f in self.images.items()}
+            self._prefixes.clear()
         if not mono:
-            return self.target.one()
-        table, images = self._prefixes, self.images
+            return {0: 1}
+        table, images, n = self._prefixes, self._packed, len(self.target)
         k = len(mono) - 1
         while k > 1 and mono[:k] not in table:
             k -= 1
@@ -440,24 +445,29 @@ class SubstitutionMap:
                 table[mono[:j]] = term
             if not term:
                 break
-            term = term * images[mono[j]]
+            term = packed_product(term, images[mono[j]], n)
         return term
+
+    def image(self, mono: Monomial) -> Polynomial:
+        """The image of a normal-form source monomial."""
+        return self.apply(Polynomial(self.source, {mono: 1}))
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.algebra is not self.source:
             raise ValueError("polynomial not over the source algebra")
-        # a sum that cancels is dropped at once, as a chain of Polynomial
-        # additions drops it, so a term that comes back is placed last
-        out: dict[Monomial, Coeff] = {}
-        get = out.get
+        # one width for every term, and a sum that cancels is dropped at
+        # once, as a chain of Polynomial additions drops it, so a term that
+        # comes back is placed last
+        out: dict[int, Coeff] = {}
+        get, degree = out.get, f.degree()
         for mono, coeff in f.terms.items():
-            for key, v in self.image(mono).terms.items():
+            for key, v in self._packed_image(mono, degree).items():
                 c = get(key, 0) + v * coeff
                 if c:
                     out[key] = c
                 else:
                     del out[key]
-        return Polynomial(self.target, out)
+        return Polynomial(self.target, unpack(out, self._width, len(self.target)))
 
 
 @dataclass
@@ -563,7 +573,7 @@ def relation_kernel_check(
                 carried.setdefault(key, []).extend([((b, i), sign * c) for i, c in occurs])
         tracker, slices = SpanTracker(), {}
         for m in monos:
-            image = subs.image(m).terms
+            image = subs._packed_image(m)
             tracker.add(image)
             for at, coeff in carried.get(m, ()):
                 add_scaled(slices.setdefault(at, {}), image, coeff)

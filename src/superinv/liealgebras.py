@@ -2,8 +2,8 @@
 derivation action: one letter-image table per dual flag for each element
 (`MatrixElement.slot_images`), extended to tensor words (`act_on_words`)
 and to polynomials, where a list of elements acts in one batched walk over
-the terms, each monomial packed into exponent fields of one integer
-(`action_table`, `act_through_images`).
+the terms, each monomial packed into one integer, its product key
+(`polynomials.pack`; `action_table`, `act_through_images`).
 
 Invariance is decided by one predicate, `invariant(family, items)`, for
 polynomials and tensors alike: weight zero under the diagonal basis, read
@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .alphabet import EVEN, IndexRange, SuperIndex, ev, od
 from .coefficients import Coeff, SparseElement, add_scaled, normalized
 from .errors import InvalidOptions
 from .linalg import SpanTracker, _primitive_terms, joint_kernel, rank_rows
-from .polynomials import AlgebraDescriptor, Generator, Polynomial
+from .polynomials import AlgebraDescriptor, Generator, Polynomial, field_width, pack, unpack
 
 
 @dataclass(eq=False, repr=False)
@@ -143,7 +143,7 @@ class AlgebraFamily:
 
     def table(self, algebra: AlgebraDescriptor, elements: str = "generators") -> tuple:
         """The `action_table` of `generators`, or of `basis`, on `algebra`,
-        built once per instance: its packed rows carry across degrees."""
+        built once per instance: its generator keys carry across degrees."""
         if (key := (elements, algebra)) not in self._tables:
             self._tables[key] = action_table(getattr(self, elements), algebra)
         return self._tables[key]
@@ -293,8 +293,8 @@ def act_on_words(
 
 def action_table(elements: Sequence[MatrixElement], algebra: AlgebraDescriptor) -> tuple:
     """The generator images of all `elements` merged for one walk: (element
-    count, one row per generator, None without an inner action, a cache of
-    each width's `_packed_row`s, packed on first use).  x[r,i] and x*[i,s]
+    count, one row per generator, None without an inner action, a cache per
+    field width of the generators' keys and the rows on them).  x[r,i] and x*[i,s]
     go to the image of slot i (`slot_images`); x[r,i] takes the sign
     (-1)^{p(x)p(r)} of crossing the u-factor first.  A row holds, for an
     even and an odd parity of the factors before the generator, its
@@ -327,61 +327,48 @@ def action_table(elements: Sequence[MatrixElement], algebra: AlgebraDescriptor) 
     return len(elements), rows, {}
 
 
-def field_width(terms: Iterable[tuple]) -> int:
-    """Bits per exponent field of a packed monomial: the bit length of the
-    highest degree in `terms`, which no exponent of their images exceeds."""
-    return max(map(len, terms), default=0).bit_length() or 1
-
-
-def _packed_row(algebra: AlgebraDescriptor, rows: list, g: int, width: int) -> tuple:
-    """Row g of an `action_table` on monomials packed at `width`: its unit
-    field, its odd-mask bit, the mask of the generators below it, and per
-    half its diagonal entries and its moves to idx (delta, bit of an odd
-    idx, mask strictly between g and an odd idx, entries)."""
-    if (row := rows[g]) is None:
-        raise ValueError(f"family {algebra.generators[g].family!r} carries no inner action")
-    parities = algebra.parities
-
-    def move(idx: int, entries: list) -> tuple:
-        between = parities[idx] * ((1 << max(g, idx)) - (1 << min(g, idx) + 1))
-        return (1 << width * idx) - (1 << width * g), parities[idx] << idx, between, entries
-
-    halves = [(diagonal, [move(*m) for m in moved]) for diagonal, moved in row]
-    return 1 << width * g, parities[g] << g, (1 << g) - 1, halves
-
-
 def act_through_images(table: tuple, algebra: AlgebraDescriptor, terms: dict) -> list[dict]:
     """Every element of an `action_table` applied as a super-derivation to a
-    term dict in one walk: one raw image dict per element, keyed by packed
-    monomials (`polynomial_images` unpacks them), zeros left in.
+    term dict in one walk: one raw image dict per element, keyed by product
+    keys (`pack`, at the `field_width` of the highest degree in `terms`,
+    which no exponent of their images exceeds), zeros left in.
 
-    A monomial is packed once: the exponent of generator g in the field at
-    bit g*`field_width(terms)`, and its odd factors as a mask with bit g.
-    Each distinct factor g is replaced once, an even one times its exponent,
-    with the derivation sign of the odd factors below g; a move adds its
-    delta to the key, is zero onto an odd factor present, and takes the
-    Koszul sign of the odd factors strictly between g and an odd target."""
+    A monomial's key is the sum of its generators' keys.  Each distinct
+    factor g is replaced once, an even one times its exponent, with the
+    derivation sign of the odd factors below g; a move adds the difference
+    of the target's and g's keys, is zero onto an odd factor present, and
+    takes the Koszul sign of the odd factors strictly between g and an odd
+    target."""
     size, rows, packed = table
-    width = field_width(terms)
-    if (steps := packed.get(width)) is None:
-        steps = packed[width] = [None] * len(rows)
-    full = (1 << width) - 1
+    width, n = field_width(max(map(len, terms), default=0)), len(rows)
+    if (at_width := packed.get(width)) is None:
+        parities = algebra.parities
+        unit = list(pack({(g,): 1 for g in range(n)}, width, parities))
+
+        def move(g: int, i: int, entries: list) -> tuple:
+            between = parities[i] * ((1 << max(g, i)) - (1 << min(g, i) + 1))
+            return unit[i] - unit[g], parities[i] << i, between, entries
+
+        # row g: the mask below g, the offset of its field, its moves by key
+        steps = [row and ((1 << g) - 1, n + width * g, [
+            (diagonal, [move(g, *m) for m in moved]) for diagonal, moved in row
+        ]) for g, row in enumerate(rows)]
+        at_width = packed[width] = unit.__getitem__, steps, (1 << width) - 1, (1 << n) - 1
+    at, steps, full, low = at_width
     outs: list[dict] = [{} for _ in range(size)]
     for mono, coeff in terms.items():
-        key = odd = 0
-        for gen in mono:
-            if (step := steps[gen]) is None:
-                step = steps[gen] = _packed_row(algebra, rows, gen, width)
-            key += step[0]
-            odd |= step[1]
-        prev = -1
+        key = sum(map(at, mono))
+        odd, prev = key & low, -1
         for gen in mono:
             if gen == prev:
                 continue
             prev = gen
-            _, _, below, halves = steps[gen]
+            if (step := steps[gen]) is None:
+                family = algebra.generators[gen].family
+                raise ValueError(f"family {family!r} carries no inner action")
+            below, offset, halves = step
             diagonal, moves = halves[(odd & below).bit_count() & 1]
-            c = coeff * (key >> width * gen & full)
+            c = coeff * (key >> offset & full)
             for slot, v in diagonal:
                 out = outs[slot]
                 out[key] = out.get(key, 0) + c * v
@@ -396,22 +383,12 @@ def act_through_images(table: tuple, algebra: AlgebraDescriptor, terms: dict) ->
     return outs
 
 
-@lru_cache(maxsize=1 << 14)
-def unpacked(key: int, width: int) -> tuple:
-    """The sorted generator tuple of a monomial packed at `width`, cached:
-    images share far fewer low and high halves of fields than keys."""
-    fields = range(key.bit_length() // width + 1)
-    return tuple(g for g in fields for _ in range(key >> width * g & (1 << width) - 1))
-
-
 def polynomial_images(table: tuple, f: Polynomial) -> list[Polynomial]:
-    """Every element of an `action_table` applied to f, each distinct key of
-    the images unpacked once, as its low and its high half of fields."""
-    w = field_width(f.terms)
-    high = -1 << w * (len(f.algebra.generators) // 2)
+    """Every element of an `action_table` applied to f, each image unpacked
+    (`unpack`)."""
+    w, n = field_width(f.degree()), len(f.algebra)
     images = act_through_images(table, f.algebra, f.terms)
-    monos = {k: unpacked(k & ~high, w) + unpacked(k & high, w) for image in images for k in image}
-    return [Polynomial(f.algebra, {monos[k]: c for k, c in image.items()}) for image in images]
+    return [Polynomial(f.algebra, unpack(image, w, n)) for image in images]
 
 
 def act_on_polynomial(x: MatrixElement, f: Polynomial) -> Polynomial:
@@ -435,7 +412,7 @@ def annihilates(family: AlgebraFamily, polys: Iterable[Polynomial], elements="ba
 
 def diagonal_weights(family: AlgebraFamily, algebra: AlgebraDescriptor) -> list[tuple]:
     """For each diagonal basis element x, one weight per generator, read
-    from its `slot_weights`: a uv generator takes the vector weight of its
+    off its `slot_weights`: a uv generator takes the vector weight of its
     column letter, a vw generator the covector weight of its row letter,
     any other 0.  x multiplies a monomial by the sum of its factors'
     weights."""

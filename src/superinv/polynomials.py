@@ -2,14 +2,16 @@
 
 Monomials are sorted tuples of generator indices into an algebra descriptor;
 the Koszul sign produced by sorting is absorbed into the coefficient, and odd
-generators square to zero.
+generators square to zero.  Products and the derivation walk pack them
+into integers (`pack`).
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from operator import add
 from typing import Optional, Sequence
@@ -113,16 +115,73 @@ def normalize_product(mono: Sequence[int], parities: Sequence[int]) -> Optional[
     return -1 if sort_is_odd(odd) else 1, tuple(sorted(mono))
 
 
-def _odd_crossings(left: list[int], right: list[int]) -> int:
-    """The number of pairs (a in left, b in right) with a > b, for sorted
-    lists of distinct odd letters; -1 when the lists share a letter."""
-    n = 0
-    for b in right:
-        k = bisect_right(left, b)
-        if k and left[k - 1] == b:
-            return -1
-        n += len(left) - k
-    return n
+def field_width(degree: int) -> int:
+    """Bits per exponent field when no exponent exceeds `degree`."""
+    return degree.bit_length() or 1
+
+
+def pack(terms: dict, width: int, parities: Sequence[int]) -> dict:
+    """The terms keyed by product keys: the exponent of generator g in the
+    field at bit n + g*width, above an n-bit mask of the odd factors, so a
+    product's key is the sum.  A degree too high for `width` raises."""
+    n, out = len(parities), {}
+    for mono, c in terms.items():
+        if len(mono) >> width:
+            raise ValueError(f"degree {len(mono)} overflows {width}-bit exponent fields")
+        fields = odd = 0
+        for g in mono:
+            fields += 1 << width * g
+            odd |= parities[g] << g
+        out[fields << n | odd] = c
+    return out
+
+
+@lru_cache(maxsize=1 << 14)
+def unpacked(fields: int, width: int) -> Monomial:
+    """The sorted generator tuple of exponent fields packed at `width`: field
+    by field over at most four generators, else as two cached halves."""
+    if not fields:
+        return ()
+    top, low = (fields.bit_length() - 1) // width, ((fields & -fields).bit_length() - 1) // width
+    if top - low < 4:
+        full = (1 << width) - 1
+        return tuple(g for g in range(low, top + 1) for _ in range(fields >> width * g & full))
+    high = -1 << width * ((low + top + 1) // 2)
+    return unpacked(fields & ~high, width) + unpacked(fields & high, width)
+
+
+def unpack(terms: dict, width: int, n: int) -> dict[Monomial, Coeff]:
+    """Terms keyed by product keys over n generators keyed by tuples, in order."""
+    high = -1 << width * (n // 2)
+    return {
+        unpacked((f := k >> n) & ~high, width) + unpacked(f & high, width): c
+        for k, c in terms.items()
+    }
+
+
+def packed_product(left: dict, right: dict, n: int) -> dict:
+    """The nonzero terms, made exact, of the product of two term dicts
+    packed over n generators at a width its degree fits, in pair order.  A
+    pair's key is the sum of keys, zero when the odd masks o1, o2 meet; its
+    sign is the parity of the odd pairs a > b (a in o1, b in o2), that is of
+    o1 & the xor over b in o2 of the bits above b."""
+    low = (1 << n) - 1
+    rows = []
+    for key, c in right.items():
+        odd, above = key & low, 0
+        while odd:
+            bit = odd & -odd
+            above ^= -(bit << 1)
+            odd ^= bit
+        rows.append((key, c, key & low, above & low))
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for k1, c1 in left.items():
+        for k2, c2, odd, above in rows:
+            if not k1 & odd:
+                key = k1 + k2
+                out[key] = get(key, 0) + (-c1 * c2 if (k1 & above).bit_count() & 1 else c1 * c2)
+    return normalized(out)
 
 
 class Polynomial(SparseElement):
@@ -162,29 +221,13 @@ class Polynomial(SparseElement):
             self.terms.pop(key, None)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        """The product on normal-form monomials: each key is the sorted
-        concatenation, and the Koszul sign counts the odd pairs (a from the
-        left, b from the right, a > b), found by bisection in the left
-        factor's odd letters.  A repeated odd letter gives zero."""
+        """The product through packed monomials (`packed_product`)."""
         if other.algebra is not self.algebra:
             raise ValueError("mixed algebras")
-        parities = self.algebra.parities
-        right = [(m, c, [g for g in m if parities[g]]) for m, c in other.terms.items()]
-        out: dict[Monomial, Coeff] = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            odd1 = [g for g in m1 if parities[g]]
-            for m2, c2, odd2 in right:
-                c = c1 * c2
-                if odd1 and odd2:
-                    crossings = _odd_crossings(odd1, odd2)
-                    if crossings < 0:
-                        continue
-                    if crossings & 1:
-                        c = -c
-                key = tuple(sorted(m1 + m2))
-                out[key] = get(key, 0) + c
-        return Polynomial(self.algebra, out)
+        parities, n = self.algebra.parities, len(self.algebra)
+        width = field_width(self.degree() + other.degree())
+        left, right = (pack(f.terms, width, parities) for f in (self, other))
+        return Polynomial(self.algebra, unpack(packed_product(left, right, n), width, n))
 
     def parity(self) -> Optional[int]:
         """Parity when homogeneous, None otherwise."""
@@ -196,7 +239,7 @@ class Polynomial(SparseElement):
         return seen.pop() if len(seen) == 1 else None
 
     def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def is_homogeneous_degree(self, d: int) -> bool:
         return all(len(m) == d for m in self.terms)

@@ -4,6 +4,7 @@ None of these is reached by a run of `superinv`: each is a plain, direct
 form of something the package computes another way, kept here so that the
 tests have one home for their references."""
 
+from bisect import bisect_right
 from typing import Sequence
 
 from superinv.alphabet import IndexRange, Word, all_words
@@ -11,6 +12,7 @@ from superinv.coefficients import Coeff
 from superinv.liealgebras import MatrixElement, act_on_words, slot_weights, weighs_zero
 from superinv.linalg import joint_kernel
 from superinv.permutations import GroupAlgebraElement, Permutation, cocycle_sign, inverse_images
+from superinv.polynomials import Monomial, Polynomial
 from superinv.tableaux import YoungTableau
 from superinv.tensors import TensorElement, act_on_tensor
 
@@ -87,3 +89,41 @@ def tensor_invariant_space(
     if not all(act_on_tensor(x, t).is_zero() for t in out for x in basis_elements):
         raise AssertionError("tensor oracle produced a non-invariant")
     return out
+
+
+def _odd_crossings(left: list[int], right: list[int]) -> int:
+    """The number of pairs (a in left, b in right) with a > b, for sorted
+    lists of distinct odd letters; -1 when the lists share a letter."""
+    n = 0
+    for b in right:
+        k = bisect_right(left, b)
+        if k and left[k - 1] == b:
+            return -1
+        n += len(left) - k
+    return n
+
+
+def reference_product(left: Polynomial, right: Polynomial) -> Polynomial:
+    """The product on normal-form monomials: each key is the sorted
+    concatenation, and the Koszul sign counts the odd pairs (a from the
+    left, b from the right, a > b), found by bisection in the left
+    factor's odd letters.  A repeated odd letter gives zero."""
+    if right.algebra is not left.algebra:
+        raise ValueError("mixed algebras")
+    parities = left.algebra.parities
+    rows = [(m, c, [g for g in m if parities[g]]) for m, c in right.terms.items()]
+    out: dict[Monomial, Coeff] = {}
+    get = out.get
+    for m1, c1 in left.terms.items():
+        odd1 = [g for g in m1 if parities[g]]
+        for m2, c2, odd2 in rows:
+            c = c1 * c2
+            if odd1 and odd2:
+                crossings = _odd_crossings(odd1, odd2)
+                if crossings < 0:
+                    continue
+                if crossings & 1:
+                    c = -c
+            key = tuple(sorted(m1 + m2))
+            out[key] = get(key, 0) + c
+    return Polynomial(left.algebra, out)

@@ -45,6 +45,8 @@ from superinv.polynomials import (
 )
 from superinv.tableaux import Partition, fill_rows, enumerate_semistandard
 
+from reference import reference_product
+
 
 def test_oracle_simplest_case():
     fam = build_family("gl", IndexRange(1, 0))
@@ -154,6 +156,16 @@ def test_generated_subspace_simple():
     assert generated_subspace([g], 3) == []
 
 
+@pytest.mark.parametrize("degree", [0, -1, -2])
+def test_generated_subspace_refuses_a_degree_below_one(degree):
+    fam = build_family("gl", IndexRange(1, 0))
+    alg = algebra_for(fam, 1, 0, 1, 0)
+    gens = scalar_products("gl", alg)
+    for generators in (gens, []):
+        with pytest.raises(ValueError, match="positive"):
+            generated_subspace(generators, degree)
+
+
 def test_generated_requires_homogeneous():
     fam = build_family("gl", IndexRange(1, 0))
     alg = algebra_for(fam, 1, 0, 1, 0)
@@ -171,14 +183,36 @@ def test_check_generation_gl_small():
     assert verdicts[0].equal and verdicts[0].oracle_dim == 4
 
 
+def reference_products(generators, degree):
+    """Every product of the nonzero generators of total degree `degree`, one
+    per nondecreasing sequence of their positions, by `reference_product`;
+    a product that vanishes is not extended."""
+    gens = [g for g in generators if g]
+    out = []
+
+    def rec(start, total, current):
+        if total == degree:
+            out.append(current)
+            return
+        for i in range(start, len(gens)):
+            if total + gens[i].degree() <= degree:
+                nxt = reference_product(current, gens[i])
+                if nxt:
+                    rec(i, total + gens[i].degree(), nxt)
+
+    if gens:
+        rec(0, 0, gens[0].algebra.one())
+    return out
+
+
 def two_tracker_generation(family, algebra, generators, degree):
-    """`check_generation` at one degree with the products eliminated twice,
-    once in `generated_subspace` and again, from its basis, in the tracker
-    that meets the oracle basis, as (verdict, oracle and generated
-    dimensions, witness)."""
+    """`check_generation` at one degree with the products, by
+    `reference_products`, reduced in a tracker of their own, as (verdict,
+    oracle and generated dimensions, witness): the witness is the first
+    oracle basis vector outside their span."""
     oracle = invariant_space_bruteforce(family, algebra, degree)
     tracker = SpanTracker()
-    for f in generated_subspace(generators, degree):
+    for f in reference_products(generators, degree):
         tracker.add(f.terms)
     gen_dim = tracker.rank
     witness = None
@@ -605,7 +639,7 @@ def reference_apply(subs, f):
     for mono, coeff in f.terms.items():
         term = subs.target.one()
         for g in mono:
-            term = term * subs.images[g]
+            term = reference_product(term, subs.images[g])
         out = out + term.scale(coeff)
     return out
 
@@ -676,6 +710,25 @@ def test_kernel_dimension_through_the_prefix_table(claim, kernel):
     assert expected == kernel
     assert subs._prefixes
     assert all(len(key) < degree for key in subs._prefixes)
+
+
+def test_packed_images_widen_with_the_degree():
+    """The T2.2 images, of degree 2, are packed at the width of the highest
+    degree substituted so far: the image of a degree-3 monomial fits 3-bit
+    fields, one of degree 4 needs 4 bits, so the images are repacked and
+    the prefix table keeps only the prefixes built since.  Every image
+    equals the factor-by-factor reference, before and after."""
+    subs, degree, _ = _claim_map("T2.2")
+    subs = _fresh(subs)
+    short, long = (monomials_of_degree(subs.source, d)[-1] for d in (degree - 1, degree))
+    subs._packed_image(short)
+    assert (degree, subs._width) == (4, 3) and subs._prefixes
+    subs._packed_image(long)
+    assert subs._width == 4
+    assert set(subs._prefixes) == {long[:j] for j in range(2, degree)}
+    for mono in (short, long):
+        f = Polynomial(subs.source, {mono: 1})
+        assert subs.image(mono) == subs.apply(f) == reference_apply(subs, f)
 
 
 def _t22_relations():
@@ -758,15 +811,15 @@ def test_relation_guards():
 
 def blockwise_relation_reference(subs, rels, degree):
     """The relation pass with no orbits, as (kernel dimension, verdict,
-    nullity by block): every block's images go into its own SpanTracker and
-    into the relation slices."""
+    nullity by block): every block's images, by `reference_apply`, go into
+    its own SpanTracker and into the relation slices."""
     occurrences = {}
     for i, f in enumerate(rels):
         for mono, coeff in f.terms.items():
             occurrences.setdefault(mono, []).append((i, coeff))
     all_zero, nullity = True, {}
     for key, monos in blocked_monomials(subs.source, degree).items():
-        images = [subs.image(m).terms for m in monos]
+        images = [reference_apply(subs, Polynomial(subs.source, {m: 1})).terms for m in monos]
         nullity[key] = len(monos) - rank_rows(images)
         slices = {}
         for m, image in zip(monos, images):
@@ -796,7 +849,7 @@ def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relatio
     subs = _fresh(subs)
     with mock.patch.object(
         invariants_module, "SpanTracker", wraps=invariants_module.SpanTracker
-    ) as trackers, mock.patch.object(subs, "image", wraps=subs.image) as built:
+    ) as trackers, mock.patch.object(subs, "_packed_image", wraps=subs._packed_image) as built:
         rep = relation_kernel_check(subs, rels, degree)
     assert (rep.kernel_dim, rep.all_substitute_to_zero) == (kernel, all_zero)
     assert rep.relation_span_dim == relations
@@ -849,7 +902,7 @@ def test_relations_on_a_later_block_are_read_from_the_first_block():
         assert subs.apply(f).is_zero() == vanishes
         assert blockwise_relation_reference(_fresh(subs), [f], degree)[1] == vanishes
         fresh = _fresh(subs)
-        with mock.patch.object(fresh, "image", wraps=fresh.image) as built:
+        with mock.patch.object(fresh, "_packed_image", wraps=fresh._packed_image) as built:
             rep = relation_kernel_check(fresh, [f], degree)
         assert rep.all_substitute_to_zero == vanishes
         assert not {call.args[0] for call in built.call_args_list} & set(terms)

@@ -4,6 +4,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import add
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +15,19 @@ from superinv.polynomials import (
     AlgebraDescriptor,
     Generator,
     Polynomial,
+    field_width,
     make_mixed_algebra,
     make_sym_square_algebra,
     make_uw_algebra,
     monomials_of_degree,
     normalize_product,
+    pack,
+    packed_product,
     sym_square_index,
+    unpack,
 )
+
+from reference import reference_product
 
 
 def bubble_sign_oracle(mono, parities):
@@ -142,6 +149,65 @@ def test_mul_matches_reference_mul(parities, data):
     got, want = f * g, reference_mul(f, g)
     assert list(got.terms.items()) == list(want.terms.items())
     assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def _assert_same_terms(got: dict, want: dict) -> None:
+    """Same terms, in the same order, with the same coefficient types."""
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARITIES, st.data())
+def test_packed_product_matches_reference_product(parities, data):
+    """The packed product, unpacked, is the tuple-sorting product: same
+    terms, term order and coefficient types, at the least width the
+    product's degree fits or wider.  Draws mix parities, add the empty
+    monomial, and repeat a monomial of one factor in the other, so that
+    a repeated odd generator multiplies to zero."""
+    algebra = _algebra(parities)
+    f, g = data.draw(_polynomial(algebra)), data.draw(_polynomial(algebra))
+    if data.draw(st.booleans()):
+        f = f + algebra.one().scale(data.draw(COEFFS))
+    if data.draw(st.booleans()) and f.terms:
+        g = g + Polynomial(algebra, {next(iter(f.terms)): data.draw(COEFFS)})
+    width = field_width(f.degree() + g.degree()) + data.draw(st.integers(0, 2))
+    n = len(parities)
+    left, right = pack(f.terms, width, parities), pack(g.terms, width, parities)
+    want = reference_product(f, g).terms
+    _assert_same_terms(unpack(packed_product(left, right, n), width, n), want)
+    _assert_same_terms((f * g).terms, want)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_packed_product_fills_a_field_without_carry(width):
+    """x1^a * x1^b with a + b = 2^w - 1, the largest exponent a w-bit field
+    holds, between two odd generators: the sum fills x1's field and spills
+    into neither neighbour, whether a factor is the empty monomial or
+    not."""
+    parities = (1, 0, 1)
+    n, top = len(parities), (1 << width) - 1
+    assert field_width(top) == width
+    algebra = _algebra(parities)
+    full = {(1,) * top: 6}
+    for a in range(top + 1):
+        f, g = Polynomial(algebra, {(1,) * a: 3}), Polynomial(algebra, {(1,) * (top - a): 2})
+        left, right = pack(f.terms, width, parities), pack(g.terms, width, parities)
+        got = packed_product(left, right, n)
+        assert got == {top << width << n: 6}
+        _assert_same_terms(unpack(got, width, n), full)
+        _assert_same_terms((f * g).terms, reference_product(f, g).terms)
+
+
+def test_pack_refuses_a_width_too_narrow():
+    """A monomial whose degree a field cannot hold raises, at the field's
+    largest degree plus one."""
+    parities = (0, 1)
+    for width in (1, 2, 3):
+        top = (1 << width) - 1
+        pack({(0,) * top: 1}, width, parities)
+        with pytest.raises(ValueError, match="overflows"):
+            pack({(0,) * top + (1,): 1}, width, parities)
 
 
 def test_mul_repeated_odd_generator_vanishes():

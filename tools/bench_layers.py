@@ -1,5 +1,6 @@
-"""Per-layer timings of the derivation action and the relation check,
-appended as one row to a `BENCH_<date>.json` trajectory file.
+"""Per-layer timings of the derivation action, polynomial products, the
+generation check and the relation check, appended as one row to a
+`BENCH_<date>.json` trajectory file.
 
 Run from the repository root:
 
@@ -20,12 +21,19 @@ in-process runs, in milliseconds, after one untimed warm-up run:
 - relations: `relation_kernel_check` of T2.2 at its catalog defaults with
   --udims 2,2 --wdims 2,2 (gl(1|1), 256 relations at degree 4, 985 blocks
   in 154 orbits), each run on a fresh `SubstitutionMap`, so that no run
-  reuses the prefix table of another.
+  reuses the prefix table of another;
+- product: image(m[:5]) * image(m[5:]) for 12 seeded degree-9 source
+  monomials m of T2.2 at --dims 2,2 --udims 1,2 --wdims 1,2, the products
+  of its relation check; the images are built once, outside the timing;
+- generation: `check_generation` of pe(1|1) on U = (3|2), W = 0 at
+  degree 6, with every scalar product, on one family whose tables the
+  warm-up run builds.
 
 The file records the Python version and `os.cpu_count()` of the machine
-that wrote it; a run on another machine or Python starts a new file.  To
-time another checkout, point PYTHONPATH at its `src` and give a label that
-names it.
+that wrote it.  A run on another machine or Python must start a new file:
+appending to a file that records another one is refused with exit status
+2.  To time another checkout, point PYTHONPATH at its `src` and give a
+label that names it.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ import datetime
 import json
 import os
 import platform
+import random
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -42,14 +52,17 @@ from unittest import mock
 
 from superinv import claims
 from superinv.alphabet import IndexRange
+from superinv.generators import scalar_products, substitution_map
 from superinv.invariants import (
     SubstitutionMap,
     algebra_for,
     blocked_monomials,
+    check_generation,
     invariant_space_bruteforce,
     relation_kernel_check,
 )
 from superinv.liealgebras import act_through_images, action_table, annihilates, build_family, diagonal_weights
+from superinv.polynomials import make_uw_algebra, monomials_of_degree
 
 RUNS = 15
 DEGREE = 6
@@ -83,6 +96,22 @@ def t22_relation_check() -> tuple:
     return seen[0]
 
 
+def product_factors() -> list:
+    """The image pairs (image(m[:5]), image(m[5:])) of 12 degree-9 source
+    monomials m of T2.2 at --dims 2,2 --udims 1,2 --wdims 1,2, drawn with
+    seed 1 among those whose two images are nonzero."""
+    family = build_family("gl", IndexRange(2, 2))
+    U = W = IndexRange(1, 2)
+    source = make_uw_algebra(U, W)
+    subs = substitution_map("gl", source, algebra_for(family, 1, 2, 1, 2))
+    pairs = []
+    for m in random.Random(1).sample(monomials_of_degree(source, 9), 200):
+        left, right = subs.image(m[:5]), subs.image(m[5:])
+        if left and right and len(pairs) < 12:
+            pairs.append((left, right))
+    return pairs
+
+
 def measure() -> dict:
     family = build_family("gl", IndexRange(2, 1))
     algebra = algebra_for(family, 2, 1, 2, 1)
@@ -106,6 +135,16 @@ def measure() -> dict:
         for m in monomials:
             act_through_images(table, algebra, {m: 1})
 
+    pairs = product_factors()
+    pe = build_family("pe", IndexRange(1, 1))
+    pe_algebra = algebra_for(pe, 3, 2, 0, 0)
+    pe_generators = [g for g in scalar_products("pe", pe_algebra) if g]
+
+    def generation():
+        (verdict,) = check_generation(pe, pe_algebra, pe_generators, [DEGREE])
+        if not verdict.equal:
+            raise AssertionError("the scalar products of pe(1|1) do not generate")
+
     return {
         "case": f"gl(2|1), U = W = (2|1), degree {DEGREE}",
         "polynomials": len(basis),
@@ -117,6 +156,13 @@ def measure() -> dict:
         "relations_case": "T2.2, gl(1|1), U = W = (2|2), degree 4",
         "relations": len(rels),
         "relations_ms": best_ms(relations),
+        "product_case": (
+            "T2.2, gl(2|2), U = W = (1|2): image(m[:5]) * image(m[5:]), 12 m of degree 9"
+        ),
+        "product_terms": sum(len((left * right).terms) for left, right in pairs),
+        "product_ms": best_ms(lambda: [left * right for left, right in pairs]),
+        "generation_case": f"pe(1|1), pqkl 3,2,0,0, degree {DEGREE}",
+        "generation_ms": best_ms(generation),
     }
 
 
@@ -126,10 +172,15 @@ def main() -> None:
     today = datetime.date.today().isoformat()
     parser.add_argument("--output", type=Path, default=Path(f"BENCH_{today}.json"))
     args = parser.parse_args()
+    machine = {"python": platform.python_version(), "cpu_count": os.cpu_count()}
     if args.output.exists():
         record = json.loads(args.output.read_text())
+        if {k: record.get(k) for k in machine} != machine:
+            message = f"{args.output} records another machine or Python; start a new file"
+            print(message, file=sys.stderr)
+            sys.exit(2)
     else:
-        record = {"python": platform.python_version(), "cpu_count": os.cpu_count(), "rows": []}
+        record = {**machine, "rows": []}
     row = {"label": args.label, "date": today, **measure()}
     record["rows"].append(row)
     args.output.write_text(json.dumps(record, indent=2) + "\n")
