@@ -179,6 +179,12 @@ def _relation_records(
     ]
 
 
+def _premise_t21(opts: ClaimOptions) -> list:
+    # a scalar product pairs a U letter and a W letter through a V letter
+    p, q, k, l = opts.pqkl
+    return [("one-box tableau", Partition((1,)), hook) for hook in (opts.dims, (k, l), (p, q))]
+
+
 def run_t21(opts: ClaimOptions) -> list[CheckRecord]:
     """Scalar products generate the general-linear invariants."""
     p, q, k, l = opts.pqkl
@@ -233,8 +239,8 @@ def run_t34(opts: ClaimOptions) -> list[CheckRecord]:
 
 def _premise_t36(opts: ClaimOptions) -> list:
     # each extra family pairs u- and w-words of both split tableaux
-    (even, odd), (p, q, k, l) = opts.dims, opts.pqkl
-    shapes = [f(even, odd, opts.k).shape for f in (split_cols_tableau, split_rows_tableau)]
+    setup, (p, q, k, l) = operator_setup(IndexRange(*opts.dims), opts.k), opts.pqkl
+    shapes = [setup.s.shape, setup.t.shape]
     return [("split tableau", shape, hook) for shape in shapes for hook in ((k, l), (p, q))]
 
 
@@ -348,6 +354,11 @@ def _premise_row_two(opts: ClaimOptions) -> list:
     return [("row", Partition((2,)), opts.wdims)]
 
 
+def _premise_scalar_products(opts: ClaimOptions) -> list:
+    # with no V letter every scalar product, and so every record, is zero
+    return [("one-box tableau", Partition((1,)), opts.dims), *_premise_row_two(opts)]
+
+
 def _scalar_product_records(
     claim: str, tag: str, opts: ClaimOptions, degrees
 ) -> list[CheckRecord]:
@@ -375,7 +386,7 @@ def _premise_t43(opts: ClaimOptions) -> list:
             f"needs --dims n,m with m > 0 or n odd: osp({even}|0) = so({even}) has"
             f" determinant-type invariants beyond the scalar products, got --dims {even},{odd}"
         )
-    return _premise_row_two(opts)
+    return _premise_scalar_products(opts)
 
 
 def run_t43(opts: ClaimOptions) -> list[CheckRecord]:
@@ -451,7 +462,7 @@ def run_t51(opts: ClaimOptions) -> list[CheckRecord]:
 
 
 def _premise_t52(opts: ClaimOptions) -> list:
-    return [("column-split tableau", split_cols_tableau(*opts.dims, 1).shape, opts.wdims)]
+    return [("column-split tableau", operator_setup(IndexRange(*opts.dims), 1).s.shape, opts.wdims)]
 
 
 def run_t52(opts: ClaimOptions) -> list[CheckRecord]:
@@ -677,15 +688,15 @@ class Claim:
 # letter, and the T5 constructions fill their rows with even letters.
 # T3.3 and T3.4 also need an even letter: their not-gl-invariant check acts
 # with the diagonal unit on the first even letter.  Every record of T2.1
-# and T4.4 is one degree's, so below their least --max-degree they would
-# check nothing.
+# and T4.4 is one degree's, and their invariants have even degree, so below
+# --max-degree 2 they would check nothing.
 # the options of the scalar-product claims over W, and of the relation claims
 _OVER_W = ("dims", "wdims", "max_degree", "monomial_cap")
 _RELATIONS = ("dims", "wdims", "monomial_cap")
 CATALOG: dict[str, Claim] = {
     "T2.1": Claim(
         run_t21, ("dims", "pqkl", "max_degree", "monomial_cap"), ClaimOptions(max_degree=3),
-        least={"max_degree": 1},
+        _premise_t21, {"max_degree": 2},
     ),
     "T2.2": Claim(run_t22, ("dims", "udims", "wdims", "monomial_cap"), premise=_premise_t22),
     "T3.3": Claim(run_t33, ("dims", "k"), least={"dims": (1, 1), "k": 1}),
@@ -705,7 +716,7 @@ CATALOG: dict[str, Claim] = {
     "T5.2": Claim(
         run_t52, _OVER_W, ClaimOptions(dims=(1, 2), wdims=(1, 0)), _premise_t52, {"dims": (1, 1)}
     ),
-    "T6.2": Claim(run_t62, _OVER_W, ClaimOptions(wdims=(2, 1)), _premise_row_two),
+    "T6.2": Claim(run_t62, _OVER_W, ClaimOptions(wdims=(2, 1)), _premise_scalar_products),
     "T6.3.1": Claim(run_t631, ("wdims",), ClaimOptions(wdims=(2, 1)), _premise_row_two),
     "T6.3.2": Claim(run_t632, _RELATIONS, ClaimOptions(wdims=(2, 1)), _premise_t632),
     "L7.1": Claim(run_l71, ("n",), least={"n": 2}),

@@ -47,8 +47,9 @@ from .tableaux import YoungTableau, enumerate_semistandard
 from .tensors import (
     TensorElement,
     act_on_tensor,
-    repeated_evens,
     blocked_odds,
+    operator_setup,
+    repeated_evens,
     sl_invariant_element,
     split_cols_tableau,
     split_rows_tableau,
@@ -182,9 +183,7 @@ def sl_extra_generators(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators
     v_range = algebra.v_range
     u_range = algebra.u_range
     w_range = algebra.w_range
-    n, m = v_range.even_count, v_range.odd_count
-    s = split_cols_tableau(n, m, k)  # n rows, k+m columns
-    t = split_rows_tableau(n, m, k)  # m columns, n+k rows
+    setup = operator_setup(v_range, k)
 
     def shadows(u_tableau: YoungTableau, w_tableau: YoungTableau, hat: bool) -> list[Polynomial]:
         element = sl_invariant_element(v_range, k, hat=hat)
@@ -193,7 +192,7 @@ def sl_extra_generators(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators
         )
         return [f for I, J in pairs if (f := mixed_shadow(algebra, element, I, J, hat))]
 
-    return SlExtraGenerators(shadows(s, t, False), shadows(t, s, True))
+    return SlExtraGenerators(shadows(setup.s, setup.t, False), shadows(setup.t, setup.s, True))
 
 
 def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
@@ -203,13 +202,10 @@ def sl_extra_literal(algebra: AlgebraDescriptor, k: int) -> SlExtraGenerators:
     v_range = algebra.v_range
     u_range = algebra.u_range
     w_range = algebra.w_range
-    n, m = v_range.even_count, v_range.odd_count
-    s = split_cols_tableau(n, m, k)
-    t = split_rows_tableau(n, m, k)
-    Ik = repeated_evens(n, k)
-    Jk = blocked_odds(m, k)
-    words_L = list(all_words(v_range, n * m))
-    heads, tails = [Ik + L for L in words_L], [L + Jk for L in words_L]
+    setup = operator_setup(v_range, k)
+    s, t = setup.s, setup.t
+    words_L = list(all_words(v_range, setup.n * setup.m))
+    heads, tails = [setup.Ik + L for L in words_L], [L + setup.Jk for L in words_L]
 
     plus: list[Polynomial] = []
     Js = list(enumerate_semistandard(t, w_range))
@@ -266,8 +262,7 @@ def osp_relative_generators(
 ) -> list[Polynomial]:
     """R(J): the polynomial shadows of the constructive invariant, one per
     semistandard sequence J of w-letters over the column-split tableau."""
-    n, m = algebra.v_range.even_count, algebra.v_range.odd_count
-    s = split_cols_tableau(n, m, 1)
+    s = operator_setup(algebra.v_range, 1).s
     return nonzero_shadows(algebra, _form_letters(algebra, nabla, s.size), s)
 
 
@@ -340,6 +335,18 @@ def xplus_factors(dims: IndexRange) -> list[MatrixElement]:
     return out
 
 
+def _route_words(n: int, k: int, kind: str) -> tuple[YoungTableau, Word, Word, Word]:
+    """A route at level k over gl(n|n): its tableau and the head, core and
+    tail of its seed word, row-split with an all-odd core and an odd tail
+    for "lower", column-split with an even head and an all-even core for
+    "raise".  The quoted sums put the square tableaux in place of the core."""
+    if kind == "lower":
+        return split_rows_tableau(n, n, k), (), blocked_odds(n, n), blocked_odds(n, k)
+    if kind == "raise":
+        return split_cols_tableau(n, n, k), repeated_evens(n, k), repeated_evens(n, n), ()
+    raise ValueError("kind must be 'lower' or 'raise'")
+
+
 def spe_closed_form_element(
     dims: IndexRange, k: int, kind: str = "lower", convention: str = "printed"
 ) -> TensorElement:
@@ -352,33 +359,19 @@ def spe_closed_form_element(
     (-1)^{k m(L)} is replaced by (-1)^{m(L)}, which is what the constructive
     route actually produces at n = 2.
     """
-    n = dims.even_count
-    printed = convention == "printed"
-    if kind == "lower":
-        t = split_rows_tableau(n, n, k)
-        return _quoted_sum(dims, t, (), blocked_odds(n, k), k, k if printed else 1)
-    if kind == "raise":
-        t = split_cols_tableau(n, n, k)
-        return _quoted_sum(dims, t, repeated_evens(n, k), (), 0, 0 if printed else 1)
-    raise ValueError("kind must be 'lower' or 'raise'")
+    t, head, _, tail = _route_words(dims.even_count, k, kind)
+    level = k if kind == "lower" else 0
+    return _quoted_sum(dims, t, head, tail, level, level if convention == "printed" else 1)
 
 
 def _route(
     dims: IndexRange, k: int, kind: str
 ) -> tuple[YoungTableau, TensorElement, list[MatrixElement]]:
-    """A constructive route at level k: its tableau, its symmetrized seed and
-    its factors.  "lower": the row-split tableau, the all-odd word with an
-    odd tail, the lower-block factors; "raise": the column-split tableau,
-    the all-even word with an even head, the raising-block factors."""
-    n = dims.even_count
-    if kind == "lower":
-        t = split_rows_tableau(n, n, k)
-        word, factors = blocked_odds(n, n) + blocked_odds(n, k), yminus_factors(dims)
-    elif kind == "raise":
-        t = split_cols_tableau(n, n, k)
-        word, factors = repeated_evens(n, k) + repeated_evens(n, n), xplus_factors(dims)
-    else:
-        raise ValueError("kind must be 'lower' or 'raise'")
+    """A constructive route at level k (`_route_words`): its tableau, its
+    symmetrized seed and its factors, the lower-block or raising-block ones."""
+    t, head, core, tail = _route_words(dims.even_count, k, kind)
+    word = head + core + tail
+    factors = yminus_factors(dims) if kind == "lower" else xplus_factors(dims)
     seed = symmetrize_element(t, "plain", TensorElement(dims, (True,) * len(word), {word: 1}))
     return t, seed, factors
 

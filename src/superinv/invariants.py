@@ -400,12 +400,7 @@ def check_generation(
 
 @dataclass
 class SubstitutionMap:
-    """Algebra homomorphism given by generator images; parities must match.
-
-    The images are kept packed (`pack`), at a width that fits the highest
-    degree substituted so far, with the images of the proper prefixes that
-    `_packed_image` builds, so monomials that share a prefix share its
-    products."""
+    """Algebra homomorphism given by generator images; parities must match."""
 
     source: AlgebraDescriptor
     target: AlgebraDescriptor
@@ -416,30 +411,44 @@ class SubstitutionMap:
             p = img.parity()
             if img and p != self.source.parities[i]:
                 raise ValueError("image parity differs from generator parity")
-        self._degree = max((img.degree() for img in self.images.values()), default=0)
-        self._width, self._prefixes = 0, {}
 
-    def _packed_image(self, mono: Monomial, degree: int = 0) -> dict:
-        """The packed image of a normal-form source monomial, which callers
-        must not modify: the image of its longest proper prefix already
-        built, times the images of the remaining factors.  Every proper
-        prefix built on the way is stored; the monomial itself is not, so
-        after a degree-d pass the table holds only keys shorter than d.  A
-        `degree`, or monomial, too high for the width widens it first."""
-        if (width := field_width(max(len(mono), degree, 1) * self._degree)) > self._width:
-            self._width, parities = width, self.target.parities
-            self._packed = {i: pack(f.terms, width, parities) for i, f in self.images.items()}
-            self._prefixes.clear()
-        if not mono:
-            return {0: 1}
-        table, images, n = self._prefixes, self._packed, len(self.target)
-        k = len(mono) - 1
-        while k > 1 and mono[:k] not in table:
+    def apply(self, f: Polynomial) -> Polynomial:
+        if f.algebra is not self.source:
+            raise ValueError("polynomial not over the source algebra")
+        # one width for every term, and a sum that cancels is dropped at
+        # once, as a chain of Polynomial additions drops it, so a term that
+        # comes back is placed last
+        width, image = _packed_images(self, f.degree())
+        out: dict[int, Coeff] = {}
+        for mono, coeff in f.terms.items():
+            for key, v in image(mono).items():
+                c = out.get(key, 0) + v * coeff
+                if c:
+                    out[key] = c
+                else:
+                    del out[key]
+        return Polynomial(self.target, unpack(out, width, len(self.target)))
+
+
+def _packed_images(subs: SubstitutionMap, degree: int) -> tuple:
+    """(width, image) for one pass over source monomials of degree at most
+    `degree`: the images packed (`pack`) at a width that fits their
+    products, and `image(mono)`, the packed image of a normal-form monomial,
+    which callers must not modify.  It extends the monomial's longest prefix
+    in the pass's table by the remaining factors' images, storing each
+    proper prefix built, so monomials that share a prefix share its
+    products.  The table starts with () and the generators: after monomials
+    of degree d it holds only keys shorter than d."""
+    top = max((img.degree() for img in subs.images.values()), default=0)
+    width, n = field_width(max(degree, 1) * top), len(subs.target)
+    images = {i: pack(f.terms, width, subs.target.parities) for i, f in subs.images.items()}
+    table = {(): {0: 1}, **{(i,): packed for i, packed in images.items()}}
+
+    def image(mono: Monomial) -> dict:
+        k = len(mono)
+        while mono[:k] not in table:
             k -= 1
-        if k > 1:
-            term = table[mono[:k]]
-        else:
-            term, k = images[mono[0]], 1
+        term = table[mono[:k]]
         for j in range(k, len(mono)):
             if j > k:
                 table[mono[:j]] = term
@@ -448,26 +457,7 @@ class SubstitutionMap:
             term = packed_product(term, images[mono[j]], n)
         return term
 
-    def image(self, mono: Monomial) -> Polynomial:
-        """The image of a normal-form source monomial."""
-        return self.apply(Polynomial(self.source, {mono: 1}))
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        if f.algebra is not self.source:
-            raise ValueError("polynomial not over the source algebra")
-        # one width for every term, and a sum that cancels is dropped at
-        # once, as a chain of Polynomial additions drops it, so a term that
-        # comes back is placed last
-        out: dict[int, Coeff] = {}
-        get, degree = out.get, f.degree()
-        for mono, coeff in f.terms.items():
-            for key, v in self._packed_image(mono, degree).items():
-                c = get(key, 0) + v * coeff
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return Polynomial(self.target, unpack(out, self._width, len(self.target)))
+    return width, image
 
 
 @dataclass
@@ -558,7 +548,7 @@ def relation_kernel_check(
     for key, monos in blocks.items():
         orbit, ranked = orbits.orbit(key) if certified else (key, [])
         by_orbit.setdefault(orbit, []).append((key, monos, ranked))
-    parities = subs.source.parities
+    _, image_of = _packed_images(subs, degree)
     all_zero, kernel_dim = True, 0
     for group in by_orbit.values():
         group.sort()
@@ -569,11 +559,11 @@ def relation_kernel_check(
         for b, (_, there, ranked_there) in enumerate(group[1:], 1):
             gens = orbits.generator_map(ranked_there, ranked)
             mine = {m: occurrences[m] for m in there if m in occurrences}
-            for key, sign, occurs in _relabel(mine, gens, parities):
+            for key, sign, occurs in _relabel(mine, gens, subs.source.parities):
                 carried.setdefault(key, []).extend([((b, i), sign * c) for i, c in occurs])
         tracker, slices = SpanTracker(), {}
         for m in monos:
-            image = subs._packed_image(m)
+            image = image_of(m)
             tracker.add(image)
             for at, coeff in carried.get(m, ()):
                 add_scaled(slices.setdefault(at, {}), image, coeff)

@@ -250,30 +250,10 @@ def blocked_odds(m: int, k: int) -> Word:
     return tuple(od(j) for j in range(1, m + 1) for _ in range(k))
 
 
-# ---------------------------------------------------------------------------
-# section-3 style invariant elements and the operator they induce
-
-
-def sl_invariant_element(dims: IndexRange, k: int, hat: bool) -> TensorElement:
-    """The symmetrized canonical elements: with `hat` the word is
-    v*_{I_k} x theta-hat-power x v_{J_k}; without it the word is
-    v_{I_k} x theta-power x v*_{J_k}.  Block symmetrizers: the row-split
-    tableau on the theta block plus the repeated-run block, the column-split
-    tableau on the other side."""
-    n, m = dims.even_count, dims.odd_count
-    t = split_rows_tableau(n, m, k)
-    s = split_cols_tableau(n, m, k)
-    head, tail = repeated_evens(n, k), blocked_odds(m, k)
-    theta_k = theta_power(dims, n * m, hat)
-    terms = {head + w + tail: c for w, c in theta_k.terms.items()}
-    sig = (hat,) * len(head) + theta_k.signature + (not hat,) * len(tail)
-    left = symmetrize_element(s, "plain", TensorElement(dims, sig, terms))
-    return symmetrize_element(t, "tilde", left, start=s.size)
-
-
 @dataclass
 class OperatorSetup:
-    """Data of the invariant operator built from the split tableaux."""
+    """The split data of gl(n|m) at level k: the tableaux t (row-split) and
+    s (column-split), the repeated run I_k and the blocked odd run J_k."""
 
     dims: IndexRange
     n: int
@@ -297,6 +277,24 @@ def operator_setup(dims: IndexRange, k: int) -> OperatorSetup:
         repeated_evens(n, k),
         blocked_odds(m, k),
     )
+
+
+# ---------------------------------------------------------------------------
+# section-3 style invariant elements and the operator they induce
+
+
+def sl_invariant_element(dims: IndexRange, k: int, hat: bool) -> TensorElement:
+    """The symmetrized canonical elements: with `hat` the word is
+    v*_{I_k} x theta-hat-power x v_{J_k}; without it the word is
+    v_{I_k} x theta-power x v*_{J_k}.  Block symmetrizers: the row-split
+    tableau on the theta block plus the repeated-run block, the column-split
+    tableau on the other side."""
+    setup = operator_setup(dims, k)
+    theta_k = theta_power(dims, setup.n * setup.m, hat)
+    terms = {setup.Ik + w + setup.Jk: c for w, c in theta_k.terms.items()}
+    sig = (hat,) * len(setup.Ik) + theta_k.signature + (not hat,) * len(setup.Jk)
+    left = symmetrize_element(setup.s, "plain", TensorElement(dims, sig, terms))
+    return symmetrize_element(setup.t, "tilde", left, start=setup.s.size)
 
 
 def invariant_operator(setup: OperatorSetup, w: TensorElement) -> TensorElement:
@@ -398,37 +396,27 @@ def theta_tilde_2(dims: IndexRange) -> TensorElement:
     return TensorElement(dims, (False, False), terms)
 
 
-def theta_tilde_power(dims: IndexRange, k: int = 1) -> TensorElement:
+def theta_tilde_power(setup: OperatorSetup) -> TensorElement:
     """Tensor power of the inverse-form element arranged so that each row of
-    the row-split tableau consists of adjacent partner pairs (the slot
+    the row-split tableau t consists of adjacent partner pairs (the slot
     reshuffle is invisible when the top block has a single row)."""
-    n, m = dims.even_count, dims.odd_count
-    t = split_rows_tableau(n, m, k)
-    power = ((n + k) * m) // 2
-    tt = theta_tilde_2(dims)
-    acc = TensorElement.from_word(dims, ())
-    for _ in range(power):
+    tt = theta_tilde_2(setup.dims)
+    acc = TensorElement.from_word(setup.dims, ())
+    for _ in range(setup.t.size // 2):
         acc = acc.tensor(tt)
-    images = [0] * (2 * power)
-    pos = 0
-    for r in range(n + k):
-        for a in range(0, m, 2):
-            images[pos] = t.rows[r][a] - 1
-            images[pos + 1] = t.rows[r][a + 1] - 1
-            pos += 2
-    return slot_permute(acc, Permutation(tuple(images)))
+    # the factors fill the cells of t row by row, two cells each
+    return slot_permute(acc, Permutation(tuple(cell - 1 for row in setup.t.rows for cell in row)))
 
 
 def nabla_construct(dims: IndexRange) -> TensorElement:
     """Constructive relative invariant: the invariant operator applied to
     the row-paired power of the inverse-form element."""
-    n, m = dims.even_count, dims.odd_count
-    if n == 0:
-        raise ValueError("need at least one even dimension")
-    if m % 2:
-        raise ValueError("odd dimension must be even")
     setup = operator_setup(dims, 1)
-    return invariant_operator(setup, theta_tilde_power(dims, 1))
+    if setup.n == 0:
+        raise ValueError("need at least one even dimension")
+    if setup.m % 2:
+        raise ValueError("odd dimension must be even")
+    return invariant_operator(setup, theta_tilde_power(setup))
 
 
 # ---------------------------------------------------------------------------
@@ -509,17 +497,15 @@ def nabla_closed_form_coeff(dims: IndexRange, I: Word) -> int:
 def nabla_closed_form_report(dims: IndexRange) -> dict:
     """Fit the constructive invariant over the closed-form support family
     and compare the fitted coefficients with the predicted ones."""
-    n, m = dims.even_count, dims.odd_count
     nabla = nabla_construct(dims)
     support = nabla_support_words(dims)
-    s = split_cols_tableau(n, m, 1)
-    I1 = repeated_evens(n, 1)
+    setup = operator_setup(dims, 1)
     # the kernel of x -> sum_j x_j e_s(I1 + I_j) - x_last nabla; nabla's
     # column is last, so it is free, and one kernel vector holds it, exactly
     # when nabla lies in the span of the images
     last = len(support)
     columns = [
-        symmetrize_element(s, "plain", TensorElement.from_word(dims, I1 + I)).terms
+        symmetrize_element(setup.s, "plain", TensorElement.from_word(dims, setup.Ik + I)).terms
         for I in support
     ]
     columns.append(nabla.scale(-1).terms)

@@ -161,6 +161,38 @@ def test_t73_tower_gap_carries_a_witness(monkeypatch):
     assert all(r.status != "fail" for rid, r in records.items() if rid != record.id)
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2)])
+def test_t73_checks_every_symmetrizer_cap_before_the_first(monkeypatch, n, k):
+    """`run_t73` checks the cap of a hand-kept list of tableaux up front, so
+    that a cap refusal comes before any work: every tableau the run
+    symmetrizes was checked before its first `symmetrize` call."""
+    import sys
+
+    from superinv import claims, permutations
+
+    events = []
+    real_check, real_symmetrize = claims.check_symmetrizer_cap, permutations.symmetrize
+
+    def check(t):
+        events.append(("check", t.rows))
+        return real_check(t)
+
+    def symmetrize(t, *args, **kwargs):
+        events.append(("symmetrize", t.rows))
+        return real_symmetrize(t, *args, **kwargs)
+
+    monkeypatch.setattr(claims, "check_symmetrizer_cap", check)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("superinv") and getattr(module, "symmetrize", None) is real_symmetrize:
+            monkeypatch.setattr(module, "symmetrize", symmetrize)
+    run_claim("T7.3", replace(CATALOG["T7.3"].defaults, n=n, k=k))
+    first = [kind for kind, _ in events].index("symmetrize")
+    checked = {rows for kind, rows in events[:first] if kind == "check"}
+    symmetrized = {rows for kind, rows in events if kind == "symmetrize"}
+    assert len(symmetrized) == k + 3
+    assert symmetrized <= checked
+
+
 # a record over a family of size 0 checks nothing (ROADMAP open item 2);
 # the one such default left, T2.2's, waits for the benchmark change that
 # regenerates perfbench/reference.json, which pins every default's records

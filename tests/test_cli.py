@@ -337,6 +337,11 @@ def test_cap_reaches_every_monomial_basis(capsys, claim):
         ("--theorem", "T4.5", "--dims", "2,2", "--wdims", "2,1"),
         # the row (2) misses the W hook: no scalar product, every family empty
         *(("--theorem", claim, "--wdims", "0,1") for claim in ("T4.3", "T4.4", "T6.2", "T6.3.1")),
+        # with no U, V or W letter every scalar product is zero, and gl
+        # invariants have even degree: every record would compare 0 with 0
+        *(("--theorem", "T2.1", "--pqkl", pqkl) for pqkl in ("0,0,1,1", "1,1,0,0", "0,0,0,0")),
+        *(("--theorem", claim, "--dims", "0,0") for claim in ("T2.1", "T4.3", "T6.2")),
+        ("--theorem", "T2.1", "--max-degree", "1"),
     ],
 )
 def test_verify_out_of_range_options(capsys, argv):

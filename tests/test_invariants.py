@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -666,20 +668,34 @@ def _claim_map(claim, **options):
     return _CLAIM_MAPS[key]
 
 
-def _fresh(subs):
-    return SubstitutionMap(subs.source, subs.target, subs.images)
+def _image(subs, mono):
+    """The image of one source monomial."""
+    return subs.apply(Polynomial(subs.source, {mono: 1}))
+
+
+@contextlib.contextmanager
+def _passes():
+    """Each pass of `_packed_images` while active, as its `image`, wrapped
+    to count the images built, and its prefix table."""
+    passes, real = [], invariants_module._packed_images
+
+    def spy(subs, degree):
+        width, image = real(subs, degree)
+        passes.append((mock.Mock(wraps=image), inspect.getclosurevars(image).nonlocals["table"]))
+        return width, passes[-1][0]
+
+    with mock.patch.object(invariants_module, "_packed_images", spy):
+        yield passes
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["T2.2", "T4.5", "T6.3.2"]), st.booleans(), st.data())
-def test_apply_matches_reference_apply(claim, fresh, data):
+@given(st.sampled_from(["T2.2", "T4.5", "T6.3.2"]), st.data())
+def test_apply_matches_reference_apply(claim, data):
     """apply through the prefix table equals the factor-by-factor product,
     term order and coefficient types included, on runs of consecutive
-    monomials (which share prefixes) plus a few of other degrees, with the
-    table empty or filled by earlier calls."""
+    monomials (which share prefixes) plus a few of other degrees, which the
+    pass packs at the width of the highest."""
     subs, degree, _ = _claim_map(claim)
-    if fresh:
-        subs = _fresh(subs)
     monos = monomials_of_degree(subs.source, data.draw(st.integers(1, degree)))
     start = data.draw(st.integers(0, len(monos) - 1))
     run = monos[start : start + data.draw(st.integers(1, 12))]
@@ -701,51 +717,49 @@ def test_kernel_dimension_through_the_prefix_table(claim, kernel):
     prefixes, keys shorter than the degree, so full-degree images are never
     kept."""
     subs, degree, _ = _claim_map(claim)
-    subs = _fresh(subs)
-    assert kernel_dimension_at_degree(subs, degree) == kernel
+    with _passes() as passes:
+        assert kernel_dimension_at_degree(subs, degree) == kernel
     expected = 0
     for monos in blocked_monomials(subs.source, degree).values():
         images = [reference_apply(subs, Polynomial(subs.source, {m: 1})) for m in monos]
         expected += len(monos) - rank_rows(f.terms for f in images)
     assert expected == kernel
-    assert subs._prefixes
-    assert all(len(key) < degree for key in subs._prefixes)
+    (_, table), = passes
+    assert any(len(key) > 1 for key in table)
+    assert all(len(key) < degree for key in table)
 
 
-def test_packed_images_widen_with_the_degree():
-    """The T2.2 images, of degree 2, are packed at the width of the highest
-    degree substituted so far: the image of a degree-3 monomial fits 3-bit
-    fields, one of degree 4 needs 4 bits, so the images are repacked and
-    the prefix table keeps only the prefixes built since.  Every image
-    equals the factor-by-factor reference, before and after."""
-    subs, degree, _ = _claim_map("T2.2")
-    subs = _fresh(subs)
-    short, long = (monomials_of_degree(subs.source, d)[-1] for d in (degree - 1, degree))
-    subs._packed_image(short)
-    assert (degree, subs._width) == (4, 3) and subs._prefixes
-    subs._packed_image(long)
-    assert subs._width == 4
-    assert set(subs._prefixes) == {long[:j] for j in range(2, degree)}
-    for mono in (short, long):
+def test_one_map_substitutes_at_two_degrees():
+    """The T2.2 images, of degree 2, are packed per pass at the width its
+    degree needs: 3-bit fields for a degree-3 monomial, 4-bit ones at degree
+    4.  One map gives the factor-by-factor reference image at both
+    degrees, whichever comes first, and holds nothing but its three fields
+    after `apply` and after `relation_kernel_check`."""
+    subs, degree, rels = _claim_map("T2.2")
+    monos = [monomials_of_degree(subs.source, d)[-1] for d in (degree - 1, degree)]
+    for mono in monos + monos[::-1]:
         f = Polynomial(subs.source, {mono: 1})
-        assert subs.image(mono) == subs.apply(f) == reference_apply(subs, f)
+        assert subs.apply(f) == reference_apply(subs, f)
+        assert set(vars(subs)) == {"source", "target", "images"}
+    assert relation_kernel_check(subs, rels, degree).all_substitute_to_zero
+    assert set(vars(subs)) == {"source", "target", "images"}
 
 
 def _t22_relations():
-    """A fresh substitution map, the 16 relations and the degree of T2.2 at
+    """The substitution map, the 16 relations and the degree of T2.2 at
     --udims 1,2 --wdims 1,2, and the outer-multidegree block of each
     degree-d source monomial."""
     subs, degree, rels = _claim_map("T2.2", udims=(1, 2), wdims=(1, 2))
     block_of = {
         m: key for key, monos in blocked_monomials(subs.source, degree).items() for m in monos
     }
-    return _fresh(subs), rels, degree, block_of
+    return subs, rels, degree, block_of
 
 
 def _surviving_monomial(subs, block_of, keep):
     """A source monomial whose block satisfies `keep` and whose image is
     nonzero."""
-    return next(m for m, key in sorted(block_of.items()) if keep(key) and subs.image(m))
+    return next(m for m, key in sorted(block_of.items()) if keep(key) and _image(subs, m))
 
 
 def _relation_blocks(rels, block_of):
@@ -804,9 +818,9 @@ def test_relation_guards():
     short = Polynomial(subs.source, {monomials_of_degree(subs.source, degree - 1)[0]: 1})
     with pytest.raises(ValueError):
         relation_kernel_check(subs, [rels[0], short], degree)
-    with pytest.raises(CapExceeded):
+    with _passes() as passes, pytest.raises(CapExceeded):
         relation_kernel_check(subs, rels, degree, monomial_cap=1)
-    assert not subs._prefixes
+    assert not passes
 
 
 def blockwise_relation_reference(subs, rels, degree):
@@ -841,18 +855,18 @@ def test_relation_orbits_match_blockwise_reference(dims, blocks, orbits, relatio
     later block's relation slices are carried onto it), give the blockwise
     kernel dimension and verdict."""
     subs, degree, rels = _claim_map("T2.2", udims=dims, wdims=dims)
-    kernel, all_zero, nullity = blockwise_relation_reference(_fresh(subs), rels, degree)
+    kernel, all_zero, nullity = blockwise_relation_reference(subs, rels, degree)
     assert (len(rels), kernel, all_zero) == (relations, relations, True)
     block_orbits = BlockOrbits(subs.source)
     assert len(nullity) == blocks
     assert len({block_orbits.orbit(key)[0] for key in nullity}) == orbits
-    subs = _fresh(subs)
     with mock.patch.object(
         invariants_module, "SpanTracker", wraps=invariants_module.SpanTracker
-    ) as trackers, mock.patch.object(subs, "_packed_image", wraps=subs._packed_image) as built:
+    ) as trackers, _passes() as passes:
         rep = relation_kernel_check(subs, rels, degree)
     assert (rep.kernel_dim, rep.all_substitute_to_zero) == (kernel, all_zero)
     assert rep.relation_span_dim == relations
+    (built, _), = passes
     assert (trackers.call_count, built.call_count) == (orbits, images)
 
 
@@ -890,21 +904,21 @@ def test_relations_on_a_later_block_are_read_from_the_first_block():
     verdicts agree with the blockwise reference and with `apply`."""
     subs, _, degree, _ = _t22_relations()
     later = _later_blocks(subs, degree)
-    bogus = next(m for monos, _ in later for m in monos if subs.image(m))
+    bogus = next(m for monos, _ in later for m in monos if _image(subs, m))
     genuine = next(
         vec
         for monos, signs in later
-        for vec in joint_kernel(monos, lambda m: [subs.image(m).terms])
+        for vec in joint_kernel(monos, lambda m: [_image(subs, m).terms])
         if any(sign < 0 and m in vec for m, sign in zip(monos, signs))
     )
     for terms, vanishes in (({bogus: 1}, False), (genuine, True)):
         f = Polynomial(subs.source, terms)
         assert subs.apply(f).is_zero() == vanishes
-        assert blockwise_relation_reference(_fresh(subs), [f], degree)[1] == vanishes
-        fresh = _fresh(subs)
-        with mock.patch.object(fresh, "_packed_image", wraps=fresh._packed_image) as built:
-            rep = relation_kernel_check(fresh, [f], degree)
+        assert blockwise_relation_reference(subs, [f], degree)[1] == vanishes
+        with _passes() as passes:
+            rep = relation_kernel_check(subs, [f], degree)
         assert rep.all_substitute_to_zero == vanishes
+        (built, _), = passes
         assert not {call.args[0] for call in built.call_args_list} & set(terms)
 
 
@@ -916,14 +930,14 @@ def test_relation_slices_are_kept_apart_by_block():
     relation does not substitute to zero."""
     subs, _, degree, _ = _t22_relations()
     (first, _), *later = next(g for g in _orbit_blocks(subs, degree) if len(g) == 4)
-    m0 = next(m for m in first if subs.image(m))
+    m0 = next(m for m in first if _image(subs, m))
     (m1, s1), (m2, s2) = [
         next((m, sign) for m, (sign, key) in zip(monos, moved) if key == m0)
         for monos, moved in later[:2]
     ]
     f = Polynomial(subs.source, {m1: s2, m2: -s1})
-    assert not blockwise_relation_reference(_fresh(subs), [f], degree)[1]
-    assert not _substitutes_to_zero(_fresh(subs), f, degree)
+    assert not blockwise_relation_reference(subs, [f], degree)[1]
+    assert not _substitutes_to_zero(subs, f, degree)
 
 
 def test_relation_check_refuses_a_map_that_breaks_the_letter_symmetry():
@@ -935,7 +949,7 @@ def test_relation_check_refuses_a_map_that_breaks_the_letter_symmetry():
     source, target = subs.source, subs.target
     z = source.index("zuw", od(1), ev(1))
     block_orbits = BlockOrbits(source)
-    assert invariants_module._commutes_with_letters(_fresh(subs), block_orbits)
+    assert invariants_module._commutes_with_letters(subs, block_orbits)
     for image in (target.zero(), subs.images[z].scale(2)):
         broken = SubstitutionMap(source, target, {**subs.images, z: image})
         assert not invariants_module._commutes_with_letters(broken, block_orbits)

@@ -20,11 +20,13 @@ in-process runs, in milliseconds, after one untimed warm-up run:
   also finds the family's tables built;
 - relations: `relation_kernel_check` of T2.2 at its catalog defaults with
   --udims 2,2 --wdims 2,2 (gl(1|1), 256 relations at degree 4, 985 blocks
-  in 154 orbits), each run on a fresh `SubstitutionMap`, so that no run
-  reuses the prefix table of another;
+  in 154 orbits); each call packs the images and builds a prefix table of
+  its own, and each run gets a new `SubstitutionMap`, so that a checkout
+  whose map kept its table between calls is timed the same way;
 - product: image(m[:5]) * image(m[5:]) for 12 seeded degree-9 source
   monomials m of T2.2 at --dims 2,2 --udims 1,2 --wdims 1,2, the products
-  of its relation check; the images are built once, outside the timing;
+  of its relation check; the images are built once by `apply`, outside
+  the timing;
 - generation: `check_generation` of pe(1|1) on U = (3|2), W = 0 at
   degree 6, with every scalar product, on one family whose tables the
   warm-up run builds.
@@ -62,7 +64,7 @@ from superinv.invariants import (
     relation_kernel_check,
 )
 from superinv.liealgebras import act_through_images, action_table, annihilates, build_family, diagonal_weights
-from superinv.polynomials import make_uw_algebra, monomials_of_degree
+from superinv.polynomials import Polynomial, make_uw_algebra, monomials_of_degree
 
 RUNS = 15
 DEGREE = 6
@@ -106,7 +108,7 @@ def product_factors() -> list:
     subs = substitution_map("gl", source, algebra_for(family, 1, 2, 1, 2))
     pairs = []
     for m in random.Random(1).sample(monomials_of_degree(source, 9), 200):
-        left, right = subs.image(m[:5]), subs.image(m[5:])
+        left, right = (subs.apply(Polynomial(source, {half: 1})) for half in (m[:5], m[5:]))
         if left and right and len(pairs) < 12:
             pairs.append((left, right))
     return pairs
